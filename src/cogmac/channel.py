@@ -1,12 +1,15 @@
-"""Scalar channel model: scenario data, rate formulas, feasibility residual.
+"""Channel model: scenario data, rate formulas, feasibility residual.
 
+Batch-first: each formula has one private implementation that takes one
+split as a (K,) array or n splits as an (n, K) array and reduces over the
+last axis.  The public functions are thin scalar wrappers around them.
 Rates are in bits per channel use (log base 2 throughout).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +31,19 @@ def _as_vector(name: str, values, num_users: int) -> np.ndarray:
     return arr
 
 
+# (field, must be strictly positive); the others must be nonnegative
+_FIELD_SIGNS = (
+    ("h", False),
+    ("g", False),
+    ("p", True),
+    ("h_p", False),
+    ("p_p", True),
+    ("sigma_p2", True),
+    ("sigma_c2", True),
+    ("f", False),
+)
+
+
 @dataclass(frozen=True)
 class ChannelInstance:
     """All scalar parameters of one scenario.
@@ -39,6 +55,9 @@ class ChannelInstance:
     sigma_p2, sigma_c2 : primary / AP noise variances, strictly positive
     f : primary-to-AP interference gain; carried for completeness but never
         used in any rate formula (the AP pre-cancels the known primary signal).
+
+    Every value must be finite; an invalid one raises ValueError naming the
+    field and entry, e.g. ``p[1] must be strictly positive, got -1.0``.
     """
 
     h: np.ndarray
@@ -60,23 +79,20 @@ class ChannelInstance:
             object.__setattr__(self, name, float(getattr(self, name)))
         if k < 1:
             raise ValueError("need at least one cognitive user")
-        for name in ("h", "g", "p"):
-            vec = getattr(self, name)
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"{name} must be finite")
-        if np.any(self.h < 0) or np.any(self.g < 0):
-            raise ValueError("gains h, g must be nonnegative")
-        if np.any(self.p <= 0):
-            raise ValueError("powers p must be strictly positive")
-        for name in ("h_p", "p_p", "sigma_p2", "sigma_c2", "f"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.h_p < 0 or self.f < 0:
-            raise ValueError("gains h_p, f must be nonnegative")
-        if self.p_p <= 0:
-            raise ValueError("p_p must be strictly positive")
-        if self.sigma_p2 <= 0 or self.sigma_c2 <= 0:
-            raise ValueError("noise variances must be strictly positive")
+        for name, positive in _FIELD_SIGNS:
+            value = getattr(self, name)
+            if isinstance(value, np.ndarray):
+                entries = [(f"{name}[{i}]", v) for i, v in enumerate(value.tolist())]
+            else:
+                entries = [(name, value)]
+            for label, v in entries:
+                if not (math.isfinite(v) and (v > 0 if positive else v >= 0)):
+                    rule = (
+                        "finite" if not math.isfinite(v)
+                        else "strictly positive" if positive
+                        else "nonnegative"
+                    )
+                    raise ValueError(f"{label} must be {rule}, got {v}")
         self.h.setflags(write=False)
         self.g.setflags(write=False)
         self.p.setflags(write=False)
@@ -134,21 +150,85 @@ def _check_dims(ch: ChannelInstance, split: PowerSplit) -> np.ndarray:
     return split.gamma
 
 
-def baseline_primary_rate(ch: ChannelInstance) -> float:
-    """Primary rate with no cognitive transmissions at all."""
-    return 0.5 * math.log2(1.0 + ch.h_p**2 * ch.p_p / ch.sigma_p2)
+def _capacity(snr) -> float:
+    """Gaussian channel capacity 0.5 log2(1 + snr), in bits, of one SNR."""
+    return 0.5 * math.log2(1.0 + snr)
 
 
-def primary_rate(ch: ChannelInstance, split: PowerSplit) -> float:
-    """Primary rate when cognitive users relay with amplitude ratios gamma.
+def _primary_terms(ch: ChannelInstance, gamma: np.ndarray):
+    """Received primary amplitude and interference-plus-noise power.
 
     The cooperation parts add coherently at the primary receiver; the
     dirty-paper-coded parts remain as interference.
     """
-    gamma = _check_dims(ch, split)
-    signal = ch.primary_amplitude + float(np.sum(ch.g * gamma * np.sqrt(ch.p)))
-    noise = ch.sigma_p2 + float(np.sum(ch.g**2 * (1.0 - gamma**2) * ch.p))
-    return 0.5 * math.log2(1.0 + signal**2 / noise)
+    signal = ch.primary_amplitude + np.sum(ch.g * gamma * np.sqrt(ch.p), axis=-1)
+    noise = ch.sigma_p2 + np.sum(ch.g**2 * (1.0 - gamma**2) * ch.p, axis=-1)
+    return signal, noise
+
+
+def _phi(ch: ChannelInstance, gamma: np.ndarray):
+    """The residual phi of `feasibility_residual`."""
+    signal, noise = _primary_terms(ch, gamma)
+    return ch.sigma_p2 * signal**2 - ch.h_p**2 * ch.p_p * noise
+
+
+def _relative_phi(ch: ChannelInstance, gamma: np.ndarray):
+    """|phi| / residual_scale; with a zero scale, 0 where phi = 0, else inf."""
+    phi = np.abs(_phi(ch, gamma))
+    scale = residual_scale(ch)
+    if scale == 0.0:
+        return np.where(phi == 0.0, 0.0, math.inf)
+    return phi / scale
+
+
+def _mac_snr(ch: ChannelInstance, gamma: np.ndarray, users=slice(None)):
+    """SNR at the AP of the users selected by `users` (all by default):
+    the sum of (1 - gamma_k^2) h_k^2 P_k over them, over sigma_c2."""
+    effective = (1.0 - gamma**2) * ch.h**2 * ch.p
+    return np.sum(effective[..., users], axis=-1) / ch.sigma_c2
+
+
+def _coordinate_roots(ch: ChannelInstance, k: int, rest: np.ndarray):
+    """Solve phi = 0 for gamma_k with the other coordinates fixed.
+
+    rest holds the other K-1 coordinates in index order, as a (K-1,) or an
+    (n, K-1) array.  Returns (mask, root): mask flags the rows with a root in
+    [0, 1] (up to 1e-12), and root is that root clipped to [0, 1].  The
+    caller guarantees g_k > 0.
+    """
+    others = np.delete(np.arange(ch.num_users), k)
+    g_o, p_o = ch.g[others], ch.p[others]
+    t = ch.h_p**2 * ch.p_p / ch.sigma_p2
+    b = ch.primary_amplitude + np.sum(g_o * rest * np.sqrt(p_o), axis=-1)
+    a = t * (
+        ch.sigma_p2
+        + np.sum(g_o**2 * (1.0 - rest**2) * p_o, axis=-1)
+        + ch.g[k] ** 2 * ch.p[k]
+    )
+    x = ch.g[k] * math.sqrt(ch.p[k])
+    # quadratic: x^2 (1+t) gamma^2 + 2 b x gamma + (b^2 - a) = 0
+    disc = a * (1.0 + t) - t * b * b
+    real = disc >= 0.0
+    sq = np.sqrt(np.where(real, disc, 0.0))
+
+    def in_unit(r):
+        return (r >= -1e-12) & (r <= 1.0 + 1e-12)
+
+    # prefer the "+" root; fall back to the "-" root when "+" is outside [0, 1]
+    plus = (-b + sq) / (x * (1.0 + t))
+    root = np.where(in_unit(plus), plus, (-b - sq) / (x * (1.0 + t)))
+    return real & in_unit(root), np.clip(root, 0.0, 1.0)
+
+
+def baseline_primary_rate(ch: ChannelInstance) -> float:
+    """Primary rate with no cognitive transmissions at all."""
+    return _capacity(ch.h_p**2 * ch.p_p / ch.sigma_p2)
+
+
+def primary_rate(ch: ChannelInstance, split: PowerSplit) -> float:
+    """Primary rate when cognitive users relay with amplitude ratios gamma."""
+    signal, noise = _primary_terms(ch, _check_dims(ch, split))
+    return _capacity(signal**2 / noise)
 
 
 def feasibility_residual(ch: ChannelInstance, split: PowerSplit) -> float:
@@ -160,10 +240,7 @@ def feasibility_residual(ch: ChannelInstance, split: PowerSplit) -> float:
     phi = 0 iff the primary rate equals its baseline; phi < 0 means too
     little cooperation, phi > 0 too much.
     """
-    gamma = _check_dims(ch, split)
-    signal = ch.primary_amplitude + float(np.sum(ch.g * gamma * np.sqrt(ch.p)))
-    noise = ch.sigma_p2 + float(np.sum(ch.g**2 * (1.0 - gamma**2) * ch.p))
-    return ch.sigma_p2 * signal**2 - ch.h_p**2 * ch.p_p * noise
+    return float(_phi(ch, _check_dims(ch, split)))
 
 
 def residual_scale(ch: ChannelInstance) -> float:
@@ -174,18 +251,12 @@ def residual_scale(ch: ChannelInstance) -> float:
 
 def relative_residual(ch: ChannelInstance, split: PowerSplit) -> float:
     """|phi| / residual_scale; 0 for the degenerate zero-scale case iff phi = 0."""
-    phi = feasibility_residual(ch, split)
-    scale = residual_scale(ch)
-    if scale == 0.0:
-        return 0.0 if phi == 0.0 else math.inf
-    return abs(phi) / scale
+    return float(_relative_phi(ch, _check_dims(ch, split)))
 
 
 def sum_rate(ch: ChannelInstance, split: PowerSplit) -> float:
     """Total rate of the cognitive users at the AP for a given split."""
-    gamma = _check_dims(ch, split)
-    snr = float(np.sum((1.0 - gamma**2) * ch.h**2 * ch.p)) / ch.sigma_c2
-    return 0.5 * math.log2(1.0 + snr)
+    return _capacity(_mac_snr(ch, _check_dims(ch, split)))
 
 
 def solve_feasible_coordinate(
@@ -207,22 +278,5 @@ def solve_feasible_coordinate(
         raise DimensionMismatchError(
             f"gamma_rest must have {ch.num_users - 1} entries, got {rest.size}"
         )
-    others = np.delete(np.arange(ch.num_users), k)
-    g_o, p_o = ch.g[others], ch.p[others]
-    t = ch.h_p**2 * ch.p_p / ch.sigma_p2
-    b = ch.primary_amplitude + float(np.sum(g_o * rest * np.sqrt(p_o)))
-    a = t * (
-        ch.sigma_p2
-        + float(np.sum(g_o**2 * (1.0 - rest**2) * p_o))
-        + ch.g[k] ** 2 * ch.p[k]
-    )
-    x = ch.g[k] * math.sqrt(ch.p[k])
-    # quadratic: x^2 (1+t) gamma^2 + 2 b x gamma + (b^2 - a) = 0
-    disc = a * (1.0 + t) - t * b * b
-    if disc < 0.0:
-        return None
-    sq = math.sqrt(disc)
-    for root in ((-b + sq) / (x * (1.0 + t)), (-b - sq) / (x * (1.0 + t))):
-        if -1e-12 <= root <= 1.0 + 1e-12:
-            return min(max(root, 0.0), 1.0)
-    return None
+    mask, root = _coordinate_roots(ch, k, rest)
+    return float(root) if mask else None

@@ -1,8 +1,9 @@
 """Independent validation: brute-force grid search, KKT checks, closed forms.
 
-The grid search never reuses the sweep solver's machinery: each candidate is
-projected onto the equality constraint through the per-coordinate quadratic,
-so every evaluated point is feasible by construction.
+The grid search never reuses the sweep solver's machinery: it walks the same
+projected grid as region sampling (`region.feasible_blocks`), where each
+candidate is projected onto the equality constraint through the
+per-coordinate quadratic, so every evaluated point is feasible.
 """
 
 from __future__ import annotations
@@ -16,19 +17,14 @@ from .channel import (
     ChannelInstance,
     PowerSplit,
     UndefinedCoordinateError,
-    baseline_primary_rate,
-    feasibility_residual,
-    primary_rate,
+    _capacity,
+    _mac_snr,
+    _primary_terms,
     relative_residual,
-    residual_scale,
     sum_rate,
 )
-from .region import UnsupportedSizeError, _grid
+from .region import UnsupportedSizeError, feasible_blocks
 from .solver import SolverResult, SolverStatus
-
-GRID_RESIDUAL_TOL = 1e-9
-
-MAX_GRID_USERS = 3
 
 
 @dataclass(frozen=True)
@@ -53,40 +49,6 @@ class KktReport:
     passed: bool
 
 
-def _projected_candidates(
-    ch: ChannelInstance, solved: int, rest: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized feasibility projection onto coordinate `solved`.
-
-    rest: (n, K-1) array of the other coordinates.  Returns (mask, root)
-    where mask flags rows whose projected coordinate lies in [0, 1].
-    Same quadratic as channel.solve_feasible_coordinate.
-    """
-    others = np.delete(np.arange(ch.num_users), solved)
-    g_o, p_o = ch.g[others], ch.p[others]
-    t = ch.h_p**2 * ch.p_p / ch.sigma_p2
-    b = ch.primary_amplitude + rest @ (g_o * np.sqrt(p_o))
-    a = t * (
-        ch.sigma_p2
-        + (1.0 - rest**2) @ (g_o**2 * p_o)
-        + ch.g[solved] ** 2 * ch.p[solved]
-    )
-    x = ch.g[solved] * math.sqrt(ch.p[solved])
-    disc = a * (1.0 + t) - t * b * b
-    ok = disc >= 0.0
-    sq = np.sqrt(np.where(ok, disc, 0.0))
-    root_plus = (-b + sq) / (x * (1.0 + t))
-    root_minus = (-b - sq) / (x * (1.0 + t))
-    # the "-" branch is never interior for b >= 0, but keep it for safety
-    root = np.where(
-        (root_plus >= -1e-12) & (root_plus <= 1.0 + 1e-12),
-        root_plus,
-        root_minus,
-    )
-    mask = ok & (root >= -1e-12) & (root <= 1.0 + 1e-12)
-    return mask, np.clip(root, 0.0, 1.0)
-
-
 def grid_search(ch: ChannelInstance, grid_step: float) -> OracleResult:
     """Exhaustive feasible search for the maximum sum rate.
 
@@ -94,14 +56,9 @@ def grid_search(ch: ChannelInstance, grid_step: float) -> OracleResult:
     grid and that coordinate is solved from the equality constraint.  Scan
     order is deterministic; ties break toward the earliest candidate.
     """
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
-    k = ch.num_users
-    if k > MAX_GRID_USERS:
-        raise UnsupportedSizeError(f"grid search supports up to {MAX_GRID_USERS} users, got {k}")
-
-    if not np.any(ch.g > 0):
-        gamma0 = PowerSplit.zeros(k)
+    blocks = feasible_blocks(ch, grid_step)
+    if not blocks:
+        gamma0 = PowerSplit.zeros(ch.num_users)
         return OracleResult(
             best_gamma=gamma0,
             best_sum_rate=sum_rate(ch, gamma0),
@@ -109,45 +66,16 @@ def grid_search(ch: ChannelInstance, grid_step: float) -> OracleResult:
             points_evaluated=1,
         )
 
-    grid = _grid(grid_step)
-    scale = residual_scale(ch)
     best_rate = -math.inf
     best_gamma: np.ndarray | None = None
     evaluated = 0
-    h2p = ch.h**2 * ch.p
-    for solved in range(k):
-        if ch.g[solved] <= 0:
-            continue
-        others = np.delete(np.arange(k), solved)
-        if others.size:
-            mesh = np.meshgrid(*([grid] * others.size), indexing="ij")
-            rest = np.stack([m.ravel() for m in mesh], axis=1)
-        else:
-            rest = np.zeros((1, 0))
-        mask, root = _projected_candidates(ch, solved, rest)
-        if not mask.any():
-            continue
-        rest_ok = rest[mask]
-        root_ok = root[mask]
-        gammas = np.empty((rest_ok.shape[0], k))
-        gammas[:, others] = rest_ok
-        gammas[:, solved] = root_ok
-        # exact-feasibility recheck (relative residual)
-        signal = ch.primary_amplitude + gammas @ (ch.g * np.sqrt(ch.p))
-        noise = ch.sigma_p2 + (1.0 - gammas**2) @ (ch.g**2 * ch.p)
-        phi = ch.sigma_p2 * signal**2 - ch.h_p**2 * ch.p_p * noise
-        feasible = (
-            np.abs(phi) <= GRID_RESIDUAL_TOL * scale
-            if scale > 0
-            else np.abs(phi) == 0.0
-        )
-        gammas = gammas[feasible]
+    for gammas in blocks:
         if gammas.shape[0] == 0:
             continue
         evaluated += gammas.shape[0]
-        rates = (1.0 - gammas**2) @ h2p
-        idx = int(np.argmax(rates))  # first max: lexicographically smallest
-        candidate_rate = 0.5 * math.log2(1.0 + rates[idx] / ch.sigma_c2)
+        snr = _mac_snr(ch, gammas)
+        idx = int(np.argmax(snr))  # first max: lexicographically smallest
+        candidate_rate = _capacity(snr[idx])
         if candidate_rate > best_rate:
             best_rate = candidate_rate
             best_gamma = gammas[idx]
@@ -188,7 +116,7 @@ def kkt_check(
     gamma = result.gamma_star.gamma
     lam = result.lambda_star
     s_p = ch.h_p**2 * ch.p_p
-    x = ch.primary_amplitude + float(np.sum(ch.g * gamma * np.sqrt(ch.p)))
+    x = float(_primary_terms(ch, gamma)[0])
     sat_cut = 1.0 - 1e-9
     interior = tuple(k for k in range(ch.num_users) if gamma[k] < sat_cut)
     saturated = tuple(k for k in range(ch.num_users) if gamma[k] >= sat_cut)

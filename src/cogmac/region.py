@@ -18,13 +18,17 @@ import numpy as np
 from .channel import (
     ChannelInstance,
     PowerSplit,
-    UndefinedCoordinateError,
-    relative_residual,
-    solve_feasible_coordinate,
+    _capacity,
+    _coordinate_roots,
+    _mac_snr,
+    _relative_phi,
 )
 
 MAX_POLYTOPE_USERS = 10
 
+MAX_GRID_USERS = 3
+
+# relative residual a projected grid point must meet to count as feasible
 SAMPLE_RESIDUAL_TOL = 1e-9
 
 
@@ -62,13 +66,18 @@ def polytope_for_gamma(ch: ChannelInstance, split: PowerSplit) -> RatePolytope:
         raise UnsupportedSizeError(
             f"subset enumeration capped at {MAX_POLYTOPE_USERS} users, got {k}"
         )
-    effective = (1.0 - split.gamma**2) * ch.h**2 * ch.p
     bounds = {}
     for r in range(1, k + 1):
         for subset in itertools.combinations(range(k), r):
-            snr = float(np.sum(effective[list(subset)])) / ch.sigma_c2
-            bounds[frozenset(subset)] = 0.5 * math.log2(1.0 + snr)
+            snr = _mac_snr(ch, split.gamma, list(subset))
+            bounds[frozenset(subset)] = _capacity(snr)
     return RatePolytope(bounds=bounds, gamma=split)
+
+
+def _pentagon(c1: float, c2: float, c12: float) -> list[tuple[float, float]]:
+    """Counterclockwise corners of the pentagon with bounds c1, c2, c12,
+    from the origin; coincident corners are not merged."""
+    return [(0.0, 0.0), (c1, 0.0), (c1, c12 - c1), (c12 - c2, c2), (0.0, c2)]
 
 
 def pentagon_vertices(poly: RatePolytope) -> list[tuple[float, float]]:
@@ -76,18 +85,8 @@ def pentagon_vertices(poly: RatePolytope) -> list[tuple[float, float]]:
     k = len(poly.gamma)
     if k != 2:
         raise UnsupportedSizeError(f"pentagon defined for 2 users, got {k}")
-    c1 = poly.bound({0})
-    c2 = poly.bound({1})
-    c12 = poly.bound({0, 1})
-    raw = [
-        (0.0, 0.0),
-        (c1, 0.0),
-        (c1, c12 - c1),
-        (c12 - c2, c2),
-        (0.0, c2),
-    ]
     vertices: list[tuple[float, float]] = []
-    for pt in raw:
+    for pt in _pentagon(poly.bound({0}), poly.bound({1}), poly.bound({0, 1})):
         if not vertices or pt != vertices[-1]:
             vertices.append(pt)
     if len(vertices) > 1 and vertices[-1] == vertices[0]:
@@ -102,50 +101,70 @@ def _grid(step: float) -> np.ndarray:
     return values
 
 
-def sample_feasible_set(ch: ChannelInstance, grid_step: float) -> list[PowerSplit]:
-    """Sample splits satisfying the primary-rate equality.
+def _grid_product(grid: np.ndarray, m: int) -> np.ndarray:
+    """Every m-tuple of grid values as a (len(grid)**m, m) array, in
+    lexicographic order."""
+    return grid[np.indices((grid.size,) * m).reshape(m, grid.size**m).T]
 
-    Sweeps each coordinate direction: the swept coordinates run over the
-    grid and the remaining one is solved from the feasibility quadratic.
-    With no interference path at all, every split is feasible and the full
-    grid is returned.
+
+def feasible_blocks(ch: ChannelInstance, grid_step: float) -> list[np.ndarray]:
+    """Grid points projected onto the feasible set, one block per solved user.
+
+    For each user k with g_k > 0, in index order, the other coordinates run
+    over the grid in lexicographic order and gamma_k is solved from the
+    feasibility quadratic.  Block k holds, as an (n_k, K) array in that
+    order, the points whose root lies in [0, 1] and whose relative residual
+    is at most SAMPLE_RESIDUAL_TOL.  With no interference path at all the
+    list is empty.
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
     k = ch.num_users
-    if k > 3:
-        raise UnsupportedSizeError(f"feasible-set sampling supports up to 3 users, got {k}")
-    grid = _grid(grid_step)
-    if not np.any(ch.g > 0):
-        return [
-            PowerSplit(np.array(combo))
-            for combo in itertools.product(grid, repeat=k)
-        ]
-    found: dict[tuple, PowerSplit] = {}
-    for solved in range(k):
-        if ch.g[solved] <= 0:
-            continue
-        others = [i for i in range(k) if i != solved]
-        for combo in itertools.product(grid, repeat=len(others)):
-            try:
-                root = solve_feasible_coordinate(ch, np.array(combo), solved)
-            except UndefinedCoordinateError:  # pragma: no cover - guarded above
-                continue
-            if root is None:
-                continue
-            gamma = np.empty(k)
-            gamma[solved] = root
-            for idx, value in zip(others, combo):
-                gamma[idx] = value
-            split = PowerSplit(gamma)
-            if relative_residual(ch, split) <= SAMPLE_RESIDUAL_TOL:
-                found.setdefault(tuple(np.round(gamma, 12)), split)
-    if not found:
+    if k > MAX_GRID_USERS:
+        raise UnsupportedSizeError(
+            f"grid walk over the feasible set supports up to {MAX_GRID_USERS} users, got {k}"
+        )
+    rest = _grid_product(_grid(grid_step), k - 1)
+    blocks = []
+    for solved in np.flatnonzero(ch.g > 0):
+        others = np.delete(np.arange(k), solved)
+        mask, root = _coordinate_roots(ch, solved, rest)
+        rows = np.empty((np.count_nonzero(mask), k))
+        rows[:, others] = rest[mask]
+        rows[:, solved] = root[mask]
+        blocks.append(rows[_relative_phi(ch, rows) <= SAMPLE_RESIDUAL_TOL])
+    return blocks
+
+
+def _feasible_rows(ch: ChannelInstance, grid_step: float) -> np.ndarray:
+    """Distinct feasible grid splits as an (n, K) array, sorted by their
+    12-decimal rounding; the full grid when no g_k > 0."""
+    blocks = feasible_blocks(ch, grid_step)
+    if not blocks:
+        return _grid_product(_grid(grid_step), ch.num_users)
+    rows = np.concatenate(blocks)
+    key = np.round(rows, 12)
+    order = np.lexsort(key.T[::-1])  # stable: the first of equal keys stays first
+    key, rows = key[order], rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(key[1:] != key[:-1], axis=1)
+    if not first.any():
         warnings.warn(
             "no feasible split found despite nonzero interference",
             RuntimeWarning,
         )
-    return [found[key] for key in sorted(found)]
+    return rows[first]
+
+
+def sample_feasible_set(ch: ChannelInstance, grid_step: float) -> list[PowerSplit]:
+    """Sample splits satisfying the primary-rate equality.
+
+    Sweeps each coordinate direction: the swept coordinates run over the
+    grid and the remaining one is solved from the feasibility quadratic
+    (`feasible_blocks`).  With no interference path at all, every split is
+    feasible and the full grid is returned.
+    """
+    return [PowerSplit(row) for row in _feasible_rows(ch, grid_step)]
 
 
 def convex_hull(points) -> list[tuple[float, float]]:
@@ -198,9 +217,13 @@ def region_boundary(ch: ChannelInstance, grid_step: float) -> RegionBoundary:
         raise UnsupportedSizeError(
             f"region boundary defined for 2 users, got {ch.num_users}"
         )
-    samples = sample_feasible_set(ch, grid_step)
+    rows = _feasible_rows(ch, grid_step)
+    c1, c2, c12 = (
+        [_capacity(snr) for snr in _mac_snr(ch, rows, users).tolist()]
+        for users in ([0], [1], slice(None))
+    )
     vertices: list[tuple[float, float]] = [(0.0, 0.0)]
-    for split in samples:
-        vertices.extend(pentagon_vertices(polytope_for_gamma(ch, split)))
+    for bounds in zip(c1, c2, c12):
+        vertices.extend(_pentagon(*bounds))
     hull = convex_hull(vertices)
-    return RegionBoundary(points=hull, samples_used=len(samples), gamma_grid_step=grid_step)
+    return RegionBoundary(points=hull, samples_used=len(rows), gamma_grid_step=grid_step)

@@ -57,14 +57,14 @@ class SolverConfig:
     """Sweep and refinement knobs.
 
     lambda_step=None picks 1e-3 times the smallest pole of the gamma formula
-    (scales with the instance); refine_tol=None picks 1e-13 * lambda_step.
+    (scales with the instance).  Bisection runs until the residual tolerance
+    is met or the bracket reaches float resolution.
     """
 
     lambda_step: float | None = None
     residual_tol: float = 1e-10
     max_outer_iters: int = 200_000
     bisection_refine: bool = True
-    refine_tol: float | None = None
 
     def __post_init__(self):
         if self.lambda_step is not None and self.lambda_step <= 0:
@@ -73,11 +73,6 @@ class SolverConfig:
             raise ValueError("residual_tol must be positive")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be positive")
-        if self.refine_tol is not None:
-            if self.refine_tol <= 0:
-                raise ValueError("refine_tol must be positive")
-            if self.lambda_step is not None and self.refine_tol >= self.lambda_step:
-                raise ValueError("refine_tol must be smaller than lambda_step")
 
 
 @dataclass(frozen=True)
@@ -307,7 +302,6 @@ def solve_max_sum_rate(ch: ChannelInstance, cfg: SolverConfig | None = None) -> 
         )
 
     step = cfg.lambda_step if cfg.lambda_step is not None else default_lambda_step(ch)
-    refine_tol = cfg.refine_tol if cfg.refine_tol is not None else 1e-13 * step
 
     iters = 0
     changes = 0
@@ -344,10 +338,7 @@ def solve_max_sum_rate(ch: ChannelInstance, cfg: SolverConfig | None = None) -> 
 
     lo, lo_state, hi, hi_state, _ = bracket
     if cfg.bisection_refine:
-        while (
-            relative_residual(ch, hi_state.gamma) > cfg.residual_tol
-            and hi - lo > refine_tol
-        ):
+        while relative_residual(ch, hi_state.gamma) > cfg.residual_tol:
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:  # interval below float resolution
                 break

@@ -17,6 +17,7 @@ from cogmac import (
     solve_feasible_coordinate,
     sum_rate,
 )
+from cogmac.channel import _coordinate_roots
 from conftest import bisect_root
 
 
@@ -158,15 +159,21 @@ class TestSolveFeasibleCoordinate:
     def test_agrees_with_bisection_oracle(self, seed):
         rng = np.random.default_rng(seed)
         ch = make_instance(rng, 2)
-        rest = rng.uniform(0.0, 1.0, 1)
-        root = solve_feasible_coordinate(ch, rest, 0)
-        phi = lambda g0: feasibility_residual(ch, PowerSplit(np.array([g0, rest[0]])))
-        if phi(0.0) * phi(1.0) > 0:
-            assert root is None or min(abs(phi(root)), 1) <= 1e-9
-            return
-        expected = bisect_root(phi, 0.0, 1.0)
-        assert root == pytest.approx(expected, abs=1e-9, rel=1e-9)
-        assert relative_residual(ch, PowerSplit(np.array([root, rest[0]]))) <= 1e-9
+        # row 0 is the single projection; the batch adds 15 more on the same seed
+        rest = np.vstack([rng.uniform(0.0, 1.0, 1), rng.uniform(0.0, 1.0, (15, 1))])
+        mask, roots = _coordinate_roots(ch, 0, rest)
+        for other, ok, batch_root in zip(rest[:, 0], mask, roots):
+            root = solve_feasible_coordinate(ch, [other], 0)
+            assert root == (float(batch_root) if ok else None)
+            phi = lambda g0, other=other: feasibility_residual(
+                ch, PowerSplit(np.array([g0, other]))
+            )
+            if phi(0.0) * phi(1.0) > 0:
+                assert root is None or min(abs(phi(root)), 1) <= 1e-9
+                continue
+            expected = bisect_root(phi, 0.0, 1.0)
+            assert root == pytest.approx(expected, abs=1e-9, rel=1e-9)
+            assert relative_residual(ch, PowerSplit(np.array([root, other]))) <= 1e-9
 
 
 class TestInvariants:

@@ -50,12 +50,23 @@ class TestSolve:
         assert report["status"] == "DegenerateNoInterference"
         assert report["gamma_star"] == [0, 0]
 
-    def test_negative_power_names_field(self, tmp_path):
-        doc = dict(UNIT_K1, p=[-1.0])
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            ({"p": [-1.0]}, "p[0]"),
+            ({"h": [1.0, -0.5], "g": [1.0, 1.0], "p": [1.0, 1.0]}, "h[1]"),
+            ({"p_p": 0.0}, "p_p"),
+            ({"sigma_c2": 0.0}, "sigma_c2"),
+            ({"f": -0.3}, "f"),
+        ],
+        ids=["p0-negative", "h1-negative", "p_p-zero", "sigma_c2-zero", "f-negative"],
+    )
+    def test_negative_power_names_field(self, tmp_path, override, field):
+        doc = dict(UNIT_K1, **override)
         path = write_scenario(tmp_path, doc)
         proc = run_cli("solve", "--scenario", path, check=False)
         assert proc.returncode == 1
-        assert "p[0]" in proc.stderr
+        assert proc.stderr.startswith(f"error: {field} must be ")
 
     def test_unknown_field_rejected(self, tmp_path):
         doc = dict(UNIT_K1, extra=1)
@@ -196,6 +207,23 @@ class TestValidate:
         out = json.loads(proc.stdout)
         assert out["verdict"] == "fail"
         assert out["kkt"]["feasibility_ok"] is False
+
+
+class TestInvalidFlags:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("region", "--scenario", str(SCENARIOS / "k2_reference.json"), "--grid-step", "0"),
+            ("sweep", "--scenario", str(SCENARIOS / "k2_reference.json"), "--samples", "1"),
+            ("solve", "--scenario", str(SCENARIOS / "k1_unit.json"), "--tol", "-1"),
+        ],
+        ids=["region-grid-step-0", "sweep-samples-1", "solve-tol-negative"],
+    )
+    def test_invalid_value_is_input_error(self, args):
+        proc = run_cli(*args, check=False)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
 
 
 class TestDeterminism:

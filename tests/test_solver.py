@@ -13,6 +13,7 @@ from cogmac import (
     grid_search,
     primary_rate,
     relative_residual,
+    single_user_closed_form,
     solve_max_sum_rate,
     sum_rate,
     sweep_trajectory,
@@ -153,6 +154,26 @@ class TestSolveMaxSumRate:
         cfg = SolverConfig(max_outer_iters=2)
         result = solve_max_sum_rate(unit_k1, cfg)
         assert result.status is SolverStatus.MAX_ITERS_EXCEEDED
+
+    def test_converges_far_below_the_lambda_step(self):
+        # instance 9 of the seed-7 wide-range suite (benchmarks/workloads.py):
+        # lambda* ~ 1.3e-11 against a default step ~ 165, so bisection must run
+        # to the residual tolerance rather than to a width tied to the step
+        ch = ChannelInstance(
+            h=[0.00647720826806487],
+            g=[0.0038740853456137206],
+            p=[0.1509251802841349],
+            h_p=0.011924389828171105,
+            p_p=0.11922535786373,
+            sigma_p2=488.36481666876034,
+            sigma_c2=2.7542052745452823,
+        )
+        result = solve_max_sum_rate(ch)
+        assert result.status is SolverStatus.CONVERGED
+        assert result.residual <= SolverConfig().residual_tol
+        assert result.gamma_star.gamma[0] == pytest.approx(
+            single_user_closed_form(ch), abs=1e-9
+        )
 
     def test_feasibility_at_convergence(self, k2_reference):
         result = solve_max_sum_rate(k2_reference)
