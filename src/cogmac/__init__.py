@@ -35,7 +35,6 @@ from .region import (
     sample_feasible_set,
 )
 from .solver import (
-    ActiveSetState,
     SolverConfig,
     SolverResult,
     SolverStatus,
@@ -59,7 +58,6 @@ __all__ = [
     "SolverConfig",
     "SolverResult",
     "SolverStatus",
-    "ActiveSetState",
     "solve_max_sum_rate",
     "sweep_trajectory",
     "RatePolytope",

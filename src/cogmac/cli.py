@@ -27,7 +27,6 @@ from .solver import (
     SolverConfig,
     SolverResult,
     SolverStatus,
-    default_lambda_step,
     solve_max_sum_rate,
     sweep_trajectory,
 )
@@ -43,12 +42,7 @@ class ScenarioError(ValueError):
 
 _CHANNEL_VECTOR_KEYS = ("h", "g", "p")
 _CHANNEL_SCALAR_KEYS = ("h_p", "p_p", "sigma_p2", "sigma_c2")
-_SOLVER_KEYS = {
-    "lambda_step",
-    "residual_tol",
-    "max_outer_iters",
-    "bisection_refine",
-}
+_SOLVER_KEYS = {"residual_tol", "max_outer_iters"}
 _ALLOWED_KEYS = set(_CHANNEL_VECTOR_KEYS) | set(_CHANNEL_SCALAR_KEYS) | {
     "f",
     "name",
@@ -103,11 +97,7 @@ def load_scenario(path: str) -> tuple[ChannelInstance, SolverConfig, str | None]
         raise ScenarioError(f"unknown field solver.{unknown[0]}")
     cfg_kwargs = {}
     for key, value in solver_doc.items():
-        if key == "bisection_refine":
-            if not isinstance(value, bool):
-                raise ScenarioError(f"solver.{key} must be a boolean")
-            cfg_kwargs[key] = value
-        elif key == "max_outer_iters":
+        if key == "max_outer_iters":
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ScenarioError(f"solver.{key} must be an integer")
             cfg_kwargs[key] = value
@@ -194,8 +184,6 @@ def solver_result_dict(ch: ChannelInstance, result: SolverResult) -> dict:
 def cmd_solve(args) -> int:
     started = time.monotonic()
     ch, cfg, name = load_scenario(args.scenario)
-    if args.lambda_step is not None:
-        cfg = dataclasses.replace(cfg, lambda_step=args.lambda_step)
     if args.tol is not None:
         cfg = dataclasses.replace(cfg, residual_tol=args.tol)
     result = solve_max_sum_rate(ch, cfg)
@@ -236,6 +224,17 @@ def cmd_region(args) -> int:
     return EXIT_OK
 
 
+def _default_lambda_max(ch: ChannelInstance) -> float:
+    """Sweep range when lambda* = 0: the smallest positive pole
+    (h_k / g_k)^2 / (h_p^2 P_p) of the gamma formula, or
+    max(h_p^2 P_p, sigma_p2) / sigma_p2^2 when there is none."""
+    s_p = ch.h_p**2 * ch.p_p
+    users = (ch.g > 0) & (ch.h > 0)
+    if s_p > 0 and users.any():
+        return float(np.min((ch.h[users] / ch.g[users]) ** 2)) / s_p
+    return max(s_p, ch.sigma_p2) / ch.sigma_p2**2
+
+
 def cmd_sweep(args) -> int:
     ch, cfg, _name = load_scenario(args.scenario)
     if args.lambda_max is not None:
@@ -245,7 +244,7 @@ def cmd_sweep(args) -> int:
         if result.lambda_star > 0:
             lambda_max = 1.25 * result.lambda_star
         else:
-            lambda_max = default_lambda_step(ch) * 1000.0
+            lambda_max = _default_lambda_max(ch)
     rows = sweep_trajectory(ch, lambda_max, args.samples)
     k = ch.num_users
     header = ["lambda", "x"] + [f"gamma_{i + 1}" for i in range(k)] + [
@@ -302,8 +301,16 @@ def cmd_validate(args) -> int:
     return EXIT_OK if verdict else EXIT_NOT_CONVERGED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as `error: <msg>` and its usage, with exit 1:
+    argparse's own exit 2 is the not-converged code here."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT_ERROR, f"error: {message}\n{self.format_usage()}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cogmac",
         description="Cognitive multiple-access channel: sum-rate optimal power "
         "splitting and capacity region computation.",
@@ -316,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="maximum sum-rate power split")
     add_common(p_solve)
-    p_solve.add_argument("--lambda-step", type=float, default=None)
     p_solve.add_argument("--tol", type=float, default=None, help="residual tolerance")
     p_solve.add_argument("--oracle", action="store_true", help="attach grid-search comparison")
     p_solve.add_argument("--grid-step", type=float, default=1e-3)

@@ -159,17 +159,21 @@ def kkt_check(
 
 
 def single_user_closed_form(ch: ChannelInstance) -> float:
-    """Exact single-user cooperation ratio from the feasibility quadratic."""
+    """Exact single-user cooperation ratio from the feasibility quadratic.
+
+    The root in [0, 1] of (sigma_p2 + A^2) x^2 gamma^2 + 2 sigma_p2 A x gamma
+    - A^2 x^2 = 0, with A = h_p sqrt(P_p) and x = g sqrt(P), written as
+    A x / (sigma_p2 + sqrt(sigma_p2^2 + (sigma_p2 + A^2) x^2)) so that no
+    two nearly equal terms are subtracted.
+    """
     if ch.num_users != 1:
         raise UnsupportedSizeError(f"closed form defined for 1 user, got {ch.num_users}")
     if ch.g[0] <= 0:
         raise UndefinedCoordinateError("g[0] = 0: no interference to compensate")
-    t = ch.h_p**2 * ch.p_p / ch.sigma_p2
     amp = ch.primary_amplitude
-    gp = ch.g[0] * math.sqrt(ch.p[0])
-    return (-amp + math.sqrt(ch.h_p**2 * ch.p_p + t * (1.0 + t) * gp**2)) / (
-        gp * (1.0 + t)
-    )
+    x = ch.g[0] * math.sqrt(ch.p[0])
+    s = ch.sigma_p2
+    return amp * x / (s + math.sqrt(s * s + (s + amp * amp) * x * x))
 
 
 def random_instance(rng: np.random.Generator, num_users: int) -> ChannelInstance:

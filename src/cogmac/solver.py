@@ -1,49 +1,39 @@
-"""Lagrangian active-set sweep for the maximum sum-rate power split.
+"""Event-driven path following for the maximum sum-rate power split.
 
-The multiplier lambda is swept upward from 0; at each value the stationarity
-system gives a closed form for the aggregate amplitude X and the per-user
-ratios gamma_k.  Users whose ratio hits 1 are moved to the saturated set and
-stay there.  The equality constraint is met by locating the sign change of
-the cross-multiplied residual phi along the sweep, then bisecting lambda.
+With a_k = g_k sqrt(P_k), s_p = h_p^2 P_p and beta_k = h_k / g_k, the
+Lagrangian stationarity system has a closed form in the multiplier lambda
+for each set S of saturated users (gamma_k = 1); the other users I with
+g_k > 0 are interior:
+
+    X(lambda) = N_S / D(lambda),   N_S = h_p sqrt(P_p) + sum_S a_k,
+    D(lambda) = 1 - lambda sigma_p2 sum_I 1 / (beta_k^2 - lambda s_p),
+    gamma_k(lambda) = lambda sigma_p2 X / ((beta_k^2 - lambda s_p) a_k).
+
+As lambda grows the interior ratios grow until one reaches 1; that user
+joins S for good.  These saturation events are computed in order with a
+bracketed root finder.  In the segment where the residual phi turns
+nonnegative, the root lambda* of phi is found to float resolution, and one
+coordinate is then projected onto phi = 0.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import (
     ChannelInstance,
     PowerSplit,
-    feasibility_residual,
+    _coordinate_roots,
+    _phi,
+    _primary_terms,
     relative_residual,
     sum_rate,
 )
-
-
-class ActiveSetSingularityError(RuntimeError):
-    """The closed form for X is invalid at this lambda with this active set.
-
-    Signals that lambda has passed a saturation point; the caller must move
-    users to the saturated set and retry.  `users` lists interior users whose
-    pole denominator beta_k^2 - lambda h_p^2 P_p is nonpositive (empty when
-    the aggregate denominator itself is nonpositive).
-    """
-
-    def __init__(self, message: str, users: tuple[int, ...] = ()):
-        super().__init__(message)
-        self.users = users
-
-
-class SaturationRequiredError(RuntimeError):
-    """Raw gamma_k >= 1 for some interior users; they must be saturated."""
-
-    def __init__(self, users: tuple[int, ...]):
-        super().__init__(f"users {users} require saturation")
-        self.users = users
 
 
 class SolverStatus(enum.Enum):
@@ -54,36 +44,17 @@ class SolverStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Sweep and refinement knobs.
+    """residual_tol: the largest relative residual reported as Converged.
+    max_outer_iters: the most path evaluations one solve may make."""
 
-    lambda_step=None picks 1e-3 times the smallest pole of the gamma formula
-    (scales with the instance).  Bisection runs until the residual tolerance
-    is met or the bracket reaches float resolution.
-    """
-
-    lambda_step: float | None = None
     residual_tol: float = 1e-10
     max_outer_iters: int = 200_000
-    bisection_refine: bool = True
 
     def __post_init__(self):
-        if self.lambda_step is not None and self.lambda_step <= 0:
-            raise ValueError("lambda_step must be positive")
         if self.residual_tol <= 0:
             raise ValueError("residual_tol must be positive")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be positive")
-
-
-@dataclass(frozen=True)
-class ActiveSetState:
-    """Current multiplier, user partition, and iterate."""
-
-    lam: float
-    interior: tuple[int, ...]
-    saturated: tuple[int, ...]
-    x_value: float
-    gamma: PowerSplit
 
 
 @dataclass(frozen=True)
@@ -92,280 +63,218 @@ class SolverResult:
     sum_rate: float
     lambda_star: float
     residual: float
-    outer_iterations: int
-    active_set_changes: int
+    outer_iterations: int  # path evaluations
+    active_set_changes: int  # saturation events
     status: SolverStatus
 
 
-def saturation_poles(ch: ChannelInstance) -> np.ndarray:
-    """Per-user pole lambda_k = beta_k^2 / (h_p^2 P_p) of the gamma formula.
+class _Path:
+    """The multiplier path of one instance, segment by segment.
 
-    Users with g_k = 0 get +inf (they never enter the formula); with
-    h_p^2 P_p = 0 every pole is +inf.
+    Users with h_k = 0 < g_k have their pole at lambda = 0: they start
+    saturated.  `evaluations` counts the calls of `terms`.
     """
-    poles = np.full(ch.num_users, math.inf)
-    s_p = ch.h_p**2 * ch.p_p
-    if s_p > 0:
-        mask = ch.g > 0
-        poles[mask] = (ch.h[mask] / ch.g[mask]) ** 2 / s_p
-    return poles
 
+    def __init__(self, ch: ChannelInstance):
+        self.ch = ch
+        self.s_p = ch.h_p**2 * ch.p_p
+        self.a = ch.g * np.sqrt(ch.p)
+        self.beta2 = np.divide(ch.h, ch.g, out=np.zeros(ch.num_users), where=ch.g > 0) ** 2
+        self.saturated = (ch.g > 0) & (ch.h == 0)
+        self.evaluations = 0
+        self._update()
 
-def default_lambda_step(ch: ChannelInstance) -> float:
-    """1e-3 times the smallest strictly positive pole; instance-scaled."""
-    poles = saturation_poles(ch)
-    positive = poles[(poles > 0) & np.isfinite(poles)]
-    if positive.size:
-        return 1e-3 * float(positive.min())
-    # no finite positive pole (e.g. all h_k = 0): fall back to a noise-scaled step
-    s_p = ch.h_p**2 * ch.p_p
-    return 1e-3 * max(s_p, ch.sigma_p2) / ch.sigma_p2**2
+    def _update(self):
+        self.interior = np.flatnonzero((self.ch.g > 0) & ~self.saturated)
+        self.a_i, self.beta2_i = self.a[self.interior], self.beta2[self.interior]
+        self.n_s = self.ch.primary_amplitude + np.sum(self.a[self.saturated])
 
+    def saturate(self, lam: float) -> None:
+        """Saturate the interior user that reaches gamma = 1 at lam."""
+        _, c = self.terms(lam)
+        self.saturated[self.interior[np.argmin(c)]] = True
+        self._update()
 
-def initial_state(ch: ChannelInstance) -> ActiveSetState:
-    return ActiveSetState(
-        lam=0.0,
-        interior=tuple(range(ch.num_users)),
-        saturated=(),
-        x_value=ch.primary_amplitude,
-        gamma=PowerSplit.zeros(ch.num_users),
-    )
+    def terms(self, lam):
+        """D(lam) and c_k(lam) = (beta_k^2 - lam s_p) a_k of the interior
+        users, for a scalar lam or an (n,) array of them."""
+        self.evaluations += 1
+        lam = np.asarray(lam, dtype=float)[..., None]
+        pole = self.beta2_i - lam * self.s_p
+        d = 1.0 - lam[..., 0] * self.ch.sigma_p2 * np.sum(1.0 / pole, axis=-1)
+        return d, pole * self.a_i
 
+    def point(self, lam):
+        """X and gamma at lam, from the segment's start up to its event."""
+        d, c = self.terms(lam)
+        x = self.n_s / d
+        gamma = np.zeros(x.shape + (self.ch.num_users,))
+        gamma[..., self.saturated] = 1.0
+        gamma[..., self.interior] = (np.asarray(lam) * self.ch.sigma_p2 * x)[..., None] / c
+        return x, np.minimum(gamma, 1.0)
 
-def x_closed_form(ch: ChannelInstance, lam: float, state: ActiveSetState) -> float:
-    """Aggregate amplitude X for the given multiplier and partition.
+    def next_event(self, lo: float, budget: float) -> float | None:
+        """The multiplier at or above lo at which the next interior user
+        reaches gamma = 1, or None once `budget` evaluations are spent.
 
-    Interior users with g_k = 0 are pinned at gamma_k = 0 and excluded from
-    the pole sum.  Raises ActiveSetSingularityError when lambda has passed a
-    pole or the aggregate denominator is nonpositive.
-    """
-    s_p = ch.h_p**2 * ch.p_p
-    numerator = ch.primary_amplitude + float(
-        np.sum([ch.g[k] * math.sqrt(ch.p[k]) for k in state.saturated])
-    )
-    pole_sum = 0.0
-    bad: list[int] = []
-    for k in state.interior:
-        if ch.g[k] <= 0:
-            continue
-        denom_k = ch.beta(k) ** 2 - lam * s_p
-        if denom_k <= 0:
-            bad.append(k)
-        else:
-            pole_sum += 1.0 / denom_k
-    if bad:
-        raise ActiveSetSingularityError(
-            f"pole passed for users {tuple(bad)} at lambda={lam}", tuple(bad)
+        It is the root of lambda sigma_p2 N_S - D(lambda) min_I c_k(lambda),
+        which increases through zero there.  The root lies at or below
+        lambda_u, the least beta_k^2 a_k / (sigma_p2 N_S + s_p a_k), where
+        the event would occur even with D = 1, and at or below
+        1 / (sigma_p2 sum_I 1 / beta_k^2), where D <= 0.
+        """
+        sigma_p2 = self.ch.sigma_p2
+
+        def f(lam):
+            d, c = self.terms(lam)
+            return float(lam * sigma_p2 * self.n_s - d * np.min(c))
+
+        a_i, beta2_i = self.a_i, self.beta2_i
+        hi = 1.0 / max(
+            float(np.max((sigma_p2 * self.n_s + self.s_p * a_i) / (beta2_i * a_i))),
+            sigma_p2 * float(np.sum(1.0 / beta2_i)),
         )
-    denominator = 1.0 - lam * ch.sigma_p2 * pole_sum
-    if denominator <= 0:
-        raise ActiveSetSingularityError(
-            f"aggregate denominator nonpositive at lambda={lam}"
-        )
-    return numerator / denominator
+        if budget < 2:
+            return None
+        f_lo = f(lo)
+        if f_lo >= 0.0 or hi <= lo:  # at lo: a tie with the user saturated there
+            return lo
+        f_hi = f(hi)
+        if f_hi <= 0.0:
+            return hi
+        return _brent(f, lo, hi, f_lo, f_hi, budget - 2)
 
 
-def _raw_interior_gamma(
-    ch: ChannelInstance, lam: float, x: float, k: int
-) -> float:
-    s_p = ch.h_p**2 * ch.p_p
-    denom = (ch.beta(k) ** 2 - lam * s_p) * ch.g[k] * math.sqrt(ch.p[k])
-    return lam * ch.sigma_p2 * x / denom
+def _brent(f, lo: float, hi: float, f_lo: float, f_hi: float, budget: float) -> float | None:
+    """Brent's method for the root of f in [lo, hi], given f_lo < 0 < f_hi.
 
-
-def gamma_of_lambda(
-    ch: ChannelInstance, lam: float, x: float, state: ActiveSetState
-) -> PowerSplit:
-    """Per-user ratios for the given multiplier, X, and partition.
-
-    Saturated users get 1; interior users with g_k = 0 stay at 0.  If any
-    interior user's raw value reaches 1 (or its denominator is nonpositive)
-    a SaturationRequiredError listing those users is raised instead.
+    Inverse quadratic or secant steps, with bisection whenever they leave the
+    bracket or shrink it too slowly; stops when the bracket is a few ulps
+    wide.  Returns None once `budget` evaluations of f are spent.
     """
-    if x < ch.primary_amplitude - 1e-12 * max(1.0, ch.primary_amplitude):
-        raise ValueError("x must be at least h_p * sqrt(P_p)")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    gamma = np.zeros(ch.num_users)
-    s_p = ch.h_p**2 * ch.p_p
-    overflow: list[tuple[float, int]] = []
-    for k in state.saturated:
-        gamma[k] = 1.0
-    for k in state.interior:
-        if ch.g[k] <= 0:
-            continue
-        denom = ch.beta(k) ** 2 - lam * s_p
-        if denom <= 0:
-            overflow.append((math.inf, k))
-            continue
-        raw = _raw_interior_gamma(ch, lam, x, k)
-        if raw >= 1.0:
-            overflow.append((raw, k))
-        else:
-            gamma[k] = raw
-    if overflow:
-        overflow.sort(key=lambda item: (-item[0], item[1]))
-        raise SaturationRequiredError(tuple(k for _, k in overflow))
-    return PowerSplit(gamma)
-
-
-def update_active_set(
-    ch: ChannelInstance, lam: float, state: ActiveSetState
-) -> ActiveSetState:
-    """Recompute (X, gamma) at lam, saturating users until a fixed point.
-
-    Users only move interior -> saturated; at most K moves, so this always
-    terminates.  A singularity persisting with no movable user left is an
-    internal inconsistency.
-    """
-    interior = list(state.interior)
-    saturated = list(state.saturated)
-
-    def movable() -> list[int]:
-        return [k for k in interior if ch.g[k] > 0]
-
-    def saturate(users) -> None:
-        for k in users:
-            interior.remove(k)
-            saturated.append(k)
-
+    a, fa = lo, f_lo  # previous estimate
+    b, fb = hi, f_hi  # best estimate
+    c, fc = a, fa  # f(b) and f(c) have opposite signs
+    step = prev = b - a
     while True:
-        trial = ActiveSetState(
-            lam, tuple(interior), tuple(sorted(saturated)), state.x_value, state.gamma
-        )
-        try:
-            x = x_closed_form(ch, lam, trial)
-        except ActiveSetSingularityError as exc:
-            if exc.users:
-                saturate(exc.users)
-                continue
-            cands = movable()
-            if not cands:
-                raise
-            # aggregate denominator blew past zero with all interior poles
-            # still positive: the user with the largest gamma coefficient
-            # saturates first (ordering is X-independent)
-            s_p = ch.h_p**2 * ch.p_p
-            cands.sort(
-                key=lambda k: ((ch.beta(k) ** 2 - lam * s_p) * ch.g[k] * math.sqrt(ch.p[k]), k)
-            )
-            saturate([cands[0]])
-            continue
-        try:
-            gamma = gamma_of_lambda(ch, lam, x, trial)
-        except SaturationRequiredError as exc:
-            saturate(exc.users)
-            continue
-        return replace(trial, x_value=x, gamma=gamma)
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = max(2.0 * sys.float_info.epsilon * abs(b), sys.float_info.min)
+        half = 0.5 * (c - b)
+        if fb == 0.0 or abs(half) <= tol:
+            return float(b)
+        if budget <= 0:
+            return None
+        bisect = True
+        if abs(prev) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * half * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * half * q - abs(tol * q), abs(prev * q)):
+                prev, step = step, p / q
+                bisect = False
+        if bisect:
+            prev = step = half
+        a, fa = b, fb
+        b += step if abs(step) > tol else math.copysign(tol, half)
+        fb = f(b)
+        budget -= 1
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            step = prev = b - a
 
 
-def _next_pole(ch: ChannelInstance, state: ActiveSetState, lam: float) -> float | None:
-    poles = saturation_poles(ch)
-    remaining = [poles[k] for k in state.interior if math.isfinite(poles[k]) and poles[k] > lam]
-    return min(remaining) if remaining else None
+def _finish(ch: ChannelInstance, gamma: np.ndarray, saturated: np.ndarray) -> np.ndarray:
+    """Project one coordinate of gamma onto phi = 0.
+
+    The user is the one with g_k > 0 and the steepest d phi / d gamma_k whose
+    root lies in [0, 1], trying interior users before saturated ones; gamma
+    comes back unchanged when no user has such a root.
+    """
+    x = _primary_terms(ch, gamma)[0]
+    a = ch.g * np.sqrt(ch.p)
+    slope = a * (ch.sigma_p2 * x + ch.h_p**2 * ch.p_p * a * gamma)  # half d phi / d gamma_k
+    users = np.flatnonzero(ch.g > 0)
+    for k in users[np.lexsort((-slope[users], saturated[users]))]:
+        ok, root = _coordinate_roots(ch, k, np.delete(gamma, k))
+        if ok:
+            gamma = gamma.copy()
+            gamma[k] = root
+            break
+    return gamma
+
+
+def _result(ch, gamma, lam, evaluations, changes, status) -> SolverResult:
+    split = PowerSplit(gamma)
+    return SolverResult(
+        gamma_star=split,
+        sum_rate=sum_rate(ch, split),
+        lambda_star=lam,
+        residual=relative_residual(ch, split),
+        outer_iterations=evaluations,
+        active_set_changes=changes,
+        status=status,
+    )
 
 
 def solve_max_sum_rate(ch: ChannelInstance, cfg: SolverConfig | None = None) -> SolverResult:
-    """Sweep lambda upward until the feasibility residual changes sign, then
-    bisect lambda inside the bracketing interval.
+    """Follow the multiplier path from lambda = 0 through the saturation
+    events to the root lambda* of phi, then project onto phi = 0.
 
     Returns the feasible split maximizing the cognitive sum rate.  With no
     interference path at all (every g_k = 0) the answer is gamma = 0.
     """
     cfg = cfg or SolverConfig()
-    k_users = ch.num_users
-
+    gamma = np.zeros(ch.num_users)
     if not np.any(ch.g > 0):
-        gamma0 = PowerSplit.zeros(k_users)
-        return SolverResult(
-            gamma_star=gamma0,
-            sum_rate=sum_rate(ch, gamma0),
-            lambda_star=0.0,
-            residual=relative_residual(ch, gamma0),
-            outer_iterations=0,
-            active_set_changes=0,
-            status=SolverStatus.DEGENERATE_NO_INTERFERENCE,
-        )
+        return _result(ch, gamma, 0.0, 0, 0, SolverStatus.DEGENERATE_NO_INTERFERENCE)
+    if _phi(ch, gamma) >= 0.0:  # h_p = 0: gamma = 0 preserves the primary rate
+        return _result(ch, gamma, 0.0, 0, 0, SolverStatus.CONVERGED)
 
-    state = initial_state(ch)
-    phi = feasibility_residual(ch, state.gamma)
-    if relative_residual(ch, state.gamma) <= cfg.residual_tol or phi >= 0.0:
-        # already feasible at gamma = 0 (e.g. h_p = 0)
-        return SolverResult(
-            gamma_star=state.gamma,
-            sum_rate=sum_rate(ch, state.gamma),
-            lambda_star=0.0,
-            residual=relative_residual(ch, state.gamma),
-            outer_iterations=0,
-            active_set_changes=0,
-            status=SolverStatus.CONVERGED,
-        )
+    path = _Path(ch)
+    changes = int(np.count_nonzero(path.saturated))
+    lam, gamma = 0.0, path.saturated * 1.0
+    phi = float(_phi(ch, gamma))
 
-    step = cfg.lambda_step if cfg.lambda_step is not None else default_lambda_step(ch)
+    def left():
+        return cfg.max_outer_iters - path.evaluations
 
-    iters = 0
-    changes = 0
-    lam = 0.0
-    bracket = None
-    while iters < cfg.max_outer_iters:
-        lam_next = lam + step
-        new_state = update_active_set(ch, lam_next, state)
-        iters += 1
-        if len(new_state.saturated) != len(state.saturated):
-            changes += len(new_state.saturated) - len(state.saturated)
-            # active set changed: rescale the step to the new pole spacing so
-            # widely separated poles cannot stall the sweep
-            if cfg.lambda_step is None:
-                nxt = _next_pole(ch, new_state, lam_next)
-                if nxt is not None:
-                    step = max(step, 1e-3 * (nxt - lam_next))
-        phi_next = feasibility_residual(ch, new_state.gamma)
-        if phi_next >= 0.0:
-            bracket = (lam, state, lam_next, new_state, phi_next)
+    def stopped():
+        return _result(ch, gamma, lam, path.evaluations, changes, SolverStatus.MAX_ITERS_EXCEEDED)
+
+    while phi < 0.0 and path.interior.size:
+        lam_e = path.next_event(lam, left())
+        if lam_e is None or left() < 2:  # one evaluation at the event, one past it
+            return stopped()
+        gamma_e = path.point(lam_e)[1]
+        phi_e = float(_phi(ch, gamma_e))
+        if phi_e >= 0.0:  # lambda* lies in this segment
+            lam_star = _brent(
+                lambda t: float(_phi(ch, path.point(t)[1])), lam, lam_e, phi, phi_e, left() - 1
+            )
+            if lam_star is None:
+                return stopped()
+            lam, gamma = lam_star, path.point(lam_star)[1]
             break
-        lam, state, phi = lam_next, new_state, phi_next
+        path.saturate(lam_e)
+        changes += 1
+        lam, gamma, phi = lam_e, gamma_e, phi_e
 
-    if bracket is None:
-        return SolverResult(
-            gamma_star=state.gamma,
-            sum_rate=sum_rate(ch, state.gamma),
-            lambda_star=lam,
-            residual=relative_residual(ch, state.gamma),
-            outer_iterations=iters,
-            active_set_changes=changes,
-            status=SolverStatus.MAX_ITERS_EXCEEDED,
-        )
-
-    lo, lo_state, hi, hi_state, _ = bracket
-    if cfg.bisection_refine:
-        while relative_residual(ch, hi_state.gamma) > cfg.residual_tol:
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:  # interval below float resolution
-                break
-            mid_state = update_active_set(ch, mid, lo_state)
-            if len(mid_state.saturated) != len(lo_state.saturated):
-                changes += len(mid_state.saturated) - len(lo_state.saturated)
-            if feasibility_residual(ch, mid_state.gamma) >= 0.0:
-                hi, hi_state = mid, mid_state
-            else:
-                lo, lo_state = mid, mid_state
-
-    best = hi_state
-    residual = relative_residual(ch, best.gamma)
+    gamma = _finish(ch, gamma, path.saturated)
     status = (
         SolverStatus.CONVERGED
-        if residual <= cfg.residual_tol
+        if relative_residual(ch, PowerSplit(gamma)) <= cfg.residual_tol
         else SolverStatus.MAX_ITERS_EXCEEDED
     )
-    return SolverResult(
-        gamma_star=best.gamma,
-        sum_rate=sum_rate(ch, best.gamma),
-        lambda_star=hi,
-        residual=residual,
-        outer_iterations=iters,
-        active_set_changes=changes,
-        status=status,
-    )
+    return _result(ch, gamma, lam, path.evaluations, changes, status)
 
 
 @dataclass(frozen=True)
@@ -382,22 +291,32 @@ class SweepRow:
 def sweep_trajectory(
     ch: ChannelInstance, lambda_max: float, samples: int
 ) -> list[SweepRow]:
-    """Evaluate the active-set state on an even lambda grid over [0, lambda_max]."""
+    """Evaluate the path on an even lambda grid over [0, lambda_max].
+
+    The grid points between two saturation events are evaluated together;
+    a point at an event already has that user saturated.
+    """
     if lambda_max < 0:
         raise ValueError("lambda_max must be nonnegative")
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    state = initial_state(ch)
-    rows = []
-    for lam in np.linspace(0.0, lambda_max, samples):
-        state = update_active_set(ch, float(lam), state)
-        rows.append(
-            SweepRow(
-                lam=float(lam),
-                x_value=state.x_value,
-                gamma=state.gamma,
-                phi=feasibility_residual(ch, state.gamma),
-                saturated=state.saturated,
+    grid = np.linspace(0.0, lambda_max, samples)
+    path = _Path(ch)
+    rows: list[SweepRow] = []
+    lam = 0.0
+    while len(rows) < samples:
+        lam_e = path.next_event(lam, math.inf) if path.interior.size else math.inf
+        lams = grid[len(rows):np.searchsorted(grid, lam_e)]
+        if lams.size:
+            x, gamma = path.point(lams)
+            phi = _phi(ch, gamma)
+            saturated = tuple(np.flatnonzero(path.saturated).tolist())
+            rows.extend(
+                SweepRow(float(t), float(xv), PowerSplit(g), float(p), saturated)
+                for t, xv, g, p in zip(lams, x, gamma, phi)
             )
-        )
+        if lam_e > lambda_max:
+            break
+        path.saturate(lam_e)
+        lam = lam_e
     return rows

@@ -1,7 +1,12 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cogmac import ChannelInstance
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 # documented seed for every randomized suite in the tests
 SUITE_SEED = 20260824
@@ -35,6 +40,17 @@ def k2_no_interference():
         h=[1.0, 1.0], g=[0.0, 0.0], p=[1.0, 1.0], h_p=1.0, p_p=1.0,
         sigma_p2=1.0, sigma_c2=1.0,
     )
+
+
+@pytest.fixture(scope="session")
+def wide_suite():
+    """The benchmark's seed-7 suite of 300 instances whose gains, powers and
+    noise levels span many decades (`benchmarks/workloads.py`)."""
+    if str(BENCHMARKS) not in sys.path:
+        sys.path.append(str(BENCHMARKS))
+    from workloads import wide_suite
+
+    return wide_suite()
 
 
 def bisect_root(func, lo, hi, iters=200):

@@ -200,7 +200,8 @@ class TestValidate:
         assert abs(doc["sum_rate_gap_bits"]) <= 1e-3
 
     def test_loosened_tolerance_fails_feasibility(self, tmp_path):
-        doc = dict(UNIT_K1, solver={"residual_tol": 10.0})
+        # the solve stops on its evaluation cap, short of the constraint
+        doc = dict(UNIT_K1, solver={"max_outer_iters": 2})
         path = write_scenario(tmp_path, doc)
         proc = run_cli("validate", "--scenario", path, check=False)
         assert proc.returncode == 2
@@ -216,14 +217,35 @@ class TestInvalidFlags:
             ("region", "--scenario", str(SCENARIOS / "k2_reference.json"), "--grid-step", "0"),
             ("sweep", "--scenario", str(SCENARIOS / "k2_reference.json"), "--samples", "1"),
             ("solve", "--scenario", str(SCENARIOS / "k1_unit.json"), "--tol", "-1"),
+            ("solve", "--scenario", str(SCENARIOS / "k1_unit.json"), "--lambda-step", "1e-4"),
+            ("solve", "--scenario", str(SCENARIOS / "k1_unit.json"), "--tol", "abc"),
+            ("solve",),
         ],
-        ids=["region-grid-step-0", "sweep-samples-1", "solve-tol-negative"],
+        ids=[
+            "region-grid-step-0",
+            "sweep-samples-1",
+            "solve-tol-negative",
+            "solve-lambda-step-removed",
+            "solve-tol-not-a-number",
+            "solve-scenario-missing",
+        ],
     )
     def test_invalid_value_is_input_error(self, args):
         proc = run_cli(*args, check=False)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+
+    def test_help_exits_zero(self):
+        proc = run_cli("solve", "--help")
+        assert proc.stdout.startswith("usage:")
+
+    @pytest.mark.parametrize("key", ["lambda_step", "bisection_refine", "refine_tol"])
+    def test_removed_solver_keys_rejected(self, tmp_path, key):
+        path = write_scenario(tmp_path, dict(UNIT_K1, solver={key: 1e-4}))
+        proc = run_cli("solve", "--scenario", path, check=False)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: unknown field solver.{key}\n"
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
@@ -106,6 +107,23 @@ class TestSingleUserClosedForm:
     def test_size_check(self, k2_reference):
         with pytest.raises(UnsupportedSizeError):
             single_user_closed_form(k2_reference)
+
+    def test_matches_50_digit_root_on_wide_suite(self, wide_suite):
+        getcontext().prec = 50
+        worst = 0.0
+        for ch in wide_suite:
+            if ch.num_users != 1:
+                continue
+            amp = Decimal(ch.h_p) * Decimal(ch.p_p).sqrt()
+            x = Decimal(float(ch.g[0])) * Decimal(float(ch.p[0])).sqrt()
+            s = Decimal(ch.sigma_p2)
+            # the "+" root of (s + A^2) x^2 y^2 + 2 s A x y - A^2 x^2 = 0
+            exact = (-s * amp * x + amp * x * (s * s + (s + amp * amp) * x * x).sqrt()) / (
+                (s + amp * amp) * x * x
+            )
+            got = Decimal(single_user_closed_form(ch))
+            worst = max(worst, float(abs(got - exact) / exact))
+        assert worst <= 1e-14
 
     @pytest.mark.parametrize("seed", range(10))
     def test_residual_at_closed_form(self, seed):

@@ -11,6 +11,7 @@ from cogmac import (
     baseline_primary_rate,
     feasibility_residual,
     grid_search,
+    kkt_check,
     primary_rate,
     relative_residual,
     single_user_closed_form,
@@ -18,81 +19,64 @@ from cogmac import (
     sum_rate,
     sweep_trajectory,
 )
-from cogmac.solver import (
-    ActiveSetSingularityError,
-    SaturationRequiredError,
-    gamma_of_lambda,
-    initial_state,
-    update_active_set,
-    x_closed_form,
-)
+from cogmac.solver import _Path
 from conftest import bisect_root
 from test_channel import make_instance
 
 
 class TestXClosedForm:
     def test_zero_lambda_all_interior(self, k2_reference):
-        state = initial_state(k2_reference)
-        assert x_closed_form(k2_reference, 0.0, state) == pytest.approx(
-            math.sqrt(10.0), abs=1e-14
-        )
+        x, _ = _Path(k2_reference).point(0.0)
+        assert x == pytest.approx(math.sqrt(10.0), abs=1e-14)
 
     def test_all_saturated(self, k2_reference):
-        state = initial_state(k2_reference)
-        state = update_active_set(k2_reference, 0.0, state)
-        from dataclasses import replace
-
-        all_sat = replace(state, interior=(), saturated=(0, 1))
+        path = _Path(k2_reference)
+        path.saturate(0.05)
+        path.saturate(0.05)
+        x, _ = path.point(0.05)
         expected = math.sqrt(10.0) + 0.6 * math.sqrt(5.0)
-        assert x_closed_form(k2_reference, 0.05, all_sat) == pytest.approx(
-            expected, abs=1e-13
-        )
+        assert x == pytest.approx(expected, abs=1e-13)
 
     def test_hand_evaluated_single_user(self, unit_k1):
-        state = initial_state(unit_k1)
-        assert x_closed_form(unit_k1, 0.2, state) == pytest.approx(4.0 / 3.0, abs=1e-14)
+        x, _ = _Path(unit_k1).point(0.2)
+        assert x == pytest.approx(4.0 / 3.0, abs=1e-14)
 
     def test_singularity_past_pole(self, unit_k1):
-        # pole at lambda = beta^2 / (h_p^2 P_p) = 1
-        state = initial_state(unit_k1)
-        with pytest.raises(ActiveSetSingularityError):
-            x_closed_form(unit_k1, 1.5, state)
+        # gamma = lambda / (1 - 2 lambda) reaches 1 at lambda = 1/3, before
+        # D = 0 at 1/2 and the pole beta^2 / (h_p^2 P_p) = 1
+        event = _Path(unit_k1).next_event(0.0, math.inf)
+        assert event == pytest.approx(1.0 / 3.0, rel=1e-15)
 
 
 class TestGammaOfLambda:
     def test_zero_lambda_gives_zero(self, k2_reference):
-        state = initial_state(k2_reference)
-        x = x_closed_form(k2_reference, 0.0, state)
-        gamma = gamma_of_lambda(k2_reference, 0.0, x, state)
-        assert np.all(gamma.gamma == 0.0)
+        _, gamma = _Path(k2_reference).point(0.0)
+        assert np.all(gamma == 0.0)
 
     def test_saturated_branch_is_one(self, unit_k1):
-        from dataclasses import replace
-
-        state = replace(initial_state(unit_k1), interior=(), saturated=(0,))
-        gamma = gamma_of_lambda(unit_k1, 0.1, 2.0, state)
-        assert gamma.gamma[0] == 1.0
+        path = _Path(unit_k1)
+        path.saturate(0.4)
+        _, gamma = path.point(0.1)
+        assert gamma[0] == 1.0
 
     def test_hand_evaluated_single_user(self, unit_k1):
-        state = initial_state(unit_k1)
-        gamma = gamma_of_lambda(unit_k1, 0.2, 4.0 / 3.0, state)
-        assert gamma.gamma[0] == pytest.approx(1.0 / 3.0, abs=1e-14)
+        x, gamma = _Path(unit_k1).point(0.2)
+        assert gamma[0] == pytest.approx(1.0 / 3.0, abs=1e-14)
         # consistency with the aggregate-amplitude definition
-        assert 1.0 + gamma.gamma[0] == pytest.approx(4.0 / 3.0, abs=1e-14)
+        assert 1.0 + gamma[0] == pytest.approx(x, abs=1e-14)
 
     def test_overflow_reported(self, unit_k1):
-        state = initial_state(unit_k1)
-        with pytest.raises(SaturationRequiredError) as err:
-            gamma_of_lambda(unit_k1, 0.5, 3.0, state)
-        assert err.value.users == (0,)
+        path = _Path(unit_k1)
+        path.saturate(path.next_event(0.0, math.inf))
+        assert np.flatnonzero(path.saturated).tolist() == [0]
+        assert path.interior.size == 0
 
 
 class TestUpdateActiveSet:
     def test_zero_lambda_no_changes(self, k2_reference):
-        state = update_active_set(k2_reference, 0.0, initial_state(k2_reference))
-        assert state.interior == (0, 1)
-        assert state.saturated == ()
-        assert np.all(state.gamma.gamma == 0.0)
+        path = _Path(k2_reference)
+        assert path.interior.tolist() == [0, 1]
+        assert not path.saturated.any()
 
     def test_one_user_saturates_past_threshold(self):
         ch = ChannelInstance(
@@ -100,32 +84,35 @@ class TestUpdateActiveSet:
             sigma_p2=1.0, sigma_c2=1.0,
         )
 
+        def raw_gamma(lam):
+            # the stationarity closed form with no user saturated, written out
+            a = ch.g * np.sqrt(ch.p)
+            pole = (ch.h / ch.g) ** 2 - lam * ch.h_p**2 * ch.p_p
+            d = 1.0 - lam * ch.sigma_p2 * np.sum(1.0 / pole)
+            if np.any(pole <= 0) or d <= 0:
+                return None
+            return lam * ch.sigma_p2 * (ch.primary_amplitude / d) / (pole * a)
+
         def raw_gamma_minus_one(lam):
-            state = initial_state(ch)
-            try:
-                x = x_closed_form(ch, lam, state)
-                gamma = gamma_of_lambda(ch, lam, x, state)
-            except (ActiveSetSingularityError, SaturationRequiredError):
-                return 1.0
-            return float(gamma.gamma.max()) - 1.0
+            gamma = raw_gamma(lam)
+            return 1.0 if gamma is None else float(gamma.max()) - 1.0
 
         # saturation threshold of the first user to hit 1, by root-finding
         threshold = bisect_root(raw_gamma_minus_one, 0.0, 0.2)
-        state = update_active_set(ch, threshold * 1.001, initial_state(ch))
-        assert len(state.saturated) == 1
+        path = _Path(ch)
+        event = path.next_event(0.0, math.inf)
+        assert event == pytest.approx(threshold, rel=1e-12)
+        path.saturate(event)
+        first = int(np.argmax(raw_gamma(threshold * (1.0 - 1e-9))))
+        assert np.flatnonzero(path.saturated).tolist() == [first]
 
     def test_all_saturated_fixed_point(self, k2_reference):
-        from dataclasses import replace
-
-        state = replace(
-            initial_state(k2_reference),
-            interior=(),
-            saturated=(0, 1),
-            gamma=PowerSplit.ones(2),
-        )
-        out = update_active_set(k2_reference, 0.3, state)
-        assert out.saturated == (0, 1)
-        assert np.all(out.gamma.gamma == 1.0)
+        path = _Path(k2_reference)
+        path.saturate(0.3)
+        path.saturate(0.3)
+        assert path.interior.size == 0
+        _, gamma = path.point(0.3)
+        assert np.all(gamma == 1.0)
 
 
 class TestSolveMaxSumRate:
@@ -157,8 +144,8 @@ class TestSolveMaxSumRate:
 
     def test_converges_far_below_the_lambda_step(self):
         # instance 9 of the seed-7 wide-range suite (benchmarks/workloads.py):
-        # lambda* ~ 1.3e-11 against a default step ~ 165, so bisection must run
-        # to the residual tolerance rather than to a width tied to the step
+        # lambda* ~ 1.3e-11 against a pole ~ 1.6e5, so the root search must
+        # work to float resolution in relative terms
         ch = ChannelInstance(
             h=[0.00647720826806487],
             g=[0.0038740853456137206],
@@ -174,6 +161,43 @@ class TestSolveMaxSumRate:
         assert result.gamma_star.gamma[0] == pytest.approx(
             single_user_closed_form(ch), abs=1e-9
         )
+
+    def test_not_beaten_by_the_grid_oracle(self):
+        # instance 294 of the seed-7 wide-range suite: the end of a bracket on
+        # the phi >= 0 side, instead of a point on phi = 0, loses 4.9e-5 bits
+        ch = ChannelInstance(
+            h=[2.794259935140729, 475.23320915693205],
+            g=[7.6450849315201, 105.08083365627043],
+            p=[727.1682969630755, 0.06241175951984221],
+            h_p=180.82992143836952,
+            p_p=2.0247525869872622,
+            sigma_p2=0.01616188824397435,
+            sigma_c2=0.006193765655277181,
+        )
+        result = solve_max_sum_rate(ch)
+        assert result.status is SolverStatus.CONVERGED
+        assert result.sum_rate >= grid_search(ch, 1e-3).best_sum_rate
+
+    def test_wide_suite_converges_and_passes_kkt(self, wide_suite):
+        failed = []
+        for i, ch in enumerate(wide_suite):
+            result = solve_max_sum_rate(ch)
+            if result.status is not SolverStatus.CONVERGED or not kkt_check(ch, result).passed:
+                failed.append((i, result.status.value, result.residual))
+        assert not failed
+
+    def test_zero_gain_user_cooperates_at_zero_multiplier(self):
+        # h_1 = 0 < g_1: user 1 costs no rate, so it alone restores the primary
+        ch = ChannelInstance(
+            h=[0.0, 1.0], g=[0.5, 0.5], p=[2.0, 2.0], h_p=1.0, p_p=1.0,
+            sigma_p2=1.0, sigma_c2=1.0,
+        )
+        result = solve_max_sum_rate(ch)
+        assert result.status is SolverStatus.CONVERGED
+        assert result.lambda_star == 0.0
+        assert 0.0 < result.gamma_star.gamma[0] < 1.0
+        assert result.gamma_star.gamma[1] == 0.0
+        assert result.sum_rate == pytest.approx(0.5 * math.log2(3.0), abs=1e-14)
 
     def test_feasibility_at_convergence(self, k2_reference):
         result = solve_max_sum_rate(k2_reference)
