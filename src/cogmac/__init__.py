@@ -26,11 +26,8 @@ from .oracle import (
     single_user_closed_form,
 )
 from .region import (
-    RatePolytope,
     RegionBoundary,
     UnsupportedSizeError,
-    pentagon_vertices,
-    polytope_for_gamma,
     region_boundary,
     sample_feasible_set,
 )
@@ -60,10 +57,7 @@ __all__ = [
     "SolverStatus",
     "solve_max_sum_rate",
     "sweep_trajectory",
-    "RatePolytope",
     "RegionBoundary",
-    "polytope_for_gamma",
-    "pentagon_vertices",
     "sample_feasible_set",
     "region_boundary",
     "OracleResult",

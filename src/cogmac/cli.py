@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 
@@ -21,7 +22,7 @@ from .channel import (
     baseline_primary_rate,
     primary_rate,
 )
-from .oracle import grid_search, kkt_check
+from .oracle import OracleResult, grid_search, kkt_check
 from .region import region_boundary
 from .solver import (
     SolverConfig,
@@ -181,6 +182,15 @@ def solver_result_dict(ch: ChannelInstance, result: SolverResult) -> dict:
     }
 
 
+def oracle_result_dict(oracle: OracleResult) -> dict:
+    return {
+        "best_gamma": list(oracle.best_gamma.gamma),
+        "best_sum_rate_bits": oracle.best_sum_rate,
+        "grid_step": oracle.grid_step,
+        "points_evaluated": oracle.points_evaluated,
+    }
+
+
 def cmd_solve(args) -> int:
     started = time.monotonic()
     ch, cfg, name = load_scenario(args.scenario)
@@ -195,10 +205,7 @@ def cmd_solve(args) -> int:
     if args.oracle:
         oracle = grid_search(ch, args.grid_step)
         report["oracle"] = {
-            "best_gamma": list(oracle.best_gamma.gamma),
-            "best_sum_rate_bits": oracle.best_sum_rate,
-            "grid_step": oracle.grid_step,
-            "points_evaluated": oracle.points_evaluated,
+            **oracle_result_dict(oracle),
             "gap_bits": result.sum_rate - oracle.best_sum_rate,
         }
     _write_out(dump_json(report) + "\n", args.out)
@@ -274,12 +281,7 @@ def cmd_validate(args) -> int:
     doc = {
         "scenario": scenario_echo(ch, name),
         "solver": solver_result_dict(ch, result),
-        "oracle": {
-            "best_gamma": list(oracle.best_gamma.gamma),
-            "best_sum_rate_bits": oracle.best_sum_rate,
-            "grid_step": oracle.grid_step,
-            "points_evaluated": oracle.points_evaluated,
-        },
+        "oracle": oracle_result_dict(oracle),
         "sum_rate_gap_bits": gap,
         "agreement_tol_bits": args.agreement_tol,
         "kkt": {
@@ -299,6 +301,19 @@ def cmd_validate(args) -> int:
     }
     _write_out(dump_json(doc) + "\n", args.out)
     return EXIT_OK if verdict else EXIT_NOT_CONVERGED
+
+
+def _tolerance(text: str) -> float:
+    """A validate tolerance: a finite nonnegative number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # reported below, with the flag's name
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite nonnegative number, got {text!r}"
+        )
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -342,9 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate = sub.add_parser("validate", help="oracle + KKT verdict JSON")
     add_common(p_validate)
     p_validate.add_argument("--grid-step", type=float, default=1e-3)
-    p_validate.add_argument("--tol", type=float, default=1e-6, help="KKT tolerance")
+    p_validate.add_argument("--tol", type=_tolerance, default=1e-6, help="KKT tolerance")
     p_validate.add_argument(
-        "--agreement-tol", type=float, default=1e-3, help="sum-rate agreement, bits"
+        "--agreement-tol", type=_tolerance, default=1e-3, help="sum-rate agreement, bits"
     )
     p_validate.set_defaults(func=cmd_validate)
     return parser

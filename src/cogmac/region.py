@@ -1,14 +1,13 @@
-"""Per-split MAC rate polytopes and the two-user capacity region boundary.
+"""Feasible-set sampling and the two-user capacity region boundary.
 
-For each feasible split the cognitive users see a plain Gaussian MAC, so the
-achievable rates form the usual polymatroid (a pentagon for two users).  The
-overall region is the convex hull of the union of these polytopes over the
-feasible set, which for two users is a 1-D curve swept by coordinate solving.
+For each feasible split the two cognitive users see a plain Gaussian MAC,
+whose achievable rates form a pentagon.  The region is the convex hull of
+the union of these pentagons over the feasible set, which for two users is a
+1-D curve swept by coordinate solving.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,8 +23,6 @@ from .channel import (
     _relative_phi,
 )
 
-MAX_POLYTOPE_USERS = 10
-
 MAX_GRID_USERS = 3
 
 # relative residual a projected grid point must meet to count as feasible
@@ -37,61 +34,14 @@ class UnsupportedSizeError(ValueError):
 
 
 @dataclass(frozen=True)
-class RatePolytope:
-    """Rate bounds c_T for every nonempty user subset T, at a fixed split."""
-
-    bounds: dict[frozenset, float]
-    gamma: PowerSplit
-
-    def bound(self, subset) -> float:
-        return self.bounds[frozenset(subset)]
-
-
-@dataclass(frozen=True)
 class RegionBoundary:
     """Counterclockwise hull boundary of the two-user region, in bits."""
 
     points: list[tuple[float, float]]
     samples_used: int
-    gamma_grid_step: float
 
     def max_sum_rate(self) -> float:
         return max(r1 + r2 for r1, r2 in self.points)
-
-
-def polytope_for_gamma(ch: ChannelInstance, split: PowerSplit) -> RatePolytope:
-    """Rate bound for every nonempty subset of users at this split."""
-    k = ch.num_users
-    if k > MAX_POLYTOPE_USERS:
-        raise UnsupportedSizeError(
-            f"subset enumeration capped at {MAX_POLYTOPE_USERS} users, got {k}"
-        )
-    bounds = {}
-    for r in range(1, k + 1):
-        for subset in itertools.combinations(range(k), r):
-            snr = _mac_snr(ch, split.gamma, list(subset))
-            bounds[frozenset(subset)] = _capacity(snr)
-    return RatePolytope(bounds=bounds, gamma=split)
-
-
-def _pentagon(c1: float, c2: float, c12: float) -> list[tuple[float, float]]:
-    """Counterclockwise corners of the pentagon with bounds c1, c2, c12,
-    from the origin; coincident corners are not merged."""
-    return [(0.0, 0.0), (c1, 0.0), (c1, c12 - c1), (c12 - c2, c2), (0.0, c2)]
-
-
-def pentagon_vertices(poly: RatePolytope) -> list[tuple[float, float]]:
-    """Vertices of the two-user rate pentagon, duplicates collapsed."""
-    k = len(poly.gamma)
-    if k != 2:
-        raise UnsupportedSizeError(f"pentagon defined for 2 users, got {k}")
-    vertices: list[tuple[float, float]] = []
-    for pt in _pentagon(poly.bound({0}), poly.bound({1}), poly.bound({0, 1})):
-        if not vertices or pt != vertices[-1]:
-            vertices.append(pt)
-    if len(vertices) > 1 and vertices[-1] == vertices[0]:
-        vertices.pop()
-    return vertices
 
 
 def _grid(step: float) -> np.ndarray:
@@ -117,8 +67,8 @@ def feasible_blocks(ch: ChannelInstance, grid_step: float) -> list[np.ndarray]:
     is at most SAMPLE_RESIDUAL_TOL.  With no interference path at all the
     list is empty.
     """
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
+    if not 0 < grid_step < math.inf:
+        raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
     k = ch.num_users
     if k > MAX_GRID_USERS:
         raise UnsupportedSizeError(
@@ -212,18 +162,29 @@ def hull_contains(
 
 
 def region_boundary(ch: ChannelInstance, grid_step: float) -> RegionBoundary:
-    """Hull boundary of the union of rate pentagons over the feasible set."""
+    """Hull boundary of the union of rate pentagons over the feasible set.
+
+    The pentagon with bounds c1, c2, c12 is the down-closure of its corners
+    (c1, c12 - c1) and (c12 - c2, c2), so the hull is that of the origin,
+    the two axis intercepts and the corners no other corner dominates.
+    """
     if ch.num_users != 2:
         raise UnsupportedSizeError(
             f"region boundary defined for 2 users, got {ch.num_users}"
         )
     rows = _feasible_rows(ch, grid_step)
     c1, c2, c12 = (
-        [_capacity(snr) for snr in _mac_snr(ch, rows, users).tolist()]
+        np.array([_capacity(snr) for snr in _mac_snr(ch, rows, users).tolist()])
         for users in ([0], [1], slice(None))
     )
-    vertices: list[tuple[float, float]] = [(0.0, 0.0)]
-    for bounds in zip(c1, c2, c12):
-        vertices.extend(_pentagon(*bounds))
-    hull = convex_hull(vertices)
-    return RegionBoundary(points=hull, samples_used=len(rows), gamma_grid_step=grid_step)
+    r1 = np.concatenate([c1, c12 - c2])
+    r2 = np.concatenate([c12 - c1, c2])
+    order = np.lexsort((-r2, -r1))  # r1 descending, ties by r2 descending
+    r1, r2 = r1[order], r2[order]
+    # kept: r2 above that of every corner with a larger or equal r1
+    kept = np.ones(r2.size, dtype=bool)
+    kept[1:] = r2[1:] > np.maximum.accumulate(r2)[:-1]
+    corners = zip(r1[kept].tolist(), r2[kept].tolist())
+    axes = [(0.0, 0.0), (c1.max(initial=0.0), 0.0), (0.0, c2.max(initial=0.0))]
+    hull = convex_hull([*axes, *corners])
+    return RegionBoundary(points=hull, samples_used=len(rows))

@@ -51,8 +51,10 @@ class SolverConfig:
     max_outer_iters: int = 200_000
 
     def __post_init__(self):
-        if self.residual_tol <= 0:
-            raise ValueError("residual_tol must be positive")
+        if not 0 < self.residual_tol < math.inf:
+            raise ValueError(
+                f"residual_tol must be positive and finite, got {self.residual_tol}"
+            )
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be positive")
 
@@ -296,8 +298,8 @@ def sweep_trajectory(
     The grid points between two saturation events are evaluated together;
     a point at an event already has that user saturated.
     """
-    if lambda_max < 0:
-        raise ValueError("lambda_max must be nonnegative")
+    if not 0 <= lambda_max < math.inf:
+        raise ValueError(f"lambda_max must be nonnegative and finite, got {lambda_max}")
     if samples < 2:
         raise ValueError("need at least 2 samples")
     grid = np.linspace(0.0, lambda_max, samples)

@@ -1,3 +1,4 @@
+import math
 import sys
 from pathlib import Path
 
@@ -51,6 +52,24 @@ def wide_suite():
     from workloads import wide_suite
 
     return wide_suite()
+
+
+def pentagon_vertices(ch, splits):
+    """The five corners of the two-user rate pentagon at each split, from the
+    origin counterclockwise, with the bounds written out:
+    c_T = 0.5 log2(1 + sum over k in T of (1 - gamma_k^2) h_k^2 P_k / sigma_c2)."""
+    pentagons = []
+    for split in splits:
+        r = [
+            (1.0 - g * g) * (h * h) * p
+            for g, h, p in zip(split.gamma.tolist(), ch.h.tolist(), ch.p.tolist())
+        ]
+        c1, c2, c12 = (
+            0.5 * math.log2(1.0 + snr)
+            for snr in (r[0] / ch.sigma_c2, r[1] / ch.sigma_c2, (r[0] + r[1]) / ch.sigma_c2)
+        )
+        pentagons.append([(0.0, 0.0), (c1, 0.0), (c1, c12 - c1), (c12 - c2, c2), (0.0, c2)])
+    return pentagons
 
 
 def bisect_root(func, lo, hi, iters=200):

@@ -220,6 +220,17 @@ class TestInvalidFlags:
             ("solve", "--scenario", str(SCENARIOS / "k1_unit.json"), "--lambda-step", "1e-4"),
             ("solve", "--scenario", str(SCENARIOS / "k1_unit.json"), "--tol", "abc"),
             ("solve",),
+            ("solve", "--scenario", str(SCENARIOS / "k1_unit.json"), "--tol", "nan"),
+            ("solve", "--scenario", str(SCENARIOS / "k1_unit.json"), "--oracle",
+             "--grid-step", "inf"),
+            ("validate", "--scenario", str(SCENARIOS / "k1_unit.json"), "--grid-step", "inf"),
+            ("validate", "--scenario", str(SCENARIOS / "k1_unit.json"), "--tol", "nan"),
+            ("validate", "--scenario", str(SCENARIOS / "k1_unit.json"),
+             "--agreement-tol", "nan"),
+            ("region", "--scenario", str(SCENARIOS / "k2_reference.json"), "--grid-step", "inf"),
+            ("region", "--scenario", str(SCENARIOS / "k2_reference.json"), "--grid-step", "nan"),
+            ("sweep", "--scenario", str(SCENARIOS / "k2_reference.json"), "--lambda-max", "nan"),
+            ("sweep", "--scenario", str(SCENARIOS / "k2_reference.json"), "--lambda-max", "inf"),
         ],
         ids=[
             "region-grid-step-0",
@@ -228,6 +239,15 @@ class TestInvalidFlags:
             "solve-lambda-step-removed",
             "solve-tol-not-a-number",
             "solve-scenario-missing",
+            "solve-tol-nan",
+            "solve-oracle-grid-step-inf",
+            "validate-grid-step-inf",
+            "validate-tol-nan",
+            "validate-agreement-tol-nan",
+            "region-grid-step-inf",
+            "region-grid-step-nan",
+            "sweep-lambda-max-nan",
+            "sweep-lambda-max-inf",
         ],
     )
     def test_invalid_value_is_input_error(self, args):
@@ -246,6 +266,12 @@ class TestInvalidFlags:
         proc = run_cli("solve", "--scenario", path, check=False)
         assert proc.returncode == 1
         assert proc.stderr == f"error: unknown field solver.{key}\n"
+
+    def test_nan_residual_tol_rejected(self, tmp_path):
+        path = write_scenario(tmp_path, dict(UNIT_K1, solver={"residual_tol": math.nan}))
+        proc = run_cli("solve", "--scenario", path, check=False)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: solver: residual_tol must be ")
 
 
 class TestDeterminism:

@@ -26,9 +26,10 @@ CASES = [
     )
 ] + [
     (
-        "region-k2_reference.csv",
-        ("region", "--scenario", str(SCENARIOS / "k2_reference.json"), "--grid-step", "1e-3"),
+        f"region-{scenario}.csv",
+        ("region", "--scenario", str(SCENARIOS / f"{scenario}.json"), "--grid-step", "1e-3"),
     )
+    for scenario in ("k2_reference", "k2_no_interference")
 ]
 
 

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -9,92 +8,64 @@ from hypothesis import strategies as st
 from cogmac import (
     ChannelInstance,
     PowerSplit,
-    RatePolytope,
     UnsupportedSizeError,
     baseline_primary_rate,
-    pentagon_vertices,
-    polytope_for_gamma,
+    instance_suite,
     primary_rate,
     region_boundary,
     relative_residual,
     sample_feasible_set,
     solve_max_sum_rate,
 )
+from cogmac.channel import _capacity, _mac_snr
 from cogmac.region import convex_hull, hull_contains
+from conftest import pentagon_vertices
 from test_channel import make_instance
 
 
-def make_polytope(c1, c2, c12):
-    return RatePolytope(
-        bounds={
-            frozenset({0}): c1,
-            frozenset({1}): c2,
-            frozenset({0, 1}): c12,
-        },
-        gamma=PowerSplit.zeros(2),
+def rate_bounds(ch, split):
+    """c1, c2, c12 at one split, from the channel kernel region_boundary uses."""
+    return tuple(
+        _capacity(float(_mac_snr(ch, split.gamma, users)))
+        for users in ([0], [1], slice(None))
     )
 
 
 class TestPolytope:
     def test_full_cooperation_all_zero(self, k2_reference):
-        poly = polytope_for_gamma(k2_reference, PowerSplit.ones(2))
-        assert all(v == 0.0 for v in poly.bounds.values())
+        assert rate_bounds(k2_reference, PowerSplit.ones(2)) == (0.0, 0.0, 0.0)
 
     def test_direct_evaluation(self):
         ch = ChannelInstance(
             h=[1.0, 1.0], g=[0.1, 0.1], p=[1.0, 1.0], h_p=1.0, p_p=1.0,
             sigma_p2=1.0, sigma_c2=1.0,
         )
-        poly = polytope_for_gamma(ch, PowerSplit.zeros(2))
-        assert poly.bound({0}) == pytest.approx(0.5, abs=1e-14)
-        assert poly.bound({1}) == pytest.approx(0.5, abs=1e-14)
-        assert poly.bound({0, 1}) == pytest.approx(0.5 * math.log2(3.0), abs=1e-14)
-
-    def test_size_cap(self):
-        k = 11
-        ch = ChannelInstance(
-            h=np.ones(k), g=np.ones(k), p=np.ones(k), h_p=1, p_p=1,
-            sigma_p2=1, sigma_c2=1,
-        )
-        with pytest.raises(UnsupportedSizeError):
-            polytope_for_gamma(ch, PowerSplit.zeros(k))
+        c1, c2, c12 = rate_bounds(ch, PowerSplit.zeros(2))
+        assert c1 == pytest.approx(0.5, abs=1e-14)
+        assert c2 == pytest.approx(0.5, abs=1e-14)
+        assert c12 == pytest.approx(0.5 * math.log2(3.0), abs=1e-14)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
     def test_monotone_and_subadditive(self, seed):
+        """0 <= c12 - c1 <= c2 and 0 <= c12 - c2 <= c1: each pentagon is the
+        down-closure of its two dominant-face corners."""
         rng = np.random.default_rng(seed)
-        ch = make_instance(rng, 4)
-        poly = polytope_for_gamma(ch, PowerSplit(rng.uniform(0, 1, 4)))
-        subsets = [frozenset(c) for r in range(1, 5)
-                   for c in itertools.combinations(range(4), r)]
-        for small in subsets:
-            for big in subsets:
-                if small < big:
-                    assert poly.bounds[small] <= poly.bounds[big] + 1e-12
-        for a in subsets:
-            for b in subsets:
-                if not (a & b):
-                    assert poly.bounds[a | b] <= poly.bounds[a] + poly.bounds[b] + 1e-12
+        ch = make_instance(rng, 2)
+        c1, c2, c12 = rate_bounds(ch, PowerSplit(rng.uniform(0, 1, 2)))
+        assert 0.0 <= c12 - c1 <= c2 + 1e-12
+        assert 0.0 <= c12 - c2 <= c1 + 1e-12
 
 
 class TestPentagon:
-    def test_dominant_face_vertices(self):
-        verts = pentagon_vertices(make_polytope(1.0, 1.0, 1.5))
-        assert (1.0, 0.5) in verts
-        assert (0.5, 1.0) in verts
-        assert len(verts) == 5
-
-    def test_degenerates_to_rectangle(self):
-        verts = pentagon_vertices(make_polytope(1.0, 0.5, 1.5))
-        assert verts == [(0.0, 0.0), (1.0, 0.0), (1.0, 0.5), (0.0, 0.5)]
-
-    def test_all_zero_single_point(self):
-        assert pentagon_vertices(make_polytope(0.0, 0.0, 0.0)) == [(0.0, 0.0)]
-
-    def test_size_check(self):
-        poly = RatePolytope(bounds={frozenset({0}): 1.0}, gamma=PowerSplit.zeros(1))
-        with pytest.raises(UnsupportedSizeError):
-            pentagon_vertices(poly)
+    def test_dominant_face_vertices(self, k2_no_interference):
+        # every split is feasible and gamma = 0 gives the largest pentagon,
+        # so the region is that pentagon: c1 = c2 = 1/2, c12 = log2(3) / 2
+        c12 = 0.5 * math.log2(3.0)
+        points = region_boundary(k2_no_interference, 0.5).points
+        assert (0.5, c12 - 0.5) in points
+        assert (c12 - 0.5, 0.5) in points
+        assert len(points) == 5
 
 
 class TestSampleFeasibleSet:
@@ -120,7 +91,8 @@ class TestSampleFeasibleSet:
 
 class TestConvexHull:
     def test_hull_of_one_pentagon_is_that_pentagon(self):
-        verts = pentagon_vertices(make_polytope(1.0, 1.0, 1.5))
+        c1, c2, c12 = 1.0, 1.0, 1.5
+        verts = [(0.0, 0.0), (c1, 0.0), (c1, c12 - c1), (c12 - c2, c2), (0.0, c2)]
         hull = convex_hull(verts)
         assert sorted(hull) == sorted(verts)
 
@@ -130,6 +102,15 @@ class TestConvexHull:
             o, a, b = hull[i], hull[(i + 1) % len(hull)], hull[(i + 2) % len(hull)]
             cross = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
             assert cross > 0
+
+
+def hull_of_every_pentagon(ch, grid_step):
+    """The hull over the origin and all five corners of every sampled
+    pentagon: the construction the non-dominated corners replace."""
+    vertices = [(0.0, 0.0)]
+    for pentagon in pentagon_vertices(ch, sample_feasible_set(ch, grid_step)):
+        vertices.extend(pentagon)
+    return convex_hull(vertices)
 
 
 class TestRegionBoundary:
@@ -149,9 +130,20 @@ class TestRegionBoundary:
 
     def test_contains_every_pentagon_vertex(self, k2_reference):
         boundary = region_boundary(k2_reference, 0.05)
-        for split in sample_feasible_set(k2_reference, 0.05):
-            for vert in pentagon_vertices(polytope_for_gamma(k2_reference, split)):
+        samples = sample_feasible_set(k2_reference, 0.05)
+        for pentagon in pentagon_vertices(k2_reference, samples):
+            for vert in pentagon:
                 assert hull_contains(boundary.points, vert, tol=1e-12)
+
+    def test_equals_hull_of_every_pentagon(self, k2_reference):
+        for ch in [k2_reference, *instance_suite(5, 30, sizes=(2,))]:
+            assert region_boundary(ch, 1e-2).points == hull_of_every_pentagon(ch, 1e-2)
+
+    def test_equals_hull_of_every_pentagon_on_wide_suite(self, wide_suite):
+        two_user = [ch for ch in wide_suite if ch.num_users == 2]
+        assert two_user
+        for ch in two_user:
+            assert region_boundary(ch, 1e-2).points == hull_of_every_pentagon(ch, 1e-2)
 
     def test_refinement_never_shrinks(self, k2_reference):
         coarse = region_boundary(k2_reference, 0.1)
