@@ -199,12 +199,11 @@ def _coordinate_roots(ch: ChannelInstance, k: int, rest: np.ndarray):
     others = np.delete(np.arange(ch.num_users), k)
     g_o, p_o = ch.g[others], ch.p[others]
     t = ch.h_p**2 * ch.p_p / ch.sigma_p2
-    b = ch.primary_amplitude + np.sum(g_o * rest * np.sqrt(p_o), axis=-1)
-    a = t * (
-        ch.sigma_p2
-        + np.sum(g_o**2 * (1.0 - rest**2) * p_o, axis=-1)
-        + ch.g[k] ** 2 * ch.p[k]
-    )
+    amp = ch.primary_amplitude
+    relayed = np.sum(g_o * rest * np.sqrt(p_o), axis=-1)  # S'
+    lost = np.sum(g_o**2 * (1.0 - rest**2) * p_o, axis=-1) + ch.g[k] ** 2 * ch.p[k]
+    b = amp + relayed
+    a = t * (ch.sigma_p2 + lost)
     x = ch.g[k] * math.sqrt(ch.p[k])
     # quadratic: x^2 (1+t) gamma^2 + 2 b x gamma + (b^2 - a) = 0
     disc = a * (1.0 + t) - t * b * b
@@ -214,8 +213,14 @@ def _coordinate_roots(ch: ChannelInstance, k: int, rest: np.ndarray):
     def in_unit(r):
         return (r >= -1e-12) & (r <= 1.0 + 1e-12)
 
-    # prefer the "+" root; fall back to the "-" root when "+" is outside [0, 1]
-    plus = (-b + sq) / (x * (1.0 + t))
+    # prefer the "+" root, rationalised: (a - b^2) / (x (b + sqrt(disc))),
+    # where a - b^2 = t lost - S' (2 A + S') since A^2 = t sigma_p2, so that
+    # no two nearly equal terms are subtracted; b + sqrt(disc) = 0 only when
+    # h_p = 0 and S' = 0, where the root is 0.  Fall back to the "-" root
+    # when "+" is outside [0, 1]
+    den = x * (b + sq)
+    num = t * lost - relayed * (2.0 * amp + relayed)
+    plus = np.divide(num, den, out=np.zeros(np.shape(den)), where=den > 0.0)
     root = np.where(in_unit(plus), plus, (-b - sq) / (x * (1.0 + t)))
     return real & in_unit(root), np.clip(root, 0.0, 1.0)
 

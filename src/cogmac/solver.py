@@ -11,9 +11,17 @@ g_k > 0 are interior:
 
 As lambda grows the interior ratios grow until one reaches 1; that user
 joins S for good.  These saturation events are computed in order with a
-bracketed root finder.  In the segment where the residual phi turns
-nonnegative, the root lambda* of phi is found to float resolution, and one
-coordinate is then projected onto phi = 0.
+bracketed root finder.  On a segment the primary signal
+h_p sqrt(P_p) + sum_k a_k gamma_k equals X, since D X = N_S, so the residual
+phi needs only S1 = sum_I 1 / (beta_k^2 - lambda s_p) and
+S2 = sum_I 1 / (beta_k^2 - lambda s_p)^2:
+
+    phi(lambda) = sigma_p2 X^2 - s_p (sigma_p2 + sum_I a_k^2 - (lambda sigma_p2 X)^2 S2),
+    X = N_S / (1 - lambda sigma_p2 S1).
+
+In the segment where phi turns nonnegative, its root lambda* is found to
+float resolution; gamma is built once, at lambda*, and one coordinate is
+then projected onto phi = 0.
 """
 
 from __future__ import annotations
@@ -74,11 +82,13 @@ class _Path:
     """The multiplier path of one instance, segment by segment.
 
     Users with h_k = 0 < g_k have their pole at lambda = 0: they start
-    saturated.  `evaluations` counts the calls of `terms`.
+    saturated.  `evaluations` counts the closed-form evaluations at one
+    multiplier: of the event function, of phi and of gamma.
     """
 
     def __init__(self, ch: ChannelInstance):
         self.ch = ch
+        self.sigma_p2 = ch.sigma_p2
         self.s_p = ch.h_p**2 * ch.p_p
         self.a = ch.g * np.sqrt(ch.p)
         self.beta2 = np.divide(ch.h, ch.g, out=np.zeros(ch.num_users), where=ch.g > 0) ** 2
@@ -89,51 +99,61 @@ class _Path:
     def _update(self):
         self.interior = np.flatnonzero((self.ch.g > 0) & ~self.saturated)
         self.a_i, self.beta2_i = self.a[self.interior], self.beta2[self.interior]
-        self.n_s = self.ch.primary_amplitude + np.sum(self.a[self.saturated])
+        self.n_s = self.ch.primary_amplitude + float(self.a[self.saturated].sum())
+        self.a2_i = float(self.a_i @ self.a_i)  # sum_I a_k^2
 
     def saturate(self, lam: float) -> None:
         """Saturate the interior user that reaches gamma = 1 at lam."""
-        _, c = self.terms(lam)
+        c = (self.beta2_i - lam * self.s_p) * self.a_i
         self.saturated[self.interior[np.argmin(c)]] = True
         self._update()
 
-    def terms(self, lam):
-        """D(lam) and c_k(lam) = (beta_k^2 - lam s_p) a_k of the interior
-        users, for a scalar lam or an (n,) array of them."""
-        self.evaluations += 1
-        lam = np.asarray(lam, dtype=float)[..., None]
-        pole = self.beta2_i - lam * self.s_p
-        d = 1.0 - lam[..., 0] * self.ch.sigma_p2 * np.sum(1.0 / pole, axis=-1)
-        return d, pole * self.a_i
-
     def point(self, lam):
-        """X and gamma at lam, from the segment's start up to its event."""
-        d, c = self.terms(lam)
-        x = self.n_s / d
+        """X and gamma at lam, a scalar or an (n,) array of multipliers, from
+        the segment's start up to its event."""
+        self.evaluations += 1
+        lam = np.asarray(lam, dtype=float)
+        pole = self.beta2_i - lam[..., None] * self.s_p
+        x = self.n_s / (1.0 - lam * self.sigma_p2 * np.sum(1.0 / pole, axis=-1))
         gamma = np.zeros(x.shape + (self.ch.num_users,))
         gamma[..., self.saturated] = 1.0
-        gamma[..., self.interior] = (np.asarray(lam) * self.ch.sigma_p2 * x)[..., None] / c
+        gamma[..., self.interior] = (lam * self.sigma_p2 * x)[..., None] / (pole * self.a_i)
         return x, np.minimum(gamma, 1.0)
+
+    def phi(self, lam: float) -> float:
+        """phi at lam, from the segment's start up to its event, by the
+        module's phi(lambda): the signal is X, and the interference left is
+        sum_I a_k^2 (1 - gamma_k^2)."""
+        self.evaluations += 1
+        inv = 1.0 / (self.beta2_i - lam * self.s_p)
+        sigma_p2 = self.sigma_p2
+        x = self.n_s / (1.0 - lam * sigma_p2 * float(inv.sum()))
+        relayed = lam * sigma_p2 * x
+        noise = sigma_p2 + self.a2_i - relayed * relayed * float(inv @ inv)
+        return sigma_p2 * x * x - self.s_p * noise
 
     def next_event(self, lo: float, budget: float) -> float | None:
         """The multiplier at or above lo at which the next interior user
         reaches gamma = 1, or None once `budget` evaluations are spent.
 
         It is the root of lambda sigma_p2 N_S - D(lambda) min_I c_k(lambda),
-        which increases through zero there.  The root lies at or below
-        lambda_u, the least beta_k^2 a_k / (sigma_p2 N_S + s_p a_k), where
-        the event would occur even with D = 1, and at or below
-        1 / (sigma_p2 sum_I 1 / beta_k^2), where D <= 0.
+        with c_k = (beta_k^2 - lambda s_p) a_k, which increases through zero
+        there.  The root lies at or below lambda_u, the least
+        beta_k^2 a_k / (sigma_p2 N_S + s_p a_k), where the event would occur
+        even with D = 1, and at or below 1 / (sigma_p2 sum_I 1 / beta_k^2),
+        where D <= 0.
         """
-        sigma_p2 = self.ch.sigma_p2
+        sigma_p2, s_p, n_s = self.sigma_p2, self.s_p, self.n_s
+        a_i, beta2_i = self.a_i, self.beta2_i
 
         def f(lam):
-            d, c = self.terms(lam)
-            return float(lam * sigma_p2 * self.n_s - d * np.min(c))
+            self.evaluations += 1
+            pole = beta2_i - lam * s_p
+            d = 1.0 - lam * sigma_p2 * float((1.0 / pole).sum())
+            return lam * sigma_p2 * n_s - d * float((pole * a_i).min())
 
-        a_i, beta2_i = self.a_i, self.beta2_i
         hi = 1.0 / max(
-            float(np.max((sigma_p2 * self.n_s + self.s_p * a_i) / (beta2_i * a_i))),
+            float(np.max((sigma_p2 * n_s + s_p * a_i) / (beta2_i * a_i))),
             sigma_p2 * float(np.sum(1.0 / beta2_i)),
         )
         if budget < 2:
@@ -214,17 +234,25 @@ def _finish(ch: ChannelInstance, gamma: np.ndarray, saturated: np.ndarray) -> np
     return gamma
 
 
-def _result(ch, gamma, lam, evaluations, changes, status) -> SolverResult:
-    split = PowerSplit(gamma)
-    return SolverResult(
-        gamma_star=split,
-        sum_rate=sum_rate(ch, split),
-        lambda_star=lam,
-        residual=relative_residual(ch, split),
-        outer_iterations=evaluations,
-        active_set_changes=changes,
-        status=status,
-    )
+def _follow(path: _Path, budget: int) -> tuple[float, bool]:
+    """Follow the path from lambda = 0 through the saturation events to the
+    root lambda* of phi.  Returns (lambda*, True), or (the last multiplier
+    reached, False) once `budget` evaluations are spent."""
+    lam = 0.0
+    if budget < 1:
+        return lam, False
+    phi = path.phi(lam)
+    while phi < 0.0 and path.interior.size:
+        lam_e = path.next_event(lam, budget - path.evaluations)
+        if lam_e is None or budget - path.evaluations < 1:
+            return lam, False
+        phi_e = path.phi(lam_e)
+        if phi_e >= 0.0:  # lambda* lies in this segment
+            lam_star = _brent(path.phi, lam, lam_e, phi, phi_e, budget - path.evaluations)
+            return (lam, False) if lam_star is None else (lam_star, True)
+        path.saturate(lam_e)
+        lam, phi = lam_e, phi_e
+    return lam, True
 
 
 def solve_max_sum_rate(ch: ChannelInstance, cfg: SolverConfig | None = None) -> SolverResult:
@@ -235,48 +263,34 @@ def solve_max_sum_rate(ch: ChannelInstance, cfg: SolverConfig | None = None) -> 
     interference path at all (every g_k = 0) the answer is gamma = 0.
     """
     cfg = cfg or SolverConfig()
+    interferes = bool(np.any(ch.g > 0))
     gamma = np.zeros(ch.num_users)
-    if not np.any(ch.g > 0):
-        return _result(ch, gamma, 0.0, 0, 0, SolverStatus.DEGENERATE_NO_INTERFERENCE)
-    if _phi(ch, gamma) >= 0.0:  # h_p = 0: gamma = 0 preserves the primary rate
-        return _result(ch, gamma, 0.0, 0, 0, SolverStatus.CONVERGED)
-
-    path = _Path(ch)
-    changes = int(np.count_nonzero(path.saturated))
-    lam, gamma = 0.0, path.saturated * 1.0
-    phi = float(_phi(ch, gamma))
-
-    def left():
-        return cfg.max_outer_iters - path.evaluations
-
-    def stopped():
-        return _result(ch, gamma, lam, path.evaluations, changes, SolverStatus.MAX_ITERS_EXCEEDED)
-
-    while phi < 0.0 and path.interior.size:
-        lam_e = path.next_event(lam, left())
-        if lam_e is None or left() < 2:  # one evaluation at the event, one past it
-            return stopped()
-        gamma_e = path.point(lam_e)[1]
-        phi_e = float(_phi(ch, gamma_e))
-        if phi_e >= 0.0:  # lambda* lies in this segment
-            lam_star = _brent(
-                lambda t: float(_phi(ch, path.point(t)[1])), lam, lam_e, phi, phi_e, left() - 1
-            )
-            if lam_star is None:
-                return stopped()
-            lam, gamma = lam_star, path.point(lam_star)[1]
-            break
-        path.saturate(lam_e)
-        changes += 1
-        lam, gamma, phi = lam_e, gamma_e, phi_e
-
-    gamma = _finish(ch, gamma, path.saturated)
-    status = (
-        SolverStatus.CONVERGED
-        if relative_residual(ch, PowerSplit(gamma)) <= cfg.residual_tol
-        else SolverStatus.MAX_ITERS_EXCEEDED
+    lam, reached, evaluations, changes = 0.0, True, 0, 0
+    # with h_p = 0, phi(0) = 0: gamma = 0 preserves the primary rate
+    if interferes and _phi(ch, gamma) < 0.0:
+        path = _Path(ch)
+        lam, reached = _follow(path, cfg.max_outer_iters - 1)  # one is kept for gamma
+        gamma = path.point(lam)[1]
+        if reached:
+            gamma = _finish(ch, gamma, path.saturated)
+        evaluations, changes = path.evaluations, int(np.count_nonzero(path.saturated))
+    split = PowerSplit(gamma)
+    residual = relative_residual(ch, split)
+    if not interferes:
+        status = SolverStatus.DEGENERATE_NO_INTERFERENCE
+    elif reached and residual <= cfg.residual_tol:
+        status = SolverStatus.CONVERGED
+    else:
+        status = SolverStatus.MAX_ITERS_EXCEEDED
+    return SolverResult(
+        gamma_star=split,
+        sum_rate=sum_rate(ch, split),
+        lambda_star=lam,
+        residual=residual,
+        outer_iterations=evaluations,
+        active_set_changes=changes,
+        status=status,
     )
-    return _result(ch, gamma, lam, path.evaluations, changes, status)
 
 
 @dataclass(frozen=True)

@@ -150,6 +150,17 @@ class TestSolveFeasibleCoordinate:
         root = solve_feasible_coordinate(ch, [other], 0)
         assert root == pytest.approx(0.0, abs=1e-9)
 
+    def test_silent_primary_with_nothing_relayed(self):
+        # h_p = 0: phi = sigma_p2 (x gamma_0 + S')^2, with the double root
+        # -S' / x.  For S' = 0 the rationalised root's denominator vanishes
+        ch = ChannelInstance(
+            h=[1.0, 1.0], g=[1.0, 1.0], p=[1.0, 1.0], h_p=0.0, p_p=1.0,
+            sigma_p2=1.0, sigma_c2=1.0,
+        )
+        with np.errstate(all="raise"):
+            assert solve_feasible_coordinate(ch, [0.0], 0) == 0.0
+            assert solve_feasible_coordinate(ch, [0.5], 0) is None
+
     def test_zero_g_refused(self):
         ch = ChannelInstance(h=[1, 1], g=[0, 1], p=[1, 1], h_p=1, p_p=1, sigma_p2=1, sigma_c2=1)
         with pytest.raises(UndefinedCoordinateError):

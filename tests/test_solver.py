@@ -19,6 +19,8 @@ from cogmac import (
     sum_rate,
     sweep_trajectory,
 )
+from cogmac.channel import _phi, residual_scale
+from cogmac.oracle import instance_suite
 from cogmac.solver import _Path
 from conftest import bisect_root
 from test_channel import make_instance
@@ -115,6 +117,53 @@ class TestUpdateActiveSet:
         assert np.all(gamma == 1.0)
 
 
+def _segment_phis(ch):
+    """(path phi, channel phi at the path's gamma, magnitude of phi's terms)
+    at the start, midpoint and event of every segment of the path."""
+    path = _Path(ch)
+    lam, rows = 0.0, []
+    total = ch.h_p**2 * ch.p_p * (ch.sigma_p2 + float(np.sum(ch.g**2 * ch.p)))
+    while path.interior.size:
+        lam_e = path.next_event(lam, math.inf)
+        for t in (lam, 0.5 * (lam + lam_e), lam_e):
+            x, gamma = path.point(t)
+            rows.append((path.phi(t), float(_phi(ch, gamma)), ch.sigma_p2 * float(x) ** 2 + total))
+        path.saturate(lam_e)
+        lam = lam_e
+    return rows
+
+
+class TestPathResidual:
+    """phi from the interior poles alone equals the channel's phi(gamma).
+
+    Worst differences measured: 2.6e-13 of residual_scale on the first
+    suite, 2.5e-14 on the second, and on the wide suite 8.4e-9 of
+    sigma_p2 X^2 + s_p (sigma_p2 + sum g_k^2 P_k), at events where D is
+    near 0 and phi is about 1e11.
+    """
+
+    @pytest.mark.parametrize(
+        "suite",
+        [
+            instance_suite(1, 90),
+            instance_suite(0, 20, sizes=(10, 20, 50, 100, 200)),
+        ],
+        ids=["k1-3", "k10-200"],
+    )
+    def test_seeded_suites(self, suite):
+        for ch in suite:
+            bound = 1e-11 * residual_scale(ch)
+            for path_phi, channel_phi, _ in _segment_phis(ch):
+                assert abs(path_phi - channel_phi) <= bound
+                assert (path_phi >= 0.0) == (channel_phi >= 0.0)
+
+    def test_wide_suite(self, wide_suite):
+        for ch in wide_suite:
+            for path_phi, channel_phi, magnitude in _segment_phis(ch):
+                assert abs(path_phi - channel_phi) <= 1e-7 * magnitude
+                assert (path_phi >= 0.0) == (channel_phi >= 0.0)
+
+
 class TestSolveMaxSumRate:
     def test_single_user_unit_instance(self, unit_k1):
         result = solve_max_sum_rate(unit_k1)
@@ -137,10 +186,36 @@ class TestSolveMaxSumRate:
         assert abs(result.sum_rate - oracle.best_sum_rate) <= 1e-3
         assert result.sum_rate >= oracle.best_sum_rate - 1e-3
 
-    def test_max_iters_exceeded(self, unit_k1):
-        cfg = SolverConfig(max_outer_iters=2)
-        result = solve_max_sum_rate(unit_k1, cfg)
-        assert result.status is SolverStatus.MAX_ITERS_EXCEEDED
+    def test_max_iters_exceeded(self, unit_k1, k2_reference):
+        # every cap short of a converged solve's evaluation count stops with
+        # at most that many evaluations and a valid split; that count itself
+        # reproduces the converged solve.  Instance 50 of the suite has K = 3
+        # and two saturation events before lambda*.
+        for ch in (unit_k1, k2_reference, instance_suite(1, 90)[50]):
+            converged = solve_max_sum_rate(ch)
+            assert converged.status is SolverStatus.CONVERGED
+            needed = converged.outer_iterations
+            for cap in range(1, needed):
+                result = solve_max_sum_rate(ch, SolverConfig(max_outer_iters=cap))
+                assert result.status is SolverStatus.MAX_ITERS_EXCEEDED, cap
+                assert result.outer_iterations <= cap
+                assert isinstance(result.gamma_star, PowerSplit)
+                assert len(result.gamma_star) == ch.num_users
+            again = solve_max_sum_rate(ch, SolverConfig(max_outer_iters=needed))
+            assert again.status is SolverStatus.CONVERGED
+            assert again.outer_iterations == needed
+            assert np.array_equal(again.gamma_star.gamma, converged.gamma_star.gamma)
+
+    def test_single_user_wide_suite_matches_closed_form(self, wide_suite):
+        # gamma* is small against the primary terms on some of these (5.4e-7
+        # on instance 247), so the coordinate root must not cancel
+        worst = 0.0
+        for ch in wide_suite:
+            if ch.num_users == 1:
+                exact = single_user_closed_form(ch)
+                gamma = solve_max_sum_rate(ch).gamma_star.gamma[0]
+                worst = max(worst, abs(gamma - exact) / exact)
+        assert worst <= 1e-9
 
     def test_converges_far_below_the_lambda_step(self):
         # instance 9 of the seed-7 wide-range suite (benchmarks/workloads.py):
