@@ -25,12 +25,7 @@ from .oracle import (
     random_instance,
     single_user_closed_form,
 )
-from .region import (
-    RegionBoundary,
-    UnsupportedSizeError,
-    region_boundary,
-    sample_feasible_set,
-)
+from .region import RegionBoundary, UnsupportedSizeError, region_boundary
 from .solver import (
     SolverConfig,
     SolverResult,
@@ -58,7 +53,6 @@ __all__ = [
     "solve_max_sum_rate",
     "sweep_trajectory",
     "RegionBoundary",
-    "sample_feasible_set",
     "region_boundary",
     "OracleResult",
     "KktReport",

@@ -56,8 +56,10 @@ class ChannelInstance:
     f : primary-to-AP interference gain; carried for completeness but never
         used in any rate formula (the AP pre-cancels the known primary signal).
 
-    Every value must be finite; an invalid one raises ValueError naming the
-    field and entry, e.g. ``p[1] must be strictly positive, got -1.0``.
+    Every value must be finite, and so must the received powers h_p^2 P_p
+    and the sums over k of h_k^2 P_k and g_k^2 P_k; an invalid one raises
+    ValueError naming the field and entry, e.g. ``p[1] must be strictly
+    positive, got -1.0``.
     """
 
     h: np.ndarray
@@ -93,6 +95,16 @@ class ChannelInstance:
                         else "nonnegative"
                     )
                     raise ValueError(f"{label} must be {rule}, got {v}")
+        # the rate formulas square the gains and sum the received powers
+        with np.errstate(over="ignore"):
+            received = (
+                ("sum of h[k]^2 * p[k]", float(np.dot(self.h * self.h, self.p))),
+                ("sum of g[k]^2 * p[k]", float(np.dot(self.g * self.g, self.p))),
+                ("h_p^2 * p_p", self.h_p * self.h_p * self.p_p),
+            )
+        for label, value in received:
+            if not math.isfinite(value):
+                raise ValueError(f"{label} must be finite, got {value}")
         self.h.setflags(write=False)
         self.g.setflags(write=False)
         self.p.setflags(write=False)

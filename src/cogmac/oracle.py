@@ -1,7 +1,7 @@
 """Independent validation: brute-force grid search, KKT checks, closed forms.
 
-The grid search never reuses the sweep solver's machinery: it walks the same
-projected grid as region sampling (`region.feasible_blocks`), where each
+The grid search never reuses the sweep solver's machinery: it searches the
+same projected grid as the region (`region.feasible_grid`), where each
 candidate is projected onto the equality constraint through the
 per-coordinate quadratic, so every evaluated point is feasible.
 """
@@ -17,13 +17,12 @@ from .channel import (
     ChannelInstance,
     PowerSplit,
     UndefinedCoordinateError,
-    _capacity,
     _mac_snr,
     _primary_terms,
     relative_residual,
     sum_rate,
 )
-from .region import UnsupportedSizeError, feasible_blocks
+from .region import UnsupportedSizeError, feasible_grid
 from .solver import SolverResult, SolverStatus
 
 
@@ -53,40 +52,17 @@ def grid_search(ch: ChannelInstance, grid_step: float) -> OracleResult:
     """Exhaustive feasible search for the maximum sum rate.
 
     For each coordinate with g_k > 0 the other K-1 coordinates run over the
-    grid and that coordinate is solved from the equality constraint.  Scan
-    order is deterministic; ties break toward the earliest candidate.
+    grid and that coordinate is solved from the equality constraint
+    (`feasible_grid`).  Scan order is deterministic; ties break toward the
+    earliest candidate.
     """
-    blocks = feasible_blocks(ch, grid_step)
-    if not blocks:
-        gamma0 = PowerSplit.zeros(ch.num_users)
-        return OracleResult(
-            best_gamma=gamma0,
-            best_sum_rate=sum_rate(ch, gamma0),
-            grid_step=grid_step,
-            points_evaluated=1,
-        )
-
-    best_rate = -math.inf
-    best_gamma: np.ndarray | None = None
-    evaluated = 0
-    for gammas in blocks:
-        if gammas.shape[0] == 0:
-            continue
-        evaluated += gammas.shape[0]
-        snr = _mac_snr(ch, gammas)
-        idx = int(np.argmax(snr))  # first max: lexicographically smallest
-        candidate_rate = _capacity(snr[idx])
-        if candidate_rate > best_rate:
-            best_rate = candidate_rate
-            best_gamma = gammas[idx]
-    if best_gamma is None:
-        raise RuntimeError("grid search found no feasible point")
-    split = PowerSplit(best_gamma)
+    rows = feasible_grid(ch, grid_step)
+    best = PowerSplit(rows[np.argmax(_mac_snr(ch, rows))])
     return OracleResult(
-        best_gamma=split,
-        best_sum_rate=sum_rate(ch, split),
+        best_gamma=best,
+        best_sum_rate=sum_rate(ch, best),
         grid_step=grid_step,
-        points_evaluated=evaluated,
+        points_evaluated=len(rows),
     )
 
 

@@ -1,22 +1,22 @@
-"""Feasible-set sampling and the two-user capacity region boundary.
+"""The feasible grid and the two-user capacity region boundary.
 
-For each feasible split the two cognitive users see a plain Gaussian MAC,
-whose achievable rates form a pentagon.  The region is the convex hull of
-the union of these pentagons over the feasible set, which for two users is a
-1-D curve swept by coordinate solving.
+`feasible_grid` projects a uniform grid onto the primary-rate equality; the
+grid oracle searches the same array.  For each feasible split the two
+cognitive users see a plain Gaussian MAC, whose achievable rates form a
+pentagon.  The region is the convex hull of the union of these pentagons
+over the feasible grid, which for two users is a 1-D curve swept by
+coordinate solving.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import (
     ChannelInstance,
-    PowerSplit,
     _capacity,
     _coordinate_roots,
     _mac_snr,
@@ -57,15 +57,16 @@ def _grid_product(grid: np.ndarray, m: int) -> np.ndarray:
     return grid[np.indices((grid.size,) * m).reshape(m, grid.size**m).T]
 
 
-def feasible_blocks(ch: ChannelInstance, grid_step: float) -> list[np.ndarray]:
-    """Grid points projected onto the feasible set, one block per solved user.
+def feasible_grid(ch: ChannelInstance, grid_step: float) -> np.ndarray:
+    """Grid points projected onto the feasible set, as an (n, K) array.
 
     For each user k with g_k > 0, in index order, the other coordinates run
     over the grid in lexicographic order and gamma_k is solved from the
-    feasibility quadratic.  Block k holds, as an (n_k, K) array in that
-    order, the points whose root lies in [0, 1] and whose relative residual
-    is at most SAMPLE_RESIDUAL_TOL.  With no interference path at all the
-    list is empty.
+    feasibility quadratic.  The rows are the points whose root lies in
+    [0, 1] and whose relative residual is at most SAMPLE_RESIDUAL_TOL, block
+    by solved user, in that order.  With no interference path at all every
+    split is feasible and each rate falls as any gamma_k grows, so the one
+    row gamma = 0 dominates the rest and stands for them.
     """
     if not 0 < grid_step < math.inf:
         raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
@@ -74,47 +75,25 @@ def feasible_blocks(ch: ChannelInstance, grid_step: float) -> list[np.ndarray]:
         raise UnsupportedSizeError(
             f"grid walk over the feasible set supports up to {MAX_GRID_USERS} users, got {k}"
         )
+    solvable = np.flatnonzero(ch.g > 0)
+    if solvable.size == 0:
+        return np.zeros((1, k))
     rest = _grid_product(_grid(grid_step), k - 1)
     blocks = []
-    for solved in np.flatnonzero(ch.g > 0):
+    for solved in solvable:
         others = np.delete(np.arange(k), solved)
         mask, root = _coordinate_roots(ch, solved, rest)
         rows = np.empty((np.count_nonzero(mask), k))
         rows[:, others] = rest[mask]
         rows[:, solved] = root[mask]
         blocks.append(rows[_relative_phi(ch, rows) <= SAMPLE_RESIDUAL_TOL])
-    return blocks
-
-
-def _feasible_rows(ch: ChannelInstance, grid_step: float) -> np.ndarray:
-    """Distinct feasible grid splits as an (n, K) array, sorted by their
-    12-decimal rounding; the full grid when no g_k > 0."""
-    blocks = feasible_blocks(ch, grid_step)
-    if not blocks:
-        return _grid_product(_grid(grid_step), ch.num_users)
-    rows = np.concatenate(blocks)
-    key = np.round(rows, 12)
-    order = np.lexsort(key.T[::-1])  # stable: the first of equal keys stays first
-    key, rows = key[order], rows[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = np.any(key[1:] != key[:-1], axis=1)
-    if not first.any():
-        warnings.warn(
-            "no feasible split found despite nonzero interference",
-            RuntimeWarning,
+    grid = np.concatenate(blocks)
+    if len(grid) == 0:
+        raise RuntimeError(
+            f"no feasible split on the step-{grid_step} grid of this {k}-user "
+            "instance despite nonzero interference"
         )
-    return rows[first]
-
-
-def sample_feasible_set(ch: ChannelInstance, grid_step: float) -> list[PowerSplit]:
-    """Sample splits satisfying the primary-rate equality.
-
-    Sweeps each coordinate direction: the swept coordinates run over the
-    grid and the remaining one is solved from the feasibility quadratic
-    (`feasible_blocks`).  With no interference path at all, every split is
-    feasible and the full grid is returned.
-    """
-    return [PowerSplit(row) for row in _feasible_rows(ch, grid_step)]
+    return grid
 
 
 def convex_hull(points) -> list[tuple[float, float]]:
@@ -139,28 +118,6 @@ def convex_hull(points) -> list[tuple[float, float]]:
     return lower[:-1] + upper[:-1]
 
 
-def hull_contains(
-    hull: list[tuple[float, float]], point: tuple[float, float], tol: float = 1e-12
-) -> bool:
-    """Point-in-convex-polygon test against a counterclockwise hull."""
-    if len(hull) == 1:
-        return abs(point[0] - hull[0][0]) <= tol and abs(point[1] - hull[0][1]) <= tol
-    if len(hull) == 2:
-        (x1, y1), (x2, y2) = hull
-        px, py = point
-        cross = (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
-        if abs(cross) > tol:
-            return False
-        dot = (px - x1) * (x2 - x1) + (py - y1) * (y2 - y1)
-        return -tol <= dot <= (x2 - x1) ** 2 + (y2 - y1) ** 2 + tol
-    for i in range(len(hull)):
-        x1, y1 = hull[i]
-        x2, y2 = hull[(i + 1) % len(hull)]
-        if (x2 - x1) * (point[1] - y1) - (y2 - y1) * (point[0] - x1) < -tol:
-            return False
-    return True
-
-
 def region_boundary(ch: ChannelInstance, grid_step: float) -> RegionBoundary:
     """Hull boundary of the union of rate pentagons over the feasible set.
 
@@ -172,7 +129,7 @@ def region_boundary(ch: ChannelInstance, grid_step: float) -> RegionBoundary:
         raise UnsupportedSizeError(
             f"region boundary defined for 2 users, got {ch.num_users}"
         )
-    rows = _feasible_rows(ch, grid_step)
+    rows = feasible_grid(ch, grid_step)
     c1, c2, c12 = (
         np.array([_capacity(snr) for snr in _mac_snr(ch, rows, users).tolist()])
         for users in ([0], [1], slice(None))
@@ -185,6 +142,6 @@ def region_boundary(ch: ChannelInstance, grid_step: float) -> RegionBoundary:
     kept = np.ones(r2.size, dtype=bool)
     kept[1:] = r2[1:] > np.maximum.accumulate(r2)[:-1]
     corners = zip(r1[kept].tolist(), r2[kept].tolist())
-    axes = [(0.0, 0.0), (c1.max(initial=0.0), 0.0), (0.0, c2.max(initial=0.0))]
+    axes = [(0.0, 0.0), (c1.max(), 0.0), (0.0, c2.max())]
     hull = convex_hull([*axes, *corners])
     return RegionBoundary(points=hull, samples_used=len(rows))

@@ -54,15 +54,15 @@ def wide_suite():
     return wide_suite()
 
 
-def pentagon_vertices(ch, splits):
-    """The five corners of the two-user rate pentagon at each split, from the
-    origin counterclockwise, with the bounds written out:
+def pentagon_vertices(ch, gammas):
+    """The five corners of the two-user rate pentagon at each split (a row
+    of gammas), from the origin counterclockwise, with the bounds written out:
     c_T = 0.5 log2(1 + sum over k in T of (1 - gamma_k^2) h_k^2 P_k / sigma_c2)."""
     pentagons = []
-    for split in splits:
+    for gamma in gammas:
         r = [
             (1.0 - g * g) * (h * h) * p
-            for g, h, p in zip(split.gamma.tolist(), ch.h.tolist(), ch.p.tolist())
+            for g, h, p in zip(gamma.tolist(), ch.h.tolist(), ch.p.tolist())
         ]
         c1, c2, c12 = (
             0.5 * math.log2(1.0 + snr)
@@ -70,6 +70,26 @@ def pentagon_vertices(ch, splits):
         )
         pentagons.append([(0.0, 0.0), (c1, 0.0), (c1, c12 - c1), (c12 - c2, c2), (0.0, c2)])
     return pentagons
+
+
+def hull_contains(hull, point, tol=1e-12):
+    """Point-in-convex-polygon test against a counterclockwise hull."""
+    if len(hull) == 1:
+        return abs(point[0] - hull[0][0]) <= tol and abs(point[1] - hull[0][1]) <= tol
+    if len(hull) == 2:
+        (x1, y1), (x2, y2) = hull
+        px, py = point
+        cross = (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
+        if abs(cross) > tol:
+            return False
+        dot = (px - x1) * (x2 - x1) + (py - y1) * (y2 - y1)
+        return -tol <= dot <= (x2 - x1) ** 2 + (y2 - y1) ** 2 + tol
+    for i in range(len(hull)):
+        x1, y1 = hull[i]
+        x2, y2 = hull[(i + 1) % len(hull)]
+        if (x2 - x1) * (point[1] - y1) - (y2 - y1) * (point[0] - x1) < -tol:
+            return False
+    return True
 
 
 def bisect_root(func, lo, hi, iters=200):

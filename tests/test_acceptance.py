@@ -32,7 +32,7 @@ from cogmac import (
     sum_rate,
     sweep_trajectory,
 )
-from conftest import SUITE_SEED, pentagon_vertices
+from conftest import SUITE_SEED, hull_contains, pentagon_vertices
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -139,7 +139,7 @@ def test_criterion_5_sweep_monotonicity():
 
 
 def test_criterion_6_region_consistency():
-    from cogmac.region import hull_contains, sample_feasible_set
+    from cogmac.region import feasible_grid
 
     rng = np.random.default_rng(SUITE_SEED + 2)
     worst = 0.0
@@ -154,7 +154,7 @@ def test_criterion_6_region_consistency():
             o, a, b = pts[i], pts[(i + 1) % len(pts)], pts[(i + 2) % len(pts)]
             if (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]) < -1e-12:
                 ok = False
-        for pentagon in pentagon_vertices(ch, sample_feasible_set(ch, 0.05)):
+        for pentagon in pentagon_vertices(ch, feasible_grid(ch, 0.05)):
             for vert in pentagon:
                 if not hull_contains(pts, vert, tol=1e-12):
                     ok = False

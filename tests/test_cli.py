@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import hull_contains
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -68,6 +69,20 @@ class TestSolve:
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"error: {field} must be ")
 
+    @pytest.mark.parametrize("command", ["solve", "region", "sweep", "validate"])
+    def test_overflowing_received_power_names_field(self, tmp_path, command):
+        doc = json.loads((SCENARIOS / "k2_reference.json").read_text())
+        path = write_scenario(tmp_path, dict(doc, g=[1e200, 1e200]))
+        proc = run_cli(command, "--scenario", path, check=False)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: sum of g[k]^2 * p[k] must be finite")
+
+    def test_huge_power_still_solves(self, tmp_path):
+        doc = json.loads((SCENARIOS / "k2_reference.json").read_text())
+        path = write_scenario(tmp_path, dict(doc, p=[1e300, 1e300]))
+        proc = run_cli("validate", "--scenario", path)
+        assert json.loads(proc.stdout)["verdict"] == "pass"
+
     def test_unknown_field_rejected(self, tmp_path):
         doc = dict(UNIT_K1, extra=1)
         path = write_scenario(tmp_path, doc)
@@ -122,9 +137,14 @@ class TestRegion:
         assert expected <= {(round(x, 9), round(y, 9)) for x, y in points}
         assert max(x + y for x, y in points) == pytest.approx(c12, abs=1e-9)
 
-    def test_refinement_containment(self):
-        from cogmac.region import hull_contains
+    def test_no_interference_uses_one_split(self):
+        proc = run_cli(
+            "region", "--scenario", str(SCENARIOS / "k2_no_interference.json"),
+            "--grid-step", "1e-3",
+        )
+        assert " samples=1 " in proc.stderr
 
+    def test_refinement_containment(self):
         coarse = run_cli(
             "region", "--scenario", str(SCENARIOS / "k2_reference.json"),
             "--grid-step", "0.5",

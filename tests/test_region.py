@@ -10,16 +10,17 @@ from cogmac import (
     PowerSplit,
     UnsupportedSizeError,
     baseline_primary_rate,
+    grid_search,
     instance_suite,
     primary_rate,
     region_boundary,
     relative_residual,
-    sample_feasible_set,
     solve_max_sum_rate,
 )
+from cogmac import region
 from cogmac.channel import _capacity, _mac_snr
-from cogmac.region import convex_hull, hull_contains
-from conftest import pentagon_vertices
+from cogmac.region import convex_hull, feasible_grid
+from conftest import hull_contains, pentagon_vertices
 from test_channel import make_instance
 
 
@@ -68,25 +69,31 @@ class TestPentagon:
         assert len(points) == 5
 
 
-class TestSampleFeasibleSet:
-    def test_degenerate_full_grid(self, k2_no_interference):
-        samples = sample_feasible_set(k2_no_interference, 0.5)
-        got = {tuple(s.gamma) for s in samples}
-        grid = [0.0, 0.5, 1.0]
-        assert got == {(a, b) for a in grid for b in grid}
+class TestFeasibleGrid:
+    def test_no_interference_is_one_zero_row(self, k2_no_interference):
+        rows = feasible_grid(k2_no_interference, 0.5)
+        assert rows.shape == (1, 2)
+        assert np.all(rows == 0.0)
 
     def test_single_user_single_point(self, unit_k1):
-        samples = sample_feasible_set(unit_k1, 0.1)
-        assert len(samples) == 1
-        assert samples[0].gamma[0] == pytest.approx((math.sqrt(3) - 1) / 2, abs=1e-12)
+        rows = feasible_grid(unit_k1, 0.1)
+        assert rows.shape == (1, 1)
+        assert rows[0, 0] == pytest.approx((math.sqrt(3) - 1) / 2, abs=1e-12)
 
-    def test_all_samples_preserve_primary_rate(self, k2_reference):
-        samples = sample_feasible_set(k2_reference, 0.05)
-        assert samples
+    def test_all_rows_preserve_primary_rate(self, k2_reference):
+        rows = feasible_grid(k2_reference, 0.05)
+        assert len(rows)
         base = baseline_primary_rate(k2_reference)
-        for split in samples:
+        for split in map(PowerSplit, rows):
             assert relative_residual(k2_reference, split) <= 1e-9
             assert abs(primary_rate(k2_reference, split) - base) <= 1e-6
+
+    def test_empty_despite_interference_raises(self, k2_reference, monkeypatch):
+        monkeypatch.setattr(region, "SAMPLE_RESIDUAL_TOL", -1.0)
+        with pytest.raises(RuntimeError, match="2-user"):
+            region_boundary(k2_reference, 0.05)
+        with pytest.raises(RuntimeError, match="2-user"):
+            grid_search(k2_reference, 0.05)
 
 
 class TestConvexHull:
@@ -104,11 +111,11 @@ class TestConvexHull:
             assert cross > 0
 
 
-def hull_of_every_pentagon(ch, grid_step):
-    """The hull over the origin and all five corners of every sampled
-    pentagon: the construction the non-dominated corners replace."""
+def hull_of_every_pentagon(ch, gammas):
+    """The hull over the origin and all five corners of the pentagon at
+    every split: the construction the non-dominated corners replace."""
     vertices = [(0.0, 0.0)]
-    for pentagon in pentagon_vertices(ch, sample_feasible_set(ch, grid_step)):
+    for pentagon in pentagon_vertices(ch, gammas):
         vertices.extend(pentagon)
     return convex_hull(vertices)
 
@@ -130,20 +137,33 @@ class TestRegionBoundary:
 
     def test_contains_every_pentagon_vertex(self, k2_reference):
         boundary = region_boundary(k2_reference, 0.05)
-        samples = sample_feasible_set(k2_reference, 0.05)
-        for pentagon in pentagon_vertices(k2_reference, samples):
+        rows = feasible_grid(k2_reference, 0.05)
+        for pentagon in pentagon_vertices(k2_reference, rows):
             for vert in pentagon:
                 assert hull_contains(boundary.points, vert, tol=1e-12)
 
     def test_equals_hull_of_every_pentagon(self, k2_reference):
         for ch in [k2_reference, *instance_suite(5, 30, sizes=(2,))]:
-            assert region_boundary(ch, 1e-2).points == hull_of_every_pentagon(ch, 1e-2)
+            assert region_boundary(ch, 1e-2).points == hull_of_every_pentagon(
+                ch, feasible_grid(ch, 1e-2)
+            )
 
     def test_equals_hull_of_every_pentagon_on_wide_suite(self, wide_suite):
         two_user = [ch for ch in wide_suite if ch.num_users == 2]
         assert two_user
         for ch in two_user:
-            assert region_boundary(ch, 1e-2).points == hull_of_every_pentagon(ch, 1e-2)
+            assert region_boundary(ch, 1e-2).points == hull_of_every_pentagon(
+                ch, feasible_grid(ch, 1e-2)
+            )
+
+    def test_no_interference_equals_hull_over_full_grid(self, k2_no_interference):
+        # every split is feasible; the hull over all of them is that of the
+        # gamma = 0 pentagon, the one row feasible_grid keeps
+        grid = [0.0, 0.5, 1.0]
+        every_split = np.array([(a, b) for a in grid for b in grid])
+        boundary = region_boundary(k2_no_interference, 0.5)
+        assert boundary.points == hull_of_every_pentagon(k2_no_interference, every_split)
+        assert boundary.samples_used == 1
 
     def test_refinement_never_shrinks(self, k2_reference):
         coarse = region_boundary(k2_reference, 0.1)
