@@ -125,6 +125,21 @@ class ChannelInstance:
         return self.h_p * math.sqrt(self.p_p)
 
 
+def _splits(gamma, ndim: int = 1) -> np.ndarray:
+    """gamma as a read-only float array with `ndim` axes: one split (K,) or
+    one split per row (n, K).  Every entry must be finite and in [0, 1]; a
+    NaN fails both bounds, since min and max propagate it."""
+    arr = np.asarray(gamma, dtype=float)
+    if arr.ndim != ndim:
+        raise ValueError("gamma must be a vector" if ndim == 1 else "gamma must be a matrix")
+    if not (0.0 <= arr.min(initial=1.0) and arr.max(initial=0.0) <= 1.0):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("gamma must be finite")
+        raise ValueError("gamma entries must lie in [0, 1]")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class PowerSplit:
     """Cooperation ratios gamma_k, each in [0, 1]."""
@@ -132,15 +147,7 @@ class PowerSplit:
     gamma: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.gamma, dtype=float)
-        if arr.ndim != 1:
-            raise ValueError("gamma must be a vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("gamma must be finite")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ValueError("gamma entries must lie in [0, 1]")
-        object.__setattr__(self, "gamma", arr)
-        arr.setflags(write=False)
+        object.__setattr__(self, "gamma", _splits(self.gamma))
 
     @classmethod
     def zeros(cls, num_users: int) -> "PowerSplit":

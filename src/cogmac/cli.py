@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -16,12 +17,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .channel import (
-    ChannelInstance,
-    PowerSplit,
-    baseline_primary_rate,
-    primary_rate,
-)
+from .channel import ChannelInstance, baseline_primary_rate, primary_rate
 from .oracle import OracleResult, grid_search, kkt_check
 from .region import region_boundary
 from .solver import (
@@ -163,9 +159,12 @@ def dump_json(obj, indent: int = 0) -> str:
 def _write_out(text: str, out_path: str | None) -> None:
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write output file: {exc}") from exc
 
 
 def solver_result_dict(ch: ChannelInstance, result: SolverResult) -> dict:
@@ -252,19 +251,13 @@ def cmd_sweep(args) -> int:
             lambda_max = 1.25 * result.lambda_star
         else:
             lambda_max = _default_lambda_max(ch)
-    rows = sweep_trajectory(ch, lambda_max, args.samples)
-    k = ch.num_users
-    header = ["lambda", "x"] + [f"gamma_{i + 1}" for i in range(k)] + [
-        "phi",
-        "saturated_users",
-    ]
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [format_float(row.lam), format_float(row.x_value)]
-        cells.extend(format_float(v) for v in row.gamma.gamma)
-        cells.append(format_float(row.phi))
-        cells.append("|".join(str(i + 1) for i in sorted(row.saturated)))
-        lines.append(",".join(cells))
+    traj = sweep_trajectory(ch, lambda_max, args.samples)
+    gammas = [f"gamma_{i + 1}" for i in range(ch.num_users)]
+    lines = [",".join(["lambda", "x", *gammas, "phi", "saturated_users"])]
+    numbers = np.column_stack([traj.lam, traj.x, traj.gamma, traj.phi]).tolist()
+    for values, saturated in zip(numbers, traj.saturated.tolist()):
+        users = "|".join(str(i + 1) for i, pinned in enumerate(saturated) if pinned)
+        lines.append(",".join([*map(format_float, values), users]))
     _write_out("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -324,6 +317,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT_ERROR, f"error: {message}\n{self.format_usage()}")
 
 
+@functools.cache  # built on first use, then reused: parsing never mutates it
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cogmac",

@@ -21,7 +21,8 @@ S2 = sum_I 1 / (beta_k^2 - lambda s_p)^2:
 
 In the segment where phi turns nonnegative, its root lambda* is found to
 float resolution; gamma is built once, at lambda*, and one coordinate is
-then projected onto phi = 0.
+then projected onto phi = 0.  `sweep_trajectory` samples the same path on
+an even lambda grid and returns it as columns, one row per sample.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .channel import (
     _coordinate_roots,
     _phi,
     _primary_terms,
+    _splits,
     relative_residual,
     sum_rate,
 )
@@ -294,45 +296,42 @@ def solve_max_sum_rate(ch: ChannelInstance, cfg: SolverConfig | None = None) -> 
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    """One sampled point of the lambda trajectory."""
+class Trajectory:
+    """The path at n multipliers, one row per sample: lam (n,), x (n,), gamma
+    (n, K), phi (n,) and saturated (n, K), true for the users pinned at 1."""
 
-    lam: float
-    x_value: float
-    gamma: PowerSplit
-    phi: float
-    saturated: tuple[int, ...]
+    lam: np.ndarray
+    x: np.ndarray
+    gamma: np.ndarray
+    phi: np.ndarray
+    saturated: np.ndarray
 
 
-def sweep_trajectory(
-    ch: ChannelInstance, lambda_max: float, samples: int
-) -> list[SweepRow]:
+def sweep_trajectory(ch: ChannelInstance, lambda_max: float, samples: int) -> Trajectory:
     """Evaluate the path on an even lambda grid over [0, lambda_max].
 
-    The grid points between two saturation events are evaluated together;
-    a point at an event already has that user saturated.
-    """
+    The grid points between two saturation events are evaluated together,
+    and a point at an event already has that user saturated; the splits are
+    checked once, as one (samples, K) array."""
     if not 0 <= lambda_max < math.inf:
         raise ValueError(f"lambda_max must be nonnegative and finite, got {lambda_max}")
     if samples < 2:
         raise ValueError("need at least 2 samples")
     grid = np.linspace(0.0, lambda_max, samples)
+    x, gamma = np.empty(samples), np.empty((samples, ch.num_users))
+    saturated = np.empty(gamma.shape, dtype=bool)
     path = _Path(ch)
-    rows: list[SweepRow] = []
-    lam = 0.0
-    while len(rows) < samples:
+    done, lam = 0, 0.0
+    while done < samples:
         lam_e = path.next_event(lam, math.inf) if path.interior.size else math.inf
-        lams = grid[len(rows):np.searchsorted(grid, lam_e)]
-        if lams.size:
-            x, gamma = path.point(lams)
-            phi = _phi(ch, gamma)
-            saturated = tuple(np.flatnonzero(path.saturated).tolist())
-            rows.extend(
-                SweepRow(float(t), float(xv), PowerSplit(g), float(p), saturated)
-                for t, xv, g, p in zip(lams, x, gamma, phi)
-            )
+        end = int(np.searchsorted(grid, lam_e))
+        if end > done:
+            x[done:end], gamma[done:end] = path.point(grid[done:end])
+            saturated[done:end] = path.saturated
+            done = end
         if lam_e > lambda_max:
             break
         path.saturate(lam_e)
         lam = lam_e
-    return rows
+    gamma = _splits(gamma, ndim=2)
+    return Trajectory(grid, x, gamma, _phi(ch, gamma), saturated)

@@ -125,12 +125,11 @@ def test_criterion_5_sweep_monotonicity():
     worst = 0.0
     for ch, result in zip(suite(), solved()):
         lam_max = 1.25 * result.lambda_star if result.lambda_star > 0 else 1.0
-        rows = sweep_trajectory(ch, lam_max, 101)
-        for prev, cur in zip(rows, rows[1:]):
-            if prev.saturated != cur.saturated:
-                continue
-            worst = max(worst, prev.x_value - cur.x_value)
-            worst = max(worst, float(np.max(prev.gamma.gamma - cur.gamma.gamma)))
+        traj = sweep_trajectory(ch, lam_max, 101)
+        same = np.all(traj.saturated[1:] == traj.saturated[:-1], axis=1)
+        worst = max(worst, float(np.max(traj.x[:-1][same] - traj.x[1:][same], initial=0.0)))
+        drop = traj.gamma[:-1][same] - traj.gamma[1:][same]
+        worst = max(worst, float(np.max(drop, initial=0.0)))
     report(
         "criterion 5: sweep monotonicity",
         worst <= 1e-12,

@@ -276,6 +276,27 @@ class TestInvalidFlags:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    @pytest.mark.parametrize(
+        "command, scenario",
+        [
+            ("solve", "k1_unit"),
+            ("region", "k2_reference"),
+            ("sweep", "k2_reference"),
+            ("validate", "k1_unit"),
+        ],
+    )
+    def test_unwritable_out_is_input_error(self, tmp_path, command, scenario, target):
+        out = tmp_path / "no" / "such" / "out.txt" if target == "missing-directory" else tmp_path
+        proc = run_cli(
+            command, "--scenario", str(SCENARIOS / f"{scenario}.json"), "--out", str(out),
+            check=False,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: cannot write output file: ")
+        assert str(out) in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
     def test_help_exits_zero(self):
         proc = run_cli("solve", "--help")
         assert proc.stdout.startswith("usage:")

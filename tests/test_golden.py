@@ -1,16 +1,20 @@
 """The CLI's standard output on the bundled scenarios, byte for byte.
 
-Each file under tests/golden/ is the stdout of one command below.  Stdout is
-the contract for deterministic output, so a refactor must leave every byte
-as it is; regenerate a file only for an intended change of output, and say
-why in CHANGES.md.
+Each file under tests/golden/ other than the scenario k3_two_events.json is
+the stdout of one command below.  Stdout is the contract for deterministic
+output, so a refactor must leave every byte as it is; regenerate a file only
+for an intended change of output, and say why in CHANGES.md.
 """
 
+import contextlib
+import io
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from cogmac import cli
 
 HERE = Path(__file__).resolve().parent
 SCENARIOS = HERE.parent / "scenarios"
@@ -30,6 +34,11 @@ CASES = [
         ("region", "--scenario", str(SCENARIOS / f"{scenario}.json"), "--grid-step", "1e-3"),
     )
     for scenario in ("k2_reference", "k2_no_interference")
+] + [
+    # instance_suite(1, 90)[50]: three users; two saturate before lambda*,
+    # and all three by --lambda-max 0.15
+    (f"{stem}-k3_two_events.csv", ("sweep", "--scenario", str(GOLDEN / "k3_two_events.json"), *extra))
+    for stem, extra in (("sweep", ()), ("sweep-lambda-max", ("--lambda-max", "0.15")))
 ]
 
 
@@ -40,3 +49,45 @@ def test_stdout_matches_golden(golden, args):
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (GOLDEN / golden).read_bytes()
+
+
+def test_in_process_calls_reuse_one_parser(tmp_path):
+    """A series of `cli.main` calls in one process shares one parser; no flag
+    value carries over from one call to the next."""
+
+    def scenario(name):
+        return str(SCENARIOS / f"{name}.json")
+
+    def run(name, *args):
+        out = tmp_path / name
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([*args, "--out", str(out)])
+        assert code == 0
+        return out.read_bytes()
+
+    def fresh(*args):
+        proc = subprocess.run([sys.executable, "-m", "cogmac", *args], capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode()
+        return proc.stdout
+
+    loose = ("validate", "--scenario", scenario("k2_reference"), "--tol", "1e-3",
+             "--agreement-tol", "0.5")
+    assert run("loose.json", *loose) == fresh(*loose)
+    plain = run("validate.json", "validate", "--scenario", scenario("k2_reference"))
+    assert plain == (GOLDEN / "validate-k2_reference.json").read_bytes()
+
+    short = ("sweep", "--scenario", scenario("k2_reference"), "--samples", "5")
+    assert run("short.csv", *short) == fresh(*short)
+    plain = run("sweep.csv", "sweep", "--scenario", scenario("k2_reference"))
+    assert plain == (GOLDEN / "sweep-k2_reference.csv").read_bytes()
+
+    with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--scenario", scenario("k1_unit"), "--samples", "many"])
+    assert exc.value.code == 1
+    plain = run("after-error.csv", "sweep", "--scenario", scenario("k1_unit"))
+    assert plain == (GOLDEN / "sweep-k1_unit.csv").read_bytes()
+
+    for name in ("k2_reference", "k2_no_interference"):
+        hull = run(f"region-{name}.csv", "region", "--scenario", scenario(name), "--grid-step", "1e-3")
+        assert hull == (GOLDEN / f"region-{name}.csv").read_bytes()
+    assert cli.build_parser() is cli.build_parser()

@@ -306,34 +306,49 @@ class TestSolveMaxSumRate:
 
 
 class TestSweepTrajectory:
+    def test_columns(self, k2_reference):
+        traj = sweep_trajectory(k2_reference, 0.1, 5)
+        assert traj.lam.tolist() == np.linspace(0.0, 0.1, 5).tolist()
+        assert traj.x.shape == traj.phi.shape == (5,)
+        assert traj.gamma.shape == traj.saturated.shape == (5, 2)
+        assert traj.saturated.dtype == bool
+        assert not traj.gamma.flags.writeable
+
     def test_origin_row(self, k2_reference):
-        rows = sweep_trajectory(k2_reference, 0.1, 5)
-        assert rows[0].lam == 0.0
-        assert rows[0].x_value == pytest.approx(math.sqrt(10.0), abs=1e-14)
-        assert np.all(rows[0].gamma.gamma == 0.0)
+        traj = sweep_trajectory(k2_reference, 0.1, 5)
+        assert traj.lam[0] == 0.0
+        assert traj.x[0] == pytest.approx(math.sqrt(10.0), abs=1e-14)
+        assert np.all(traj.gamma[0] == 0.0)
 
     def test_single_sign_change(self, k2_reference):
         result = solve_max_sum_rate(k2_reference)
-        rows = sweep_trajectory(k2_reference, 1.5 * result.lambda_star, 301)
-        signs = [row.phi >= 0 for row in rows]
-        flips = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-        assert flips == 1
+        traj = sweep_trajectory(k2_reference, 1.5 * result.lambda_star, 301)
+        assert np.count_nonzero(np.diff(traj.phi >= 0)) == 1
+
+    def test_phi_matches_channel_formula(self, k2_reference):
+        traj = sweep_trajectory(k2_reference, 0.1, 11)
+        for gamma, phi in zip(traj.gamma, traj.phi):
+            assert phi == feasibility_residual(k2_reference, PowerSplit(gamma.copy()))
 
     def test_monotone_within_active_set_runs(self, k2_reference):
         result = solve_max_sum_rate(k2_reference)
-        rows = sweep_trajectory(k2_reference, 1.5 * result.lambda_star, 301)
-        for prev, cur in zip(rows, rows[1:]):
-            if prev.saturated != cur.saturated:
-                continue
-            assert cur.x_value >= prev.x_value - 1e-12 * max(1.0, abs(prev.x_value))
-            assert np.all(cur.gamma.gamma >= prev.gamma.gamma - 1e-12)
+        traj = sweep_trajectory(k2_reference, 1.5 * result.lambda_star, 301)
+        same = np.all(traj.saturated[1:] == traj.saturated[:-1], axis=1)
+        assert np.all(
+            traj.x[1:][same] >= traj.x[:-1][same] - 1e-12 * np.maximum(1.0, np.abs(traj.x[:-1][same]))
+        )
+        assert np.all(traj.gamma[1:][same] >= traj.gamma[:-1][same] - 1e-12)
+
+    def test_saturated_users_are_pinned_and_stay(self):
+        ch = instance_suite(1, 90)[50]  # three users, three saturation events by 0.15
+        traj = sweep_trajectory(ch, 0.15, 201)
+        assert np.all(traj.gamma[traj.saturated] == 1.0)
+        assert np.all(traj.saturated[1:] >= traj.saturated[:-1])
+        assert traj.saturated[-1].all() and not traj.saturated[0].any()
 
     def test_closed_form_consistency_along_sweep(self, k2_reference):
         result = solve_max_sum_rate(k2_reference)
-        rows = sweep_trajectory(k2_reference, 1.2 * result.lambda_star, 101)
+        traj = sweep_trajectory(k2_reference, 1.2 * result.lambda_star, 101)
         ch = k2_reference
-        for row in rows:
-            recomputed = ch.primary_amplitude + float(
-                np.sum(ch.g * row.gamma.gamma * np.sqrt(ch.p))
-            )
-            assert row.x_value == pytest.approx(recomputed, rel=1e-10)
+        recomputed = ch.primary_amplitude + np.sum(ch.g * traj.gamma * np.sqrt(ch.p), axis=1)
+        np.testing.assert_allclose(traj.x, recomputed, rtol=1e-10)
