@@ -83,17 +83,15 @@ class ChannelInstance:
             raise ValueError("need at least one cognitive user")
         for name, positive in _FIELD_SIGNS:
             value = getattr(self, name)
-            if isinstance(value, np.ndarray):
-                entries = [(f"{name}[{i}]", v) for i, v in enumerate(value.tolist())]
-            else:
-                entries = [(name, value)]
-            for label, v in entries:
+            vector = isinstance(value, np.ndarray)
+            for i, v in enumerate(value.tolist() if vector else [value]):
                 if not (math.isfinite(v) and (v > 0 if positive else v >= 0)):
                     rule = (
                         "finite" if not math.isfinite(v)
                         else "strictly positive" if positive
                         else "nonnegative"
                     )
+                    label = f"{name}[{i}]" if vector else name
                     raise ValueError(f"{label} must be {rule}, got {v}")
         # the rate formulas square the gains and sum the received powers
         with np.errstate(over="ignore"):

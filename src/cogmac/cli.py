@@ -217,10 +217,7 @@ def cmd_solve(args) -> int:
 def cmd_region(args) -> int:
     ch, _cfg, _name = load_scenario(args.scenario)
     boundary = region_boundary(ch, args.grid_step)
-    lines = ["r1_bits,r2_bits"]
-    lines.extend(
-        f"{format_float(r1)},{format_float(r2)}" for r1, r2 in boundary.points
-    )
+    lines = ["r1_bits,r2_bits", *("%.12g,%.12g" % point for point in boundary.points)]
     _write_out("\n".join(lines) + "\n", args.out)
     print(
         f"vertices={len(boundary.points)} samples={boundary.samples_used} "
@@ -255,9 +252,10 @@ def cmd_sweep(args) -> int:
     gammas = [f"gamma_{i + 1}" for i in range(ch.num_users)]
     lines = [",".join(["lambda", "x", *gammas, "phi", "saturated_users"])]
     numbers = np.column_stack([traj.lam, traj.x, traj.gamma, traj.phi]).tolist()
-    for values, saturated in zip(numbers, traj.saturated.tolist()):
-        users = "|".join(str(i + 1) for i, pinned in enumerate(saturated) if pinned)
-        lines.append(",".join([*map(format_float, values), users]))
+    row = ",".join(["%.12g"] * (ch.num_users + 3)) + ",%s"  # format_float's format
+    flags = list(map(tuple, traj.saturated.tolist()))
+    labels = {f: "|".join(str(i + 1) for i, pinned in enumerate(f) if pinned) for f in set(flags)}
+    lines.extend(row % (*values, labels[f]) for values, f in zip(numbers, flags))
     _write_out("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

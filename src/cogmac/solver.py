@@ -1,28 +1,26 @@
-"""Event-driven path following for the maximum sum-rate power split.
+"""Maximum sum-rate power split by one root find along the multiplier path.
 
-With a_k = g_k sqrt(P_k), s_p = h_p^2 P_p and beta_k = h_k / g_k, the
-Lagrangian stationarity system has a closed form in the multiplier lambda
-for each set S of saturated users (gamma_k = 1); the other users I with
-g_k > 0 are interior:
+With A = h_p sqrt(P_p), s_p = h_p^2 P_p, a_k = g_k sqrt(P_k), beta_k = h_k / g_k
+and c_k(lambda) = (beta_k^2 - lambda s_p) a_k over the users with g_k > 0,
+stationarity at a multiplier lambda gives gamma_k = min(1, t / c_k), or 1 once
+c_k <= 0, where t = lambda sigma_p2 X and X = A + sum_k a_k gamma_k is the
+primary signal.  So t is a fixed point of t -> lambda sigma_p2 (A + sum_k a_k
+min(1, t / c_k)), a concave, increasing map that is positive at t = 0 and flat
+once every user saturates: it meets the identity exactly once (water filling;
+Boyd & Vandenberghe, Convex Optimization, 5.5.3).  User j saturates iff the
+map at c_j is at least c_j, so with the users sorted by increasing c_k the
+saturated ones are the prefix of users j with
 
-    X(lambda) = N_S / D(lambda),   N_S = h_p sqrt(P_p) + sum_S a_k,
-    D(lambda) = 1 - lambda sigma_p2 sum_I 1 / (beta_k^2 - lambda s_p),
-    gamma_k(lambda) = lambda sigma_p2 X / ((beta_k^2 - lambda s_p) a_k).
+    c_j <= 0  or  lambda sigma_p2 N_j >= c_j (1 - lambda sigma_p2 Q_j),
+    N_j = A + sum_{i<j} a_i,   Q_j = sum_{i>=j, c_i>0} a_i / c_i,
 
-As lambda grows the interior ratios grow until one reaches 1; that user
-joins S for good.  These saturation events are computed in order with a
-bracketed root finder.  On a segment the primary signal
-h_p sqrt(P_p) + sum_k a_k gamma_k equals X, since D X = N_S, so the residual
-phi needs only S1 = sum_I 1 / (beta_k^2 - lambda s_p) and
-S2 = sum_I 1 / (beta_k^2 - lambda s_p)^2:
-
-    phi(lambda) = sigma_p2 X^2 - s_p (sigma_p2 + sum_I a_k^2 - (lambda sigma_p2 X)^2 S2),
-    X = N_S / (1 - lambda sigma_p2 S1).
-
-In the segment where phi turns nonnegative, its root lambda* is found to
-float resolution; gamma is built once, at lambda*, and one coordinate is
-then projected onto phi = 0.  `sweep_trajectory` samples the same path on
-an even lambda grid and returns it as columns, one row per sample.
+a tie saturating.  With m users saturated and the others I,
+X = N_m / (1 - lambda sigma_p2 Q_m), gamma_k = lambda sigma_p2 X / c_k on I and
+phi(lambda) = sigma_p2 X^2 - s_p (sigma_p2 + sum_I a_k^2 (1 - gamma_k^2)).  The
+solver brackets the root lambda* of phi by doubling, finds it with Brent's
+method to float resolution, builds gamma once, at lambda*, and projects one
+coordinate onto phi = 0.  `sweep_trajectory` applies the prefix rule to a
+whole lambda grid at once and returns the path as columns.
 """
 
 from __future__ import annotations
@@ -30,7 +28,9 @@ from __future__ import annotations
 import enum
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter, mul, truediv
 
 import numpy as np
 
@@ -80,93 +80,96 @@ class SolverResult:
     status: SolverStatus
 
 
-class _Path:
-    """The multiplier path of one instance, segment by segment.
-
-    Users with h_k = 0 < g_k have their pole at lambda = 0: they start
-    saturated.  `evaluations` counts the closed-form evaluations at one
-    multiplier: of the event function, of phi and of gamma.
-    """
+class _WaterFill:
+    """The multiplier path of one instance at any lambda, by its fixed point:
+    in Python floats, over the users g_k > 0 kept in their last order of c_k,
+    which Timsort re-sorts in about one pass, or by `states` at n multipliers
+    at once.  `evaluations` counts the calls of phi and split."""
 
     def __init__(self, ch: ChannelInstance):
         self.ch = ch
-        self.sigma_p2 = ch.sigma_p2
-        self.s_p = ch.h_p**2 * ch.p_p
-        self.a = ch.g * np.sqrt(ch.p)
-        self.beta2 = np.divide(ch.h, ch.g, out=np.zeros(ch.num_users), where=ch.g > 0) ** 2
-        self.saturated = (ch.g > 0) & (ch.h == 0)
+        self.users = np.flatnonzero(ch.g > 0)
+        g = ch.g[self.users]
+        self.a_k = g * np.sqrt(ch.p[self.users])
+        self.beta2_k = (ch.h[self.users] / g) ** 2
+        self.ids, self.a, self.a2 = self.users.tolist(), self.a_k.tolist(), (self.a_k**2).tolist()
+        self.beta2, self.identity = self.beta2_k.tolist(), list(range(self.users.size))
+        self.amp, self.sigma_p2, self.s_p = ch.primary_amplitude, ch.sigma_p2, ch.h_p**2 * ch.p_p
         self.evaluations = 0
-        self._update()
 
-    def _update(self):
-        self.interior = np.flatnonzero((self.ch.g > 0) & ~self.saturated)
-        self.a_i, self.beta2_i = self.a[self.interior], self.beta2[self.interior]
-        self.n_s = self.ch.primary_amplitude + float(self.a[self.saturated].sum())
-        self.a2_i = float(self.a_i @ self.a_i)  # sum_I a_k^2
+    def first_bound(self) -> float:
+        """The least multiplier at which a user h_k > 0 would saturate were the
+        others to relay nothing, or the pole of X with all of them interior."""
+        live = [(a, b) for a, b in zip(self.a, self.beta2) if b > 0.0]
+        n_0 = sum([a for a, b in zip(self.a, self.beta2) if b == 0.0], self.amp)
+        sigma_p2, s_p = self.sigma_p2, self.s_p
+        return 1.0 / max(
+            max([(sigma_p2 * n_0 + s_p * a) / b / a for a, b in live]),
+            sigma_p2 * sum([1.0 / b for _, b in live]),
+        )
 
-    def saturate(self, lam: float) -> None:
-        """Saturate the interior user that reaches gamma = 1 at lam."""
-        c = (self.beta2_i - lam * self.s_p) * self.a_i
-        self.saturated[self.interior[np.argmin(c)]] = True
-        self._update()
-
-    def point(self, lam):
-        """X and gamma at lam, a scalar or an (n,) array of multipliers, from
-        the segment's start up to its event."""
+    def _fixed_point(self, lam: float):
+        """X at lam, the number m of saturated users, who lead the lists, c_k
+        in their order, and a_k / c_k of the interior users."""
         self.evaluations += 1
-        lam = np.asarray(lam, dtype=float)
-        pole = self.beta2_i - lam[..., None] * self.s_p
-        x = self.n_s / (1.0 - lam * self.sigma_p2 * np.sum(1.0 / pole, axis=-1))
-        gamma = np.zeros(x.shape + (self.ch.num_users,))
-        gamma[..., self.saturated] = 1.0
-        gamma[..., self.interior] = (lam * self.sigma_p2 * x)[..., None] / (pole * self.a_i)
-        return x, np.minimum(gamma, 1.0)
+        ls, r = lam * self.s_p, lam * self.sigma_p2
+        c = [(b - ls) * a for b, a in zip(self.beta2, self.a)]
+        order = sorted(self.identity, key=c.__getitem__)
+        if order != self.identity:  # never with one user
+            get = itemgetter(*order)
+            lists = c, self.ids, self.a, self.a2, self.beta2
+            c, self.ids, self.a, self.a2, self.beta2 = map(get, lists)
+        a, n = self.a, len(c)
+        z = bisect_right(c, 0.0)  # at or past their pole
+        ratio = list(map(truediv, a[z:], c[z:]))
+        # N_m and Q_m, each summed in the order of `states`' cumulative sums
+        m, n_m, q_m = z, sum(a[:z], self.amp), sum(reversed(ratio))
+        while m < n and r * n_m >= c[m] * (1.0 - r * q_m):
+            n_m += a[m]
+            m += 1
+            q_m = sum(reversed(ratio[m - z :]))
+        return n_m / (1.0 - r * q_m), m, c, ratio[m - z :]
 
     def phi(self, lam: float) -> float:
-        """phi at lam, from the segment's start up to its event, by the
-        module's phi(lambda): the signal is X, and the interference left is
-        sum_I a_k^2 (1 - gamma_k^2)."""
-        self.evaluations += 1
-        inv = 1.0 / (self.beta2_i - lam * self.s_p)
+        """phi at lam by the module's phi(lambda)."""
+        x, m, _, ratio = self._fixed_point(lam)
         sigma_p2 = self.sigma_p2
-        x = self.n_s / (1.0 - lam * sigma_p2 * float(inv.sum()))
-        relayed = lam * sigma_p2 * x
-        noise = sigma_p2 + self.a2_i - relayed * relayed * float(inv @ inv)
-        return sigma_p2 * x * x - self.s_p * noise
+        t = lam * sigma_p2 * x
+        lost = sum(self.a2[m:]) - t * t * sum(map(mul, ratio, ratio))
+        return sigma_p2 * x * x - self.s_p * (sigma_p2 + lost)
 
-    def next_event(self, lo: float, budget: float) -> float | None:
-        """The multiplier at or above lo at which the next interior user
-        reaches gamma = 1, or None once `budget` evaluations are spent.
+    def split(self, lam: float):
+        """X, gamma (K,) and the saturated flags (K,) at lam."""
+        x, m, c, _ = self._fixed_point(lam)
+        t = lam * self.sigma_p2 * x
+        pinned, interior = list(self.ids[:m]), list(self.ids[m:])
+        gamma, saturated = np.zeros(self.ch.num_users), np.zeros(self.ch.num_users, dtype=bool)
+        gamma[pinned], saturated[pinned] = 1.0, True
+        gamma[interior] = np.minimum(t / np.array(c[m:]), 1.0)
+        return x, gamma, saturated
 
-        It is the root of lambda sigma_p2 N_S - D(lambda) min_I c_k(lambda),
-        with c_k = (beta_k^2 - lambda s_p) a_k, which increases through zero
-        there.  The root lies at or below lambda_u, the least
-        beta_k^2 a_k / (sigma_p2 N_S + s_p a_k), where the event would occur
-        even with D = 1, and at or below 1 / (sigma_p2 sum_I 1 / beta_k^2),
-        where D <= 0.
-        """
-        sigma_p2, s_p, n_s = self.sigma_p2, self.s_p, self.n_s
-        a_i, beta2_i = self.a_i, self.beta2_i
-
-        def f(lam):
-            self.evaluations += 1
-            pole = beta2_i - lam * s_p
-            d = 1.0 - lam * sigma_p2 * float((1.0 / pole).sum())
-            return lam * sigma_p2 * n_s - d * float((pole * a_i).min())
-
-        hi = 1.0 / max(
-            float(np.max((sigma_p2 * n_s + s_p * a_i) / (beta2_i * a_i))),
-            sigma_p2 * float(np.sum(1.0 / beta2_i)),
-        )
-        if budget < 2:
-            return None
-        f_lo = f(lo)
-        if f_lo >= 0.0 or hi <= lo:  # at lo: a tie with the user saturated there
-            return lo
-        f_hi = f(hi)
-        if f_hi <= 0.0:
-            return hi
-        return _brent(f, lo, hi, f_lo, f_hi, budget - 2)
+    def states(self, lam: np.ndarray):
+        """X (n,), gamma (n, K) and the saturated flags (n, K) at each of n
+        multipliers: `split` in array operations, one row each."""
+        n, k = lam.size, self.users.size
+        ls, r = lam[:, None] * self.s_p, lam[:, None] * self.sigma_p2
+        c = (self.beta2_k - ls) * self.a_k
+        order = np.argsort(c, axis=1, kind="stable")
+        c_s = np.take_along_axis(c, order, axis=1)
+        a_s = self.a_k[order]
+        big_n = np.cumsum(np.column_stack([np.full(n, self.amp), a_s]), axis=1)
+        ratio = np.divide(a_s, c_s, out=np.zeros_like(c_s), where=c_s > 0.0)
+        q = np.column_stack([np.cumsum(ratio[:, ::-1], axis=1)[:, ::-1], np.zeros(n)])
+        prefix = (c_s <= 0.0) | (r * big_n[:, :k] >= c_s * (1.0 - r * q[:, :k]))
+        m = np.argmin(np.column_stack([prefix, np.zeros(n, dtype=bool)]), axis=1)
+        rows = np.arange(n)
+        x = big_n[rows, m] / (1.0 - r[:, 0] * q[rows, m])
+        pinned = np.argsort(order, axis=1) < m[:, None]  # rank below m
+        interior = np.divide((r[:, 0] * x)[:, None], c, out=np.ones_like(c), where=~pinned)
+        gamma = np.zeros((n, self.ch.num_users))
+        saturated = np.zeros(gamma.shape, dtype=bool)
+        gamma[:, self.users], saturated[:, self.users] = np.minimum(interior, 1.0), pinned
+        return x, gamma, saturated
 
 
 def _brent(f, lo: float, hi: float, f_lo: float, f_hi: float, budget: float) -> float | None:
@@ -236,30 +239,35 @@ def _finish(ch: ChannelInstance, gamma: np.ndarray, saturated: np.ndarray) -> np
     return gamma
 
 
-def _follow(path: _Path, budget: int) -> tuple[float, bool]:
-    """Follow the path from lambda = 0 through the saturation events to the
-    root lambda* of phi.  Returns (lambda*, True), or (the last multiplier
-    reached, False) once `budget` evaluations are spent."""
-    lam = 0.0
+def _follow(path: _WaterFill, budget: int) -> tuple[float, bool]:
+    """Bracket the root lambda* of phi by doubling from `first_bound`, then
+    find it with one Brent search.  Returns (lambda*, True), or (the largest
+    multiplier known to have phi < 0, False) once `budget` evaluations are
+    spent.  Past the last pole max_k beta_k^2 / s_p phi is constant: if still
+    negative there, by rounding only, that multiplier counts as reached."""
     if budget < 1:
-        return lam, False
-    phi = path.phi(lam)
-    while phi < 0.0 and path.interior.size:
-        lam_e = path.next_event(lam, budget - path.evaluations)
-        if lam_e is None or budget - path.evaluations < 1:
-            return lam, False
-        phi_e = path.phi(lam_e)
-        if phi_e >= 0.0:  # lambda* lies in this segment
-            lam_star = _brent(path.phi, lam, lam_e, phi, phi_e, budget - path.evaluations)
-            return (lam, False) if lam_star is None else (lam_star, True)
-        path.saturate(lam_e)
-        lam, phi = lam_e, phi_e
-    return lam, True
+        return 0.0, False
+    lo, f_lo = 0.0, path.phi(0.0)
+    if f_lo >= 0.0 or not any(path.beta2):  # with every h_k = 0, phi is constant
+        return 0.0, True
+    last = max(path.beta2) / path.s_p
+    hi = max(path.first_bound(), sys.float_info.min)  # an underflowing event is at 0+
+    while True:
+        if path.evaluations >= budget:
+            return lo, False
+        f_hi = path.phi(hi)
+        if f_hi >= 0.0:
+            break
+        if hi >= last:
+            return hi, True
+        lo, f_lo, hi = hi, f_hi, 2.0 * hi
+    lam_star = _brent(path.phi, lo, hi, f_lo, f_hi, budget - path.evaluations)
+    return (lo, False) if lam_star is None else (lam_star, True)
 
 
 def solve_max_sum_rate(ch: ChannelInstance, cfg: SolverConfig | None = None) -> SolverResult:
-    """Follow the multiplier path from lambda = 0 through the saturation
-    events to the root lambda* of phi, then project onto phi = 0.
+    """Find the root lambda* of phi along the multiplier path, build gamma
+    there, then project onto phi = 0.
 
     Returns the feasible split maximizing the cognitive sum rate.  With no
     interference path at all (every g_k = 0) the answer is gamma = 0.
@@ -270,12 +278,12 @@ def solve_max_sum_rate(ch: ChannelInstance, cfg: SolverConfig | None = None) -> 
     lam, reached, evaluations, changes = 0.0, True, 0, 0
     # with h_p = 0, phi(0) = 0: gamma = 0 preserves the primary rate
     if interferes and _phi(ch, gamma) < 0.0:
-        path = _Path(ch)
+        path = _WaterFill(ch)
         lam, reached = _follow(path, cfg.max_outer_iters - 1)  # one is kept for gamma
-        gamma = path.point(lam)[1]
+        _, gamma, saturated = path.split(lam)
         if reached:
-            gamma = _finish(ch, gamma, path.saturated)
-        evaluations, changes = path.evaluations, int(np.count_nonzero(path.saturated))
+            gamma = _finish(ch, gamma, saturated)
+        evaluations, changes = path.evaluations, int(np.count_nonzero(saturated))
     split = PowerSplit(gamma)
     residual = relative_residual(ch, split)
     if not interferes:
@@ -310,28 +318,14 @@ class Trajectory:
 def sweep_trajectory(ch: ChannelInstance, lambda_max: float, samples: int) -> Trajectory:
     """Evaluate the path on an even lambda grid over [0, lambda_max].
 
-    The grid points between two saturation events are evaluated together,
-    and a point at an event already has that user saturated; the splits are
-    checked once, as one (samples, K) array."""
+    Every grid point is evaluated by the prefix rule at once, and a point at
+    an event already has that user saturated; the splits are checked once,
+    as one (samples, K) array."""
     if not 0 <= lambda_max < math.inf:
         raise ValueError(f"lambda_max must be nonnegative and finite, got {lambda_max}")
     if samples < 2:
         raise ValueError("need at least 2 samples")
     grid = np.linspace(0.0, lambda_max, samples)
-    x, gamma = np.empty(samples), np.empty((samples, ch.num_users))
-    saturated = np.empty(gamma.shape, dtype=bool)
-    path = _Path(ch)
-    done, lam = 0, 0.0
-    while done < samples:
-        lam_e = path.next_event(lam, math.inf) if path.interior.size else math.inf
-        end = int(np.searchsorted(grid, lam_e))
-        if end > done:
-            x[done:end], gamma[done:end] = path.point(grid[done:end])
-            saturated[done:end] = path.saturated
-            done = end
-        if lam_e > lambda_max:
-            break
-        path.saturate(lam_e)
-        lam = lam_e
+    x, gamma, saturated = _WaterFill(ch).states(grid)
     gamma = _splits(gamma, ndim=2)
     return Trajectory(grid, x, gamma, _phi(ch, gamma), saturated)

@@ -1,8 +1,10 @@
-"""A short end-to-end run of the benchmark on the CLI workload.
+"""A short end-to-end run of the benchmark on two of its workloads.
 
-It checks that the run completes, that every output passes the benchmark's
-own checks, and that each metric it prints is one BENCHMARK.json names as
-end to end.  No timing is checked.
+`region-validate` drives the CLI; `solve-large-k` runs K = 10..200 solves
+through the benchmark's `check_solve`: KKT, the primary rate and a search of
+projected splits, all computed apart from cogmac's solver.  Each run must
+complete, every output must pass those checks, and each metric printed must
+be one BENCHMARK.json names as end to end.  No timing is checked.
 """
 
 import json
@@ -10,12 +12,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_region_validate_smoke():
+@pytest.mark.parametrize("workload", ["region-validate", "solve-large-k"])
+def test_workload_smoke(workload):
     proc = subprocess.run(
-        [sys.executable, "benchmarks/run.py", "--workload", "region-validate",
+        [sys.executable, "benchmarks/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "1", "--ops", "12"],
         cwd=ROOT,
         capture_output=True,
