@@ -2,7 +2,8 @@
 
 Batch-first: each formula has one private implementation that takes one
 split as a (K,) array or n splits as an (n, K) array and reduces over the
-last axis.  The public functions are thin scalar wrappers around them.
+last axis; every kernel takes whole splits, the per-coordinate quadratic
+included.  The public functions are thin scalar wrappers around them.
 Rates are in bits per channel use (log base 2 throughout).
 """
 
@@ -205,41 +206,35 @@ def _mac_snr(ch: ChannelInstance, gamma: np.ndarray, users=slice(None)):
     return np.sum(effective[..., users], axis=-1) / ch.sigma_c2
 
 
-def _coordinate_roots(ch: ChannelInstance, k: int, rest: np.ndarray):
+def _coordinate_roots(ch: ChannelInstance, k: int, gamma: np.ndarray):
     """Solve phi = 0 for gamma_k with the other coordinates fixed.
 
-    rest holds the other K-1 coordinates in index order, as a (K-1,) or an
-    (n, K-1) array.  Returns (mask, root): mask flags the rows with a root in
-    [0, 1] (up to 1e-12), and root is that root clipped to [0, 1].  The
-    caller guarantees g_k > 0.
+    gamma is one split (K,) or n splits (n, K); its column k is ignored.
+    Returns (mask, root): mask flags the rows with a root in [0, 1] (up to
+    1e-12), and root is that root clipped to [0, 1].  The caller guarantees
+    g_k > 0.
     """
-    others = np.delete(np.arange(ch.num_users), k)
-    g_o, p_o = ch.g[others], ch.p[others]
+    g_o = np.where(np.arange(ch.num_users) == k, 0.0, ch.g)  # user k left out
     t = ch.h_p**2 * ch.p_p / ch.sigma_p2
     amp = ch.primary_amplitude
-    relayed = np.sum(g_o * rest * np.sqrt(p_o), axis=-1)  # S'
-    lost = np.sum(g_o**2 * (1.0 - rest**2) * p_o, axis=-1) + ch.g[k] ** 2 * ch.p[k]
+    relayed = np.sum(g_o * gamma * np.sqrt(ch.p), axis=-1)  # S'
+    lost = np.sum(g_o**2 * (1.0 - gamma**2) * ch.p, axis=-1) + ch.g[k] ** 2 * ch.p[k]
     b = amp + relayed
     a = t * (ch.sigma_p2 + lost)
     x = ch.g[k] * math.sqrt(ch.p[k])
-    # quadratic: x^2 (1+t) gamma^2 + 2 b x gamma + (b^2 - a) = 0
+    # quadratic: x^2 (1+t) gamma^2 + 2 b x gamma + (b^2 - a) = 0.  Its "-"
+    # root is at most 0 (b >= 0), so only the "+" root can lie in [0, 1];
+    # rationalised: (a - b^2) / (x (b + sqrt(disc))), where
+    # a - b^2 = t lost - S' (2 A + S') since A^2 = t sigma_p2, so that no two
+    # nearly equal terms are subtracted; b + sqrt(disc) = 0 only when h_p = 0
+    # and S' = 0, where the root is 0
     disc = a * (1.0 + t) - t * b * b
     real = disc >= 0.0
     sq = np.sqrt(np.where(real, disc, 0.0))
-
-    def in_unit(r):
-        return (r >= -1e-12) & (r <= 1.0 + 1e-12)
-
-    # prefer the "+" root, rationalised: (a - b^2) / (x (b + sqrt(disc))),
-    # where a - b^2 = t lost - S' (2 A + S') since A^2 = t sigma_p2, so that
-    # no two nearly equal terms are subtracted; b + sqrt(disc) = 0 only when
-    # h_p = 0 and S' = 0, where the root is 0.  Fall back to the "-" root
-    # when "+" is outside [0, 1]
     den = x * (b + sq)
     num = t * lost - relayed * (2.0 * amp + relayed)
-    plus = np.divide(num, den, out=np.zeros(np.shape(den)), where=den > 0.0)
-    root = np.where(in_unit(plus), plus, (-b - sq) / (x * (1.0 + t)))
-    return real & in_unit(root), np.clip(root, 0.0, 1.0)
+    root = np.divide(num, den, out=np.zeros(np.shape(den)), where=den > 0.0)
+    return real & (root >= -1e-12) & (root <= 1.0 + 1e-12), np.clip(root, 0.0, 1.0)
 
 
 def baseline_primary_rate(ch: ChannelInstance) -> float:
@@ -300,5 +295,5 @@ def solve_feasible_coordinate(
         raise DimensionMismatchError(
             f"gamma_rest must have {ch.num_users - 1} entries, got {rest.size}"
         )
-    mask, root = _coordinate_roots(ch, k, rest)
+    mask, root = _coordinate_roots(ch, k, np.insert(rest, k, 0.0))
     return float(root) if mask else None

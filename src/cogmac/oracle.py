@@ -23,7 +23,7 @@ from .channel import (
     sum_rate,
 )
 from .region import UnsupportedSizeError, feasible_grid
-from .solver import SolverResult, SolverStatus
+from .solver import SolverResult
 
 
 @dataclass(frozen=True)
@@ -75,20 +75,6 @@ def kkt_check(
     derivative; saturated users a derivative pushing toward the bound;
     users with g_k = 0 must sit at 0.
     """
-    if result.status is SolverStatus.DEGENERATE_NO_INTERFERENCE:
-        gamma = result.gamma_star.gamma
-        ok = bool(np.all(gamma == 0.0))
-        return KktReport(
-            stationarity={},
-            interior_users=tuple(range(ch.num_users)),
-            saturated_users=(),
-            feasibility_rel=relative_residual(ch, result.gamma_star),
-            bounds_ok=ok,
-            stationarity_ok=ok,
-            feasibility_ok=True,
-            passed=ok,
-        )
-
     gamma = result.gamma_star.gamma
     lam = result.lambda_star
     s_p = ch.h_p**2 * ch.p_p

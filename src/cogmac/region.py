@@ -51,12 +51,6 @@ def _grid(step: float) -> np.ndarray:
     return values
 
 
-def _grid_product(grid: np.ndarray, m: int) -> np.ndarray:
-    """Every m-tuple of grid values as a (len(grid)**m, m) array, in
-    lexicographic order."""
-    return grid[np.indices((grid.size,) * m).reshape(m, grid.size**m).T]
-
-
 def feasible_grid(ch: ChannelInstance, grid_step: float) -> np.ndarray:
     """Grid points projected onto the feasible set, as an (n, K) array.
 
@@ -78,13 +72,16 @@ def feasible_grid(ch: ChannelInstance, grid_step: float) -> np.ndarray:
     solvable = np.flatnonzero(ch.g > 0)
     if solvable.size == 0:
         return np.zeros((1, k))
-    rest = _grid_product(_grid(grid_step), k - 1)
+    grid = _grid(grid_step)
     blocks = []
     for solved in solvable:
-        others = np.delete(np.arange(k), solved)
-        mask, root = _coordinate_roots(ch, solved, rest)
-        rows = np.empty((np.count_nonzero(mask), k))
-        rows[:, others] = rest[mask]
+        # every grid tuple of the others, in lexicographic order; the solved
+        # column, which the quadratic ignores, holds grid[0].  Column-major,
+        # so that the sums over the users add whole columns
+        shape = [1 if j == solved else grid.size for j in range(k)]
+        rows = grid[np.indices(shape).reshape(k, -1)].T
+        mask, root = _coordinate_roots(ch, solved, rows)
+        rows = rows[mask]
         rows[:, solved] = root[mask]
         blocks.append(rows[_relative_phi(ch, rows) <= SAMPLE_RESIDUAL_TOL])
     grid = np.concatenate(blocks)

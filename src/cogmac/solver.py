@@ -18,9 +18,9 @@ a tie saturating.  With m users saturated and the others I,
 X = N_m / (1 - lambda sigma_p2 Q_m), gamma_k = lambda sigma_p2 X / c_k on I and
 phi(lambda) = sigma_p2 X^2 - s_p (sigma_p2 + sum_I a_k^2 (1 - gamma_k^2)).  The
 solver brackets the root lambda* of phi by doubling, finds it with Brent's
-method to float resolution, builds gamma once, at lambda*, and projects one
-coordinate onto phi = 0.  `sweep_trajectory` applies the prefix rule to a
-whole lambda grid at once and returns the path as columns.
+method to float resolution, builds gamma once, at lambda*, and projects its
+coordinates onto phi = 0 until one lands.  `sweep_trajectory` applies the
+prefix rule to a whole lambda grid at once and returns the path as columns.
 """
 
 from __future__ import annotations
@@ -220,21 +220,23 @@ def _brent(f, lo: float, hi: float, f_lo: float, f_hi: float, budget: float) -> 
 
 
 def _finish(ch: ChannelInstance, gamma: np.ndarray, saturated: np.ndarray) -> np.ndarray:
-    """Project one coordinate of gamma onto phi = 0.
+    """Project gamma onto phi = 0 one coordinate at a time.
 
-    The user is the one with g_k > 0 and the steepest d phi / d gamma_k whose
-    root lies in [0, 1], trying interior users before saturated ones; gamma
-    comes back unchanged when no user has such a root.
+    The candidates are the users with g_k > 0, interior before saturated,
+    each group by steepest d phi / d gamma_k.  Each in turn is set to its
+    root clipped to [0, 1], and the first exact root ends the walk.  phi
+    increases in every such gamma_k, so a candidate that cannot land alone
+    still moves phi toward 0: a relay with h_k = 0 released to 0 lets the
+    next candidate land.
     """
     x = _primary_terms(ch, gamma)[0]
     a = ch.g * np.sqrt(ch.p)
     slope = a * (ch.sigma_p2 * x + ch.h_p**2 * ch.p_p * a * gamma)  # half d phi / d gamma_k
     users = np.flatnonzero(ch.g > 0)
+    gamma = gamma.copy()
     for k in users[np.lexsort((-slope[users], saturated[users]))]:
-        ok, root = _coordinate_roots(ch, k, np.delete(gamma, k))
+        ok, gamma[k] = _coordinate_roots(ch, k, gamma)
         if ok:
-            gamma = gamma.copy()
-            gamma[k] = root
             break
     return gamma
 
@@ -276,8 +278,7 @@ def solve_max_sum_rate(ch: ChannelInstance, cfg: SolverConfig | None = None) -> 
     interferes = bool(np.any(ch.g > 0))
     gamma = np.zeros(ch.num_users)
     lam, reached, evaluations, changes = 0.0, True, 0, 0
-    # with h_p = 0, phi(0) = 0: gamma = 0 preserves the primary rate
-    if interferes and _phi(ch, gamma) < 0.0:
+    if interferes:
         path = _WaterFill(ch)
         lam, reached = _follow(path, cfg.max_outer_iters - 1)  # one is kept for gamma
         _, gamma, saturated = path.split(lam)

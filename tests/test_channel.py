@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -166,25 +167,44 @@ class TestSolveFeasibleCoordinate:
         with pytest.raises(UndefinedCoordinateError):
             solve_feasible_coordinate(ch, [0.5], 0)
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_agrees_with_bisection_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        ch = make_instance(rng, 2)
-        # row 0 is the single projection; the batch adds 15 more on the same seed
-        rest = np.vstack([rng.uniform(0.0, 1.0, 1), rng.uniform(0.0, 1.0, (15, 1))])
-        mask, roots = _coordinate_roots(ch, 0, rest)
-        for other, ok, batch_root in zip(rest[:, 0], mask, roots):
-            root = solve_feasible_coordinate(ch, [other], 0)
+    @staticmethod
+    def _agrees_with_bisection(ch, splits):
+        """gamma_0 solved on every row of splits (n, K) by one batch call
+        agrees with the scalar call and, where phi changes sign on [0, 1],
+        with plain bisection."""
+        mask, roots = _coordinate_roots(ch, 0, splits)
+        for rest, ok, batch_root in zip(splits[:, 1:], mask, roots):
+            root = solve_feasible_coordinate(ch, rest, 0)
             assert root == (float(batch_root) if ok else None)
-            phi = lambda g0, other=other: feasibility_residual(
-                ch, PowerSplit(np.array([g0, other]))
+            phi = lambda g0, rest=rest: feasibility_residual(
+                ch, PowerSplit(np.array([g0, *rest]))
             )
             if phi(0.0) * phi(1.0) > 0:
                 assert root is None or min(abs(phi(root)), 1) <= 1e-9
                 continue
             expected = bisect_root(phi, 0.0, 1.0)
             assert root == pytest.approx(expected, abs=1e-9, rel=1e-9)
-            assert relative_residual(ch, PowerSplit(np.array([root, other]))) <= 1e-9
+            assert relative_residual(ch, PowerSplit(np.array([root, *rest]))) <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_agrees_with_bisection_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        ch = make_instance(rng, 2)
+        # row 0 is the single projection; the batch adds 15 more on the same
+        # seed.  The kernel ignores column 0, so it holds ones
+        rest = np.vstack([rng.uniform(0.0, 1.0, 1), rng.uniform(0.0, 1.0, (15, 1))])
+        self._agrees_with_bisection(ch, np.hstack([np.ones_like(rest), rest]))
+
+    @pytest.mark.parametrize("h_p", [0.0, 1e-300, 1e-8])
+    def test_agrees_with_bisection_oracle_faint_primary(self, h_p):
+        # three users and a primary that is silent, underflows when squared,
+        # or is faint: phi has a root only where the others relay little, and
+        # the "-" root of the quadratic is never the one in [0, 1]
+        rng = np.random.default_rng(9)
+        ch = dataclasses.replace(make_instance(rng, 3), h_p=h_p)
+        splits = rng.uniform(0.0, 1.0, (16, 3)) * np.logspace(-15, 0, 16)[:, None]
+        splits[0] = 0.0
+        self._agrees_with_bisection(ch, splits)
 
 
 class TestInvariants:

@@ -1,9 +1,11 @@
 """The CLI's standard output on the bundled scenarios, byte for byte.
 
-Each file under tests/golden/ other than the scenario k3_two_events.json is
-the stdout of one command below.  Stdout is the contract for deterministic
-output, so a refactor must leave every byte as it is; regenerate a file only
-for an intended change of output, and say why in CHANGES.md.
+Each file under tests/golden/ other than the scenarios k3_two_events.json
+and k2_silent_relays.json is the stdout of one command below.  Stdout is the
+contract for deterministic output, so a refactor must leave every byte as it
+is; regenerate the files only for an intended change of output, and say why
+in CHANGES.md.  `PYTHONPATH=src python tests/test_golden.py` rewrites every
+file from CASES.
 """
 
 import contextlib
@@ -39,16 +41,30 @@ CASES = [
     # and all three by --lambda-max 0.15
     (f"{stem}-k3_two_events.csv", ("sweep", "--scenario", str(GOLDEN / "k3_two_events.json"), *extra))
     for stem, extra in (("sweep", ()), ("sweep-lambda-max", ("--lambda-max", "0.15")))
+] + [
+    # two relays with h_k = 0 that overshoot phi = 0 together at lambda = 0:
+    # neither lands alone, so one is released to 0 and the other lands
+    (
+        f"{stem}-k2_silent_relays.json",
+        (command, "--scenario", str(GOLDEN / "k2_silent_relays.json"), *extra),
+    )
+    for stem, command, extra in (
+        ("solve-oracle", "solve", ("--oracle",)),
+        ("validate", "validate", ()),
+    )
 ]
+
+
+def _stdout(args) -> bytes:
+    """Stdout of one `cogmac` process, which must exit 0."""
+    proc = subprocess.run([sys.executable, "-m", "cogmac", *args], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
 
 
 @pytest.mark.parametrize("golden, args", CASES, ids=[name for name, _ in CASES])
 def test_stdout_matches_golden(golden, args):
-    proc = subprocess.run(
-        [sys.executable, "-m", "cogmac", *args], capture_output=True
-    )
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout == (GOLDEN / golden).read_bytes()
+    assert _stdout(args) == (GOLDEN / golden).read_bytes()
 
 
 def test_in_process_calls_reuse_one_parser(tmp_path):
@@ -65,19 +81,14 @@ def test_in_process_calls_reuse_one_parser(tmp_path):
         assert code == 0
         return out.read_bytes()
 
-    def fresh(*args):
-        proc = subprocess.run([sys.executable, "-m", "cogmac", *args], capture_output=True)
-        assert proc.returncode == 0, proc.stderr.decode()
-        return proc.stdout
-
     loose = ("validate", "--scenario", scenario("k2_reference"), "--tol", "1e-3",
              "--agreement-tol", "0.5")
-    assert run("loose.json", *loose) == fresh(*loose)
+    assert run("loose.json", *loose) == _stdout(loose)
     plain = run("validate.json", "validate", "--scenario", scenario("k2_reference"))
     assert plain == (GOLDEN / "validate-k2_reference.json").read_bytes()
 
     short = ("sweep", "--scenario", scenario("k2_reference"), "--samples", "5")
-    assert run("short.csv", *short) == fresh(*short)
+    assert run("short.csv", *short) == _stdout(short)
     plain = run("sweep.csv", "sweep", "--scenario", scenario("k2_reference"))
     assert plain == (GOLDEN / "sweep-k2_reference.csv").read_bytes()
 
@@ -91,3 +102,8 @@ def test_in_process_calls_reuse_one_parser(tmp_path):
         hull = run(f"region-{name}.csv", "region", "--scenario", scenario(name), "--grid-step", "1e-3")
         assert hull == (GOLDEN / f"region-{name}.csv").read_bytes()
     assert cli.build_parser() is cli.build_parser()
+
+
+if __name__ == "__main__":
+    for golden, args in CASES:
+        (GOLDEN / golden).write_bytes(_stdout(args))

@@ -79,7 +79,8 @@ class TestKktCheck:
         assert result.status is SolverStatus.DEGENERATE_NO_INTERFERENCE
         report = kkt_check(k2_no_interference, result)
         assert report.passed
-        assert report.stationarity == {}
+        assert report.stationarity == {0: 0.0, 1: 0.0}
+        assert report.saturated_users == ()
 
 
 class TestSingleUserClosedForm:

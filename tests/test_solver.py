@@ -344,6 +344,58 @@ class TestSolveMaxSumRate:
         assert result.gamma_star.gamma[1] == 0.0
         assert result.sum_rate == pytest.approx(0.5 * math.log2(3.0), abs=1e-14)
 
+    @pytest.mark.parametrize(
+        "h, g, p",
+        [
+            ([0.0, 0.0], [0.5, 0.3], [2.0, 1.0]),
+            ([0.0, 0.0, 1.0], [0.5, 0.3, 0.2], [2.0, 1.0, 1.0]),
+        ],
+        ids=["k2", "k3"],
+    )
+    def test_silent_relays_land(self, h, g, p):
+        # relays with h_k = 0 saturate at lambda = 0 and overshoot phi = 0
+        # together; neither can land alone, so the first one is released to 0
+        # and the next lands
+        ch = ChannelInstance(h=h, g=g, p=p, h_p=1.0, p_p=1.0, sigma_p2=1.0, sigma_c2=1.0)
+        result = solve_max_sum_rate(ch)
+        assert result.status is SolverStatus.CONVERGED
+        assert kkt_check(ch, result).passed
+
+    def test_zero_gain_fuzz_converges_and_passes_kkt(self):
+        # each h_k zeroed with probability 1/2: relays that cost no rate
+        rng = np.random.default_rng(5)
+        failed = []
+        for i in range(300):
+            k = int(rng.integers(1, 6))
+            h = rng.uniform(0.1, 2.0, k)
+            h[rng.random(k) < 0.5] = 0.0
+            ch = ChannelInstance(
+                h=h,
+                g=rng.uniform(0.1, 2.0, k),
+                p=rng.uniform(0.5, 10.0, k),
+                h_p=rng.uniform(0.1, 2.0),
+                p_p=rng.uniform(0.5, 10.0),
+                sigma_p2=rng.uniform(0.5, 2.0),
+                sigma_c2=rng.uniform(0.5, 2.0),
+            )
+            result = solve_max_sum_rate(ch)
+            if result.status is not SolverStatus.CONVERGED or not kkt_check(ch, result).passed:
+                failed.append((i, result.status.value, result.residual))
+        assert not failed
+
+    def test_silent_primary_relays_nothing(self):
+        # h_p = 0: gamma = 0 preserves the primary rate, and each relay with
+        # h_k = 0, saturated at lambda = 0, is released to 0
+        ch = ChannelInstance(
+            h=[0.0, 1.0, 0.0], g=[0.5, 0.3, 0.2], p=[2.0, 1.0, 1.0], h_p=0.0, p_p=1.0,
+            sigma_p2=1.0, sigma_c2=1.0,
+        )
+        result = solve_max_sum_rate(ch)
+        assert result.status is SolverStatus.CONVERGED
+        assert np.all(result.gamma_star.gamma == 0.0)
+        assert result.outer_iterations == 2  # phi and gamma at 0
+        assert kkt_check(ch, result).passed
+
     def test_feasibility_at_convergence(self, k2_reference):
         result = solve_max_sum_rate(k2_reference)
         assert result.residual <= SolverConfig().residual_tol
