@@ -25,7 +25,7 @@ from .oracle import (
     random_instance,
     single_user_closed_form,
 )
-from .region import RegionBoundary, UnsupportedSizeError, region_boundary
+from .region import EmptyGridError, RegionBoundary, UnsupportedSizeError, region_boundary
 from .solver import (
     SolverConfig,
     SolverResult,
@@ -40,6 +40,7 @@ __all__ = [
     "DimensionMismatchError",
     "UndefinedCoordinateError",
     "UnsupportedSizeError",
+    "EmptyGridError",
     "baseline_primary_rate",
     "primary_rate",
     "feasibility_residual",

@@ -3,7 +3,8 @@
 Batch-first: each formula has one private implementation that takes one
 split as a (K,) array or n splits as an (n, K) array and reduces over the
 last axis; every kernel takes whole splits, the per-coordinate quadratic
-included.  The public functions are thin scalar wrappers around them.
+included, and `_capacity` takes one SNR or an (n,) array of them.  The
+public functions are thin scalar wrappers around them.
 Rates are in bits per channel use (log base 2 throughout).
 """
 
@@ -168,9 +169,13 @@ def _check_dims(ch: ChannelInstance, split: PowerSplit) -> np.ndarray:
     return split.gamma
 
 
-def _capacity(snr) -> float:
-    """Gaussian channel capacity 0.5 log2(1 + snr), in bits, of one SNR."""
-    return 0.5 * math.log2(1.0 + snr)
+def _capacity(snr):
+    """Gaussian channel capacity 0.5 log2(1 + snr), in bits: a float for one
+    SNR, an (n,) array for an (n,) array of them.  Each log is math.log2's,
+    since np.log2 differs from it in the last bit on some inputs."""
+    if np.ndim(snr) == 0:
+        return 0.5 * math.log2(1.0 + snr)
+    return 0.5 * np.fromiter(map(math.log2, (1.0 + snr).tolist()), float, snr.size)
 
 
 def _primary_terms(ch: ChannelInstance, gamma: np.ndarray):

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .channel import ChannelInstance, baseline_primary_rate, primary_rate
 from .oracle import OracleResult, grid_search, kkt_check
-from .region import region_boundary
+from .region import EmptyGridError, region_boundary
 from .solver import (
     SolverConfig,
     SolverResult,
@@ -217,7 +217,7 @@ def cmd_solve(args) -> int:
 def cmd_region(args) -> int:
     ch, _cfg, _name = load_scenario(args.scenario)
     boundary = region_boundary(ch, args.grid_step)
-    lines = ["r1_bits,r2_bits", *("%.12g,%.12g" % point for point in boundary.points)]
+    lines = ["r1_bits,r2_bits", *map("%.12g,%.12g".__mod__, boundary.points)]
     _write_out("\n".join(lines) + "\n", args.out)
     print(
         f"vertices={len(boundary.points)} samples={boundary.samples_used} "
@@ -365,6 +365,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # bad input: scenario, flag value or problem size
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except EmptyGridError as exc:  # a valid instance the grid cannot resolve
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
 
 
 if __name__ == "__main__":

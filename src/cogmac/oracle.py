@@ -126,7 +126,8 @@ def single_user_closed_form(ch: ChannelInstance) -> float:
     The root in [0, 1] of (sigma_p2 + A^2) x^2 gamma^2 + 2 sigma_p2 A x gamma
     - A^2 x^2 = 0, with A = h_p sqrt(P_p) and x = g sqrt(P), written as
     A x / (sigma_p2 + sqrt(sigma_p2^2 + (sigma_p2 + A^2) x^2)) so that no
-    two nearly equal terms are subtracted.
+    two nearly equal terms are subtracted.  That ratio is below 1, but can
+    round to just above it when A x dwarfs sigma_p2; it is clipped to 1.
     """
     if ch.num_users != 1:
         raise UnsupportedSizeError(f"closed form defined for 1 user, got {ch.num_users}")
@@ -135,7 +136,7 @@ def single_user_closed_form(ch: ChannelInstance) -> float:
     amp = ch.primary_amplitude
     x = ch.g[0] * math.sqrt(ch.p[0])
     s = ch.sigma_p2
-    return amp * x / (s + math.sqrt(s * s + (s + amp * amp) * x * x))
+    return min(1.0, amp * x / (s + math.sqrt(s * s + (s + amp * amp) * x * x)))
 
 
 def random_instance(rng: np.random.Generator, num_users: int) -> ChannelInstance:

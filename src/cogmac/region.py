@@ -1,11 +1,14 @@
 """The feasible grid and the two-user capacity region boundary.
 
 `feasible_grid` projects a uniform grid onto the primary-rate equality; the
-grid oracle searches the same array.  For each feasible split the two
-cognitive users see a plain Gaussian MAC, whose achievable rates form a
-pentagon.  The region is the convex hull of the union of these pentagons
-over the feasible grid, which for two users is a 1-D curve swept by
-coordinate solving.
+grid oracle searches the same array.  It is built, filtered and returned
+column-major, one user per column, so that every sum over the few users
+adds whole columns.  For each feasible split the two cognitive users see a
+plain Gaussian MAC, whose achievable rates form a pentagon.  The region is
+the convex hull of the union of these pentagons over the feasible grid.
+`region_boundary` sorts the pentagons' dominant-face corners into the
+staircase of those no other corner dominates, and draws the hull in one
+monotone-chain pass over it, from the origin counterclockwise.
 """
 
 from __future__ import annotations
@@ -33,6 +36,10 @@ class UnsupportedSizeError(ValueError):
     """Operation is only defined for a bounded number of users."""
 
 
+class EmptyGridError(RuntimeError):
+    """No grid point of a valid instance passed the feasibility check."""
+
+
 @dataclass(frozen=True)
 class RegionBoundary:
     """Counterclockwise hull boundary of the two-user region, in bits."""
@@ -52,7 +59,8 @@ def _grid(step: float) -> np.ndarray:
 
 
 def feasible_grid(ch: ChannelInstance, grid_step: float) -> np.ndarray:
-    """Grid points projected onto the feasible set, as an (n, K) array.
+    """Grid points projected onto the feasible set, as a column-major (n, K)
+    array.
 
     For each user k with g_k > 0, in index order, the other coordinates run
     over the grid in lexicographic order and gamma_k is solved from the
@@ -60,7 +68,8 @@ def feasible_grid(ch: ChannelInstance, grid_step: float) -> np.ndarray:
     [0, 1] and whose relative residual is at most SAMPLE_RESIDUAL_TOL, block
     by solved user, in that order.  With no interference path at all every
     split is feasible and each rate falls as any gamma_k grows, so the one
-    row gamma = 0 dominates the rest and stands for them.
+    row gamma = 0 dominates the rest and stands for them.  Raises
+    EmptyGridError if no row is left despite interference.
     """
     if not 0 < grid_step < math.inf:
         raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
@@ -75,44 +84,24 @@ def feasible_grid(ch: ChannelInstance, grid_step: float) -> np.ndarray:
     grid = _grid(grid_step)
     blocks = []
     for solved in solvable:
-        # every grid tuple of the others, in lexicographic order; the solved
-        # column, which the quadratic ignores, holds grid[0].  Column-major,
-        # so that the sums over the users add whole columns
+        # the (K, n) transpose, C-ordered: every grid tuple of the others, in
+        # lexicographic order, with grid[0] in the solved row, which the
+        # quadratic ignores; compress keeps it C-ordered, where a boolean
+        # index would not
         shape = [1 if j == solved else grid.size for j in range(k)]
-        rows = grid[np.indices(shape).reshape(k, -1)].T
-        mask, root = _coordinate_roots(ch, solved, rows)
-        rows = rows[mask]
-        rows[:, solved] = root[mask]
-        blocks.append(rows[_relative_phi(ch, rows) <= SAMPLE_RESIDUAL_TOL])
-    grid = np.concatenate(blocks)
+        cols = grid[np.indices(shape).reshape(k, -1)]
+        mask, root = _coordinate_roots(ch, solved, cols.T)
+        cols = np.compress(mask, cols, axis=1)
+        cols[solved] = root[mask]
+        keep = _relative_phi(ch, cols.T) <= SAMPLE_RESIDUAL_TOL
+        blocks.append(np.compress(keep, cols, axis=1))
+    grid = np.concatenate(blocks, axis=1).T
     if len(grid) == 0:
-        raise RuntimeError(
+        raise EmptyGridError(
             f"no feasible split on the step-{grid_step} grid of this {k}-user "
             "instance despite nonzero interference"
         )
     return grid
-
-
-def convex_hull(points) -> list[tuple[float, float]]:
-    """Monotone-chain 2-D convex hull, counterclockwise, collinear dropped."""
-    pts = sorted(set((float(x), float(y)) for x, y in points))
-    if len(pts) <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[tuple[float, float]] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple[float, float]] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
 
 
 def region_boundary(ch: ChannelInstance, grid_step: float) -> RegionBoundary:
@@ -121,16 +110,24 @@ def region_boundary(ch: ChannelInstance, grid_step: float) -> RegionBoundary:
     The pentagon with bounds c1, c2, c12 is the down-closure of its corners
     (c1, c12 - c1) and (c12 - c2, c2), so the hull is that of the origin,
     the two axis intercepts and the corners no other corner dominates.
+    Those corners, sorted by r1, form a staircase: r1 strictly falls as r2
+    strictly rises, from (c1max, .) to (., c2max).  So the hull is one
+    monotone chain that starts at the origin, goes to (c1max, 0), climbs the
+    staircase with left turns kept and ends at (0, c2max); a corner on an
+    axis replaces the intercept it repeats, and the turn back to the origin
+    is always a left one.  With c1max or c2max zero the region is a segment
+    on an axis, or the origin alone.
     """
     if ch.num_users != 2:
         raise UnsupportedSizeError(
             f"region boundary defined for 2 users, got {ch.num_users}"
         )
     rows = feasible_grid(ch, grid_step)
-    c1, c2, c12 = (
-        np.array([_capacity(snr) for snr in _mac_snr(ch, rows, users).tolist()])
-        for users in ([0], [1], slice(None))
-    )
+    c1, c2, c12 = (_capacity(_mac_snr(ch, rows, users)) for users in ([0], [1], slice(None)))
+    c1max, c2max = float(c1.max()), float(c2.max())
+    if c1max == 0.0 or c2max == 0.0:
+        points = sorted({(0.0, 0.0), (c1max, 0.0), (0.0, c2max)})
+        return RegionBoundary(points=points, samples_used=len(rows))
     r1 = np.concatenate([c1, c12 - c2])
     r2 = np.concatenate([c12 - c1, c2])
     order = np.lexsort((-r2, -r1))  # r1 descending, ties by r2 descending
@@ -138,7 +135,13 @@ def region_boundary(ch: ChannelInstance, grid_step: float) -> RegionBoundary:
     # kept: r2 above that of every corner with a larger or equal r1
     kept = np.ones(r2.size, dtype=bool)
     kept[1:] = r2[1:] > np.maximum.accumulate(r2)[:-1]
-    corners = zip(r1[kept].tolist(), r2[kept].tolist())
-    axes = [(0.0, 0.0), (c1.max(), 0.0), (0.0, c2.max())]
-    hull = convex_hull([*axes, *corners])
+    staircase = zip(r1[kept].tolist(), r2[kept].tolist())
+    hull = [(0.0, 0.0)]
+    for x, y in ((c1max, 0.0), *staircase, (0.0, c2max)):
+        while len(hull) >= 2:
+            (ox, oy), (ax, ay) = hull[-2], hull[-1]
+            if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0.0:  # a left turn
+                break
+            hull.pop()
+        hull.append((x, y))
     return RegionBoundary(points=hull, samples_used=len(rows))

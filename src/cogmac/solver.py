@@ -76,7 +76,7 @@ class SolverResult:
     lambda_star: float
     residual: float
     outer_iterations: int  # path evaluations
-    active_set_changes: int  # saturation events
+    active_set_changes: int  # users at gamma_k = 1 in gamma_star
     status: SolverStatus
 
 
@@ -277,14 +277,14 @@ def solve_max_sum_rate(ch: ChannelInstance, cfg: SolverConfig | None = None) -> 
     cfg = cfg or SolverConfig()
     interferes = bool(np.any(ch.g > 0))
     gamma = np.zeros(ch.num_users)
-    lam, reached, evaluations, changes = 0.0, True, 0, 0
+    lam, reached, evaluations = 0.0, True, 0
     if interferes:
         path = _WaterFill(ch)
         lam, reached = _follow(path, cfg.max_outer_iters - 1)  # one is kept for gamma
         _, gamma, saturated = path.split(lam)
         if reached:
             gamma = _finish(ch, gamma, saturated)
-        evaluations, changes = path.evaluations, int(np.count_nonzero(saturated))
+        evaluations = path.evaluations
     split = PowerSplit(gamma)
     residual = relative_residual(ch, split)
     if not interferes:
@@ -299,7 +299,7 @@ def solve_max_sum_rate(ch: ChannelInstance, cfg: SolverConfig | None = None) -> 
         lambda_star=lam,
         residual=residual,
         outer_iterations=evaluations,
-        active_set_changes=changes,
+        active_set_changes=int(np.count_nonzero(gamma == 1.0)),
         status=status,
     )
 

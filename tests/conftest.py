@@ -72,6 +72,30 @@ def pentagon_vertices(ch, gammas):
     return pentagons
 
 
+def convex_hull(points):
+    """Monotone-chain 2-D convex hull of any point set, counterclockwise from
+    the lowest-leftmost point, collinear points dropped: the independent
+    reference for `region_boundary`'s one pass over its staircase."""
+    pts = sorted(set((float(x), float(y)) for x, y in points))
+    if len(pts) <= 2:
+        return pts
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
 def hull_contains(hull, point, tol=1e-12):
     """Point-in-convex-polygon test against a counterclockwise hull."""
     if len(hull) == 1:

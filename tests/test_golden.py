@@ -1,11 +1,11 @@
 """The CLI's standard output on the bundled scenarios, byte for byte.
 
-Each file under tests/golden/ other than the scenarios k3_two_events.json
-and k2_silent_relays.json is the stdout of one command below.  Stdout is the
-contract for deterministic output, so a refactor must leave every byte as it
-is; regenerate the files only for an intended change of output, and say why
-in CHANGES.md.  `PYTHONPATH=src python tests/test_golden.py` rewrites every
-file from CASES.
+Each file under tests/golden/ other than the scenarios k3_two_events.json,
+k2_silent_relays.json and k1_extreme_draw29.json is the stdout of one
+command below.  Stdout is the contract for deterministic output, so a
+refactor must leave every byte as it is; regenerate the files only for an
+intended change of output, and say why in CHANGES.md.
+`PYTHONPATH=src python tests/test_golden.py` rewrites every file from CASES.
 """
 
 import contextlib
@@ -65,6 +65,22 @@ def _stdout(args) -> bytes:
 @pytest.mark.parametrize("golden, args", CASES, ids=[name for name, _ in CASES])
 def test_stdout_matches_golden(golden, args):
     assert _stdout(args) == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("command", [("validate",), ("solve", "--oracle")], ids=" ".join)
+def test_empty_grid_is_one_error_line(command):
+    """A valid instance on which no grid point passes the residual check: the
+    grid oracle cannot run, so the command prints one `error:` line, no
+    traceback and nothing on stdout, and exits 2."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "cogmac", *command, "--scenario", str(GOLDEN / "k1_extreme_draw29.json")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: no feasible split on the step-0.001 grid")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_in_process_calls_reuse_one_parser(tmp_path):

@@ -83,7 +83,35 @@ class TestKktCheck:
         assert report.saturated_users == ()
 
 
+# K = 1 draws of an extreme fuzz (default_rng(11); gains log-uniform over
+# 1e-60..1e60, the rest over 1e-20..1e20) whose exact root lies within 1e-27
+# of 1, where the closed form's last rounding can land above 1
+ROOT_NEXT_TO_ONE = {
+    75: dict(
+        h=[2.1875693095051354e-31], g=[6.123253551172389e22], p=[1.9897830455394437e-06],
+        h_p=97439494004004.11, p_p=717704.5601864096, sigma_p2=13924860.096550861,
+        sigma_c2=5.1803635930903635e-17,
+    ),
+    247: dict(
+        h=[3.418104220021484e52], g=[2.746173985004833e29], p=[967136135794.0684],
+        h_p=21570974263.97676, p_p=1.4057662008924158e19, sigma_p2=3.8368700025151595e-15,
+        sigma_c2=1210130435952698.5,
+    ),
+    252: dict(
+        h=[3.571819775973074e-10], g=[400078.97845845454], p=[9.271330952131767e-11],
+        h_p=1.7264895442637005e17, p_p=1.0779323491629484e18, sigma_p2=1.432823228899107e-16,
+        sigma_c2=504022959.26550394,
+    ),
+}
+
+
 class TestSingleUserClosedForm:
+    @pytest.mark.parametrize("draw", sorted(ROOT_NEXT_TO_ONE))
+    def test_root_next_to_one_is_a_split(self, draw):
+        gamma = single_user_closed_form(ChannelInstance(**ROOT_NEXT_TO_ONE[draw]))
+        assert gamma == 1.0  # the float nearest the exact root
+        PowerSplit(np.array([gamma]))
+
     def test_unit_instance(self, unit_k1):
         assert single_user_closed_form(unit_k1) == pytest.approx(
             (math.sqrt(3) - 1) / 2, abs=1e-15

@@ -19,8 +19,8 @@ from cogmac import (
 )
 from cogmac import region
 from cogmac.channel import _capacity, _mac_snr
-from cogmac.region import convex_hull, feasible_grid
-from conftest import hull_contains, pentagon_vertices
+from cogmac.region import feasible_grid
+from conftest import convex_hull, hull_contains, pentagon_vertices
 from test_channel import make_instance
 
 
@@ -87,6 +87,12 @@ class TestFeasibleGrid:
         for split in map(PowerSplit, rows):
             assert relative_residual(k2_reference, split) <= 1e-9
             assert abs(primary_rate(k2_reference, split) - base) <= 1e-6
+
+    def test_column_major(self, k2_reference):
+        """One user per column, so that every sum over the users adds whole
+        columns."""
+        for ch in (k2_reference, *instance_suite(1, 2, sizes=(3,))):
+            assert feasible_grid(ch, 0.05).flags.f_contiguous
 
     def test_empty_despite_interference_raises(self, k2_reference, monkeypatch):
         monkeypatch.setattr(region, "SAMPLE_RESIDUAL_TOL", -1.0)
@@ -155,6 +161,24 @@ class TestRegionBoundary:
             assert region_boundary(ch, 1e-2).points == hull_of_every_pentagon(
                 ch, feasible_grid(ch, 1e-2)
             )
+
+    def test_equals_hull_of_every_pentagon_at_benchmark_step(self, k2_reference, wide_suite):
+        two_user = [ch for ch in wide_suite if ch.num_users == 2]
+        for ch in [k2_reference, *two_user]:
+            assert region_boundary(ch, 1e-3).points == hull_of_every_pentagon(
+                ch, feasible_grid(ch, 1e-3)
+            )
+
+    @pytest.mark.parametrize("h", [(0.0, 0.8), (1.0, 0.0), (0.0, 0.0)])
+    def test_equals_hull_of_every_pentagon_on_an_axis(self, h):
+        # a user with h_k = 0 has no rate: the region is a segment on the
+        # other user's axis, or the origin alone
+        ch = ChannelInstance(
+            h=h, g=[0.4, 0.2], p=[5.0, 5.0], h_p=1.0, p_p=10.0, sigma_p2=1.0, sigma_c2=1.0
+        )
+        points = region_boundary(ch, 0.05).points
+        assert points == hull_of_every_pentagon(ch, feasible_grid(ch, 0.05))
+        assert len(points) == 2 - (h == (0.0, 0.0))
 
     def test_no_interference_equals_hull_over_full_grid(self, k2_no_interference):
         # every split is feasible; the hull over all of them is that of the
