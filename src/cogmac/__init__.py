@@ -7,13 +7,11 @@ from .channel import (
     ChannelInstance,
     DimensionMismatchError,
     PowerSplit,
-    UndefinedCoordinateError,
     baseline_primary_rate,
     feasibility_residual,
     primary_rate,
     relative_residual,
     residual_scale,
-    solve_feasible_coordinate,
     sum_rate,
 )
 from .oracle import (
@@ -38,7 +36,6 @@ __all__ = [
     "ChannelInstance",
     "PowerSplit",
     "DimensionMismatchError",
-    "UndefinedCoordinateError",
     "UnsupportedSizeError",
     "EmptyGridError",
     "baseline_primary_rate",
@@ -47,7 +44,6 @@ __all__ = [
     "relative_residual",
     "residual_scale",
     "sum_rate",
-    "solve_feasible_coordinate",
     "SolverConfig",
     "SolverResult",
     "SolverStatus",

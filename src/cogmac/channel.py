@@ -15,13 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# the largest relative residual (`relative_residual`) at which a split counts
+# as feasible: the solver's default tolerance and the feasible grid's filter
+RESIDUAL_TOL = 1e-10
+
 
 class DimensionMismatchError(ValueError):
     """Vector argument length does not match the instance's user count."""
-
-
-class UndefinedCoordinateError(ValueError):
-    """The requested coordinate cannot influence the feasibility constraint."""
 
 
 def _as_vector(name: str, values, num_users: int) -> np.ndarray:
@@ -112,12 +112,6 @@ class ChannelInstance:
     @property
     def num_users(self) -> int:
         return self.h.size
-
-    def beta(self, k: int) -> float:
-        """h_k / g_k; defined only for g_k > 0."""
-        if self.g[k] <= 0:
-            raise UndefinedCoordinateError(f"beta undefined for user {k}: g[{k}] = 0")
-        return float(self.h[k] / self.g[k])
 
     @property
     def primary_amplitude(self) -> float:
@@ -280,25 +274,3 @@ def sum_rate(ch: ChannelInstance, split: PowerSplit) -> float:
     """Total rate of the cognitive users at the AP for a given split."""
     return _capacity(_mac_snr(ch, _check_dims(ch, split)))
 
-
-def solve_feasible_coordinate(
-    ch: ChannelInstance, gamma_rest, k: int
-) -> float | None:
-    """Solve phi = 0 for gamma_k with the other coordinates fixed.
-
-    gamma_rest holds the other K-1 coordinates in index order (k removed).
-    Returns the root in [0, 1] if one exists, else None. Requires g_k > 0.
-    """
-    if not 0 <= k < ch.num_users:
-        raise IndexError(f"user index {k} out of range")
-    if ch.g[k] <= 0:
-        raise UndefinedCoordinateError(
-            f"g[{k}] = 0: feasibility does not depend on gamma[{k}]"
-        )
-    rest = np.asarray(gamma_rest, dtype=float)
-    if rest.size != ch.num_users - 1:
-        raise DimensionMismatchError(
-            f"gamma_rest must have {ch.num_users - 1} entries, got {rest.size}"
-        )
-    mask, root = _coordinate_roots(ch, k, np.insert(rest, k, 0.0))
-    return float(root) if mask else None

@@ -50,7 +50,12 @@ _ALLOWED_KEYS = set(_CHANNEL_VECTOR_KEYS) | set(_CHANNEL_SCALAR_KEYS) | {
 def _require_number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{field} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer past the float range
+        raise ScenarioError(
+            f"{field} must be finite, got an integer too large for a float"
+        ) from None
 
 
 def load_scenario(path: str) -> tuple[ChannelInstance, SolverConfig, str | None]:
@@ -209,9 +214,7 @@ def cmd_solve(args) -> int:
         }
     _write_out(dump_json(report) + "\n", args.out)
     print(f"duration_s={time.monotonic() - started:.3f}", file=sys.stderr)
-    if result.status is SolverStatus.MAX_ITERS_EXCEEDED:
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    return EXIT_OK if result.status is SolverStatus.CONVERGED else EXIT_NOT_CONVERGED
 
 
 def cmd_region(args) -> int:
@@ -267,7 +270,7 @@ def cmd_validate(args) -> int:
     report = kkt_check(ch, result, tol=args.tol)
     gap = result.sum_rate - oracle.best_sum_rate
     agreement_ok = abs(gap) <= args.agreement_tol
-    converged = result.status is not SolverStatus.MAX_ITERS_EXCEEDED
+    converged = result.status is SolverStatus.CONVERGED
     verdict = converged and agreement_ok and report.passed
     doc = {
         "scenario": scenario_echo(ch, name),

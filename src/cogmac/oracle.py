@@ -16,7 +16,6 @@ import numpy as np
 from .channel import (
     ChannelInstance,
     PowerSplit,
-    UndefinedCoordinateError,
     _mac_snr,
     _primary_terms,
     relative_residual,
@@ -54,10 +53,11 @@ def grid_search(ch: ChannelInstance, grid_step: float) -> OracleResult:
     For each coordinate with g_k > 0 the other K-1 coordinates run over the
     grid and that coordinate is solved from the equality constraint
     (`feasible_grid`).  Scan order is deterministic; ties break toward the
-    earliest candidate.
+    earliest candidate.  The best row is copied, so that the result does not
+    hold the whole grid.
     """
     rows = feasible_grid(ch, grid_step)
-    best = PowerSplit(rows[np.argmax(_mac_snr(ch, rows))])
+    best = PowerSplit(rows[np.argmax(_mac_snr(ch, rows))].copy())
     return OracleResult(
         best_gamma=best,
         best_sum_rate=sum_rate(ch, best),
@@ -128,11 +128,10 @@ def single_user_closed_form(ch: ChannelInstance) -> float:
     A x / (sigma_p2 + sqrt(sigma_p2^2 + (sigma_p2 + A^2) x^2)) so that no
     two nearly equal terms are subtracted.  That ratio is below 1, but can
     round to just above it when A x dwarfs sigma_p2; it is clipped to 1.
+    With g = 0 nothing interferes, and the ratio is 0, the optimum.
     """
     if ch.num_users != 1:
         raise UnsupportedSizeError(f"closed form defined for 1 user, got {ch.num_users}")
-    if ch.g[0] <= 0:
-        raise UndefinedCoordinateError("g[0] = 0: no interference to compensate")
     amp = ch.primary_amplitude
     x = ch.g[0] * math.sqrt(ch.p[0])
     s = ch.sigma_p2

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
+    RESIDUAL_TOL,
     ChannelInstance,
     _capacity,
     _coordinate_roots,
@@ -27,9 +28,6 @@ from .channel import (
 )
 
 MAX_GRID_USERS = 3
-
-# relative residual a projected grid point must meet to count as feasible
-SAMPLE_RESIDUAL_TOL = 1e-9
 
 
 class UnsupportedSizeError(ValueError):
@@ -65,11 +63,12 @@ def feasible_grid(ch: ChannelInstance, grid_step: float) -> np.ndarray:
     For each user k with g_k > 0, in index order, the other coordinates run
     over the grid in lexicographic order and gamma_k is solved from the
     feasibility quadratic.  The rows are the points whose root lies in
-    [0, 1] and whose relative residual is at most SAMPLE_RESIDUAL_TOL, block
-    by solved user, in that order.  With no interference path at all every
-    split is feasible and each rate falls as any gamma_k grows, so the one
-    row gamma = 0 dominates the rest and stands for them.  Raises
-    EmptyGridError if no row is left despite interference.
+    [0, 1] and whose relative residual is at most `channel.RESIDUAL_TOL`,
+    the solver's default tolerance, block by solved user, in that order.
+    With no interference path at all every split is feasible and each rate
+    falls as any gamma_k grows, so the one row gamma = 0 dominates the rest
+    and stands for them.  Raises EmptyGridError if no row is left despite
+    interference.
     """
     if not 0 < grid_step < math.inf:
         raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
@@ -93,7 +92,7 @@ def feasible_grid(ch: ChannelInstance, grid_step: float) -> np.ndarray:
         mask, root = _coordinate_roots(ch, solved, cols.T)
         cols = np.compress(mask, cols, axis=1)
         cols[solved] = root[mask]
-        keep = _relative_phi(ch, cols.T) <= SAMPLE_RESIDUAL_TOL
+        keep = _relative_phi(ch, cols.T) <= RESIDUAL_TOL
         blocks.append(np.compress(keep, cols, axis=1))
     grid = np.concatenate(blocks, axis=1).T
     if len(grid) == 0:

@@ -35,6 +35,7 @@ from operator import itemgetter, mul, truediv
 import numpy as np
 
 from .channel import (
+    RESIDUAL_TOL,
     ChannelInstance,
     PowerSplit,
     _coordinate_roots,
@@ -49,7 +50,6 @@ from .channel import (
 class SolverStatus(enum.Enum):
     CONVERGED = "Converged"
     MAX_ITERS_EXCEEDED = "MaxItersExceeded"
-    DEGENERATE_NO_INTERFERENCE = "DegenerateNoInterference"
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class SolverConfig:
     """residual_tol: the largest relative residual reported as Converged.
     max_outer_iters: the most path evaluations one solve may make."""
 
-    residual_tol: float = 1e-10
+    residual_tol: float = RESIDUAL_TOL
     max_outer_iters: int = 200_000
 
     def __post_init__(self):
@@ -272,24 +272,19 @@ def solve_max_sum_rate(ch: ChannelInstance, cfg: SolverConfig | None = None) -> 
     there, then project onto phi = 0.
 
     Returns the feasible split maximizing the cognitive sum rate.  With no
-    interference path at all (every g_k = 0) the answer is gamma = 0.
+    interference path at all (every g_k = 0) phi is 0 at lambda = 0, so the
+    path stops there with gamma = 0 after 2 evaluations, one for phi and one
+    for gamma, like any instance whose constraint does not bind.
     """
     cfg = cfg or SolverConfig()
-    interferes = bool(np.any(ch.g > 0))
-    gamma = np.zeros(ch.num_users)
-    lam, reached, evaluations = 0.0, True, 0
-    if interferes:
-        path = _WaterFill(ch)
-        lam, reached = _follow(path, cfg.max_outer_iters - 1)  # one is kept for gamma
-        _, gamma, saturated = path.split(lam)
-        if reached:
-            gamma = _finish(ch, gamma, saturated)
-        evaluations = path.evaluations
+    path = _WaterFill(ch)
+    lam, reached = _follow(path, cfg.max_outer_iters - 1)  # one is kept for gamma
+    _, gamma, saturated = path.split(lam)
+    if reached:
+        gamma = _finish(ch, gamma, saturated)
     split = PowerSplit(gamma)
     residual = relative_residual(ch, split)
-    if not interferes:
-        status = SolverStatus.DEGENERATE_NO_INTERFERENCE
-    elif reached and residual <= cfg.residual_tol:
+    if reached and residual <= cfg.residual_tol:
         status = SolverStatus.CONVERGED
     else:
         status = SolverStatus.MAX_ITERS_EXCEEDED
@@ -298,7 +293,7 @@ def solve_max_sum_rate(ch: ChannelInstance, cfg: SolverConfig | None = None) -> 
         sum_rate=sum_rate(ch, split),
         lambda_star=lam,
         residual=residual,
-        outer_iterations=evaluations,
+        outer_iterations=path.evaluations,
         active_set_changes=int(np.count_nonzero(gamma == 1.0)),
         status=status,
     )

@@ -10,12 +10,10 @@ from cogmac import (
     ChannelInstance,
     DimensionMismatchError,
     PowerSplit,
-    UndefinedCoordinateError,
     baseline_primary_rate,
     feasibility_residual,
     primary_rate,
     relative_residual,
-    solve_feasible_coordinate,
     sum_rate,
 )
 from cogmac.channel import _coordinate_roots
@@ -52,11 +50,6 @@ class TestValidation:
             PowerSplit(np.array([1.2]))
         with pytest.raises(ValueError):
             PowerSplit(np.array([-0.1]))
-
-    def test_beta_undefined_for_zero_g(self):
-        ch = ChannelInstance(h=[1], g=[0], p=[1], h_p=1, p_p=1, sigma_p2=1, sigma_c2=1)
-        with pytest.raises(UndefinedCoordinateError):
-            ch.beta(0)
 
 
 class TestBaselinePrimaryRate:
@@ -133,8 +126,12 @@ class TestSumRate:
 
 
 class TestSolveFeasibleCoordinate:
+    """`_coordinate_roots`, the projection of one coordinate of a full split
+    onto phi = 0: for one split it returns 0-d arrays (mask, root)."""
+
     def test_single_user_closed_root(self, unit_k1):
-        root = solve_feasible_coordinate(unit_k1, [], 0)
+        ok, root = _coordinate_roots(unit_k1, 0, np.zeros(1))
+        assert ok
         assert root == pytest.approx((math.sqrt(3.0) - 1.0) / 2.0, abs=1e-12)
         split = PowerSplit(np.array([root]))
         assert primary_rate(unit_k1, split) == pytest.approx(
@@ -147,8 +144,10 @@ class TestSolveFeasibleCoordinate:
             sigma_p2=1.0, sigma_c2=1.0,
         )
         # put the other coordinate exactly on the constraint with gamma_0 = 0
-        other = solve_feasible_coordinate(ch, [0.0], 1)
-        root = solve_feasible_coordinate(ch, [other], 0)
+        ok, other = _coordinate_roots(ch, 1, np.zeros(2))
+        assert ok
+        ok, root = _coordinate_roots(ch, 0, np.array([0.0, other]))
+        assert ok
         assert root == pytest.approx(0.0, abs=1e-9)
 
     def test_silent_primary_with_nothing_relayed(self):
@@ -159,23 +158,20 @@ class TestSolveFeasibleCoordinate:
             sigma_p2=1.0, sigma_c2=1.0,
         )
         with np.errstate(all="raise"):
-            assert solve_feasible_coordinate(ch, [0.0], 0) == 0.0
-            assert solve_feasible_coordinate(ch, [0.5], 0) is None
-
-    def test_zero_g_refused(self):
-        ch = ChannelInstance(h=[1, 1], g=[0, 1], p=[1, 1], h_p=1, p_p=1, sigma_p2=1, sigma_c2=1)
-        with pytest.raises(UndefinedCoordinateError):
-            solve_feasible_coordinate(ch, [0.5], 0)
+            assert _coordinate_roots(ch, 0, np.zeros(2)) == (True, 0.0)
+            assert not _coordinate_roots(ch, 0, np.array([0.0, 0.5]))[0]
 
     @staticmethod
     def _agrees_with_bisection(ch, splits):
         """gamma_0 solved on every row of splits (n, K) by one batch call
-        agrees with the scalar call and, where phi changes sign on [0, 1],
-        with plain bisection."""
+        agrees with the call on that row alone and, where phi changes sign
+        on [0, 1], with plain bisection."""
         mask, roots = _coordinate_roots(ch, 0, splits)
-        for rest, ok, batch_root in zip(splits[:, 1:], mask, roots):
-            root = solve_feasible_coordinate(ch, rest, 0)
-            assert root == (float(batch_root) if ok else None)
+        for split, ok, batch_root in zip(splits, mask, roots):
+            alone = _coordinate_roots(ch, 0, split)
+            assert alone == (ok, batch_root)
+            root = float(batch_root) if ok else None
+            rest = split[1:]
             phi = lambda g0, rest=rest: feasibility_residual(
                 ch, PowerSplit(np.array([g0, *rest]))
             )
@@ -221,8 +217,8 @@ class TestInvariants:
         if gap <= 1e-13:
             assert res <= 1e-9
         # and on a point projected onto the constraint both hold at once
-        root = solve_feasible_coordinate(ch, gamma.gamma[1:], 0)
-        if root is not None:
+        ok, root = _coordinate_roots(ch, 0, gamma.gamma)
+        if ok:
             feasible = PowerSplit(np.array([root, gamma.gamma[1]]))
             assert relative_residual(ch, feasible) <= 1e-9
             assert abs(

@@ -48,8 +48,9 @@ class TestSolve:
     def test_degenerate_scenario(self):
         proc = run_cli("solve", "--scenario", str(SCENARIOS / "k2_no_interference.json"))
         report = json.loads(proc.stdout)
-        assert report["status"] == "DegenerateNoInterference"
+        assert report["status"] == "Converged"
         assert report["gamma_star"] == [0, 0]
+        assert report["outer_iterations"] == 2
 
     @pytest.mark.parametrize(
         "override, field",
@@ -68,6 +69,22 @@ class TestSolve:
         proc = run_cli("solve", "--scenario", path, check=False)
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"error: {field} must be ")
+
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            ({"p_p": 10**400}, "p_p"),
+            ({"p": [10**400]}, "p[0]"),
+            ({"solver": {"residual_tol": 10**400}}, "solver.residual_tol"),
+        ],
+        ids=["scalar", "vector-entry", "solver-residual_tol"],
+    )
+    def test_integer_past_float_range_names_field(self, tmp_path, override, field):
+        path = write_scenario(tmp_path, dict(UNIT_K1, **override))
+        proc = run_cli("solve", "--scenario", path, check=False)
+        assert proc.returncode == 1
+        message = f"{field} must be finite, got an integer too large for a float"
+        assert proc.stderr == f"error: {message}\n"
 
     @pytest.mark.parametrize("command", ["solve", "region", "sweep", "validate"])
     def test_overflowing_received_power_names_field(self, tmp_path, command):

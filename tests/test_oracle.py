@@ -33,6 +33,10 @@ class TestGridSearch:
         result = grid_search(k2_no_interference, 0.1)
         assert np.all(result.best_gamma.gamma == 0.0)
 
+    def test_best_row_is_copied(self, k2_reference):
+        # a view of the best row would keep the whole grid alive
+        assert grid_search(k2_reference, 0.01).best_gamma.gamma.base is None
+
     def test_two_user_agrees_with_solver(self, k2_reference):
         oracle = grid_search(k2_reference, 1e-3)
         solver = solve_max_sum_rate(k2_reference)
@@ -76,7 +80,7 @@ class TestKktCheck:
 
     def test_degenerate_instance_passes_empty(self, k2_no_interference):
         result = solve_max_sum_rate(k2_no_interference)
-        assert result.status is SolverStatus.DEGENERATE_NO_INTERFERENCE
+        assert result.status is SolverStatus.CONVERGED
         report = kkt_check(k2_no_interference, result)
         assert report.passed
         assert report.stationarity == {0: 0.0, 1: 0.0}
@@ -130,6 +134,12 @@ class TestSingleUserClosedForm:
     def test_zero_primary_gain(self):
         ch = ChannelInstance(
             h=[1.0], g=[1.0], p=[1.0], h_p=0.0, p_p=1.0, sigma_p2=1.0, sigma_c2=1.0
+        )
+        assert single_user_closed_form(ch) == 0.0
+
+    def test_no_interference_is_zero(self):
+        ch = ChannelInstance(
+            h=[1.0], g=[0.0], p=[1.0], h_p=1.0, p_p=1.0, sigma_p2=1.0, sigma_c2=1.0
         )
         assert single_user_closed_form(ch) == 0.0
 

@@ -95,7 +95,7 @@ class TestFeasibleGrid:
             assert feasible_grid(ch, 0.05).flags.f_contiguous
 
     def test_empty_despite_interference_raises(self, k2_reference, monkeypatch):
-        monkeypatch.setattr(region, "SAMPLE_RESIDUAL_TOL", -1.0)
+        monkeypatch.setattr(region, "RESIDUAL_TOL", -1.0)
         with pytest.raises(RuntimeError, match="2-user"):
             region_boundary(k2_reference, 0.05)
         with pytest.raises(RuntimeError, match="2-user"):

@@ -238,7 +238,8 @@ class TestSolveMaxSumRate:
 
     def test_degenerate_no_interference(self, k2_no_interference):
         result = solve_max_sum_rate(k2_no_interference)
-        assert result.status is SolverStatus.DEGENERATE_NO_INTERFERENCE
+        assert result.status is SolverStatus.CONVERGED
+        assert result.lambda_star == 0.0
         assert np.all(result.gamma_star.gamma == 0.0)
         assert result.sum_rate == pytest.approx(0.5 * math.log2(3.0), abs=1e-14)
 
@@ -381,6 +382,31 @@ class TestSolveMaxSumRate:
             result = solve_max_sum_rate(ch)
             if result.status is not SolverStatus.CONVERGED or not kkt_check(ch, result).passed:
                 failed.append((i, result.status.value, result.residual))
+        assert not failed
+
+    def test_no_interference_fuzz_stops_at_zero_multiplier(self):
+        # every g_k = 0: phi is 0 at lambda = 0 up to rounding and no user can
+        # change it, so the general path stops there after phi and gamma.
+        # h log-uniform over 1e-60..1e60, the rest over 1e-20..1e20, and a
+        # silent primary on every seventh draw
+        rng = np.random.default_rng(12)
+        failed = []
+        for i in range(1000):
+            k = int(rng.integers(1, 6))
+            h, p = 10.0 ** rng.uniform(-60, 60, k), 10.0 ** rng.uniform(-20, 20, k)
+            h_p, p_p, sigma_p2, sigma_c2 = 10.0 ** rng.uniform(-20, 20, 4)
+            ch = ChannelInstance(
+                h=h, g=np.zeros(k), p=p, h_p=0.0 if i % 7 == 0 else h_p, p_p=p_p,
+                sigma_p2=sigma_p2, sigma_c2=sigma_c2,
+            )
+            result = solve_max_sum_rate(ch)
+            if not (
+                result.status is SolverStatus.CONVERGED
+                and result.lambda_star == 0.0
+                and np.all(result.gamma_star.gamma == 0.0)
+                and result.outer_iterations == 2
+            ):
+                failed.append((i, result.status.value, result.outer_iterations))
         assert not failed
 
     def test_silent_primary_relays_nothing(self):
