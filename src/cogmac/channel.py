@@ -4,7 +4,10 @@ Batch-first: each formula has one private implementation that takes one
 split as a (K,) array or n splits as an (n, K) array and reduces over the
 last axis; every kernel takes whole splits, the per-coordinate quadratic
 included, and `_capacity` takes one SNR or an (n,) array of them.  The
-public functions are thin scalar wrappers around them.
+public functions are thin scalar wrappers around them.  An instance
+derives its constant terms once, when it is built (s_p = h_p^2 P_p, the
+primary amplitude h_p sqrt(P_p), sqrt(P_k), g_k^2, h_k^2 and the residual
+scale), and every kernel reads them from it.
 Rates are in bits per channel use (log base 2 throughout).
 """
 
@@ -62,6 +65,13 @@ class ChannelInstance:
     and the sums over k of h_k^2 P_k and g_k^2 P_k; an invalid one raises
     ValueError naming the field and entry, e.g. ``p[1] must be strictly
     positive, got -1.0``.
+
+    The constant terms of the formulas are derived once, here, as read-only
+    attributes that are not fields (`dataclasses.replace` derives them
+    again): s_p = h_p^2 P_p, primary_amplitude = h_p sqrt(P_p), sqrt_p,
+    g2 = g_k^2, h2 = h_k^2 and residual_scale.  The kernels multiply them in
+    the order (g gamma) sqrt(P), g^2 (1 - gamma^2) P and (1 - gamma^2) h^2 P;
+    a cached product such as g sqrt(P) would round differently.
     """
 
     h: np.ndarray
@@ -97,26 +107,32 @@ class ChannelInstance:
                     raise ValueError(f"{label} must be {rule}, got {v}")
         # the rate formulas square the gains and sum the received powers
         with np.errstate(over="ignore"):
+            g2, h2 = self.g**2, self.h**2
             received = (
-                ("sum of h[k]^2 * p[k]", float(np.dot(self.h * self.h, self.p))),
-                ("sum of g[k]^2 * p[k]", float(np.dot(self.g * self.g, self.p))),
+                ("sum of h[k]^2 * p[k]", float(np.dot(h2, self.p))),
+                ("sum of g[k]^2 * p[k]", float(np.dot(g2, self.p))),
                 ("h_p^2 * p_p", self.h_p * self.h_p * self.p_p),
             )
         for label, value in received:
             if not math.isfinite(value):
                 raise ValueError(f"{label} must be finite, got {value}")
-        self.h.setflags(write=False)
-        self.g.setflags(write=False)
-        self.p.setflags(write=False)
+        s_p = self.h_p**2 * self.p_p
+        derived = (
+            ("s_p", s_p),
+            ("primary_amplitude", self.h_p * math.sqrt(self.p_p)),
+            ("sqrt_p", np.sqrt(self.p)),
+            ("g2", g2),
+            ("h2", h2),
+            ("residual_scale", max(s_p * float((g2 * self.p).sum()), self.sigma_p2 * s_p)),
+        )
+        for name, value in derived:
+            object.__setattr__(self, name, value)
+        for arr in (self.h, self.g, self.p, self.sqrt_p, g2, h2):
+            arr.setflags(write=False)
 
     @property
     def num_users(self) -> int:
         return self.h.size
-
-    @property
-    def primary_amplitude(self) -> float:
-        """h_p * sqrt(P_p), the no-cooperation received primary amplitude."""
-        return self.h_p * math.sqrt(self.p_p)
 
 
 def _splits(gamma, ndim: int = 1) -> np.ndarray:
@@ -178,21 +194,21 @@ def _primary_terms(ch: ChannelInstance, gamma: np.ndarray):
     The cooperation parts add coherently at the primary receiver; the
     dirty-paper-coded parts remain as interference.
     """
-    signal = ch.primary_amplitude + np.sum(ch.g * gamma * np.sqrt(ch.p), axis=-1)
-    noise = ch.sigma_p2 + np.sum(ch.g**2 * (1.0 - gamma**2) * ch.p, axis=-1)
+    signal = ch.primary_amplitude + (ch.g * gamma * ch.sqrt_p).sum(axis=-1)
+    noise = ch.sigma_p2 + (ch.g2 * (1.0 - gamma**2) * ch.p).sum(axis=-1)
     return signal, noise
 
 
 def _phi(ch: ChannelInstance, gamma: np.ndarray):
     """The residual phi of `feasibility_residual`."""
     signal, noise = _primary_terms(ch, gamma)
-    return ch.sigma_p2 * signal**2 - ch.h_p**2 * ch.p_p * noise
+    return ch.sigma_p2 * signal**2 - ch.s_p * noise
 
 
 def _relative_phi(ch: ChannelInstance, gamma: np.ndarray):
     """|phi| / residual_scale; with a zero scale, 0 where phi = 0, else inf."""
     phi = np.abs(_phi(ch, gamma))
-    scale = residual_scale(ch)
+    scale = ch.residual_scale
     if scale == 0.0:
         return np.where(phi == 0.0, 0.0, math.inf)
     return phi / scale
@@ -201,8 +217,8 @@ def _relative_phi(ch: ChannelInstance, gamma: np.ndarray):
 def _mac_snr(ch: ChannelInstance, gamma: np.ndarray, users=slice(None)):
     """SNR at the AP of the users selected by `users` (all by default):
     the sum of (1 - gamma_k^2) h_k^2 P_k over them, over sigma_c2."""
-    effective = (1.0 - gamma**2) * ch.h**2 * ch.p
-    return np.sum(effective[..., users], axis=-1) / ch.sigma_c2
+    effective = (1.0 - gamma**2) * ch.h2 * ch.p
+    return effective[..., users].sum(axis=-1) / ch.sigma_c2
 
 
 def _coordinate_roots(ch: ChannelInstance, k: int, gamma: np.ndarray):
@@ -213,14 +229,15 @@ def _coordinate_roots(ch: ChannelInstance, k: int, gamma: np.ndarray):
     1e-12), and root is that root clipped to [0, 1].  The caller guarantees
     g_k > 0.
     """
-    g_o = np.where(np.arange(ch.num_users) == k, 0.0, ch.g)  # user k left out
-    t = ch.h_p**2 * ch.p_p / ch.sigma_p2
+    g_o, g2_o = ch.g.copy(), ch.g2.copy()  # user k left out
+    g_o[k] = g2_o[k] = 0.0
+    t = ch.s_p / ch.sigma_p2
     amp = ch.primary_amplitude
-    relayed = np.sum(g_o * gamma * np.sqrt(ch.p), axis=-1)  # S'
-    lost = np.sum(g_o**2 * (1.0 - gamma**2) * ch.p, axis=-1) + ch.g[k] ** 2 * ch.p[k]
+    relayed = (g_o * gamma * ch.sqrt_p).sum(axis=-1)  # S'
+    lost = (g2_o * (1.0 - gamma**2) * ch.p).sum(axis=-1) + ch.g[k] ** 2 * ch.p[k]
     b = amp + relayed
     a = t * (ch.sigma_p2 + lost)
-    x = ch.g[k] * math.sqrt(ch.p[k])
+    x = ch.g[k] * ch.sqrt_p[k]
     # quadratic: x^2 (1+t) gamma^2 + 2 b x gamma + (b^2 - a) = 0.  Its "-"
     # root is at most 0 (b >= 0), so only the "+" root can lie in [0, 1];
     # rationalised: (a - b^2) / (x (b + sqrt(disc))), where
@@ -233,12 +250,16 @@ def _coordinate_roots(ch: ChannelInstance, k: int, gamma: np.ndarray):
     den = x * (b + sq)
     num = t * lost - relayed * (2.0 * amp + relayed)
     root = np.divide(num, den, out=np.zeros(np.shape(den)), where=den > 0.0)
-    return real & (root >= -1e-12) & (root <= 1.0 + 1e-12), np.clip(root, 0.0, 1.0)
+    # maximum(0, root) then minimum(., 1) is np.clip's result, bit for bit,
+    # the sign of a zero root included, at half its cost on one split;
+    # clipping in place with out= is slower on the feasible grid's columns
+    mask = real & (root >= -1e-12) & (root <= 1.0 + 1e-12)
+    return mask, np.minimum(np.maximum(0.0, root), 1.0)
 
 
 def baseline_primary_rate(ch: ChannelInstance) -> float:
     """Primary rate with no cognitive transmissions at all."""
-    return _capacity(ch.h_p**2 * ch.p_p / ch.sigma_p2)
+    return _capacity(ch.s_p / ch.sigma_p2)
 
 
 def primary_rate(ch: ChannelInstance, split: PowerSplit) -> float:
@@ -260,9 +281,9 @@ def feasibility_residual(ch: ChannelInstance, split: PowerSplit) -> float:
 
 
 def residual_scale(ch: ChannelInstance) -> float:
-    """Dimensional scale used to make the feasibility residual relative."""
-    s_p = ch.h_p**2 * ch.p_p
-    return max(s_p * float(np.sum(ch.g**2 * ch.p)), ch.sigma_p2 * s_p)
+    """Dimensional scale used to make the feasibility residual relative:
+    h_p^2 P_p times the larger of sigma_p2 and the sum of g_k^2 P_k."""
+    return ch.residual_scale
 
 
 def relative_residual(ch: ChannelInstance, split: PowerSplit) -> float:

@@ -47,7 +47,22 @@ _ALLOWED_KEYS = set(_CHANNEL_VECTOR_KEYS) | set(_CHANNEL_SCALAR_KEYS) | {
 }
 
 
+class _LongInteger:
+    """A JSON integer literal with more digits than `int` parses
+    (`sys.get_int_max_str_digits`), left unparsed so that the field that
+    holds it can be named."""
+
+
+def _parse_int(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return _LongInteger()
+
+
 def _require_number(value, field: str) -> float:
+    if isinstance(value, _LongInteger):  # thousands of digits: past the float range too
+        raise ScenarioError(f"{field} must be finite, got an integer too large for a float")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{field} must be a number, got {value!r}")
     try:
@@ -62,7 +77,7 @@ def load_scenario(path: str) -> tuple[ChannelInstance, SolverConfig, str | None]
     """Parse a scenario JSON file into (instance, solver config, name)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=_parse_int)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -100,6 +115,9 @@ def load_scenario(path: str) -> tuple[ChannelInstance, SolverConfig, str | None]
     cfg_kwargs = {}
     for key, value in solver_doc.items():
         if key == "max_outer_iters":
+            if isinstance(value, _LongInteger):
+                limit = sys.get_int_max_str_digits()
+                raise ScenarioError(f"solver.{key} must have at most {limit} digits")
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ScenarioError(f"solver.{key} must be an integer")
             cfg_kwargs[key] = value
@@ -234,11 +252,10 @@ def _default_lambda_max(ch: ChannelInstance) -> float:
     """Sweep range when lambda* = 0: the smallest positive pole
     (h_k / g_k)^2 / (h_p^2 P_p) of the gamma formula, or
     max(h_p^2 P_p, sigma_p2) / sigma_p2^2 when there is none."""
-    s_p = ch.h_p**2 * ch.p_p
     users = (ch.g > 0) & (ch.h > 0)
-    if s_p > 0 and users.any():
-        return float(np.min((ch.h[users] / ch.g[users]) ** 2)) / s_p
-    return max(s_p, ch.sigma_p2) / ch.sigma_p2**2
+    if ch.s_p > 0 and users.any():
+        return float(np.min((ch.h[users] / ch.g[users]) ** 2)) / ch.s_p
+    return max(ch.s_p, ch.sigma_p2) / ch.sigma_p2**2
 
 
 def cmd_sweep(args) -> int:

@@ -77,7 +77,6 @@ def kkt_check(
     """
     gamma = result.gamma_star.gamma
     lam = result.lambda_star
-    s_p = ch.h_p**2 * ch.p_p
     x = float(_primary_terms(ch, gamma)[0])
     sat_cut = 1.0 - 1e-9
     interior = tuple(k for k in range(ch.num_users) if gamma[k] < sat_cut)
@@ -87,8 +86,8 @@ def kkt_check(
     stationarity_ok = True
     for k in range(ch.num_users):
         term_obj = -2.0 * ch.h[k] ** 2 * ch.p[k] * gamma[k]
-        term_x = 2.0 * lam * ch.sigma_p2 * x * ch.g[k] * math.sqrt(ch.p[k])
-        term_quad = 2.0 * lam * s_p * ch.g[k] ** 2 * ch.p[k] * gamma[k]
+        term_x = 2.0 * lam * ch.sigma_p2 * x * ch.g[k] * ch.sqrt_p[k]
+        term_quad = 2.0 * lam * ch.s_p * ch.g[k] ** 2 * ch.p[k] * gamma[k]
         deriv = term_obj + term_x + term_quad
         scale_k = max(abs(term_obj), abs(term_x), abs(term_quad), 2.0 * ch.h[k] ** 2 * ch.p[k])
         if scale_k == 0.0:

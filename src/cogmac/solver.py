@@ -30,6 +30,7 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import itemgetter, mul, truediv
 
 import numpy as np
@@ -38,12 +39,13 @@ from .channel import (
     RESIDUAL_TOL,
     ChannelInstance,
     PowerSplit,
+    _capacity,
     _coordinate_roots,
+    _mac_snr,
     _phi,
     _primary_terms,
+    _relative_phi,
     _splits,
-    relative_residual,
-    sum_rate,
 )
 
 
@@ -90,11 +92,11 @@ class _WaterFill:
         self.ch = ch
         self.users = np.flatnonzero(ch.g > 0)
         g = ch.g[self.users]
-        self.a_k = g * np.sqrt(ch.p[self.users])
+        self.a_k = g * ch.sqrt_p[self.users]
         self.beta2_k = (ch.h[self.users] / g) ** 2
         self.ids, self.a, self.a2 = self.users.tolist(), self.a_k.tolist(), (self.a_k**2).tolist()
         self.beta2, self.identity = self.beta2_k.tolist(), list(range(self.users.size))
-        self.amp, self.sigma_p2, self.s_p = ch.primary_amplitude, ch.sigma_p2, ch.h_p**2 * ch.p_p
+        self.amp, self.sigma_p2, self.s_p = ch.primary_amplitude, ch.sigma_p2, ch.s_p
         self.evaluations = 0
 
     def first_bound(self) -> float:
@@ -122,12 +124,17 @@ class _WaterFill:
         a, n = self.a, len(c)
         z = bisect_right(c, 0.0)  # at or past their pole
         ratio = list(map(truediv, a[z:], c[z:]))
-        # N_m and Q_m, each summed in the order of `states`' cumulative sums
-        m, n_m, q_m = z, sum(a[:z], self.amp), sum(reversed(ratio))
+        # N_m and Q_m, each summed in the order of `states`' cumulative sums.
+        # Q_j for j past z is read from the suffix sums, q[n - j], listed
+        # only once a user past z saturates: most evaluations saturate none,
+        # and then one sum costs less than the list
+        m, n_m, q_m, q = z, sum(a[:z], self.amp), sum(reversed(ratio)), None
         while m < n and r * n_m >= c[m] * (1.0 - r * q_m):
+            if q is None:
+                q = list(accumulate(reversed(ratio), initial=0.0))
             n_m += a[m]
             m += 1
-            q_m = sum(reversed(ratio[m - z :]))
+            q_m = q[n - m]
         return n_m / (1.0 - r * q_m), m, c, ratio[m - z :]
 
     def phi(self, lam: float) -> float:
@@ -139,13 +146,15 @@ class _WaterFill:
         return sigma_p2 * x * x - self.s_p * (sigma_p2 + lost)
 
     def split(self, lam: float):
-        """X, gamma (K,) and the saturated flags (K,) at lam."""
+        """X, gamma (K,) and the saturated flags (K,) at lam: gamma_k = 1 on
+        the saturated users, and t / c_k from the path's own c_k on the
+        others."""
         x, m, c, _ = self._fixed_point(lam)
         t = lam * self.sigma_p2 * x
-        pinned, interior = list(self.ids[:m]), list(self.ids[m:])
+        order = np.array(self.ids, dtype=np.intp)
         gamma, saturated = np.zeros(self.ch.num_users), np.zeros(self.ch.num_users, dtype=bool)
-        gamma[pinned], saturated[pinned] = 1.0, True
-        gamma[interior] = np.minimum(t / np.array(c[m:]), 1.0)
+        gamma[order[:m]], saturated[order[:m]] = 1.0, True
+        gamma[order[m:]] = np.minimum(t / np.array(c[m:]), 1.0)
         return x, gamma, saturated
 
     def states(self, lam: np.ndarray):
@@ -219,20 +228,21 @@ def _brent(f, lo: float, hi: float, f_lo: float, f_hi: float, budget: float) -> 
             step = prev = b - a
 
 
-def _finish(ch: ChannelInstance, gamma: np.ndarray, saturated: np.ndarray) -> np.ndarray:
+def _finish(
+    ch: ChannelInstance, gamma: np.ndarray, saturated: np.ndarray, users: np.ndarray
+) -> np.ndarray:
     """Project gamma onto phi = 0 one coordinate at a time.
 
-    The candidates are the users with g_k > 0, interior before saturated,
-    each group by steepest d phi / d gamma_k.  Each in turn is set to its
-    root clipped to [0, 1], and the first exact root ends the walk.  phi
-    increases in every such gamma_k, so a candidate that cannot land alone
-    still moves phi toward 0: a relay with h_k = 0 released to 0 lets the
-    next candidate land.
+    The candidates are `users`, those with g_k > 0 in index order, interior
+    before saturated, each group by steepest d phi / d gamma_k and ties in
+    index order.  Each in turn is set to its root clipped to [0, 1], and the
+    first exact root ends the walk.  phi increases in every such gamma_k,
+    so a candidate that cannot land alone still moves phi toward 0: a relay
+    with h_k = 0 released to 0 lets the next candidate land.
     """
     x = _primary_terms(ch, gamma)[0]
-    a = ch.g * np.sqrt(ch.p)
-    slope = a * (ch.sigma_p2 * x + ch.h_p**2 * ch.p_p * a * gamma)  # half d phi / d gamma_k
-    users = np.flatnonzero(ch.g > 0)
+    a = ch.g * ch.sqrt_p
+    slope = a * (ch.sigma_p2 * x + ch.s_p * a * gamma)  # half d phi / d gamma_k
     gamma = gamma.copy()
     for k in users[np.lexsort((-slope[users], saturated[users]))]:
         ok, gamma[k] = _coordinate_roots(ch, k, gamma)
@@ -281,16 +291,16 @@ def solve_max_sum_rate(ch: ChannelInstance, cfg: SolverConfig | None = None) -> 
     lam, reached = _follow(path, cfg.max_outer_iters - 1)  # one is kept for gamma
     _, gamma, saturated = path.split(lam)
     if reached:
-        gamma = _finish(ch, gamma, saturated)
+        gamma = _finish(ch, gamma, saturated, path.users)
     split = PowerSplit(gamma)
-    residual = relative_residual(ch, split)
+    residual = float(_relative_phi(ch, split.gamma))
     if reached and residual <= cfg.residual_tol:
         status = SolverStatus.CONVERGED
     else:
         status = SolverStatus.MAX_ITERS_EXCEEDED
     return SolverResult(
         gamma_star=split,
-        sum_rate=sum_rate(ch, split),
+        sum_rate=_capacity(_mac_snr(ch, split.gamma)),
         lambda_star=lam,
         residual=residual,
         outer_iterations=path.evaluations,

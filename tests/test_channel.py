@@ -52,6 +52,69 @@ class TestValidation:
             PowerSplit(np.array([-0.1]))
 
 
+class TestDerivedTerms:
+    """The constant terms an instance derives once: read-only, not fields,
+    and bitwise equal to the expressions the kernels evaluated in their
+    place."""
+
+    NAMES = ("s_p", "primary_amplitude", "sqrt_p", "g2", "h2", "residual_scale")
+
+    @staticmethod
+    def _expected(ch):
+        s_p = ch.h_p**2 * ch.p_p
+        return {
+            "s_p": s_p,
+            "primary_amplitude": ch.h_p * math.sqrt(ch.p_p),
+            "sqrt_p": np.sqrt(ch.p),
+            "g2": ch.g**2,
+            "h2": ch.h**2,
+            "residual_scale": max(s_p * float(np.sum(ch.g**2 * ch.p)), ch.sigma_p2 * s_p),
+        }
+
+    @staticmethod
+    def _bits(value):
+        return np.asarray(value, dtype=float).tobytes()
+
+    def test_bitwise_equal_to_the_expressions(self):
+        rng = np.random.default_rng(5)
+        suite = [make_instance(rng, k) for k in (1, 2, 3, 50)]
+        suite.append(ChannelInstance(  # many decades apart, and zeros
+            h=[3.8e33, 0.0, 1e-12], g=[3.5e-10, 2e5, 0.0], p=[2.1e-15, 7e19, 1.0],
+            h_p=4.2e15, p_p=6.6e7, sigma_p2=1135.05, sigma_c2=1.9e7,
+        ))
+        for ch in suite:
+            for name, value in self._expected(ch).items():
+                assert self._bits(getattr(ch, name)) == self._bits(value), name
+
+    def test_read_only(self, k2_reference):
+        for name in self.NAMES:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(k2_reference, name, 0.0)
+        for name in ("sqrt_p", "g2", "h2"):
+            with pytest.raises(ValueError):
+                getattr(k2_reference, name)[0] = 0.0
+
+    def test_replace_derives_them_again(self, k2_reference):
+        ch = dataclasses.replace(k2_reference, h=[0.5, 2.0], g=[0.1, 0.3], p=[3.0, 7.0], p_p=2.5)
+        for name, value in self._expected(ch).items():
+            assert self._bits(getattr(ch, name)) == self._bits(value), name
+        assert ch.s_p != k2_reference.s_p
+
+    def test_not_fields(self, k2_reference):
+        fields = {f.name for f in dataclasses.fields(ChannelInstance)}
+        assert fields == {"h", "g", "p", "h_p", "p_p", "sigma_p2", "sigma_c2", "f"}
+        text = repr(k2_reference)
+        assert not any(f"{name}=" in text for name in self.NAMES)
+
+    def test_scenario_echo_unchanged(self, k2_reference):
+        from cogmac.cli import scenario_echo
+
+        assert scenario_echo(k2_reference, "ref") == {
+            "h": [1.0, 0.8], "g": [0.4, 0.2], "p": [5.0, 5.0], "h_p": 1.0, "p_p": 10.0,
+            "sigma_p2": 1.0, "sigma_c2": 1.0, "f": 0.0, "name": "ref",
+        }
+
+
 class TestBaselinePrimaryRate:
     def test_zero_gain_primary(self):
         ch = ChannelInstance(h=[1], g=[1], p=[1], h_p=0.0, p_p=1.0, sigma_p2=1.0, sigma_c2=1.0)

@@ -86,6 +86,30 @@ class TestSolve:
         message = f"{field} must be finite, got an integer too large for a float"
         assert proc.stderr == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"p_p": "@"}, "p_p must be finite, got an integer too large for a float"),
+            (
+                {"h": [1.0, "@"], "g": [1.0, 1.0], "p": [1.0, 1.0]},
+                "h[1] must be finite, got an integer too large for a float",
+            ),
+            (
+                {"solver": {"max_outer_iters": "@"}},
+                f"solver.max_outer_iters must have at most {sys.get_int_max_str_digits()} digits",
+            ),
+        ],
+        ids=["scalar", "vector-entry", "solver-max_outer_iters"],
+    )
+    def test_integer_past_digit_limit_names_field(self, tmp_path, override, message):
+        # longer than int() parses by default, so json.dumps cannot write it
+        text = json.dumps(dict(UNIT_K1, **override)).replace('"@"', "9" * 5000)
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        proc = run_cli("solve", "--scenario", str(path), check=False)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {message}\n"
+
     @pytest.mark.parametrize("command", ["solve", "region", "sweep", "validate"])
     def test_overflowing_received_power_names_field(self, tmp_path, command):
         doc = json.loads((SCENARIOS / "k2_reference.json").read_text())

@@ -20,9 +20,10 @@ from cogmac import (
     sweep_trajectory,
 )
 from cogmac.channel import _phi, residual_scale
-from cogmac.oracle import instance_suite
-from cogmac.solver import _WaterFill
-from conftest import bisect_root
+from cogmac import solver
+from cogmac.oracle import instance_suite, random_instance
+from cogmac.solver import _finish, _WaterFill
+from conftest import SUITE_SEED, bisect_root
 from test_channel import make_instance
 
 
@@ -225,6 +226,114 @@ class TestScalarBatchAgreement:
     def test_wide_suite(self, wide_suite, grid):
         for ch in wide_suite:
             self._check(ch, grid(ch))
+
+
+def _fixed_point_by_resumming(path, lam):
+    """X and the number m of saturated users at lam by the prefix rule,
+    re-summing Q_m over the interior users at every step: the reference
+    for `_WaterFill._fixed_point`'s suffix sums."""
+    r = lam * path.sigma_p2
+    path._fixed_point(lam)  # leaves the lists in their order at lam
+    c = [(b - lam * path.s_p) * a for b, a in zip(path.beta2, path.a)]
+    z = sum(1 for c_k in c if c_k <= 0.0)
+    ratio = [a / c_k for a, c_k in zip(path.a[z:], c[z:])]
+    m, n_m, q_m = z, sum(path.a[:z], path.amp), sum(reversed(ratio))
+    while m < len(c) and r * n_m >= c[m] * (1.0 - r * q_m):
+        n_m += path.a[m]
+        m += 1
+        q_m = sum(reversed(ratio[m - z :]))
+    return n_m / (1.0 - r * q_m), m
+
+
+class TestLargeKFixedPoint:
+    """At K = 1000, where lambda* saturates 26 users, the scalar path's
+    suffix sums give the re-summed X and m, and `split` and `phi` give the
+    `states` row, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        ch = random_instance(np.random.default_rng(3), 1000)
+        return ch, solve_max_sum_rate(ch).lambda_star
+
+    def test_suffix_sums_match_resumming(self, case):
+        ch, lam_star = case
+        path = _WaterFill(ch)
+        for lam in (lam_star, 0.5 * lam_star, 2.0 * lam_star):
+            x, m, _, _ = path._fixed_point(lam)
+            assert (x, m) == _fixed_point_by_resumming(_WaterFill(ch), lam)
+        assert path._fixed_point(lam_star)[1] >= 20
+
+    def test_scalar_matches_states_row(self, case):
+        ch, lam_star = case
+        path = _WaterFill(ch)
+        x, gamma, saturated = path.states(np.array([lam_star]))
+        x_s, gamma_s, saturated_s = path.split(lam_star)
+        assert saturated_s.sum() >= 20
+        assert x_s == x[0]
+        assert gamma_s.tobytes() == gamma[0].tobytes()
+        assert saturated_s.tolist() == saturated[0].tolist()
+        phi = path.phi(lam_star)
+        assert phi == _WaterFill(ch).phi(lam_star)  # from either list order
+        assert abs(phi - _phi(ch, gamma[0])) <= 1e-11 * residual_scale(ch)
+
+
+class TestFinishOrder:
+    """`_finish` tries the users with g_k > 0 interior first, then
+    saturated, each group by steepest slope a_k (sigma_p2 X + s_p a_k
+    gamma_k), ties in index order; here every candidate fails to land, so
+    each is tried once."""
+
+    @staticmethod
+    def _tried(monkeypatch, ch, lam):
+        tried = []
+
+        def never_lands(ch, k, gamma):
+            tried.append(k)
+            return False, gamma[k]
+
+        monkeypatch.setattr(solver, "_coordinate_roots", never_lands)
+        path = _WaterFill(ch)
+        _, gamma, saturated = path.split(lam)
+        _finish(ch, gamma, saturated, path.users)
+        a = ch.g * np.sqrt(ch.p)
+        x = ch.h_p * math.sqrt(ch.p_p) + float(a @ gamma)
+        slope = (a * (ch.sigma_p2 * x + ch.h_p**2 * ch.p_p * a * gamma)).tolist()
+        flags = saturated.tolist()
+        users = [k for k in range(ch.num_users) if ch.g[k] > 0]
+        expected = sorted(users, key=lambda k: (flags[k], -slope[k], k))
+        return tried, expected, saturated, slope
+
+    def test_tied_slopes_in_index_order(self, monkeypatch):
+        # users 0, 2 and 3 are the same user, so their slopes tie exactly;
+        # user 1 has g = 0 and is no candidate
+        ch = ChannelInstance(
+            h=[1.0, 0.7, 1.0, 1.0, 0.3], g=[0.4, 0.0, 0.4, 0.4, 0.9], p=[2.0, 1.0, 2.0, 2.0, 3.0],
+            h_p=1.0, p_p=4.0, sigma_p2=1.0, sigma_c2=1.0,
+        )
+        lam = solve_max_sum_rate(ch).lambda_star
+        tried, expected, _, slope = self._tried(monkeypatch, ch, lam)
+        assert slope[0] == slope[2] == slope[3]
+        assert tried == expected
+        assert tried.index(0) < tried.index(2) < tried.index(3)
+        assert 1 not in tried
+
+    def test_interior_before_saturated(self, monkeypatch):
+        for ch in instance_suite(SUITE_SEED, 30, sizes=(3, 5, 8)):
+            lam = solve_max_sum_rate(ch).lambda_star
+            tried, expected, saturated, _ = self._tried(monkeypatch, ch, lam)
+            assert tried == expected
+            flags = [bool(saturated[k]) for k in tried]
+            assert flags == sorted(flags)
+
+    def test_all_saturated(self, monkeypatch, k2_reference):
+        tried, expected, saturated, slope = self._tried(monkeypatch, k2_reference, 2.0)
+        assert saturated.all()
+        assert tried == expected
+        assert slope[tried[0]] >= slope[tried[1]]
+
+    def test_one_user(self, monkeypatch, unit_k1):
+        tried, expected, _, _ = self._tried(monkeypatch, unit_k1, 0.2)
+        assert tried == expected == [0]
 
 
 class TestSolveMaxSumRate:
