@@ -5,9 +5,10 @@ split as a (K,) array or n splits as an (n, K) array and reduces over the
 last axis; every kernel takes whole splits, the per-coordinate quadratic
 included, and `_capacity` takes one SNR or an (n,) array of them.  The
 public functions are thin scalar wrappers around them.  An instance
-derives its constant terms once, when it is built (s_p = h_p^2 P_p, the
-primary amplitude h_p sqrt(P_p), sqrt(P_k), g_k^2, h_k^2 and the residual
-scale), and every kernel reads them from it.
+derives its constant terms once, when it is built: s_p = h_p^2 P_p,
+A = h_p sqrt(P_p), a_k = g_k sqrt(P_k), a2 = a_k^2, t = s_p / sigma_p2,
+h2 = h_k^2 and the residual scale.  Every kernel reads them from it, and
+reads the primary-rate constraint from `_excess`, the one place it is written.
 Rates are in bits per channel use (log base 2 throughout).
 """
 
@@ -21,6 +22,9 @@ import numpy as np
 # the largest relative residual (`relative_residual`) at which a split counts
 # as feasible: the solver's default tolerance and the feasible grid's filter
 RESIDUAL_TOL = 1e-10
+
+# gamma_k at or above it counts as saturated (`active_set_changes`, `kkt_check`)
+SATURATED_GAMMA = 1.0 - 1e-9
 
 
 class DimensionMismatchError(ValueError):
@@ -66,12 +70,10 @@ class ChannelInstance:
     ValueError naming the field and entry, e.g. ``p[1] must be strictly
     positive, got -1.0``.
 
-    The constant terms of the formulas are derived once, here, as read-only
-    attributes that are not fields (`dataclasses.replace` derives them
-    again): s_p = h_p^2 P_p, primary_amplitude = h_p sqrt(P_p), sqrt_p,
-    g2 = g_k^2, h2 = h_k^2 and residual_scale.  The kernels multiply them in
-    the order (g gamma) sqrt(P), g^2 (1 - gamma^2) P and (1 - gamma^2) h^2 P;
-    a cached product such as g sqrt(P) would round differently.
+    The constant terms are derived once, here, as read-only attributes that
+    are not fields (`dataclasses.replace` derives them again): s_p = h_p^2 P_p,
+    primary_amplitude = A = h_p sqrt(P_p), a = g_k sqrt(P_k), a2 = a_k^2,
+    t = s_p / sigma_p2, h2 = h_k^2 and residual_scale.
     """
 
     h: np.ndarray
@@ -107,10 +109,11 @@ class ChannelInstance:
                     raise ValueError(f"{label} must be {rule}, got {v}")
         # the rate formulas square the gains and sum the received powers
         with np.errstate(over="ignore"):
-            g2, h2 = self.g**2, self.h**2
+            a = self.g * np.sqrt(self.p)
+            a2, h2 = a * a, self.h**2
             received = (
                 ("sum of h[k]^2 * p[k]", float(np.dot(h2, self.p))),
-                ("sum of g[k]^2 * p[k]", float(np.dot(g2, self.p))),
+                ("sum of g[k]^2 * p[k]", float(a2.sum())),
                 ("h_p^2 * p_p", self.h_p * self.h_p * self.p_p),
             )
         for label, value in received:
@@ -120,14 +123,15 @@ class ChannelInstance:
         derived = (
             ("s_p", s_p),
             ("primary_amplitude", self.h_p * math.sqrt(self.p_p)),
-            ("sqrt_p", np.sqrt(self.p)),
-            ("g2", g2),
+            ("a", a),
+            ("a2", a2),
+            ("t", s_p / self.sigma_p2),
             ("h2", h2),
-            ("residual_scale", max(s_p * float((g2 * self.p).sum()), self.sigma_p2 * s_p)),
+            ("residual_scale", max(s_p * float(a2.sum()), self.sigma_p2 * s_p)),
         )
         for name, value in derived:
             object.__setattr__(self, name, value)
-        for arr in (self.h, self.g, self.p, self.sqrt_p, g2, h2):
+        for arr in (self.h, self.g, self.p, a, a2, h2):
             arr.setflags(write=False)
 
     @property
@@ -189,20 +193,25 @@ def _capacity(snr):
 
 
 def _primary_terms(ch: ChannelInstance, gamma: np.ndarray):
-    """Received primary amplitude and interference-plus-noise power.
+    """The relayed amplitude S = sum_k a_k gamma_k, which adds coherently to
+    A at the primary receiver, and the lost power L = sum_k a2_k (1 -
+    gamma_k^2) of the dirty-paper-coded parts, which remain as interference."""
+    relayed = (ch.a * gamma).sum(axis=-1)
+    lost = (ch.a2 * (1.0 - gamma**2)).sum(axis=-1)
+    return relayed, lost
 
-    The cooperation parts add coherently at the primary receiver; the
-    dirty-paper-coded parts remain as interference.
-    """
-    signal = ch.primary_amplitude + (ch.g * gamma * ch.sqrt_p).sum(axis=-1)
-    noise = ch.sigma_p2 + (ch.g2 * (1.0 - gamma**2) * ch.p).sum(axis=-1)
-    return signal, noise
+
+def _excess(ch: ChannelInstance, relayed, lost):
+    """phi / sigma_p2 = S (2 A + S) - t L, from S = `relayed` and L = `lost`:
+    phi = sigma_p2 (A + S)^2 - s_p (sigma_p2 + L) without sigma_p2 A^2 and
+    s_p sigma_p2, which cancel (A^2 = s_p) but whose float rounding swamps the
+    terms in gamma when a strong primary meets faint interference."""
+    return relayed * (2.0 * ch.primary_amplitude + relayed) - ch.t * lost
 
 
 def _phi(ch: ChannelInstance, gamma: np.ndarray):
     """The residual phi of `feasibility_residual`."""
-    signal, noise = _primary_terms(ch, gamma)
-    return ch.sigma_p2 * signal**2 - ch.s_p * noise
+    return ch.sigma_p2 * _excess(ch, *_primary_terms(ch, gamma))
 
 
 def _relative_phi(ch: ChannelInstance, gamma: np.ndarray):
@@ -229,26 +238,17 @@ def _coordinate_roots(ch: ChannelInstance, k: int, gamma: np.ndarray):
     1e-12), and root is that root clipped to [0, 1].  The caller guarantees
     g_k > 0.
     """
-    g_o, g2_o = ch.g.copy(), ch.g2.copy()  # user k left out
-    g_o[k] = g2_o[k] = 0.0
-    t = ch.s_p / ch.sigma_p2
-    amp = ch.primary_amplitude
-    relayed = (g_o * gamma * ch.sqrt_p).sum(axis=-1)  # S'
-    lost = (g2_o * (1.0 - gamma**2) * ch.p).sum(axis=-1) + ch.g[k] ** 2 * ch.p[k]
-    b = amp + relayed
-    a = t * (ch.sigma_p2 + lost)
-    x = ch.g[k] * ch.sqrt_p[k]
-    # quadratic: x^2 (1+t) gamma^2 + 2 b x gamma + (b^2 - a) = 0.  Its "-"
-    # root is at most 0 (b >= 0), so only the "+" root can lie in [0, 1];
-    # rationalised: (a - b^2) / (x (b + sqrt(disc))), where
-    # a - b^2 = t lost - S' (2 A + S') since A^2 = t sigma_p2, so that no two
-    # nearly equal terms are subtracted; b + sqrt(disc) = 0 only when h_p = 0
-    # and S' = 0, where the root is 0
-    disc = a * (1.0 + t) - t * b * b
+    rest = np.where(np.arange(ch.num_users) == k, 0.0, gamma)
+    relayed, lost = _primary_terms(ch, rest)  # S' and L at gamma_k = 0
+    num = -_excess(ch, relayed, lost)
+    # with x = a_k and b = A + S', phi / sigma_p2 = x^2 (1 + t) gamma_k^2 +
+    # 2 b x gamma_k - num, whose "-" root is at most 0 (b >= 0).  The "+" root,
+    # rationalised, is num / (x (b + sqrt(disc))), with disc = b^2 + (1 + t)
+    # num = t (sigma_p2 + L + num) as A^2 = t sigma_p2; b + sqrt(disc) = 0
+    # only when h_p = 0 and S' = 0, where the root is 0
+    disc = ch.t * (ch.sigma_p2 + lost + num)
     real = disc >= 0.0
-    sq = np.sqrt(np.where(real, disc, 0.0))
-    den = x * (b + sq)
-    num = t * lost - relayed * (2.0 * amp + relayed)
+    den = ch.a[k] * (ch.primary_amplitude + relayed + np.sqrt(np.where(real, disc, 0.0)))
     root = np.divide(num, den, out=np.zeros(np.shape(den)), where=den > 0.0)
     # maximum(0, root) then minimum(., 1) is np.clip's result, bit for bit,
     # the sign of a zero root included, at half its cost on one split;
@@ -264,8 +264,8 @@ def baseline_primary_rate(ch: ChannelInstance) -> float:
 
 def primary_rate(ch: ChannelInstance, split: PowerSplit) -> float:
     """Primary rate when cognitive users relay with amplitude ratios gamma."""
-    signal, noise = _primary_terms(ch, _check_dims(ch, split))
-    return _capacity(signal**2 / noise)
+    relayed, lost = _primary_terms(ch, _check_dims(ch, split))
+    return _capacity((ch.primary_amplitude + relayed) ** 2 / (ch.sigma_p2 + lost))
 
 
 def feasibility_residual(ch: ChannelInstance, split: PowerSplit) -> float:
@@ -274,7 +274,7 @@ def feasibility_residual(ch: ChannelInstance, split: PowerSplit) -> float:
     phi = sigma_p2 * (h_p sqrt(P_p) + sum g_k gamma_k sqrt(P_k))^2
           - h_p^2 P_p * (sigma_p2 + sum g_k^2 (1 - gamma_k^2) P_k)
 
-    phi = 0 iff the primary rate equals its baseline; phi < 0 means too
+    (by `_excess`).  phi = 0 iff the primary rate equals its baseline; phi < 0 means too
     little cooperation, phi > 0 too much.
     """
     return float(_phi(ch, _check_dims(ch, split)))
@@ -282,7 +282,7 @@ def feasibility_residual(ch: ChannelInstance, split: PowerSplit) -> float:
 
 def residual_scale(ch: ChannelInstance) -> float:
     """Dimensional scale used to make the feasibility residual relative:
-    h_p^2 P_p times the larger of sigma_p2 and the sum of g_k^2 P_k."""
+    h_p^2 P_p times the larger of sigma_p2 and the sum of a_k^2 = g_k^2 P_k."""
     return ch.residual_scale
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
+    SATURATED_GAMMA,
     ChannelInstance,
     PowerSplit,
     _mac_snr,
@@ -77,16 +78,15 @@ def kkt_check(
     """
     gamma = result.gamma_star.gamma
     lam = result.lambda_star
-    x = float(_primary_terms(ch, gamma)[0])
-    sat_cut = 1.0 - 1e-9
-    interior = tuple(k for k in range(ch.num_users) if gamma[k] < sat_cut)
-    saturated = tuple(k for k in range(ch.num_users) if gamma[k] >= sat_cut)
+    x = ch.primary_amplitude + float(_primary_terms(ch, gamma)[0])
+    interior = tuple(k for k in range(ch.num_users) if gamma[k] < SATURATED_GAMMA)
+    saturated = tuple(k for k in range(ch.num_users) if gamma[k] >= SATURATED_GAMMA)
 
     stationarity: dict[int, float] = {}
     stationarity_ok = True
     for k in range(ch.num_users):
         term_obj = -2.0 * ch.h[k] ** 2 * ch.p[k] * gamma[k]
-        term_x = 2.0 * lam * ch.sigma_p2 * x * ch.g[k] * ch.sqrt_p[k]
+        term_x = 2.0 * lam * ch.sigma_p2 * x * ch.g[k] * math.sqrt(ch.p[k])
         term_quad = 2.0 * lam * ch.s_p * ch.g[k] ** 2 * ch.p[k] * gamma[k]
         deriv = term_obj + term_x + term_quad
         scale_k = max(abs(term_obj), abs(term_x), abs(term_quad), 2.0 * ch.h[k] ** 2 * ch.p[k])

@@ -14,9 +14,10 @@ saturated ones are the prefix of users j with
     c_j <= 0  or  lambda sigma_p2 N_j >= c_j (1 - lambda sigma_p2 Q_j),
     N_j = A + sum_{i<j} a_i,   Q_j = sum_{i>=j, c_i>0} a_i / c_i,
 
-a tie saturating.  With m users saturated and the others I,
-X = N_m / (1 - lambda sigma_p2 Q_m), gamma_k = lambda sigma_p2 X / c_k on I and
-phi(lambda) = sigma_p2 X^2 - s_p (sigma_p2 + sum_I a_k^2 (1 - gamma_k^2)).  The
+a tie saturating.  With m users saturated and the others I, r = lambda
+sigma_p2 and S = X - A = (sum_{i<m} a_i + A r Q_m) / (1 - r Q_m), gamma_k =
+r X / c_k on I and phi(lambda) = sigma_p2 S (2 A + S) - s_p L, with L =
+sum_I a_k^2 (1 - gamma_k^2): sigma_p2 times the channel's `_excess`.  The
 solver brackets the root lambda* of phi by doubling, finds it with Brent's
 method to float resolution, builds gamma once, at lambda*, and projects its
 coordinates onto phi = 0 until one lands.  `sweep_trajectory` applies the
@@ -31,7 +32,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import itemgetter, mul, truediv
+from operator import itemgetter, truediv
 
 import numpy as np
 
@@ -40,7 +41,9 @@ from .channel import (
     ChannelInstance,
     PowerSplit,
     _capacity,
+    SATURATED_GAMMA,
     _coordinate_roots,
+    _excess,
     _mac_snr,
     _phi,
     _primary_terms,
@@ -78,7 +81,7 @@ class SolverResult:
     lambda_star: float
     residual: float
     outer_iterations: int  # path evaluations
-    active_set_changes: int  # users at gamma_k = 1 in gamma_star
+    active_set_changes: int  # users at gamma_k >= SATURATED_GAMMA in gamma_star
     status: SolverStatus
 
 
@@ -91,10 +94,9 @@ class _WaterFill:
     def __init__(self, ch: ChannelInstance):
         self.ch = ch
         self.users = np.flatnonzero(ch.g > 0)
-        g = ch.g[self.users]
-        self.a_k = g * ch.sqrt_p[self.users]
-        self.beta2_k = (ch.h[self.users] / g) ** 2
-        self.ids, self.a, self.a2 = self.users.tolist(), self.a_k.tolist(), (self.a_k**2).tolist()
+        self.a_k = ch.a[self.users]
+        self.beta2_k = (ch.h[self.users] / ch.g[self.users]) ** 2
+        self.ids, self.a, self.a2 = (v.tolist() for v in (self.users, self.a_k, ch.a2[self.users]))
         self.beta2, self.identity = self.beta2_k.tolist(), list(range(self.users.size))
         self.amp, self.sigma_p2, self.s_p = ch.primary_amplitude, ch.sigma_p2, ch.s_p
         self.evaluations = 0
@@ -111,7 +113,7 @@ class _WaterFill:
         )
 
     def _fixed_point(self, lam: float):
-        """X at lam, the number m of saturated users, who lead the lists, c_k
+        """S at lam, the number m of saturated users, who lead the lists, c_k
         in their order, and a_k / c_k of the interior users."""
         self.evaluations += 1
         ls, r = lam * self.s_p, lam * self.sigma_p2
@@ -121,35 +123,36 @@ class _WaterFill:
             get = itemgetter(*order)
             lists = c, self.ids, self.a, self.a2, self.beta2
             c, self.ids, self.a, self.a2, self.beta2 = map(get, lists)
-        a, n = self.a, len(c)
+        a, n, amp = self.a, len(c), self.amp
         z = bisect_right(c, 0.0)  # at or past their pole
         ratio = list(map(truediv, a[z:], c[z:]))
-        # N_m and Q_m, each summed in the order of `states`' cumulative sums.
-        # Q_j for j past z is read from the suffix sums, q[n - j], listed
-        # only once a user past z saturates: most evaluations saturate none,
-        # and then one sum costs less than the list
-        m, n_m, q_m, q = z, sum(a[:z], self.amp), sum(reversed(ratio)), None
-        while m < n and r * n_m >= c[m] * (1.0 - r * q_m):
+        # s_m = sum_{i<m} a_i and Q_m, summed in the order of `states`'
+        # cumulative sums; Q_j past z is q[n - j], suffix sums listed only once
+        # a user past z saturates (most evaluations saturate none)
+        m, s_m, q_m, q = z, sum(a[:z]), sum(reversed(ratio)), None
+        while m < n and r * (amp + s_m) >= c[m] * (1.0 - r * q_m):
             if q is None:
                 q = list(accumulate(reversed(ratio), initial=0.0))
-            n_m += a[m]
+            s_m += a[m]
             m += 1
             q_m = q[n - m]
-        return n_m / (1.0 - r * q_m), m, c, ratio[m - z :]
+        return (s_m + amp * r * q_m) / (1.0 - r * q_m), m, c, ratio[m - z :]
 
     def phi(self, lam: float) -> float:
         """phi at lam by the module's phi(lambda)."""
-        x, m, _, ratio = self._fixed_point(lam)
-        sigma_p2 = self.sigma_p2
-        t = lam * sigma_p2 * x
-        lost = sum(self.a2[m:]) - t * t * sum(map(mul, ratio, ratio))
-        return sigma_p2 * x * x - self.s_p * (sigma_p2 + lost)
+        s, m, _, ratio = self._fixed_point(lam)
+        t = lam * self.sigma_p2 * (self.amp + s)
+        # sum_I a_k^2 gamma_k^2 = (t |a_k / c_k|)^2; with hypot, no NaN from
+        # t^2 underflowing to 0 while sum (a_k / c_k)^2 overflows
+        lost = sum(self.a2[m:]) - (t * math.hypot(*ratio)) ** 2
+        return self.sigma_p2 * _excess(self.ch, s, lost)
 
     def split(self, lam: float):
         """X, gamma (K,) and the saturated flags (K,) at lam: gamma_k = 1 on
         the saturated users, and t / c_k from the path's own c_k on the
         others."""
-        x, m, c, _ = self._fixed_point(lam)
+        s, m, c, _ = self._fixed_point(lam)
+        x = self.amp + s
         t = lam * self.sigma_p2 * x
         order = np.array(self.ids, dtype=np.intp)
         gamma, saturated = np.zeros(self.ch.num_users), np.zeros(self.ch.num_users, dtype=bool)
@@ -166,15 +169,15 @@ class _WaterFill:
         order = np.argsort(c, axis=1, kind="stable")
         c_s = np.take_along_axis(c, order, axis=1)
         a_s = self.a_k[order]
-        big_n = np.cumsum(np.column_stack([np.full(n, self.amp), a_s]), axis=1)
+        big_s = np.cumsum(np.column_stack([np.zeros(n), a_s]), axis=1)
         ratio = np.divide(a_s, c_s, out=np.zeros_like(c_s), where=c_s > 0.0)
         q = np.column_stack([np.cumsum(ratio[:, ::-1], axis=1)[:, ::-1], np.zeros(n)])
-        prefix = (c_s <= 0.0) | (r * big_n[:, :k] >= c_s * (1.0 - r * q[:, :k]))
+        prefix = (c_s <= 0.0) | (r * (self.amp + big_s[:, :k]) >= c_s * (1.0 - r * q[:, :k]))
         m = np.argmin(np.column_stack([prefix, np.zeros(n, dtype=bool)]), axis=1)
-        rows = np.arange(n)
-        x = big_n[rows, m] / (1.0 - r[:, 0] * q[rows, m])
+        rows, r = np.arange(n), r[:, 0]
+        x = self.amp + (big_s[rows, m] + self.amp * r * q[rows, m]) / (1.0 - r * q[rows, m])
         pinned = np.argsort(order, axis=1) < m[:, None]  # rank below m
-        interior = np.divide((r[:, 0] * x)[:, None], c, out=np.ones_like(c), where=~pinned)
+        interior = np.divide((r * x)[:, None], c, out=np.ones_like(c), where=~pinned)
         gamma = np.zeros((n, self.ch.num_users))
         saturated = np.zeros(gamma.shape, dtype=bool)
         gamma[:, self.users], saturated[:, self.users] = np.minimum(interior, 1.0), pinned
@@ -240,9 +243,8 @@ def _finish(
     so a candidate that cannot land alone still moves phi toward 0: a relay
     with h_k = 0 released to 0 lets the next candidate land.
     """
-    x = _primary_terms(ch, gamma)[0]
-    a = ch.g * ch.sqrt_p
-    slope = a * (ch.sigma_p2 * x + ch.s_p * a * gamma)  # half d phi / d gamma_k
+    x = ch.primary_amplitude + _primary_terms(ch, gamma)[0]
+    slope = ch.a * (ch.sigma_p2 * x + ch.s_p * ch.a * gamma)  # half d phi / d gamma_k
     gamma = gamma.copy()
     for k in users[np.lexsort((-slope[users], saturated[users]))]:
         ok, gamma[k] = _coordinate_roots(ch, k, gamma)
@@ -294,18 +296,15 @@ def solve_max_sum_rate(ch: ChannelInstance, cfg: SolverConfig | None = None) -> 
         gamma = _finish(ch, gamma, saturated, path.users)
     split = PowerSplit(gamma)
     residual = float(_relative_phi(ch, split.gamma))
-    if reached and residual <= cfg.residual_tol:
-        status = SolverStatus.CONVERGED
-    else:
-        status = SolverStatus.MAX_ITERS_EXCEEDED
+    converged = reached and residual <= cfg.residual_tol
     return SolverResult(
         gamma_star=split,
         sum_rate=_capacity(_mac_snr(ch, split.gamma)),
         lambda_star=lam,
         residual=residual,
         outer_iterations=path.evaluations,
-        active_set_changes=int(np.count_nonzero(gamma == 1.0)),
-        status=status,
+        active_set_changes=int(np.count_nonzero(gamma >= SATURATED_GAMMA)),
+        status=SolverStatus.CONVERGED if converged else SolverStatus.MAX_ITERS_EXCEEDED,
     )
 
 

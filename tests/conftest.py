@@ -54,6 +54,32 @@ def wide_suite():
     return wide_suite()
 
 
+def extreme_fuzz(seed: int = 11, count: int = 400) -> list[ChannelInstance]:
+    """ROADMAP item 1's extreme fuzz.  Per draw: K = integers(1, 6); h and g,
+    K values each, log-uniform over 1e-60..1e60; p over 1e-20..1e20; then
+    h_p, p_p, sigma_p2 and sigma_c2, each over 1e-20..1e20."""
+    rng = np.random.default_rng(seed)
+
+    def log_uniform(decades, size=None):
+        return 10.0 ** rng.uniform(-decades, decades, size)
+
+    draws = []
+    for _ in range(count):
+        k = int(rng.integers(1, 6))
+        h, g, p = log_uniform(60, k), log_uniform(60, k), log_uniform(20, k)
+        h_p, p_p, sigma_p2, sigma_c2 = (log_uniform(20) for _ in range(4))
+        draws.append(ChannelInstance(
+            h=h, g=g, p=p, h_p=h_p, p_p=p_p, sigma_p2=sigma_p2, sigma_c2=sigma_c2
+        ))
+    return draws
+
+
+@pytest.fixture(scope="session")
+def extreme_suite():
+    """`extreme_fuzz()`, built once per session."""
+    return extreme_fuzz()
+
+
 def pentagon_vertices(ch, gammas):
     """The five corners of the two-user rate pentagon at each split (a row
     of gammas), from the origin counterclockwise, with the bounds written out:

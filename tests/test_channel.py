@@ -57,18 +57,20 @@ class TestDerivedTerms:
     and bitwise equal to the expressions the kernels evaluated in their
     place."""
 
-    NAMES = ("s_p", "primary_amplitude", "sqrt_p", "g2", "h2", "residual_scale")
+    NAMES = ("s_p", "primary_amplitude", "a", "a2", "t", "h2", "residual_scale")
 
     @staticmethod
     def _expected(ch):
         s_p = ch.h_p**2 * ch.p_p
+        a = ch.g * np.sqrt(ch.p)
         return {
             "s_p": s_p,
             "primary_amplitude": ch.h_p * math.sqrt(ch.p_p),
-            "sqrt_p": np.sqrt(ch.p),
-            "g2": ch.g**2,
+            "a": a,
+            "a2": a * a,
+            "t": s_p / ch.sigma_p2,
             "h2": ch.h**2,
-            "residual_scale": max(s_p * float(np.sum(ch.g**2 * ch.p)), ch.sigma_p2 * s_p),
+            "residual_scale": max(s_p * float(np.sum(a * a)), ch.sigma_p2 * s_p),
         }
 
     @staticmethod
@@ -90,7 +92,7 @@ class TestDerivedTerms:
         for name in self.NAMES:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(k2_reference, name, 0.0)
-        for name in ("sqrt_p", "g2", "h2"):
+        for name in ("a", "a2", "h2"):
             with pytest.raises(ValueError):
                 getattr(k2_reference, name)[0] = 0.0
 

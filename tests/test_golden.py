@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from cogmac import cli
+from cogmac import cli, region
 
 HERE = Path(__file__).resolve().parent
 SCENARIOS = HERE.parent / "scenarios"
@@ -52,6 +52,17 @@ CASES = [
         ("solve-oracle", "solve", ("--oracle",)),
         ("validate", "validate", ()),
     )
+] + [
+    # ROADMAP item 1's extreme fuzz, draw 29: sigma_p2 A^2 = s_p sigma_p2 is
+    # about 1.3e42 while phi's terms that depend on gamma are about 3e5
+    (
+        f"{stem}-k1_extreme_draw29.json",
+        (command, "--scenario", str(GOLDEN / "k1_extreme_draw29.json"), *extra),
+    )
+    for stem, command, extra in (
+        ("solve-oracle", "solve", ("--oracle",)),
+        ("validate", "validate", ()),
+    )
 ]
 
 
@@ -68,19 +79,18 @@ def test_stdout_matches_golden(golden, args):
 
 
 @pytest.mark.parametrize("command", [("validate",), ("solve", "--oracle")], ids=" ".join)
-def test_empty_grid_is_one_error_line(command):
-    """A valid instance on which no grid point passes the residual check: the
-    grid oracle cannot run, so the command prints one `error:` line, no
-    traceback and nothing on stdout, and exits 2."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "cogmac", *command, "--scenario", str(GOLDEN / "k1_extreme_draw29.json")],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error: no feasible split on the step-0.001 grid")
-    assert proc.stderr.count("\n") == 1
+def test_empty_grid_is_one_error_line(command, monkeypatch, capsys):
+    """An instance on which no grid point passes the residual check, here
+    every point, with the feasible grid's tolerance set below 0: the grid
+    oracle cannot run, so the command prints one `error:` line, no traceback
+    and nothing on stdout, and exits 2."""
+    monkeypatch.setattr(region, "RESIDUAL_TOL", -1.0)
+    code = cli.main([*command, "--scenario", str(SCENARIOS / "k2_reference.json")])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: no feasible split on the step-0.001 grid")
+    assert err.count("\n") == 1
 
 
 def test_in_process_calls_reuse_one_parser(tmp_path):

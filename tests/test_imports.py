@@ -5,8 +5,12 @@ Every name a `cogmac` module imports is used in that module (a re-export
 from `__init__.py` counts when `__all__` lists it), and every name in
 `cogmac.__all__` resolves, so that a deleted function or class leaves no
 orphaned import or export behind.  The received primary power h_p^2 P_p
-and amplitude h_p sqrt(P_p) are written only in `ChannelInstance`, which
-derives them once for every kernel.
+and amplitude h_p sqrt(P_p), and the relay amplitudes g_k sqrt(P_k), are
+written only in `ChannelInstance`, which derives them once for every kernel;
+`oracle.py`, whose checks stay independent of the kernels, forms its own
+g_k sqrt(P_k).  No module writes the primary constraint in its expanded
+form sigma_p2 X^2 - s_p (...), whose terms sigma_p2 A^2 and s_p sigma_p2
+cancel: `channel._excess` writes it once without them.
 """
 
 import ast
@@ -58,12 +62,62 @@ def test_every_export_resolves():
 
 
 def _name(node) -> str | None:
-    """`x` for a Name x or an attribute `obj.x`."""
+    """`x` for a Name x, an attribute `obj.x` or a subscript of either."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
     if isinstance(node, ast.Name):
         return node.id
     if isinstance(node, ast.Attribute):
         return node.attr
     return None
+
+
+def _factors(node) -> list:
+    """The factors of a product chain `a * b * ...`, or [node]."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return _factors(node.left) + _factors(node.right)
+    return [node]
+
+
+def _is_sqrt_of(node, name: str) -> bool:
+    """Any module's `sqrt(name)`, on a name, attribute or subscript."""
+    return (
+        isinstance(node, ast.Call)
+        and _name(node.func) == "sqrt"
+        and len(node.args) == 1
+        and _name(node.args[0]) == name
+    )
+
+
+def _relay_amplitude(node) -> bool:
+    """A product with a factor g and a factor sqrt(p): g_k sqrt(P_k)."""
+    factors = _factors(node)
+    return (
+        len(factors) > 1
+        and any(_name(f) == "g" for f in factors)
+        and any(_is_sqrt_of(f, "p") for f in factors)
+    )
+
+
+def _squared(node) -> bool:
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and (
+        isinstance(node.right, ast.Constant) and node.right.value == 2
+    )
+
+
+def _expanded_constraint(node) -> bool:
+    """`sigma_p2 * x**2 - s_p * y` (or `sigma_p2 * x * x`): the primary
+    constraint with its cancelling pair left in."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)):
+        return False
+    left, right = _factors(node.left), _factors(node.right)
+    dumps = [ast.dump(f) for f in left]
+    square = any(map(_squared, left)) or len(set(dumps)) < len(dumps)
+    return (
+        any(_name(f) == "sigma_p2" for f in left)
+        and square
+        and any(_name(f) == "s_p" for f in right)
+    )
 
 
 def _primary_power_or_amplitude(node) -> bool:
@@ -113,3 +167,47 @@ def test_channel_instance_derives_the_primary_terms():
     tree = ast.parse((SOURCE / "channel.py").read_text(encoding="utf-8"))
     (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "ChannelInstance"]
     assert sum(map(_primary_power_or_amplitude, ast.walk(cls))) == 2
+    assert sum(map(_relay_amplitude, ast.walk(cls))) == 1
+
+
+@pytest.mark.parametrize(
+    "code, found",
+    [
+        ("ch.g * gamma * ch.sqrt_p", False),
+        ("ch.g * np.sqrt(ch.p)", True),
+        ("g * gamma * sqrt(p)", True),
+        ("2.0 * x * ch.g[k] * math.sqrt(ch.p[k])", True),
+        ("ch.g * ch.p", False),
+    ],
+)
+def test_relay_amplitude_pattern(code, found):
+    assert any(map(_relay_amplitude, ast.walk(ast.parse(code)))) is found
+
+
+@pytest.mark.parametrize(
+    "code, found",
+    [
+        ("ch.sigma_p2 * signal**2 - ch.s_p * noise", True),
+        ("sigma_p2 * x * x - self.s_p * (sigma_p2 + lost)", True),
+        ("ch.sigma_p2 * _excess(ch, s, lost)", False),
+        ("relayed * (2.0 * amp + relayed) - ch.t * lost", False),
+    ],
+)
+def test_expanded_constraint_pattern(code, found):
+    assert any(map(_expanded_constraint, ast.walk(ast.parse(code)))) is found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_relay_amplitude_only_in_channel_instance(path):
+    if path.name == "oracle.py":
+        return
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = sorted({n.lineno for n in _outside_channel_instance(tree) if _relay_amplitude(n)})
+    assert not found, f"{path.name}: g * sqrt(p) at lines {found}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_expanded_constraint(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree) if _expanded_constraint(node)]
+    assert not found, f"{path.name}: sigma_p2 * x**2 - s_p * ... at lines {found}"

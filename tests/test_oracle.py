@@ -86,6 +86,13 @@ class TestKktCheck:
         assert report.stationarity == {0: 0.0, 1: 0.0}
         assert report.saturated_users == ()
 
+    def test_saturated_users_match_active_set_changes(self, extreme_suite):
+        """One cut, SATURATED_GAMMA, for both counts; the extreme fuzz has
+        gamma_k in [1 - 1e-9, 1), where gamma_k == 1 and the cut differ."""
+        for i, ch in enumerate(extreme_suite):
+            result = solve_max_sum_rate(ch)
+            assert len(kkt_check(ch, result).saturated_users) == result.active_set_changes, i
+
 
 # K = 1 draws of an extreme fuzz (default_rng(11); gains log-uniform over
 # 1e-60..1e60, the rest over 1e-20..1e20) whose exact root lies within 1e-27
@@ -146,6 +153,22 @@ class TestSingleUserClosedForm:
     def test_size_check(self, k2_reference):
         with pytest.raises(UnsupportedSizeError):
             single_user_closed_form(k2_reference)
+
+    def test_converged_solves_on_extreme_fuzz(self, extreme_suite):
+        """Every K = 1 solve reported Converged is within 1e-9 relative or
+        1e-12 absolute of the closed form, draw 29 (sigma_p2 A^2 about 1e42,
+        phi's terms in gamma about 1e5) among them."""
+        checked = 0
+        for i, ch in enumerate(extreme_suite):
+            if ch.num_users != 1:
+                continue
+            result = solve_max_sum_rate(ch)
+            if result.status is SolverStatus.CONVERGED:
+                exact = single_user_closed_form(ch)
+                got = float(result.gamma_star.gamma[0])
+                assert abs(got - exact) <= max(1e-9 * exact, 1e-12), i
+                checked += 1
+        assert checked == 68
 
     def test_matches_50_digit_root_on_wide_suite(self, wide_suite):
         getcontext().prec = 50

@@ -229,25 +229,25 @@ class TestScalarBatchAgreement:
 
 
 def _fixed_point_by_resumming(path, lam):
-    """X and the number m of saturated users at lam by the prefix rule,
-    re-summing Q_m over the interior users at every step: the reference
-    for `_WaterFill._fixed_point`'s suffix sums."""
-    r = lam * path.sigma_p2
+    """The relayed amplitude S and the number m of saturated users at lam by
+    the prefix rule, re-summing Q_m over the interior users at every step:
+    the reference for `_WaterFill._fixed_point`'s suffix sums."""
+    r, amp = lam * path.sigma_p2, path.amp
     path._fixed_point(lam)  # leaves the lists in their order at lam
     c = [(b - lam * path.s_p) * a for b, a in zip(path.beta2, path.a)]
     z = sum(1 for c_k in c if c_k <= 0.0)
     ratio = [a / c_k for a, c_k in zip(path.a[z:], c[z:])]
-    m, n_m, q_m = z, sum(path.a[:z], path.amp), sum(reversed(ratio))
-    while m < len(c) and r * n_m >= c[m] * (1.0 - r * q_m):
-        n_m += path.a[m]
+    m, s_m, q_m = z, sum(path.a[:z]), sum(reversed(ratio))
+    while m < len(c) and r * (amp + s_m) >= c[m] * (1.0 - r * q_m):
+        s_m += path.a[m]
         m += 1
         q_m = sum(reversed(ratio[m - z :]))
-    return n_m / (1.0 - r * q_m), m
+    return (s_m + amp * r * q_m) / (1.0 - r * q_m), m
 
 
 class TestLargeKFixedPoint:
     """At K = 1000, where lambda* saturates 26 users, the scalar path's
-    suffix sums give the re-summed X and m, and `split` and `phi` give the
+    suffix sums give the re-summed S and m, and `split` and `phi` give the
     `states` row, bit for bit."""
 
     @pytest.fixture(scope="class")
@@ -259,8 +259,8 @@ class TestLargeKFixedPoint:
         ch, lam_star = case
         path = _WaterFill(ch)
         for lam in (lam_star, 0.5 * lam_star, 2.0 * lam_star):
-            x, m, _, _ = path._fixed_point(lam)
-            assert (x, m) == _fixed_point_by_resumming(_WaterFill(ch), lam)
+            relayed, m, _, _ = path._fixed_point(lam)
+            assert (relayed, m) == _fixed_point_by_resumming(_WaterFill(ch), lam)
         assert path._fixed_point(lam_star)[1] >= 20
 
     def test_scalar_matches_states_row(self, case):
