@@ -15,6 +15,7 @@ Rates are in bits per channel use (log base 2 throughout).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,25 +32,26 @@ class DimensionMismatchError(ValueError):
     """Vector argument length does not match the instance's user count."""
 
 
-def _as_vector(name: str, values, num_users: int) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size != num_users:
-        raise DimensionMismatchError(
-            f"{name} must be a length-{num_users} vector, got shape {arr.shape}"
-        )
-    return arr
+def _real(value, label: str) -> float:
+    """value as a float: a real number, not a bool, within the float range."""
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        raise ValueError(f"{label} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range
+        raise ValueError(f"{label} must be finite, got an integer too large for a float") from None
 
 
-# (field, must be strictly positive); the others must be nonnegative
+# (field, a length-K vector, strictly positive); the others must be nonnegative
 _FIELD_SIGNS = (
-    ("h", False),
-    ("g", False),
-    ("p", True),
-    ("h_p", False),
-    ("p_p", True),
-    ("sigma_p2", True),
-    ("sigma_c2", True),
-    ("f", False),
+    ("h", True, False),
+    ("g", True, False),
+    ("p", True, True),
+    ("h_p", False, False),
+    ("p_p", False, True),
+    ("sigma_p2", False, True),
+    ("sigma_c2", False, True),
+    ("f", False, False),
 )
 
 
@@ -65,10 +67,13 @@ class ChannelInstance:
     f : primary-to-AP interference gain; carried for completeness but never
         used in any rate formula (the AP pre-cancels the known primary signal).
 
-    Every value must be finite, and so must the received powers h_p^2 P_p
-    and the sums over k of h_k^2 P_k and g_k^2 P_k; an invalid one raises
-    ValueError naming the field and entry, e.g. ``p[1] must be strictly
-    positive, got -1.0``.
+    h, g and p are nonempty lists, tuples or 1-D arrays of one length K.
+    Each value is checked once, here: a real number (a bool, a string or
+    None is not one) that fits a float, finite, and of the field's sign;
+    so must be the received powers h_p^2 P_p and the sums over k of
+    h_k^2 P_k and g_k^2 P_k.  An invalid one raises ValueError naming the
+    field and entry, e.g. ``p[1] must be strictly positive, got -1.0``, and
+    the CLI reports that message as it stands.
 
     The constant terms are derived once, here, as read-only attributes that
     are not fields (`dataclasses.replace` derives them again): s_p = h_p^2 P_p,
@@ -86,19 +91,18 @@ class ChannelInstance:
     f: float = 0.0
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
-        k = h.size
-        object.__setattr__(self, "h", _as_vector("h", self.h, k))
-        object.__setattr__(self, "g", _as_vector("g", self.g, k))
-        object.__setattr__(self, "p", _as_vector("p", self.p, k))
-        for name in ("h_p", "p_p", "sigma_p2", "sigma_c2", "f"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if k < 1:
-            raise ValueError("need at least one cognitive user")
-        for name, positive in _FIELD_SIGNS:
-            value = getattr(self, name)
-            vector = isinstance(value, np.ndarray)
-            for i, v in enumerate(value.tolist() if vector else [value]):
+        k = None
+        for name, vector, positive in _FIELD_SIGNS:
+            raw = getattr(self, name)
+            if vector:
+                if isinstance(raw, np.ndarray):
+                    raw = raw.tolist()
+                if not isinstance(raw, (list, tuple)) or not raw:
+                    raise ValueError(f"{name} must be a nonempty list of numbers")
+            values = list(raw) if vector else [raw]
+            for i, v in enumerate(values):
+                if type(v) is not float:  # an int, a numpy scalar, or no number
+                    v = values[i] = _real(v, f"{name}[{i}]" if vector else name)
                 if not (math.isfinite(v) and (v > 0 if positive else v >= 0)):
                     rule = (
                         "finite" if not math.isfinite(v)
@@ -107,6 +111,12 @@ class ChannelInstance:
                     )
                     label = f"{name}[{i}]" if vector else name
                     raise ValueError(f"{label} must be {rule}, got {v}")
+            k = k or len(values)  # h's, which comes first
+            if vector and len(values) != k:
+                raise DimensionMismatchError(
+                    f"{name} must be a length-{k} vector, got shape ({len(values)},)"
+                )
+            object.__setattr__(self, name, np.array(values) if vector else values[0])
         # the rate formulas square the gains and sum the received powers
         with np.errstate(over="ignore"):
             a = self.g * np.sqrt(self.p)
@@ -230,13 +240,13 @@ def _mac_snr(ch: ChannelInstance, gamma: np.ndarray, users=slice(None)):
     return effective[..., users].sum(axis=-1) / ch.sigma_c2
 
 
-def _coordinate_roots(ch: ChannelInstance, k: int, gamma: np.ndarray):
+def _coordinate_roots(ch: ChannelInstance, k: int, gamma: np.ndarray, slack: float = 1e-12):
     """Solve phi = 0 for gamma_k with the other coordinates fixed.
 
     gamma is one split (K,) or n splits (n, K); its column k is ignored.
-    Returns (mask, root): mask flags the rows with a root in [0, 1] (up to
-    1e-12), and root is that root clipped to [0, 1].  The caller guarantees
-    g_k > 0.
+    Returns (mask, root): mask flags the rows with a root in [0, 1], up to
+    `slack` (the feasible grid keeps roots that rounding put just outside),
+    and root is that root clipped to [0, 1].  The caller guarantees g_k > 0.
     """
     rest = np.where(np.arange(ch.num_users) == k, 0.0, gamma)
     relayed, lost = _primary_terms(ch, rest)  # S' and L at gamma_k = 0
@@ -253,7 +263,7 @@ def _coordinate_roots(ch: ChannelInstance, k: int, gamma: np.ndarray):
     # maximum(0, root) then minimum(., 1) is np.clip's result, bit for bit,
     # the sign of a zero root included, at half its cost on one split;
     # clipping in place with out= is slower on the feasible grid's columns
-    mask = real & (root >= -1e-12) & (root <= 1.0 + 1e-12)
+    mask = real & (root >= -slack) & (root <= 1.0 + slack)
     return mask, np.minimum(np.maximum(0.0, root), 1.0)
 
 

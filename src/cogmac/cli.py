@@ -37,20 +37,9 @@ class ScenarioError(ValueError):
     """Scenario file is malformed; message names the offending field."""
 
 
-_CHANNEL_VECTOR_KEYS = ("h", "g", "p")
-_CHANNEL_SCALAR_KEYS = ("h_p", "p_p", "sigma_p2", "sigma_c2")
-_SOLVER_KEYS = {"residual_tol", "max_outer_iters"}
-_ALLOWED_KEYS = set(_CHANNEL_VECTOR_KEYS) | set(_CHANNEL_SCALAR_KEYS) | {
-    "f",
-    "name",
-    "solver",
-}
-
-
 class _LongInteger:
     """A JSON integer literal with more digits than `int` parses
-    (`sys.get_int_max_str_digits`), left unparsed so that the field that
-    holds it can be named."""
+    (`sys.get_int_max_str_digits`), left unparsed so that its field is named."""
 
 
 def _parse_int(text: str):
@@ -60,17 +49,28 @@ def _parse_int(text: str):
         return _LongInteger()
 
 
-def _require_number(value, field: str) -> float:
-    if isinstance(value, _LongInteger):  # thousands of digits: past the float range too
-        raise ScenarioError(f"{field} must be finite, got an integer too large for a float")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{field} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # a JSON integer past the float range
-        raise ScenarioError(
-            f"{field} must be finite, got an integer too large for a float"
-        ) from None
+_fields = functools.cache(dataclasses.fields)  # a dataclass's fields never change
+
+
+def _arguments(cls, doc: dict) -> dict:
+    """The JSON object `doc` as keyword arguments of the dataclass `cls`,
+    whose constructor checks every value and names the field at fault.
+    Checked here is what only JSON holds: a missing field, and an integer
+    literal too long to parse, which an int field reports by its digit limit
+    and any other field as past the float range."""
+    for field in _fields(cls):
+        value = doc.get(field.name, field.default)
+        if value is dataclasses.MISSING:
+            raise ScenarioError(f"missing field {field.name!r}")
+        entries = value if isinstance(value, list) else [value]
+        for i, v in enumerate(entries):
+            if isinstance(v, _LongInteger):
+                label = f"{field.name}[{i}]" if entries is value else field.name
+                rule = "must be finite, got an integer too large for a float"
+                if field.type in (int, "int"):
+                    rule = f"must have at most {sys.get_int_max_str_digits()} digits"
+                raise ScenarioError(f"{label} {rule}")
+    return doc
 
 
 def load_scenario(path: str) -> tuple[ChannelInstance, SolverConfig, str | None]:
@@ -84,67 +84,29 @@ def load_scenario(path: str) -> tuple[ChannelInstance, SolverConfig, str | None]
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("scenario file must contain a JSON object")
-    unknown = sorted(set(doc) - _ALLOWED_KEYS)
+    name, solver_doc = doc.pop("name", None), doc.pop("solver", {})
+    unknown = sorted(set(doc) - {f.name for f in _fields(ChannelInstance)})
     if unknown:
         raise ScenarioError(f"unknown field {unknown[0]!r}")
+    ch = ChannelInstance(**_arguments(ChannelInstance, doc))
 
-    vectors = {}
-    for key in _CHANNEL_VECTOR_KEYS:
-        if key not in doc:
-            raise ScenarioError(f"missing field {key!r}")
-        raw = doc[key]
-        if not isinstance(raw, list) or not raw:
-            raise ScenarioError(f"{key} must be a nonempty list of numbers")
-        vectors[key] = [_require_number(v, f"{key}[{i}]") for i, v in enumerate(raw)]
-
-    scalars = {}
-    for key in _CHANNEL_SCALAR_KEYS:
-        if key not in doc:
-            raise ScenarioError(f"missing field {key!r}")
-        scalars[key] = _require_number(doc[key], key)
-    f_gain = _require_number(doc.get("f", 0.0), "f")
-    # ChannelInstance's ValueError names the offending field
-    ch = ChannelInstance(h=vectors["h"], g=vectors["g"], p=vectors["p"], f=f_gain, **scalars)
-
-    solver_doc = doc.get("solver", {})
     if not isinstance(solver_doc, dict):
         raise ScenarioError("solver must be an object")
-    unknown = sorted(set(solver_doc) - _SOLVER_KEYS)
+    unknown = sorted(set(solver_doc) - {f.name for f in _fields(SolverConfig)})
     if unknown:
         raise ScenarioError(f"unknown field solver.{unknown[0]}")
-    cfg_kwargs = {}
-    for key, value in solver_doc.items():
-        if key == "max_outer_iters":
-            if isinstance(value, _LongInteger):
-                limit = sys.get_int_max_str_digits()
-                raise ScenarioError(f"solver.{key} must have at most {limit} digits")
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ScenarioError(f"solver.{key} must be an integer")
-            cfg_kwargs[key] = value
-        else:
-            cfg_kwargs[key] = _require_number(value, f"solver.{key}")
     try:
-        cfg = SolverConfig(**cfg_kwargs)
+        cfg = SolverConfig(**_arguments(SolverConfig, solver_doc))
     except ValueError as exc:
-        raise ScenarioError(f"solver: {exc}") from exc
+        raise ScenarioError(f"solver.{exc}") from exc
 
-    name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise ScenarioError("name must be a string")
     return ch, cfg, name
 
 
 def scenario_echo(ch: ChannelInstance, name: str | None) -> dict:
-    echo = {
-        "h": list(ch.h),
-        "g": list(ch.g),
-        "p": list(ch.p),
-        "h_p": ch.h_p,
-        "p_p": ch.p_p,
-        "sigma_p2": ch.sigma_p2,
-        "sigma_c2": ch.sigma_c2,
-        "f": ch.f,
-    }
+    echo = {f.name: np.asarray(getattr(ch, f.name)).tolist() for f in _fields(ChannelInstance)}
     if name is not None:
         echo["name"] = name
     return echo

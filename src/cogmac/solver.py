@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -47,6 +48,7 @@ from .channel import (
     _mac_snr,
     _phi,
     _primary_terms,
+    _real,
     _relative_phi,
     _splits,
 )
@@ -59,18 +61,23 @@ class SolverStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """residual_tol: the largest relative residual reported as Converged.
-    max_outer_iters: the most path evaluations one solve may make."""
+    """residual_tol: the largest relative residual reported as Converged, a
+    positive finite number.  max_outer_iters: the most path evaluations one
+    solve may make, a positive integer (not a bool) that fits a float.  An
+    invalid value raises ValueError naming the field, as `ChannelInstance`
+    does."""
 
     residual_tol: float = RESIDUAL_TOL
     max_outer_iters: int = 200_000
 
     def __post_init__(self):
-        if not 0 < self.residual_tol < math.inf:
-            raise ValueError(
-                f"residual_tol must be positive and finite, got {self.residual_tol}"
-            )
-        if self.max_outer_iters < 1:
+        tol = _real(self.residual_tol, "residual_tol")
+        if not 0 < tol < math.inf:
+            raise ValueError(f"residual_tol must be positive and finite, got {tol}")
+        iters = self.max_outer_iters
+        if isinstance(iters, bool) or not isinstance(iters, (int, numbers.Integral)):
+            raise ValueError("max_outer_iters must be an integer")
+        if _real(iters, "max_outer_iters") < 1:
             raise ValueError("max_outer_iters must be positive")
 
 
@@ -239,15 +246,16 @@ def _finish(
     The candidates are `users`, those with g_k > 0 in index order, interior
     before saturated, each group by steepest d phi / d gamma_k and ties in
     index order.  Each in turn is set to its root clipped to [0, 1], and the
-    first exact root ends the walk.  phi increases in every such gamma_k,
-    so a candidate that cannot land alone still moves phi toward 0: a relay
-    with h_k = 0 released to 0 lets the next candidate land.
+    first root that lies in [0, 1] before clipping ends the walk: one that
+    rounding put just outside does not land once clipped.  phi increases in
+    every such gamma_k, so a candidate that cannot land alone still moves
+    phi toward 0: a relay with h_k = 0 released to 0 lets the next one land.
     """
     x = ch.primary_amplitude + _primary_terms(ch, gamma)[0]
     slope = ch.a * (ch.sigma_p2 * x + ch.s_p * ch.a * gamma)  # half d phi / d gamma_k
     gamma = gamma.copy()
     for k in users[np.lexsort((-slope[users], saturated[users]))]:
-        ok, gamma[k] = _coordinate_roots(ch, k, gamma)
+        ok, gamma[k] = _coordinate_roots(ch, k, gamma, slack=0.0)
         if ok:
             break
     return gamma

@@ -1,9 +1,10 @@
-"""A short end-to-end run of the benchmark on two of its workloads.
+"""A short end-to-end run of the benchmark on each of its workloads.
 
-`region-validate` drives the CLI; `solve-large-k` runs K = 10..200 solves
-and `solve-wide` solves of gains, powers and noise many decades apart, both
-through the benchmark's `check_solve`: KKT, the primary rate and a search of
-projected splits, all computed apart from cogmac's solver and its kernels.  Each run must
+`region-validate` drives the CLI; `solve-uniform` runs the paper's K = 1..3
+solves, `solve-large-k` K = 10..200 solves and `solve-wide` solves of gains,
+powers and noise many decades apart, each through the benchmark's
+`check_solve`: KKT, the primary rate and a search of projected splits, all
+computed apart from cogmac's solver and its kernels.  Each run must
 complete, every output must pass those checks, and each metric printed must
 be one BENCHMARK.json names as end to end.  No timing is checked.
 """
@@ -18,7 +19,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["region-validate", "solve-large-k", "solve-wide"])
+@pytest.mark.parametrize(
+    "workload", ["region-validate", "solve-uniform", "solve-large-k", "solve-wide"]
+)
 def test_workload_smoke(workload):
     proc = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload,

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 from conftest import hull_contains
 
+from cogmac import ChannelInstance, SolverConfig, cli
+
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
@@ -33,6 +35,43 @@ UNIT_K1 = {
     "h": [1.0], "g": [1.0], "p": [1.0],
     "h_p": 1.0, "p_p": 1.0, "sigma_p2": 1.0, "sigma_c2": 1.0,
 }
+
+
+def _put(label, value):
+    """The scenario entries that place value where an error names `label`:
+    `h[1]` is the second entry of a two-user h, `solver.x` a solver field."""
+    name, _, solver_field = label.partition("solver.")
+    if solver_field:
+        return {"solver": {solver_field: value}}
+    if name.endswith("[1]"):
+        return {"h": [1.0, 1.0], "g": [1.0, 1.0], "p": [1.0, 1.0], name[:-3]: [1.0, value]}
+    if name.endswith("[0]"):
+        return {name[:-3]: [value]}
+    return {name: value}
+
+
+FIELD_LABELS = (
+    "h[0]", "g[0]", "p[0]", "h[1]", "h_p", "p_p", "sigma_p2", "sigma_c2", "f",
+    "solver.residual_tol", "solver.max_outer_iters",
+)
+# stable ids of the cases these two tables started with
+_FIRST_IDS = {
+    ("p_p", "10e400"): "scalar",
+    ("p[0]", "10e400"): "vector-entry",
+    ("solver.residual_tol", "10e400"): "solver-residual_tol",
+    ("p_p", "5000-digits"): "scalar",
+    ("h[1]", "5000-digits"): "vector-entry",
+    ("solver.max_outer_iters", "5000-digits"): "solver-max_outer_iters",
+}
+
+
+def _field_table(values):
+    """Every field label with every value, as pytest cases."""
+    return [
+        pytest.param(label, value, id=_FIRST_IDS.get((label, kind), f"{label}-{kind}"))
+        for label in FIELD_LABELS
+        for kind, value in values.items()
+    ]
 
 
 class TestSolve:
@@ -70,45 +109,50 @@ class TestSolve:
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"error: {field} must be ")
 
-    @pytest.mark.parametrize(
-        "override, field",
-        [
-            ({"p_p": 10**400}, "p_p"),
-            ({"p": [10**400]}, "p[0]"),
-            ({"solver": {"residual_tol": 10**400}}, "solver.residual_tol"),
-        ],
-        ids=["scalar", "vector-entry", "solver-residual_tol"],
-    )
-    def test_integer_past_float_range_names_field(self, tmp_path, override, field):
-        path = write_scenario(tmp_path, dict(UNIT_K1, **override))
-        proc = run_cli("solve", "--scenario", path, check=False)
-        assert proc.returncode == 1
-        message = f"{field} must be finite, got an integer too large for a float"
-        assert proc.stderr == f"error: {message}\n"
+    @staticmethod
+    def _assert_field_error(capsys, path, label, value, rule, cli_rule=None):
+        """`cogmac solve` on the scenario at path, run in process, prints one
+        line `error: <label> <cli_rule>` (`rule` by default) and nothing to
+        stdout, and the constructor given `value` where `label` names it
+        raises ValueError `<label> <rule>`, without the CLI's `solver.`."""
+        assert cli.main(["solve", "--scenario", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {label} {cli_rule or rule}\n"
+        name, _, solver_field = label.partition("solver.")
+        with pytest.raises(ValueError) as exc:
+            if solver_field:
+                SolverConfig(**{solver_field: value})
+            else:
+                ChannelInstance(**dict(UNIT_K1, **_put(label, value)))
+        assert str(exc.value) == f"{solver_field or name} {rule}"
 
     @pytest.mark.parametrize(
-        "override, message",
-        [
-            ({"p_p": "@"}, "p_p must be finite, got an integer too large for a float"),
-            (
-                {"h": [1.0, "@"], "g": [1.0, 1.0], "p": [1.0, 1.0]},
-                "h[1] must be finite, got an integer too large for a float",
-            ),
-            (
-                {"solver": {"max_outer_iters": "@"}},
-                f"solver.max_outer_iters must have at most {sys.get_int_max_str_digits()} digits",
-            ),
-        ],
-        ids=["scalar", "vector-entry", "solver-max_outer_iters"],
+        "label, value",
+        _field_table({"true": True, "string": "1", "null": None, "10e400": 10**400}),
     )
-    def test_integer_past_digit_limit_names_field(self, tmp_path, override, message):
+    def test_integer_past_float_range_names_field(self, tmp_path, capsys, label, value):
+        path = write_scenario(tmp_path, dict(UNIT_K1, **_put(label, value)))
+        if value == 10**400:
+            rule = "must be finite, got an integer too large for a float"
+        elif label == "solver.max_outer_iters":
+            rule = "must be an integer"
+        else:
+            rule = f"must be a number, got {value!r}"
+        self._assert_field_error(capsys, path, label, value, rule)
+
+    @pytest.mark.parametrize("label, value", _field_table({"5000-digits": 10**5000 - 1}))
+    def test_integer_past_digit_limit_names_field(self, tmp_path, capsys, label, value):
         # longer than int() parses by default, so json.dumps cannot write it
-        text = json.dumps(dict(UNIT_K1, **override)).replace('"@"', "9" * 5000)
+        text = json.dumps(dict(UNIT_K1, **_put(label, "@"))).replace('"@"', "9" * 5000)
         path = tmp_path / "scenario.json"
         path.write_text(text)
-        proc = run_cli("solve", "--scenario", str(path), check=False)
-        assert proc.returncode == 1
-        assert proc.stderr == f"error: {message}\n"
+        rule = cli_rule = "must be finite, got an integer too large for a float"
+        if label == "solver.max_outer_iters":
+            # an int field: the CLI, which cannot parse the literal, names
+            # int's digit limit; the constructor, given its value, the float range
+            cli_rule = f"must have at most {sys.get_int_max_str_digits()} digits"
+        self._assert_field_error(capsys, path, label, value, rule, cli_rule)
 
     @pytest.mark.parametrize("command", ["solve", "region", "sweep", "validate"])
     def test_overflowing_received_power_names_field(self, tmp_path, command):
@@ -353,7 +397,7 @@ class TestInvalidFlags:
         path = write_scenario(tmp_path, dict(UNIT_K1, solver={"residual_tol": math.nan}))
         proc = run_cli("solve", "--scenario", path, check=False)
         assert proc.returncode == 1
-        assert proc.stderr.startswith("error: solver: residual_tol must be ")
+        assert proc.stderr.startswith("error: solver.residual_tol must be ")
 
 
 class TestDeterminism:

@@ -10,10 +10,13 @@ written only in `ChannelInstance`, which derives them once for every kernel;
 `oracle.py`, whose checks stay independent of the kernels, forms its own
 g_k sqrt(P_k).  No module writes the primary constraint in its expanded
 form sigma_p2 X^2 - s_p (...), whose terms sigma_p2 A^2 and s_p sigma_p2
-cancel: `channel._excess` writes it once without them.
+cancel: `channel._excess` writes it once without them.  The CLI reads the
+scenario schema from the `ChannelInstance` and `SolverConfig` fields, and
+names none of them in a string of its own.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -211,3 +214,37 @@ def test_no_expanded_constraint(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     found = [node.lineno for node in ast.walk(tree) if _expanded_constraint(node)]
     assert not found, f"{path.name}: sigma_p2 * x**2 - s_p * ... at lines {found}"
+
+
+FIELD_NAMES = {
+    f.name for cls in (cogmac.ChannelInstance, cogmac.SolverConfig) for f in dataclasses.fields(cls)
+}
+
+
+def _field_strings(tree) -> list:
+    """Each string constant that is a scenario field's name, with its line."""
+    return sorted(
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value in FIELD_NAMES
+    )
+
+
+@pytest.mark.parametrize(
+    "code, found",
+    [
+        ('keys = ("h", "g", "p")', True),
+        ('cfg_kwargs["max_outer_iters"] = value', True),
+        ("names = {f.name for f in dataclasses.fields(ChannelInstance)}", False),
+        ('doc.pop("solver", {})', False),
+    ],
+)
+def test_field_string_pattern(code, found):
+    assert bool(_field_strings(ast.parse(code))) is found
+
+
+def test_cli_names_no_field():
+    tree = ast.parse((SOURCE / "cli.py").read_text(encoding="utf-8"))
+    found = _field_strings(tree)
+    assert not found, f"cli.py: field names as strings at {found}"

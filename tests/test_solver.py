@@ -287,7 +287,7 @@ class TestFinishOrder:
     def _tried(monkeypatch, ch, lam):
         tried = []
 
-        def never_lands(ch, k, gamma):
+        def never_lands(ch, k, gamma, slack):
             tried.append(k)
             return False, gamma[k]
 
@@ -334,6 +334,16 @@ class TestFinishOrder:
     def test_one_user(self, monkeypatch, unit_k1):
         tried, expected, _, _ = self._tried(monkeypatch, unit_k1, 0.2)
         assert tried == expected == [0]
+
+    def test_root_clipped_into_range_does_not_end_the_walk(self, extreme_suite):
+        # extreme-fuzz draw 121 (K = 5): at lambda* the first candidate's root
+        # lies just below 0, inside the grid's 1e-12 slack, and clipped to 0
+        # it does not land; the next candidate's root, about 1e-20, lands
+        ch = extreme_suite[121]
+        result = solve_max_sum_rate(ch)
+        assert result.status is SolverStatus.CONVERGED
+        assert result.residual == 0.0
+        assert result.outer_iterations == 107
 
 
 class TestSolveMaxSumRate:
