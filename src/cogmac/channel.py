@@ -150,10 +150,10 @@ class ChannelInstance:
 
 
 def _splits(gamma, ndim: int = 1) -> np.ndarray:
-    """gamma as a read-only float array with `ndim` axes: one split (K,) or
-    one split per row (n, K).  Every entry must be finite and in [0, 1]; a
-    NaN fails both bounds, since min and max propagate it."""
-    arr = np.asarray(gamma, dtype=float)
+    """gamma as a new read-only float array with `ndim` axes and no -0: one
+    split (K,) or one split per row (n, K).  Every entry must be finite and
+    in [0, 1]; a NaN fails both bounds, since min and max propagate it."""
+    arr = np.asarray(gamma, dtype=float) + 0.0  # a copy, where -0 + 0 = 0
     if arr.ndim != ndim:
         raise ValueError("gamma must be a vector" if ndim == 1 else "gamma must be a matrix")
     if not (0.0 <= arr.min(initial=1.0) and arr.max(initial=0.0) <= 1.0):

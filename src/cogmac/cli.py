@@ -37,16 +37,16 @@ class ScenarioError(ValueError):
     """Scenario file is malformed; message names the offending field."""
 
 
-class _LongInteger:
-    """A JSON integer literal with more digits than `int` parses
-    (`sys.get_int_max_str_digits`), left unparsed so that its field is named."""
-
-
-def _parse_int(text: str):
+def _parse_int(text: str) -> int:
+    """A JSON integer literal as an int, and one longer than `int` parses
+    (`sys.get_int_max_str_digits`, at least 640 digits) as 2**1024, the
+    least integer past the float range.  JSON has no leading zeros, so such
+    a literal lies past that range too; every scenario field must fit a
+    float, so the field's own check rejects it and names the field."""
     try:
         return int(text)
     except ValueError:
-        return _LongInteger()
+        return 2**1024
 
 
 _fields = functools.cache(dataclasses.fields)  # a dataclass's fields never change
@@ -55,21 +55,10 @@ _fields = functools.cache(dataclasses.fields)  # a dataclass's fields never chan
 def _arguments(cls, doc: dict) -> dict:
     """The JSON object `doc` as keyword arguments of the dataclass `cls`,
     whose constructor checks every value and names the field at fault.
-    Checked here is what only JSON holds: a missing field, and an integer
-    literal too long to parse, which an int field reports by its digit limit
-    and any other field as past the float range."""
+    Checked here is what only JSON holds: a missing field."""
     for field in _fields(cls):
-        value = doc.get(field.name, field.default)
-        if value is dataclasses.MISSING:
+        if field.name not in doc and field.default is dataclasses.MISSING:
             raise ScenarioError(f"missing field {field.name!r}")
-        entries = value if isinstance(value, list) else [value]
-        for i, v in enumerate(entries):
-            if isinstance(v, _LongInteger):
-                label = f"{field.name}[{i}]" if entries is value else field.name
-                rule = "must be finite, got an integer too large for a float"
-                if field.type in (int, "int"):
-                    rule = f"must have at most {sys.get_int_max_str_digits()} digits"
-                raise ScenarioError(f"{label} {rule}")
     return doc
 
 
@@ -210,27 +199,9 @@ def cmd_region(args) -> int:
     return EXIT_OK
 
 
-def _default_lambda_max(ch: ChannelInstance) -> float:
-    """Sweep range when lambda* = 0: the smallest positive pole
-    (h_k / g_k)^2 / (h_p^2 P_p) of the gamma formula, or
-    max(h_p^2 P_p, sigma_p2) / sigma_p2^2 when there is none."""
-    users = (ch.g > 0) & (ch.h > 0)
-    if ch.s_p > 0 and users.any():
-        return float(np.min((ch.h[users] / ch.g[users]) ** 2)) / ch.s_p
-    return max(ch.s_p, ch.sigma_p2) / ch.sigma_p2**2
-
-
 def cmd_sweep(args) -> int:
     ch, cfg, _name = load_scenario(args.scenario)
-    if args.lambda_max is not None:
-        lambda_max = args.lambda_max
-    else:
-        result = solve_max_sum_rate(ch, cfg)
-        if result.lambda_star > 0:
-            lambda_max = 1.25 * result.lambda_star
-        else:
-            lambda_max = _default_lambda_max(ch)
-    traj = sweep_trajectory(ch, lambda_max, args.samples)
+    traj = sweep_trajectory(ch, args.lambda_max, args.samples, cfg)
     gammas = [f"gamma_{i + 1}" for i in range(ch.num_users)]
     lines = [",".join(["lambda", "x", *gammas, "phi", "saturated_users"])]
     numbers = np.column_stack([traj.lam, traj.x, traj.gamma, traj.phi]).tolist()

@@ -54,11 +54,11 @@ def grid_search(ch: ChannelInstance, grid_step: float) -> OracleResult:
     For each coordinate with g_k > 0 the other K-1 coordinates run over the
     grid and that coordinate is solved from the equality constraint
     (`feasible_grid`).  Scan order is deterministic; ties break toward the
-    earliest candidate.  The best row is copied, so that the result does not
-    hold the whole grid.
+    earliest candidate.  `PowerSplit` copies the best row, so that the
+    result does not hold the whole grid.
     """
     rows = feasible_grid(ch, grid_step)
-    best = PowerSplit(rows[np.argmax(_mac_snr(ch, rows))].copy())
+    best = PowerSplit(rows[np.argmax(_mac_snr(ch, rows))])
     return OracleResult(
         best_gamma=best,
         best_sum_rate=sum_rate(ch, best),

@@ -47,7 +47,6 @@ from .channel import (
     _excess,
     _mac_snr,
     _phi,
-    _primary_terms,
     _real,
     _relative_phi,
     _splits,
@@ -239,23 +238,25 @@ def _brent(f, lo: float, hi: float, f_lo: float, f_hi: float, budget: float) -> 
 
 
 def _finish(
-    ch: ChannelInstance, gamma: np.ndarray, saturated: np.ndarray, users: np.ndarray
+    ch: ChannelInstance, x: float, gamma: np.ndarray, saturated: np.ndarray, users: np.ndarray
 ) -> np.ndarray:
-    """Project gamma onto phi = 0 one coordinate at a time.
+    """Project the path's `split` (x, gamma) onto phi = 0 one coordinate at a time.
 
-    The candidates are `users`, those with g_k > 0 in index order, interior
-    before saturated, each group by steepest d phi / d gamma_k and ties in
-    index order.  Each in turn is set to its root clipped to [0, 1], and the
-    first root that lies in [0, 1] before clipping ends the walk: one that
-    rounding put just outside does not land once clipped.  phi increases in
-    every such gamma_k, so a candidate that cannot land alone still moves
-    phi toward 0: a relay with h_k = 0 released to 0 lets the next one land.
+    The candidates are `users`, those with g_k > 0, interior before
+    saturated, each group by steepest a_k (x + t a_k gamma_k), half of
+    d phi / d gamma_k over sigma_p2, ties in index order.  Each in turn is
+    set to its root clipped to [0, 1], if finite; the first root in [0, 1]
+    before clipping ends the walk (one that rounding put just outside does
+    not land once clipped).  phi increases in every such gamma_k, so one
+    that cannot land alone still moves phi toward 0: a relay with h_k = 0
+    released to 0 lets the next one land.
     """
-    x = ch.primary_amplitude + _primary_terms(ch, gamma)[0]
-    slope = ch.a * (ch.sigma_p2 * x + ch.s_p * ch.a * gamma)  # half d phi / d gamma_k
+    slope = ch.a * (x + ch.t * ch.a * gamma)
     gamma = gamma.copy()
     for k in users[np.lexsort((-slope[users], saturated[users]))]:
-        ok, gamma[k] = _coordinate_roots(ch, k, gamma, slack=0.0)
+        ok, root = _coordinate_roots(ch, k, gamma, slack=0.0)
+        if math.isfinite(root):  # NaN once phi's terms overflow
+            gamma[k] = root
         if ok:
             break
     return gamma
@@ -299,9 +300,9 @@ def solve_max_sum_rate(ch: ChannelInstance, cfg: SolverConfig | None = None) -> 
     cfg = cfg or SolverConfig()
     path = _WaterFill(ch)
     lam, reached = _follow(path, cfg.max_outer_iters - 1)  # one is kept for gamma
-    _, gamma, saturated = path.split(lam)
+    x, gamma, saturated = path.split(lam)
     if reached:
-        gamma = _finish(ch, gamma, saturated, path.users)
+        gamma = _finish(ch, x, gamma, saturated, path.users)
     split = PowerSplit(gamma)
     residual = float(_relative_phi(ch, split.gamma))
     converged = reached and residual <= cfg.residual_tol
@@ -328,17 +329,30 @@ class Trajectory:
     saturated: np.ndarray
 
 
-def sweep_trajectory(ch: ChannelInstance, lambda_max: float, samples: int) -> Trajectory:
+def sweep_trajectory(
+    ch: ChannelInstance, lambda_max: float | None, samples: int, cfg: SolverConfig | None = None
+) -> Trajectory:
     """Evaluate the path on an even lambda grid over [0, lambda_max].
 
-    Every grid point is evaluated by the prefix rule at once, and a point at
-    an event already has that user saturated; the splits are checked once,
-    as one (samples, K) array."""
+    lambda_max None stands for 1.25 lambda*, found as `solve_max_sum_rate`
+    finds it under cfg's budget, or when that is 0 for the least pole
+    beta_k^2 / s_p > 0, else for max(s_p, sigma_p2) / sigma_p2^2.  Every
+    grid point is evaluated by the prefix rule at once, and a point at an
+    event already has that user saturated; the splits are checked once, as
+    one (samples, K) array."""
+    path = _WaterFill(ch)
+    if lambda_max is None:
+        lam_star, _ = _follow(path, (cfg or SolverConfig()).max_outer_iters - 1)
+        if lam_star > 0:
+            lambda_max = 1.25 * lam_star
+        else:  # the fallback only where it is taken: sigma_p2**2 can overflow
+            poles = [b / ch.s_p for b in path.beta2 if b > 0.0 and ch.s_p > 0.0]
+            lambda_max = min(poles) if poles else max(ch.s_p, ch.sigma_p2) / ch.sigma_p2**2
     if not 0 <= lambda_max < math.inf:
         raise ValueError(f"lambda_max must be nonnegative and finite, got {lambda_max}")
     if samples < 2:
         raise ValueError("need at least 2 samples")
     grid = np.linspace(0.0, lambda_max, samples)
-    x, gamma, saturated = _WaterFill(ch).states(grid)
+    x, gamma, saturated = path.states(grid)
     gamma = _splits(gamma, ndim=2)
     return Trajectory(grid, x, gamma, _phi(ch, gamma), saturated)

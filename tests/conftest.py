@@ -74,6 +74,30 @@ def extreme_fuzz(seed: int = 11, count: int = 400) -> list[ChannelInstance]:
     return draws
 
 
+def limit_fuzz(seed: int = 5, count: int = 600) -> list[ChannelInstance]:
+    """ROADMAP item 8's limit fuzz.  Per draw: K = integers(1, 6); h, g and p,
+    K values each, then h_p, p_p, sigma_p2 and sigma_c2, each log-uniform
+    over 1e-150..1e150.  Draws that `ChannelInstance` rejects are skipped
+    until `count` are kept."""
+    rng = np.random.default_rng(seed)
+
+    def log_uniform(size=None):
+        return 10.0 ** rng.uniform(-150, 150, size)
+
+    draws = []
+    while len(draws) < count:
+        k = int(rng.integers(1, 6))
+        h, g, p = log_uniform(k), log_uniform(k), log_uniform(k)
+        h_p, p_p, sigma_p2, sigma_c2 = (log_uniform() for _ in range(4))
+        try:
+            draws.append(ChannelInstance(
+                h=h, g=g, p=p, h_p=h_p, p_p=p_p, sigma_p2=sigma_p2, sigma_c2=sigma_c2
+            ))
+        except ValueError:
+            pass
+    return draws
+
+
 @pytest.fixture(scope="session")
 def extreme_suite():
     """`extreme_fuzz()`, built once per session."""

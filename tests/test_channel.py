@@ -51,6 +51,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             PowerSplit(np.array([-0.1]))
 
+    def test_split_leaves_callers_array_alone(self):
+        gamma = np.array([-0.0, 0.5])
+        split = PowerSplit(gamma)
+        assert gamma.flags.writeable and np.signbit(gamma[0])
+        assert not split.gamma.flags.writeable and split.gamma.base is None
+        assert not np.signbit(split.gamma).any()
+
 
 class TestDerivedTerms:
     """The constant terms an instance derives once: read-only, not fields,

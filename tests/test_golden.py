@@ -1,10 +1,10 @@
 """The CLI's standard output on the bundled scenarios, byte for byte.
 
 Each file under tests/golden/ other than the scenarios k3_two_events.json,
-k2_silent_relays.json and k1_extreme_draw29.json is the stdout of one
-command below.  Stdout is the contract for deterministic output, so a
-refactor must leave every byte as it is; regenerate the files only for an
-intended change of output, and say why in CHANGES.md.
+k2_silent_relays.json, k2_relay_and_user.json and k1_extreme_draw29.json is
+the stdout of one command below.  Stdout is the contract for deterministic
+output, so a refactor must leave every byte as it is; regenerate the files
+only for an intended change of output, and say why in CHANGES.md.
 `PYTHONPATH=src python tests/test_golden.py` rewrites every file from CASES.
 """
 
@@ -41,6 +41,10 @@ CASES = [
     # and all three by --lambda-max 0.15
     (f"{stem}-k3_two_events.csv", ("sweep", "--scenario", str(GOLDEN / "k3_two_events.json"), *extra))
     for stem, extra in (("sweep", ()), ("sweep-lambda-max", ("--lambda-max", "0.15")))
+] + [
+    # lambda* = 0 with a user whose h_k and g_k are both positive: the sweep
+    # range is that user's pole (h_k / g_k)^2 / s_p = 11.11
+    ("sweep-k2_relay_and_user.csv", ("sweep", "--scenario", str(GOLDEN / "k2_relay_and_user.json"))),
 ] + [
     # two relays with h_k = 0 that overshoot phi = 0 together at lambda = 0:
     # neither lands alone, so one is released to 0 and the other lands

@@ -12,7 +12,8 @@ g_k sqrt(P_k).  No module writes the primary constraint in its expanded
 form sigma_p2 X^2 - s_p (...), whose terms sigma_p2 A^2 and s_p sigma_p2
 cancel: `channel._excess` writes it once without them.  The CLI reads the
 scenario schema from the `ChannelInstance` and `SolverConfig` fields, and
-names none of them in a string of its own.
+names none of them in a string of its own, and of an instance it reads
+only `num_users`: it parses, calls the library and prints.
 """
 
 import ast
@@ -248,3 +249,17 @@ def test_cli_names_no_field():
     tree = ast.parse((SOURCE / "cli.py").read_text(encoding="utf-8"))
     found = _field_strings(tree)
     assert not found, f"cli.py: field names as strings at {found}"
+
+
+def test_cli_reads_no_instance_attribute_but_num_users():
+    ch = cogmac.ChannelInstance(
+        h=[1.0], g=[1.0], p=[1.0], h_p=1.0, p_p=1.0, sigma_p2=1.0, sigma_c2=1.0
+    )
+    attributes = set(vars(ch))  # the fields and derived terms, not num_users
+    tree = ast.parse((SOURCE / "cli.py").read_text(encoding="utf-8"))
+    found = sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in attributes
+    )
+    assert not found, f"cli.py: instance attributes read at {found}"

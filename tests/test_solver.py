@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,10 +23,12 @@ from cogmac import (
 )
 from cogmac.channel import _phi, residual_scale
 from cogmac import solver
+from cogmac.cli import load_scenario
 from cogmac.oracle import instance_suite, random_instance
 from cogmac.solver import _finish, _WaterFill
-from conftest import SUITE_SEED, bisect_root
+from conftest import SUITE_SEED, bisect_root, limit_fuzz
 from test_channel import make_instance
+from test_golden import GOLDEN, SCENARIOS
 
 
 def _saturation_points(ch):
@@ -279,9 +283,9 @@ class TestLargeKFixedPoint:
 
 class TestFinishOrder:
     """`_finish` tries the users with g_k > 0 interior first, then
-    saturated, each group by steepest slope a_k (sigma_p2 X + s_p a_k
-    gamma_k), ties in index order; here every candidate fails to land, so
-    each is tried once."""
+    saturated, each group by steepest d phi / d gamma_k, written out here as
+    a_k (sigma_p2 X + s_p a_k gamma_k), ties in index order; here every
+    candidate fails to land, so each is tried once."""
 
     @staticmethod
     def _tried(monkeypatch, ch, lam):
@@ -293,8 +297,8 @@ class TestFinishOrder:
 
         monkeypatch.setattr(solver, "_coordinate_roots", never_lands)
         path = _WaterFill(ch)
-        _, gamma, saturated = path.split(lam)
-        _finish(ch, gamma, saturated, path.users)
+        signal, gamma, saturated = path.split(lam)
+        _finish(ch, signal, gamma, saturated, path.users)
         a = ch.g * np.sqrt(ch.p)
         x = ch.h_p * math.sqrt(ch.p_p) + float(a @ gamma)
         slope = (a * (ch.sigma_p2 * x + ch.h_p**2 * ch.p_p * a * gamma)).tolist()
@@ -572,7 +576,68 @@ class TestSolveMaxSumRate:
                 assert deriv >= -1e-6 * scale
 
 
+class TestWholeFloatRange:
+    """Valid instances near the ends of the float range (ROADMAP item 8)."""
+
+    def test_limit_fuzz_draw_solves(self):
+        # K = 1: beta^2 underflows to 0, and the projection's slope was
+        # sigma_p2 times too large, so it overflowed into a NaN gamma
+        ch = limit_fuzz()[5]
+        assert ch.num_users == 1
+        assert isinstance(solve_max_sum_rate(ch), solver.SolverResult)
+
+    def test_huge_primary_noise_does_not_overflow(self, k2_reference):
+        ch = dataclasses.replace(k2_reference, sigma_p2=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = solve_max_sum_rate(ch)
+        assert result.status is SolverStatus.CONVERGED
+
+    def test_sweep_range_skips_the_fallback_it_does_not_take(self, k2_reference):
+        # the range is user 1's pole, and max(s_p, sigma_p2) / sigma_p2^2
+        # would overflow
+        ch = dataclasses.replace(k2_reference, sigma_p2=1e308)
+        with np.errstate(all="ignore"):  # `states` still overflows (ROADMAP item 8)
+            traj = sweep_trajectory(ch, None, 5)
+        assert _sweep_range(ch, SolverConfig()) == (traj.lam[-1], "pole")
+
+    @pytest.mark.parametrize("draw", [56, 365])
+    def test_split_holds_no_negative_zero(self, extreme_suite, draw):
+        gamma = solve_max_sum_rate(extreme_suite[draw]).gamma_star.gamma
+        assert 0.0 in gamma
+        assert not np.signbit(gamma).any()
+
+
+def _sweep_range(ch, cfg):
+    """The sweep's default range, with its branch, from a whole solve and the
+    pole written out: 1.25 lambda*, else the least (h_k / g_k)^2 / s_p over
+    the users with h_k, g_k > 0, else max(s_p, sigma_p2) / sigma_p2^2."""
+    lam = solve_max_sum_rate(ch, cfg).lambda_star
+    if lam > 0:
+        return 1.25 * lam, "lambda*"
+    users = (ch.h > 0) & (ch.g > 0)
+    if ch.s_p > 0 and users.any():
+        return float(np.min((ch.h[users] / ch.g[users]) ** 2)) / ch.s_p, "pole"
+    return max(ch.s_p, ch.sigma_p2) / ch.sigma_p2**2, "fallback"
+
+
 class TestSweepTrajectory:
+    @pytest.mark.parametrize("iters", [200_000, 2, 8])
+    def test_default_range(self, iters):
+        names = ["k1_unit", "k2_reference", "k2_no_interference"]
+        golden = ["k3_two_events", "k2_silent_relays", "k1_extreme_draw29", "k2_relay_and_user"]
+        paths = [SCENARIOS / f"{n}.json" for n in names] + [GOLDEN / f"{n}.json" for n in golden]
+        cases = [load_scenario(str(p))[0] for p in paths] + instance_suite(1, 90)
+        cfg, branches = SolverConfig(max_outer_iters=iters), set()
+        for ch in cases:
+            lambda_max, branch = _sweep_range(ch, cfg)
+            branches.add(branch)
+            expected = sweep_trajectory(ch, lambda_max, 21)
+            traj = sweep_trajectory(ch, None, 21, cfg)
+            for name in (f.name for f in dataclasses.fields(traj)):
+                np.testing.assert_array_equal(getattr(traj, name), getattr(expected, name))
+        assert branches == ({"lambda*", "pole", "fallback"} if iters > 2 else {"pole", "fallback"})
+
     def test_columns(self, k2_reference):
         traj = sweep_trajectory(k2_reference, 0.1, 5)
         assert traj.lam.tolist() == np.linspace(0.0, 0.1, 5).tolist()
