@@ -2,9 +2,10 @@
 """Reproduce the bundled reference experiments.
 
 Writes, for each scenario in scenarios/:
-  <name>.solve.json   -- solver report with oracle comparison (K <= 3)
-  <name>.region.csv   -- two-user region boundary (K = 2 only)
-  <name>.sweep.csv    -- multiplier trajectory
+  <name>.validate.json -- solver report, grid-oracle comparison and KKT
+                          verdict (K <= 3)
+  <name>.region.csv    -- two-user region boundary (K = 2 only)
+  <name>.sweep.csv     -- multiplier trajectory
 
 Usage: python3 scripts/run_reference_experiments.py [--outdir results]
 """
@@ -29,9 +30,9 @@ def main():
         stem = scenario.stem
         print(f"== {stem}")
         run(
-            "solve", "--scenario", str(scenario), "--oracle",
+            "validate", "--scenario", str(scenario),
             "--grid-step", str(args.grid_step),
-            "--out", str(outdir / f"{stem}.solve.json"),
+            "--out", str(outdir / f"{stem}.validate.json"),
         )
         run(
             "sweep", "--scenario", str(scenario),

@@ -11,7 +11,6 @@ from .channel import (
     feasibility_residual,
     primary_rate,
     relative_residual,
-    residual_scale,
     sum_rate,
 )
 from .oracle import (
@@ -42,7 +41,6 @@ __all__ = [
     "primary_rate",
     "feasibility_residual",
     "relative_residual",
-    "residual_scale",
     "sum_rate",
     "SolverConfig",
     "SolverResult",

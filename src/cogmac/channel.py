@@ -78,7 +78,8 @@ class ChannelInstance:
     The constant terms are derived once, here, as read-only attributes that
     are not fields (`dataclasses.replace` derives them again): s_p = h_p^2 P_p,
     primary_amplitude = A = h_p sqrt(P_p), a = g_k sqrt(P_k), a2 = a_k^2,
-    t = s_p / sigma_p2, h2 = h_k^2 and residual_scale.
+    t = s_p / sigma_p2, h2 = h_k^2 and residual_scale = s_p max(sigma_p2,
+    sum a_k^2), which makes the feasibility residual relative.
     """
 
     h: np.ndarray
@@ -288,12 +289,6 @@ def feasibility_residual(ch: ChannelInstance, split: PowerSplit) -> float:
     little cooperation, phi > 0 too much.
     """
     return float(_phi(ch, _check_dims(ch, split)))
-
-
-def residual_scale(ch: ChannelInstance) -> float:
-    """Dimensional scale used to make the feasibility residual relative:
-    h_p^2 P_p times the larger of sigma_p2 and the sum of a_k^2 = g_k^2 P_k."""
-    return ch.residual_scale
 
 
 def relative_residual(ch: ChannelInstance, split: PowerSplit) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .channel import ChannelInstance, baseline_primary_rate, primary_rate
-from .oracle import OracleResult, grid_search, kkt_check
+from .oracle import grid_search, kkt_check
 from .region import EmptyGridError, region_boundary
 from .solver import (
     SolverConfig,
@@ -155,32 +155,15 @@ def solver_result_dict(ch: ChannelInstance, result: SolverResult) -> dict:
     }
 
 
-def oracle_result_dict(oracle: OracleResult) -> dict:
-    return {
-        "best_gamma": list(oracle.best_gamma.gamma),
-        "best_sum_rate_bits": oracle.best_sum_rate,
-        "grid_step": oracle.grid_step,
-        "points_evaluated": oracle.points_evaluated,
-    }
-
-
 def cmd_solve(args) -> int:
     started = time.monotonic()
     ch, cfg, name = load_scenario(args.scenario)
-    if args.tol is not None:
-        cfg = dataclasses.replace(cfg, residual_tol=args.tol)
     result = solve_max_sum_rate(ch, cfg)
     report = {
         "scenario": scenario_echo(ch, name),
         **solver_result_dict(ch, result),
         "artifact_version": __version__,
     }
-    if args.oracle:
-        oracle = grid_search(ch, args.grid_step)
-        report["oracle"] = {
-            **oracle_result_dict(oracle),
-            "gap_bits": result.sum_rate - oracle.best_sum_rate,
-        }
     _write_out(dump_json(report) + "\n", args.out)
     print(f"duration_s={time.monotonic() - started:.3f}", file=sys.stderr)
     return EXIT_OK if result.status is SolverStatus.CONVERGED else EXIT_NOT_CONVERGED
@@ -225,7 +208,12 @@ def cmd_validate(args) -> int:
     doc = {
         "scenario": scenario_echo(ch, name),
         "solver": solver_result_dict(ch, result),
-        "oracle": oracle_result_dict(oracle),
+        "oracle": {
+            "best_gamma": list(oracle.best_gamma.gamma),
+            "best_sum_rate_bits": oracle.best_sum_rate,
+            "grid_step": oracle.grid_step,
+            "points_evaluated": oracle.points_evaluated,
+        },
         "sum_rate_gap_bits": gap,
         "agreement_tol_bits": args.agreement_tol,
         "kkt": {
@@ -281,23 +269,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
-    p_solve = sub.add_parser("solve", help="maximum sum-rate power split")
-    add_common(p_solve)
-    p_solve.add_argument("--tol", type=float, default=None, help="residual tolerance")
-    p_solve.add_argument("--oracle", action="store_true", help="attach grid-search comparison")
-    p_solve.add_argument("--grid-step", type=float, default=1e-3)
-    p_solve.set_defaults(func=cmd_solve)
+    add_common(sub.add_parser("solve", help="maximum sum-rate power split"))
 
     p_region = sub.add_parser("region", help="two-user capacity region boundary CSV")
     add_common(p_region)
     p_region.add_argument("--grid-step", type=float, default=1e-2)
-    p_region.set_defaults(func=cmd_region)
 
     p_sweep = sub.add_parser("sweep", help="multiplier trajectory CSV")
     add_common(p_sweep)
     p_sweep.add_argument("--lambda-max", type=float, default=None)
     p_sweep.add_argument("--samples", type=int, default=201)
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_validate = sub.add_parser("validate", help="oracle + KKT verdict JSON")
     add_common(p_validate)
@@ -306,15 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate.add_argument(
         "--agreement-tol", type=_tolerance, default=1e-3, help="sum-rate agreement, bits"
     )
-    p_validate.set_defaults(func=cmd_validate)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:  # looked up per call, not bound into the cached parser
+        return globals()[f"cmd_{args.command}"](args)
     except ValueError as exc:  # bad input: scenario, flag value or problem size
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

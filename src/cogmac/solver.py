@@ -336,7 +336,8 @@ def sweep_trajectory(
 
     lambda_max None stands for 1.25 lambda*, found as `solve_max_sum_rate`
     finds it under cfg's budget, or when that is 0 for the least pole
-    beta_k^2 / s_p > 0, else for max(s_p, sigma_p2) / sigma_p2^2.  Every
+    beta_k^2 / s_p > 0, else for max(s_p, sigma_p2) / sigma_p2^2, written
+    max(t, 1) / sigma_p2 and capped at the largest float.  Every
     grid point is evaluated by the prefix rule at once, and a point at an
     event already has that user saturated; the splits are checked once, as
     one (samples, K) array."""
@@ -345,9 +346,10 @@ def sweep_trajectory(
         lam_star, _ = _follow(path, (cfg or SolverConfig()).max_outer_iters - 1)
         if lam_star > 0:
             lambda_max = 1.25 * lam_star
-        else:  # the fallback only where it is taken: sigma_p2**2 can overflow
+        else:
             poles = [b / ch.s_p for b in path.beta2 if b > 0.0 and ch.s_p > 0.0]
-            lambda_max = min(poles) if poles else max(ch.s_p, ch.sigma_p2) / ch.sigma_p2**2
+            fallback = min(max(ch.t, 1.0) / ch.sigma_p2, sys.float_info.max)
+            lambda_max = min(poles, default=fallback)
     if not 0 <= lambda_max < math.inf:
         raise ValueError(f"lambda_max must be nonnegative and finite, got {lambda_max}")
     if samples < 2:

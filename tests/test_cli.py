@@ -324,6 +324,9 @@ class TestInvalidFlags:
             ("solve", "--scenario", str(SCENARIOS / "k1_unit.json"), "--tol", "nan"),
             ("solve", "--scenario", str(SCENARIOS / "k1_unit.json"), "--oracle",
              "--grid-step", "inf"),
+            ("solve", "--scenario", str(SCENARIOS / "k1_unit.json"), "--oracle"),
+            ("solve", "--scenario", str(SCENARIOS / "k1_unit.json"), "--grid-step", "1e-3"),
+            ("solve", "--scenario", str(SCENARIOS / "k1_unit.json"), "--tol", "1e-12"),
             ("validate", "--scenario", str(SCENARIOS / "k1_unit.json"), "--grid-step", "inf"),
             ("validate", "--scenario", str(SCENARIOS / "k1_unit.json"), "--tol", "nan"),
             ("validate", "--scenario", str(SCENARIOS / "k1_unit.json"),
@@ -342,6 +345,9 @@ class TestInvalidFlags:
             "solve-scenario-missing",
             "solve-tol-nan",
             "solve-oracle-grid-step-inf",
+            "solve-oracle-removed",
+            "solve-grid-step-removed",
+            "solve-tol-removed",
             "validate-grid-step-inf",
             "validate-tol-nan",
             "validate-agreement-tol-nan",
@@ -378,9 +384,21 @@ class TestInvalidFlags:
         assert str(out) in proc.stderr
         assert proc.stderr.count("\n") == 1
 
+    def test_removed_solve_flags_print_usage(self):
+        # the solve's settings are the scenario's; the grid oracle is validate's
+        removed = ("--oracle", "--grid-step", "1e-3", "--tol", "1e-12")
+        proc = run_cli("solve", "--scenario", str(SCENARIOS / "k1_unit.json"), *removed, check=False)
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"error: unrecognized arguments: {' '.join(removed)}\n"
+            "usage: cogmac [-h] {solve,region,sweep,validate} ...\n"
+        )
+
     def test_help_exits_zero(self):
         proc = run_cli("solve", "--help")
         assert proc.stdout.startswith("usage:")
+        options = [line.split()[0] for line in proc.stdout.splitlines() if line.startswith("  -")]
+        assert options == ["-h,", "--scenario", "--out"]
 
     @pytest.mark.parametrize("key", ["lambda_step", "bisection_refine", "refine_tol"])
     def test_removed_solver_keys_rejected(self, tmp_path, key):
@@ -401,8 +419,7 @@ class TestDeterminism:
         "args",
         [
             ("solve", "--scenario", str(SCENARIOS / "k1_unit.json")),
-            ("solve", "--scenario", str(SCENARIOS / "k2_reference.json"), "--oracle",
-             "--grid-step", "0.01"),
+            ("solve", "--scenario", str(SCENARIOS / "k2_reference.json")),
             ("region", "--scenario", str(SCENARIOS / "k2_reference.json"),
              "--grid-step", "0.1"),
             ("sweep", "--scenario", str(SCENARIOS / "k2_reference.json"),

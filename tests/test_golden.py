@@ -6,6 +6,8 @@ the stdout of one command below.  Stdout is the contract for deterministic
 output, so a refactor must leave every byte as it is; regenerate the files
 only for an intended change of output, and say why in CHANGES.md.
 `PYTHONPATH=src python tests/test_golden.py` rewrites every file from CASES.
+`solve-*.json` hold the solver's report alone; the grid-oracle comparison
+of the same solve is in `validate-*.json`.
 """
 
 import contextlib
@@ -26,7 +28,7 @@ CASES = [
     (f"{stem}-{scenario}.{ext}", (command, "--scenario", str(SCENARIOS / f"{scenario}.json"), *extra))
     for scenario in ("k1_unit", "k2_reference", "k2_no_interference")
     for stem, command, extra, ext in (
-        ("solve-oracle", "solve", ("--oracle",), "json"),
+        ("solve", "solve", (), "json"),
         ("sweep", "sweep", (), "csv"),
         ("validate", "validate", (), "json"),
     )
@@ -53,7 +55,7 @@ CASES = [
         (command, "--scenario", str(GOLDEN / "k2_silent_relays.json"), *extra),
     )
     for stem, command, extra in (
-        ("solve-oracle", "solve", ("--oracle",)),
+        ("solve", "solve", ()),
         ("validate", "validate", ()),
     )
 ] + [
@@ -64,7 +66,7 @@ CASES = [
         (command, "--scenario", str(GOLDEN / "k1_extreme_draw29.json"), *extra),
     )
     for stem, command, extra in (
-        ("solve-oracle", "solve", ("--oracle",)),
+        ("solve", "solve", ()),
         ("validate", "validate", ()),
     )
 ]
@@ -82,12 +84,14 @@ def test_stdout_matches_golden(golden, args):
     assert _stdout(args) == (GOLDEN / golden).read_bytes()
 
 
-@pytest.mark.parametrize("command", [("validate",), ("solve", "--oracle")], ids=" ".join)
+@pytest.mark.parametrize(
+    "command", [("validate",), ("region", "--grid-step", "1e-3")], ids=" ".join
+)
 def test_empty_grid_is_one_error_line(command, monkeypatch, capsys):
     """An instance on which no grid point passes the residual check, here
-    every point, with the feasible grid's tolerance set below 0: the grid
-    oracle cannot run, so the command prints one `error:` line, no traceback
-    and nothing on stdout, and exits 2."""
+    every point, with the feasible grid's tolerance set below 0: neither the
+    grid oracle nor the region's sampling can run, so the command prints one
+    `error:` line, no traceback and nothing on stdout, and exits 2."""
     monkeypatch.setattr(region, "RESIDUAL_TOL", -1.0)
     code = cli.main([*command, "--scenario", str(SCENARIOS / "k2_reference.json")])
     out, err = capsys.readouterr()
@@ -132,6 +136,17 @@ def test_in_process_calls_reuse_one_parser(tmp_path):
         hull = run(f"region-{name}.csv", "region", "--scenario", scenario(name), "--grid-step", "1e-3")
         assert hull == (GOLDEN / f"region-{name}.csv").read_bytes()
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_main_dispatches_through_the_module(monkeypatch):
+    """`cli.main` looks its command up when it runs, so a `cmd_*` replaced
+    after the parser is built and cached, as a tracer replaces it, is the
+    one that runs."""
+    cli.build_parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_sweep", lambda args: calls.append(args.samples) or 0)
+    assert cli.main(["sweep", "--scenario", "unread.json", "--samples", "7"]) == 0
+    assert calls == [7]
 
 
 if __name__ == "__main__":

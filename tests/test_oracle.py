@@ -86,6 +86,28 @@ class TestKktCheck:
         assert report.stationarity == {0: 0.0, 1: 0.0}
         assert report.saturated_users == ()
 
+    def test_fails_on_cooperation_without_interference(self, k2_no_interference):
+        """A user with g_k = 0 relays nothing, so gamma_k above tol fails."""
+        result = solve_max_sum_rate(k2_no_interference)
+        relaying = dataclasses.replace(result, gamma_star=PowerSplit(np.array([0.5, 0.0])))
+        report = kkt_check(k2_no_interference, relaying)
+        assert report.feasibility_ok and report.bounds_ok
+        assert not report.stationarity_ok
+        assert not report.passed
+
+    def test_fails_on_saturation_the_derivative_pulls_back(self, k2_reference):
+        """At lambda = 0 only the sum rate acts, and it pulls every gamma_k
+        to 0: a user held at 1 there has scaled derivative -1 < -tol."""
+        result = solve_max_sum_rate(k2_reference)
+        saturated = dataclasses.replace(
+            result, gamma_star=PowerSplit(np.array([1.0, 1.0])), lambda_star=0.0
+        )
+        report = kkt_check(k2_reference, saturated)
+        assert report.saturated_users == (0, 1)
+        assert report.stationarity == {0: -1.0, 1: -1.0}
+        assert not report.stationarity_ok
+        assert not report.passed
+
     def test_saturated_users_match_active_set_changes(self, extreme_suite):
         """One cut, SATURATED_GAMMA, for both counts; the extreme fuzz has
         gamma_k in [1 - 1e-9, 1), where gamma_k == 1 and the cut differ."""

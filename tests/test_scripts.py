@@ -15,7 +15,7 @@ def test_reference_experiments_write_every_output(tmp_path):
     assert proc.returncode == 0, proc.stderr
     stems = [path.stem for path in sorted((ROOT / "scenarios").glob("*.json"))]
     assert len(stems) == 3
-    expected = {f"{stem}.solve.json" for stem in stems}
+    expected = {f"{stem}.validate.json" for stem in stems}
     expected |= {f"{stem}.sweep.csv" for stem in stems}
     expected |= {f"{stem}.region.csv" for stem in stems if stem.startswith("k2")}
     assert len(expected) == 8

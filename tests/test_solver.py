@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -21,7 +22,7 @@ from cogmac import (
     sum_rate,
     sweep_trajectory,
 )
-from cogmac.channel import _phi, residual_scale
+from cogmac.channel import _phi
 from cogmac import solver
 from cogmac.cli import load_scenario
 from cogmac.oracle import instance_suite, random_instance
@@ -194,7 +195,7 @@ class TestPathResidual:
     @pytest.mark.parametrize("suite", SEEDED.values(), ids=SEEDED.keys())
     def test_seeded_suites(self, suite, grid):
         for ch in suite:
-            bound = 1e-11 * residual_scale(ch)
+            bound = 1e-11 * ch.residual_scale
             for path_phi, channel_phi, _ in _grid_phis(ch, grid(ch)):
                 assert abs(path_phi - channel_phi) <= bound
                 assert (path_phi >= 0.0) == (channel_phi >= 0.0)
@@ -278,7 +279,7 @@ class TestLargeKFixedPoint:
         assert saturated_s.tolist() == saturated[0].tolist()
         phi = path.phi(lam_star)
         assert phi == _WaterFill(ch).phi(lam_star)  # from either list order
-        assert abs(phi - _phi(ch, gamma[0])) <= 1e-11 * residual_scale(ch)
+        assert abs(phi - _phi(ch, gamma[0])) <= 1e-11 * ch.residual_scale
 
 
 class TestFinishOrder:
@@ -601,6 +602,17 @@ class TestWholeFloatRange:
             traj = sweep_trajectory(ch, None, 5)
         assert _sweep_range(ch, SolverConfig()) == (traj.lam[-1], "pole")
 
+    @pytest.mark.parametrize("sigma_p2", [1e-300, 1e-200, 1e200, 1e300])
+    def test_sweep_fallback_range_is_finite(self, k2_no_interference, sigma_p2):
+        # no interference, so lambda* = 0 and no pole: max(s_p, sigma_p2) /
+        # sigma_p2^2 by way of sigma_p2^2 overflowed or divided by zero
+        ch = dataclasses.replace(k2_no_interference, sigma_p2=sigma_p2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = sweep_trajectory(ch, None, 5)
+        assert 0.0 < traj.lam[-1] < math.inf
+        assert _sweep_range(ch, SolverConfig()) == (traj.lam[-1], "fallback")
+
     @pytest.mark.parametrize("draw", [56, 365])
     def test_split_holds_no_negative_zero(self, extreme_suite, draw):
         gamma = solve_max_sum_rate(extreme_suite[draw]).gamma_star.gamma
@@ -611,14 +623,15 @@ class TestWholeFloatRange:
 def _sweep_range(ch, cfg):
     """The sweep's default range, with its branch, from a whole solve and the
     pole written out: 1.25 lambda*, else the least (h_k / g_k)^2 / s_p over
-    the users with h_k, g_k > 0, else max(s_p, sigma_p2) / sigma_p2^2."""
+    the users with h_k, g_k > 0, else max(s_p, sigma_p2) / sigma_p2^2 as
+    max(s_p / sigma_p2, 1) / sigma_p2, at most the largest float."""
     lam = solve_max_sum_rate(ch, cfg).lambda_star
     if lam > 0:
         return 1.25 * lam, "lambda*"
     users = (ch.h > 0) & (ch.g > 0)
     if ch.s_p > 0 and users.any():
         return float(np.min((ch.h[users] / ch.g[users]) ** 2)) / ch.s_p, "pole"
-    return max(ch.s_p, ch.sigma_p2) / ch.sigma_p2**2, "fallback"
+    return min(max(ch.s_p / ch.sigma_p2, 1.0) / ch.sigma_p2, sys.float_info.max), "fallback"
 
 
 class TestSweepTrajectory:
