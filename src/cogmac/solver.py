@@ -1,7 +1,7 @@
 """Maximum sum-rate power split by one root find along the multiplier path.
 
-With A = h_p sqrt(P_p), s_p = h_p^2 P_p, a_k = g_k sqrt(P_k), beta_k = h_k / g_k
-and c_k(lambda) = (beta_k^2 - lambda s_p) a_k over the users with g_k > 0,
+With A = h_p sqrt(P_p), s_p = h_p^2 P_p, a_k = g_k sqrt(P_k), w_k = h_k^2 P_k
+and c_k(lambda) = w_k / a_k - lambda s_p a_k over the users with a_k > 0,
 stationarity at a multiplier lambda gives gamma_k = min(1, t / c_k), or 1 once
 c_k <= 0, where t = lambda sigma_p2 X and X = A + sum_k a_k gamma_k is the
 primary signal.  So t is a fixed point of t -> lambda sigma_p2 (A + sum_k a_k
@@ -17,11 +17,15 @@ saturated ones are the prefix of users j with
 a tie saturating.  With m users saturated and the others I, r = lambda
 sigma_p2 and S = X - A = (sum_{i<m} a_i + A r Q_m) / (1 - r Q_m), gamma_k =
 r X / c_k on I and phi(lambda) = sigma_p2 S (2 A + S) - s_p L, with L =
-sum_I a_k^2 (1 - gamma_k^2): sigma_p2 times the channel's `_excess`.  The
-solver brackets the root lambda* of phi by doubling, finds it with Brent's
-method to float resolution, builds gamma once, at lambda*, and projects its
-coordinates onto phi = 0 until one lands.  `sweep_trajectory` applies the
-prefix rule to a whole lambda grid at once and returns the path as columns.
+sum_I a_k^2 (1 - gamma_k^2): sigma_p2 times the channel's `_excess`.  Between
+two saturations phi is rational in lambda, with poles where c_k = 0 and where
+1 - r Q = 0.  The solver finds the root lambda* of phi in O(log decades)
+path evaluations: it grows a bracket in the exponent, bisects it on the
+exponents of lambda and of its distance to the nearest pole, and ends with
+Newton's steps on a form of phi without the pole of X (`_WaterFill.phi`).
+It builds gamma once, at lambda*, and projects its coordinates onto
+phi = 0 until one lands.  `sweep_trajectory` applies the prefix rule to a
+whole lambda grid at once and returns the path as columns.
 """
 
 from __future__ import annotations
@@ -51,6 +55,10 @@ from .channel import (
     _relative_phi,
     _splits,
 )
+
+
+# a step or a bracket this short, relative to the multiplier, ends the root find
+_FEW_ULPS = 4.0 * sys.float_info.epsilon
 
 
 class SolverStatus(enum.Enum):
@@ -93,42 +101,41 @@ class SolverResult:
 
 class _WaterFill:
     """The multiplier path of one instance at any lambda, by its fixed point:
-    in Python floats, over the users g_k > 0 kept in their last order of c_k,
+    in Python floats, over the users a_k > 0 kept in their last order of c_k,
     which Timsort re-sorts in about one pass, or by `states` at n multipliers
-    at once.  `evaluations` counts the calls of phi and split."""
+    at once.  c_k = w_k / a_k - lambda s_p a_k, with w_k = h_k^2 P_k, so no
+    (h_k / g_k)^2 leaves the float range; `last` is the last pole, max_k w_k
+    / (a_k^2 s_p), within the normal floats.  `evaluations` counts the calls
+    of phi and split."""
 
     def __init__(self, ch: ChannelInstance):
         self.ch = ch
-        self.users = np.flatnonzero(ch.g > 0)
+        self.users = np.flatnonzero(ch.a > 0)  # g_k > 0, unless g_k sqrt(P_k) underflows
         self.a_k = ch.a[self.users]
-        self.beta2_k = (ch.h[self.users] / ch.g[self.users]) ** 2
         self.ids, self.a, self.a2 = (v.tolist() for v in (self.users, self.a_k, ch.a2[self.users]))
-        self.beta2, self.identity = self.beta2_k.tolist(), list(range(self.users.size))
-        self.amp, self.sigma_p2, self.s_p = ch.primary_amplitude, ch.sigma_p2, ch.s_p
+        # in Python floats, which overflow to inf without a warning
+        w = (ch.h2[self.users] * ch.p[self.users]).tolist()
+        self.wa, self.identity = list(map(truediv, w, self.a)), list(range(self.users.size))
+        pole = max(map(truediv, self.wa, self.a), default=0.0) / ch.s_p if ch.s_p > 0.0 else 0.0
+        self.last = min(max(pole, sys.float_info.min), sys.float_info.max)
+        self.amp, self.sigma_p2 = ch.primary_amplitude, ch.sigma_p2
+        self.s_p, self.t_p = ch.s_p, ch.t
+        # C = sqrt(t_p (sigma_p2 + sum_k a_k^2)), phi's constant term as a signal
+        self.level = math.sqrt(ch.t * (ch.sigma_p2 + sum(self.a2)))
         self.evaluations = 0
-
-    def first_bound(self) -> float:
-        """The least multiplier at which a user h_k > 0 would saturate were the
-        others to relay nothing, or the pole of X with all of them interior."""
-        live = [(a, b) for a, b in zip(self.a, self.beta2) if b > 0.0]
-        n_0 = sum([a for a, b in zip(self.a, self.beta2) if b == 0.0], self.amp)
-        sigma_p2, s_p = self.sigma_p2, self.s_p
-        return 1.0 / max(
-            max([(sigma_p2 * n_0 + s_p * a) / b / a for a, b in live]),
-            sigma_p2 * sum([1.0 / b for _, b in live]),
-        )
 
     def _fixed_point(self, lam: float):
         """S at lam, the number m of saturated users, who lead the lists, c_k
-        in their order, and a_k / c_k of the interior users."""
+        in their order, and a_k / c_k and their sum Q over the interior
+        users."""
         self.evaluations += 1
         ls, r = lam * self.s_p, lam * self.sigma_p2
-        c = [(b - ls) * a for b, a in zip(self.beta2, self.a)]
+        c = [w - ls * a for w, a in zip(self.wa, self.a)]
         order = sorted(self.identity, key=c.__getitem__)
         if order != self.identity:  # never with one user
             get = itemgetter(*order)
-            lists = c, self.ids, self.a, self.a2, self.beta2
-            c, self.ids, self.a, self.a2, self.beta2 = map(get, lists)
+            lists = c, self.ids, self.a, self.a2, self.wa
+            c, self.ids, self.a, self.a2, self.wa = map(get, lists)
         a, n, amp = self.a, len(c), self.amp
         z = bisect_right(c, 0.0)  # at or past their pole
         ratio = list(map(truediv, a[z:], c[z:]))
@@ -142,22 +149,71 @@ class _WaterFill:
             s_m += a[m]
             m += 1
             q_m = q[n - m]
-        return (s_m + amp * r * q_m) / (1.0 - r * q_m), m, c, ratio[m - z :]
+        # r = 0 relays nothing, even where a_k / c_k is past the largest float
+        s = (s_m + amp * r * q_m) / (1.0 - r * q_m) if r > 0.0 else s_m
+        return s, m, c, ratio[m - z :], q_m
 
-    def phi(self, lam: float) -> float:
-        """phi at lam by the module's phi(lambda)."""
-        s, m, _, ratio = self._fixed_point(lam)
-        t = lam * self.sigma_p2 * (self.amp + s)
-        # sum_I a_k^2 gamma_k^2 = (t |a_k / c_k|)^2; with hypot, no NaN from
-        # t^2 underflowing to 0 while sum (a_k / c_k)^2 overflows
-        lost = sum(self.a2[m:]) - (t * math.hypot(*ratio)) ** 2
-        return self.sigma_p2 * _excess(self.ch, s, lost)
+    def phi(self, lam: float) -> tuple[float, float, float]:
+        """phi at lam by the module's phi(lambda), and from the same sums
+        what the root find needs: Newton's step from lam and the distance
+        from lam to the nearest singularity of the segment's formula.
+
+        The step is Newton's for psi = (W - C) / X, where t_p = s_p /
+        sigma_p2, W^2 = X^2 + t_p sum_k a_k^2 gamma_k^2 and C^2 = t_p
+        (sigma_p2 + sum_k a_k^2), so that W^2 - C^2 = phi / sigma_p2: psi is
+        smooth where 1 - r Q = 0 (X's pole), and its own poles are those of
+        Q, where c_k = 0.  The step models psi as u + v / (p - lambda) at the
+        nearest such pole p, Newton's step for (p - lambda) psi, as the
+        secular-equation solvers do (Moré & Sorensen, Computing a trust region
+        step, 1983; Gander, Golub & von Matt, A constrained eigenvalue
+        problem, 1989).  It is NaN where it is not finite, and where it is a
+        few ulps long but would cross the next saturation: user m, first of
+        the interior ones, stays interior at the root only while r X < c_m,
+        with X = Y = sqrt(t_p (sigma_p2 + L)) there.  The singularity is p or
+        X's pole, whichever is nearer by its first-order estimate."""
+        s, m, c, ratio, q = self._fixed_point(lam)
+        sigma_p2, s_p, t_p = self.sigma_p2, self.s_p, self.t_p
+        x, r = self.amp + s, lam * sigma_p2
+        # sum_I a_k^2 gamma_k^2 = (t |a_k / c_k|)^2, t = r X; with hypot, no
+        # NaN from t^2 underflowing to 0 while sum (a_k / c_k)^2 overflows,
+        # nor at lambda = 0 from 0 times a norm past the largest float
+        norm = math.hypot(*ratio)
+        relay_norm = r * x * norm if r > 0.0 else 0.0
+        lost = sum(self.a2[m:]) - relay_norm * relay_norm
+        phi = sigma_p2 * _excess(self.ch, s, lost)
+        if not ratio:  # every user saturated: phi is constant
+            return phi, math.nan, math.inf
+        # on the segment dQ/dlambda = s_p sum_I (a_k / c_k)^2, so grow = d ln
+        # X / dlambda = d(r Q)/dlambda / (1 - r Q), dt/dlambda = X (sigma_p2 +
+        # r grow), and shed = -dL/dlambda / 2 = t dt/dlambda sum_I (a_k /
+        # c_k)^2 + s_p t^2 sum_I (a_k / c_k)^3; X dpsi/dlambda = (X^2 grow +
+        # t_p shed) / W - (W - C) grow
+        norm_r, xx = r * norm, x * x
+        grow = (sigma_p2 * q + s_p * norm_r * norm) / (1.0 - r * q)
+        shed = 0.0  # at lambda = 0, where t = 0
+        if r > 0.0:
+            cube = sum([v * v * v for v in ratio])
+            shed = xx * ((sigma_p2 + r * grow) * norm_r * norm + s_p * r * r * cube)
+        w = math.sqrt(xx + t_p * ((sum(self.a2[:m]) if m else 0.0) + relay_norm * relay_norm))
+        scale = sigma_p2 * (w + self.level)
+        excess = phi / scale if 0.0 < scale < math.inf else math.nan  # W - C
+        near = s_p * max(ratio)  # 1 / (p - lambda)
+        slope = (xx * grow + t_p * shed) / w - excess * (grow + near) if w > 0.0 else math.nan
+        step = -excess / slope if 0.0 < slope < math.inf else math.nan
+        if abs(step) <= _FEW_ULPS * lam:
+            span = sigma_p2 + lost
+            y = math.sqrt(t_p * span) if span > 0.0 else 0.0
+            if not (lam + step) * sigma_p2 * y < c[m] - step * s_p * self.a[m]:
+                step = math.nan
+        if grow > near:
+            near = grow
+        return phi, step, 1.0 / near if near > 0.0 else math.inf
 
     def split(self, lam: float):
         """X, gamma (K,) and the saturated flags (K,) at lam: gamma_k = 1 on
         the saturated users, and t / c_k from the path's own c_k on the
         others."""
-        s, m, c, _ = self._fixed_point(lam)
+        s, m, c, _, _ = self._fixed_point(lam)
         x = self.amp + s
         t = lam * self.sigma_p2 * x
         order = np.array(self.ids, dtype=np.intp)
@@ -171,7 +227,9 @@ class _WaterFill:
         multipliers: `split` in array operations, one row each."""
         n, k = lam.size, self.users.size
         ls, r = lam[:, None] * self.s_p, lam[:, None] * self.sigma_p2
-        c = (self.beta2_k - ls) * self.a_k
+        with np.errstate(over="ignore"):  # as `wa`, in the users' own order
+            wa_k = self.ch.h2[self.users] * self.ch.p[self.users] / self.a_k
+        c = wa_k - ls * self.a_k
         order = np.argsort(c, axis=1, kind="stable")
         c_s = np.take_along_axis(c, order, axis=1)
         a_s = self.a_k[order]
@@ -181,60 +239,16 @@ class _WaterFill:
         prefix = (c_s <= 0.0) | (r * (self.amp + big_s[:, :k]) >= c_s * (1.0 - r * q[:, :k]))
         m = np.argmin(np.column_stack([prefix, np.zeros(n, dtype=bool)]), axis=1)
         rows, r = np.arange(n), r[:, 0]
-        x = self.amp + (big_s[rows, m] + self.amp * r * q[rows, m]) / (1.0 - r * q[rows, m])
+        s_m = big_s[rows, m]
+        with np.errstate(invalid="ignore"):  # 0 * inf, in the rows that r = 0 skips
+            relayed = (s_m + self.amp * r * q[rows, m]) / (1.0 - r * q[rows, m])
+            x = self.amp + np.where(r > 0.0, relayed, s_m)
         pinned = np.argsort(order, axis=1) < m[:, None]  # rank below m
         interior = np.divide((r * x)[:, None], c, out=np.ones_like(c), where=~pinned)
         gamma = np.zeros((n, self.ch.num_users))
         saturated = np.zeros(gamma.shape, dtype=bool)
         gamma[:, self.users], saturated[:, self.users] = np.minimum(interior, 1.0), pinned
         return x, gamma, saturated
-
-
-def _brent(f, lo: float, hi: float, f_lo: float, f_hi: float, budget: float) -> float | None:
-    """Brent's method for the root of f in [lo, hi], given f_lo < 0 < f_hi.
-
-    Inverse quadratic or secant steps, with bisection whenever they leave the
-    bracket or shrink it too slowly; stops when the bracket is a few ulps
-    wide.  Returns None once `budget` evaluations of f are spent.
-    """
-    a, fa = lo, f_lo  # previous estimate
-    b, fb = hi, f_hi  # best estimate
-    c, fc = a, fa  # f(b) and f(c) have opposite signs
-    step = prev = b - a
-    while True:
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = max(2.0 * sys.float_info.epsilon * abs(b), sys.float_info.min)
-        half = 0.5 * (c - b)
-        if fb == 0.0 or abs(half) <= tol:
-            return float(b)
-        if budget <= 0:
-            return None
-        bisect = True
-        if abs(prev) >= tol and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                p, q = 2.0 * half * s, 1.0 - s
-            else:
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * half * q - abs(tol * q), abs(prev * q)):
-                prev, step = step, p / q
-                bisect = False
-        if bisect:
-            prev = step = half
-        a, fa = b, fb
-        b += step if abs(step) > tol else math.copysign(tol, half)
-        fb = f(b)
-        budget -= 1
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            step = prev = b - a
 
 
 def _finish(
@@ -263,29 +277,82 @@ def _finish(
 
 
 def _follow(path: _WaterFill, budget: int) -> tuple[float, bool]:
-    """Bracket the root lambda* of phi by doubling from `first_bound`, then
-    find it with one Brent search.  Returns (lambda*, True), or (the largest
-    multiplier known to have phi < 0, False) once `budget` evaluations are
-    spent.  Past the last pole max_k beta_k^2 / s_p phi is constant: if still
-    negative there, by rounding only, that multiplier counts as reached."""
+    """Find the root lambda* of phi in three stages.  From Newton's step at
+    0, grow the bracket in the exponent, lambda 2^(2^j) up or down, or by a
+    Newton step that falls short of that.  Then bisect it on the exponents
+    of both lambda and its distance to lo's nearest singularity while it
+    spans more than a factor of 4 there (`_midpoint`).  Then take Newton's
+    step from either end that lands inside the bracket, bisecting where none
+    does or where the moves stop halving.  Stops on a bracket a few ulps
+    wide, or at an end whose step is a few ulps long.  Returns (lambda*,
+    True), or (the largest multiplier known to have phi < 0, False) once
+    `budget` evaluations are spent.  Past the last pole phi is constant: if
+    still negative there, by rounding only, that multiplier counts as
+    reached."""
     if budget < 1:
         return 0.0, False
-    lo, f_lo = 0.0, path.phi(0.0)
-    if f_lo >= 0.0 or not any(path.beta2):  # with every h_k = 0, phi is constant
+    f, step, _ = path.phi(0.0)
+    if f >= 0.0:
         return 0.0, True
-    last = max(path.beta2) / path.s_p
-    hi = max(path.first_bound(), sys.float_info.min)  # an underflowing event is at 0+
-    while True:
-        if path.evaluations >= budget:
-            return lo, False
-        f_hi = path.phi(hi)
-        if f_hi >= 0.0:
-            break
-        if hi >= last:
-            return hi, True
-        lo, f_lo, hi = hi, f_hi, 2.0 * hi
-    lam_star = _brent(path.phi, lo, hi, f_lo, f_hi, budget - path.evaluations)
-    return (lo, False) if lam_star is None else (lam_star, True)
+    tiny, last, few = sys.float_info.min, path.last, _FEW_ULPS
+    # with no finite step at 0, start midway between tiny and last in exponent
+    lam = step if 0.0 < step < math.inf else math.sqrt(tiny) * math.sqrt(last)
+    lam, factor, moves = min(max(lam, tiny), last), 2.0, []
+    # phi < 0 at lo and phi >= 0 at hi, evaluated once `bounded`; each end
+    # with its step, and lo with its singularity
+    lo, f_lo, step_lo, gap = 0.0, f, step, math.inf
+    hi, f_hi, step_hi, bounded = last, math.inf, math.nan, False
+    while path.evaluations < budget:
+        f, step, d = path.phi(lam)
+        if f > 0.0:
+            hi, f_hi, step_hi, bounded = lam, f, step, True
+        elif f == 0.0 or lam >= last:
+            return lam, True
+        else:
+            lo, f_lo, step_lo, gap = lam, f, step, d
+        width = hi - lo
+        if width <= few * hi or width <= tiny:
+            return (lo if -f_lo < f_hi else hi), True
+        if abs(step) <= few * lam and lo <= lam + step <= hi:
+            return lam, True
+        newton = lo + step_lo
+        if not lo < newton < hi:
+            newton = hi + step_hi  # NaN unless it lands inside
+        if not bounded:
+            lam = min(lo * factor, last)
+            factor *= factor
+            if lo < newton < lam:
+                lam = newton
+        elif lo == 0.0:
+            lam = max(hi / factor, tiny)
+            factor *= factor
+            if lam < newton < hi:
+                lam = newton
+        else:
+            spread, mid = _midpoint(lo, hi, gap)
+            if spread <= 4.0:
+                mid = newton if lo < newton < hi else lo + 0.5 * width
+                moves.append(abs(mid - lam))
+                if len(moves) > 2 and moves[-1] > 0.5 * moves[-3]:
+                    moves.clear()
+                    mid = lo + 0.5 * width
+            # a singularity within an ulp of lo rounds the midpoint onto it
+            lam = mid if lo < mid < hi else math.nextafter(lo, hi)
+    return lo, False
+
+
+def _midpoint(lo: float, hi: float, gap: float) -> tuple[float, float]:
+    """(mu(hi) / mu(lo), the geometric mean of lo and hi in mu), with mu =
+    lambda / (p - lambda) and p = lo + gap the singularity above lo: the
+    midpoint on the exponents both of lambda and of its distance to p, for
+    0 < lo < hi.  hi's distance to p counts as an ulp of p at least, so
+    that past p the midpoint falls short of it."""
+    mu_lo = lo / gap if gap > 0.0 else 0.0
+    if not mu_lo > 0.0:  # no singularity, or one so far that mu is lambda / p
+        return hi / lo, math.sqrt(lo) * math.sqrt(hi)
+    mu_hi = hi / max(gap - (hi - lo), sys.float_info.epsilon * (lo + gap))
+    mu = math.sqrt(mu_lo) * math.sqrt(mu_hi)
+    return mu_hi / mu_lo, lo + gap * ((mu - mu_lo) / (1.0 + mu))
 
 
 def solve_max_sum_rate(ch: ChannelInstance, cfg: SolverConfig | None = None) -> SolverResult:
@@ -336,7 +403,7 @@ def sweep_trajectory(
 
     lambda_max None stands for 1.25 lambda*, found as `solve_max_sum_rate`
     finds it under cfg's budget, or when that is 0 for the least pole
-    beta_k^2 / s_p > 0, else for max(s_p, sigma_p2) / sigma_p2^2, written
+    (h_k / g_k)^2 / s_p > 0, else for max(s_p, sigma_p2) / sigma_p2^2, written
     max(t, 1) / sigma_p2 and capped at the largest float.  Every
     grid point is evaluated by the prefix rule at once, and a point at an
     event already has that user saturated; the splits are checked once, as
@@ -347,9 +414,11 @@ def sweep_trajectory(
         if lam_star > 0:
             lambda_max = 1.25 * lam_star
         else:
-            poles = [b / ch.s_p for b in path.beta2 if b > 0.0 and ch.s_p > 0.0]
+            with np.errstate(over="ignore"):
+                beta2 = (ch.h[path.users] / ch.g[path.users]) ** 2
+            poles = beta2[beta2 > 0.0] / ch.s_p if ch.s_p > 0.0 else beta2[:0]
             fallback = min(max(ch.t, 1.0) / ch.sigma_p2, sys.float_info.max)
-            lambda_max = min(poles, default=fallback)
+            lambda_max = float(poles.min()) if poles.size else fallback
     if not 0 <= lambda_max < math.inf:
         raise ValueError(f"lambda_max must be nonnegative and finite, got {lambda_max}")
     if samples < 2:

@@ -158,6 +158,16 @@ class TestSolve:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: sum of g[k]^2 * p[k] must be finite")
 
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_faint_interference_exits_cleanly(self, tmp_path, capsys, command):
+        # (h_k / g_k)^2 = 1e320 overflowed, and `solve` ended in a
+        # ZeroDivisionError traceback with exit 1
+        doc = json.loads((SCENARIOS / "k2_reference.json").read_text())
+        path = write_scenario(tmp_path, dict(doc, g=[1e-160, 1e-160]))
+        assert cli.main([command, "--scenario", path]) in (0, 2)
+        out, err = capsys.readouterr()
+        assert out and "Traceback" not in err
+
     def test_huge_power_still_solves(self, tmp_path):
         doc = json.loads((SCENARIOS / "k2_reference.json").read_text())
         path = write_scenario(tmp_path, dict(doc, p=[1e300, 1e300]))

@@ -108,5 +108,5 @@ def test_path_phi_matches_split(cases):
         for lam in (0.5 * lam_star, lam_star, 2.0 * lam_star):
             gamma = path.split(lam)[1]
             _, scale = referee(ch, gamma)
-            gap = Decimal(path.phi(lam)) - Decimal(float(_phi(ch, gamma)))
+            gap = Decimal(path.phi(lam)[0]) - Decimal(float(_phi(ch, gamma)))
             assert abs(gap) <= _bound(ch, scale), (i, lam)
