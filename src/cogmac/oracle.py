@@ -74,43 +74,31 @@ def kkt_check(
 
     Interior users (gamma_k < 1, g_k > 0) must have a vanishing scaled
     derivative; saturated users a derivative pushing toward the bound;
-    users with g_k = 0 must sit at 0.
+    users with g_k = 0 must sit at 0.  A stationarity entry that is not
+    finite (inf / inf where the terms overflow) fails.
     """
     gamma = result.gamma_star.gamma
     lam = result.lambda_star
     x = ch.primary_amplitude + float(_primary_terms(ch, gamma)[0])
-    interior = tuple(k for k in range(ch.num_users) if gamma[k] < SATURATED_GAMMA)
-    saturated = tuple(k for k in range(ch.num_users) if gamma[k] >= SATURATED_GAMMA)
-
-    stationarity: dict[int, float] = {}
-    stationarity_ok = True
-    for k in range(ch.num_users):
-        term_obj = -2.0 * ch.h[k] ** 2 * ch.p[k] * gamma[k]
-        term_x = 2.0 * lam * ch.sigma_p2 * x * ch.g[k] * math.sqrt(ch.p[k])
-        term_quad = 2.0 * lam * ch.s_p * ch.g[k] ** 2 * ch.p[k] * gamma[k]
-        deriv = term_obj + term_x + term_quad
-        scale_k = max(abs(term_obj), abs(term_x), abs(term_quad), 2.0 * ch.h[k] ** 2 * ch.p[k])
-        if scale_k == 0.0:
-            scale_k = 1.0
-        scaled = deriv / scale_k
-        stationarity[k] = scaled
-        if ch.g[k] <= 0:
-            if abs(gamma[k]) > tol:
-                stationarity_ok = False
-        elif k in interior:
-            if abs(scaled) > tol:
-                stationarity_ok = False
-        else:
-            if scaled < -tol:
-                stationarity_ok = False
+    inside = gamma < SATURATED_GAMMA
+    own = 2.0 * ch.h**2 * ch.p
+    term_obj = -own * gamma
+    term_x = 2.0 * lam * ch.sigma_p2 * x * ch.g * np.sqrt(ch.p)
+    term_quad = 2.0 * lam * ch.s_p * ch.g**2 * ch.p * gamma
+    scale = np.maximum.reduce([np.abs(term_obj), np.abs(term_x), np.abs(term_quad), own])
+    scaled = (term_obj + term_x + term_quad) / np.where(scale == 0.0, 1.0, scale)
+    ok = np.where(
+        ch.g > 0, np.where(inside, np.abs(scaled) <= tol, scaled >= -tol), np.abs(gamma) <= tol
+    )
+    stationarity_ok = bool(np.all(ok & np.isfinite(scaled)))
 
     feas_rel = relative_residual(ch, result.gamma_star)
     feasibility_ok = feas_rel <= tol
     bounds_ok = bool(np.all(gamma >= 0.0) and np.all(gamma <= 1.0))
     return KktReport(
-        stationarity=stationarity,
-        interior_users=interior,
-        saturated_users=saturated,
+        stationarity=dict(enumerate(scaled)),
+        interior_users=tuple(np.flatnonzero(inside).tolist()),
+        saturated_users=tuple(np.flatnonzero(~inside).tolist()),
         feasibility_rel=feas_rel,
         bounds_ok=bounds_ok,
         stationarity_ok=stationarity_ok,

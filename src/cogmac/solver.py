@@ -20,9 +20,10 @@ r X / c_k on I and phi(lambda) = sigma_p2 S (2 A + S) - s_p L, with L =
 sum_I a_k^2 (1 - gamma_k^2): sigma_p2 times the channel's `_excess`.  Between
 two saturations phi is rational in lambda, with poles where c_k = 0 and where
 1 - r Q = 0.  The solver finds the root lambda* of phi in O(log decades)
-path evaluations: it grows a bracket in the exponent, bisects it on the
-exponents of lambda and of its distance to the nearest pole, and ends with
-Newton's steps on a form of phi without the pole of X (`_WaterFill.phi`).
+path evaluations: it grows a bracket in the exponent, then takes Newton's
+step on a form of phi without the pole of X (`_WaterFill.phi`) where it
+lands inside a bracket that spans at most a factor of 4, and bisects on the
+exponents of lambda and of its distance to the nearest pole everywhere else.
 It builds gamma once, at lambda*, and projects its coordinates onto
 phi = 0 until one lands.  `sweep_trajectory` applies the prefix rule to a
 whole lambda grid at once and returns the path as columns.
@@ -277,18 +278,17 @@ def _finish(
 
 
 def _follow(path: _WaterFill, budget: int) -> tuple[float, bool]:
-    """Find the root lambda* of phi in three stages.  From Newton's step at
-    0, grow the bracket in the exponent, lambda 2^(2^j) up or down, or by a
-    Newton step that falls short of that.  Then bisect it on the exponents
-    of both lambda and its distance to lo's nearest singularity while it
-    spans more than a factor of 4 there (`_midpoint`).  Then take Newton's
-    step from either end that lands inside the bracket, bisecting where none
-    does or where the moves stop halving.  Stops on a bracket a few ulps
-    wide, or at an end whose step is a few ulps long.  Returns (lambda*,
-    True), or (the largest multiplier known to have phi < 0, False) once
-    `budget` evaluations are spent.  Past the last pole phi is constant: if
-    still negative there, by rounding only, that multiplier counts as
-    reached."""
+    """Find the root lambda* of phi.  From Newton's step at 0, grow the
+    bracket in the exponent, lambda 2^(2^j) up or down, or by a Newton step
+    that falls short of that.  Then, by one rule: while the bracket spans at
+    most a factor of 4 in mu = lambda / (p - lambda), with p lo's nearest
+    singularity, take Newton's step from either end if it lands strictly
+    inside; in every other case take `_midpoint`'s geometric mean in mu.
+    Stops on a bracket a few ulps wide, or at an end whose step is a few
+    ulps long.  Returns (lambda*, True), or (the largest multiplier known
+    to have phi < 0, False) once `budget` evaluations are spent.  Past the
+    last pole phi is constant: if still negative there, by rounding only,
+    that multiplier counts as reached."""
     if budget < 1:
         return 0.0, False
     f, step, _ = path.phi(0.0)
@@ -297,7 +297,7 @@ def _follow(path: _WaterFill, budget: int) -> tuple[float, bool]:
     tiny, last, few = sys.float_info.min, path.last, _FEW_ULPS
     # with no finite step at 0, start midway between tiny and last in exponent
     lam = step if 0.0 < step < math.inf else math.sqrt(tiny) * math.sqrt(last)
-    lam, factor, moves = min(max(lam, tiny), last), 2.0, []
+    lam, factor = min(max(lam, tiny), last), 2.0
     # phi < 0 at lo and phi >= 0 at hi, evaluated once `bounded`; each end
     # with its step, and lo with its singularity
     lo, f_lo, step_lo, gap = 0.0, f, step, math.inf
@@ -330,12 +330,8 @@ def _follow(path: _WaterFill, budget: int) -> tuple[float, bool]:
                 lam = newton
         else:
             spread, mid = _midpoint(lo, hi, gap)
-            if spread <= 4.0:
-                mid = newton if lo < newton < hi else lo + 0.5 * width
-                moves.append(abs(mid - lam))
-                if len(moves) > 2 and moves[-1] > 0.5 * moves[-3]:
-                    moves.clear()
-                    mid = lo + 0.5 * width
+            if spread <= 4.0 and lo < newton < hi:
+                mid = newton
             # a singularity within an ulp of lo rounds the midpoint onto it
             lam = mid if lo < mid < hi else math.nextafter(lo, hi)
     return lo, False

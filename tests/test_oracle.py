@@ -18,6 +18,8 @@ from cogmac import (
     solve_max_sum_rate,
     sum_rate,
 )
+from cogmac.channel import _primary_terms
+from conftest import limit_fuzz
 from test_channel import make_instance
 
 
@@ -105,6 +107,46 @@ class TestKktCheck:
         report = kkt_check(k2_reference, saturated)
         assert report.saturated_users == (0, 1)
         assert report.stationarity == {0: -1.0, 1: -1.0}
+        assert not report.stationarity_ok
+        assert not report.passed
+
+    def test_stationarity_matches_per_user_loop(self, extreme_suite):
+        """The array pass against the per-user loop it replaced.  That loop
+        squared h_k and g_k by scalar pow, the array by x * x, which differ
+        in the last bit; through the scale that is a few ulps absolute."""
+
+        def per_user(ch, result):
+            gamma, lam = result.gamma_star.gamma, result.lambda_star
+            x = ch.primary_amplitude + float(_primary_terms(ch, gamma)[0])
+            scaled = []
+            for k in range(ch.num_users):
+                term_obj = -2.0 * ch.h[k] ** 2 * ch.p[k] * gamma[k]
+                term_x = 2.0 * lam * ch.sigma_p2 * x * ch.g[k] * math.sqrt(ch.p[k])
+                term_quad = 2.0 * lam * ch.s_p * ch.g[k] ** 2 * ch.p[k] * gamma[k]
+                scale = max(abs(term_obj), abs(term_x), abs(term_quad), 2.0 * ch.h[k] ** 2 * ch.p[k])
+                scaled.append((term_obj + term_x + term_quad) / (scale or 1.0))
+            return scaled
+
+        with np.errstate(all="ignore"):
+            for i, ch in enumerate(extreme_suite + limit_fuzz()):
+                result = solve_max_sum_rate(ch)
+                report = kkt_check(ch, result)
+                np.testing.assert_allclose(
+                    list(report.stationarity.values()), per_user(ch, result),
+                    rtol=0.0, atol=8 * np.finfo(float).eps, err_msg=str(i),
+                )
+
+    @pytest.mark.parametrize("draw", [4, 36])
+    def test_fails_on_non_finite_stationarity(self, draw):
+        """Limit-fuzz draws 4 (K = 2) and 36 (K = 1) report Converged at
+        lambda* = 1.797e308, the largest float, where X and the quadratic
+        terms overflow to inf, so the scaled derivative is inf / inf: NaN,
+        which no tolerance test rejects by comparison."""
+        ch = limit_fuzz()[draw]
+        with np.errstate(all="ignore"):
+            report = kkt_check(ch, solve_max_sum_rate(ch))
+        assert not all(map(math.isfinite, report.stationarity.values()))
+        assert report.feasibility_ok and report.bounds_ok
         assert not report.stationarity_ok
         assert not report.passed
 
