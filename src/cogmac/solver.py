@@ -27,6 +27,18 @@ exponents of lambda and of its distance to the nearest pole everywhere else.
 It builds gamma once, at lambda*, and projects its coordinates onto
 phi = 0 until one lands.  `sweep_trajectory` applies the prefix rule to a
 whole lambda grid at once and returns the path as columns.
+
+One evaluation costs O(K) per-user work (c_k, the sort, the prefix test and
+the sums) and O(1) scalar work (phi, Newton's step, the singularity).  The
+per-user work has two forms, picked once per instance from K alone: Python
+lists below `_ARRAY_USERS` users (`_WaterFill`), numpy arrays from there
+(`_ArrayFill`).  Each numpy call costs about a microsecond however short
+the array, so the array form is slower at small K and faster at large K;
+the two cross near K = 56.  Both give the same floats: every elementwise
+operation rounds alike, the sort is stable, every sum, norm and maximum is
+the same builtin over the same floats in the same order, and the running
+sums add in order (itertools.accumulate in one form, np.cumsum in the
+other; ndarray.sum is pairwise and would not).
 """
 
 from __future__ import annotations
@@ -89,6 +101,9 @@ class SolverConfig:
             raise ValueError("max_outer_iters must be positive")
 
 
+_DEFAULT_CONFIG = SolverConfig()
+
+
 @dataclass(frozen=True)
 class SolverResult:
     gamma_star: PowerSplit
@@ -101,43 +116,53 @@ class SolverResult:
 
 
 class _WaterFill:
-    """The multiplier path of one instance at any lambda, by its fixed point:
-    in Python floats, over the users a_k > 0 kept in their last order of c_k,
-    which Timsort re-sorts in about one pass, or by `states` at n multipliers
-    at once.  c_k = w_k / a_k - lambda s_p a_k, with w_k = h_k^2 P_k, so no
-    (h_k / g_k)^2 leaves the float range; `last` is the last pole, max_k w_k
-    / (a_k^2 s_p), within the normal floats.  `evaluations` counts the calls
-    of phi and split."""
+    """The multiplier path of one instance at any lambda, by its fixed point,
+    over the users a_k > 0 kept in their last order of c_k, or by `states` at
+    n multipliers at once.  c_k = w_k / a_k - lambda s_p a_k, with w_k = h_k^2
+    P_k, so no (h_k / g_k)^2 leaves the float range; `last` is the last
+    pole, max_k w_k / a_k / a_k / s_p, within the normal floats.
+    `evaluations` counts the calls of phi and split.
+
+    This is the list form: its per-user work, `_hold` and `_prefix`, runs on
+    Python floats, whose sort (Timsort) re-sorts the last order in about one
+    pass.  `_ArrayFill` does the same work in numpy arrays; everything else
+    is shared."""
 
     def __init__(self, ch: ChannelInstance):
         self.ch = ch
         self.users = np.flatnonzero(ch.a > 0)  # g_k > 0, unless g_k sqrt(P_k) underflows
-        self.a_k = ch.a[self.users]
-        self.ids, self.a, self.a2 = (v.tolist() for v in (self.users, self.a_k, ch.a2[self.users]))
-        # in Python floats, which overflow to inf without a warning
-        w = (ch.h2[self.users] * ch.p[self.users]).tolist()
-        self.wa, self.identity = list(map(truediv, w, self.a)), list(range(self.users.size))
-        pole = max(map(truediv, self.wa, self.a), default=0.0) / ch.s_p if ch.s_p > 0.0 else 0.0
+        self.a_k, a2 = ch.a[self.users], ch.a2[self.users]
+        top = self._hold(a2, ch.h2[self.users] * ch.p[self.users])
+        pole = top / ch.s_p if ch.s_p > 0.0 else 0.0
         self.last = min(max(pole, sys.float_info.min), sys.float_info.max)
         self.amp, self.sigma_p2 = ch.primary_amplitude, ch.sigma_p2
         self.s_p, self.t_p = ch.s_p, ch.t
         # C = sqrt(t_p (sigma_p2 + sum_k a_k^2)), phi's constant term as a signal
-        self.level = math.sqrt(ch.t * (ch.sigma_p2 + sum(self.a2)))
+        self.level = math.sqrt(ch.t * (ch.sigma_p2 + sum(a2.tolist())))
         self.evaluations = 0
+        self._last = math.nan, None  # the last multiplier evaluated, and its fixed point
 
-    def _fixed_point(self, lam: float):
-        """S at lam, the number m of saturated users, who lead the lists, c_k
-        in their order, and a_k / c_k and their sum Q over the interior
-        users."""
-        self.evaluations += 1
-        ls, r = lam * self.s_p, lam * self.sigma_p2
+    def _hold(self, a2: np.ndarray, w: np.ndarray) -> float:
+        """Keep ids, a, a2 and wa = w / a, the columns that follow the order
+        of c_k, and return max_k wa_k / a_k.  In Python floats, which
+        overflow to inf without a warning."""
+        self.ids, self.a, self.a2 = (v.tolist() for v in (self.users, self.a_k, a2))
+        self.wa, self.identity = list(map(truediv, w.tolist(), self.a)), list(range(self.users.size))
+        return max(map(truediv, self.wa, self.a), default=0.0)
+
+    def _prefix(self, lam: float):
+        """Re-sort the columns by c_k at lam and find the m saturated users,
+        who lead them: s_m, Q_m, m, c in the columns' order, a_k / c_k over
+        the interior users and a_k^2 over all, as lists, and sum_I (a_k /
+        c_k)^3."""
+        ls, r, amp = lam * self.s_p, lam * self.sigma_p2, self.amp
         c = [w - ls * a for w, a in zip(self.wa, self.a)]
         order = sorted(self.identity, key=c.__getitem__)
         if order != self.identity:  # never with one user
             get = itemgetter(*order)
             lists = c, self.ids, self.a, self.a2, self.wa
             c, self.ids, self.a, self.a2, self.wa = map(get, lists)
-        a, n, amp = self.a, len(c), self.amp
+        a, n = self.a, len(c)
         z = bisect_right(c, 0.0)  # at or past their pole
         ratio = list(map(truediv, a[z:], c[z:]))
         # s_m = sum_{i<m} a_i and Q_m, summed in the order of `states`'
@@ -150,9 +175,24 @@ class _WaterFill:
             s_m += a[m]
             m += 1
             q_m = q[n - m]
+        ratio = ratio[m - z :]
+        return s_m, q_m, m, c, ratio, self.a2, sum([v * v * v for v in ratio])
+
+    def _fixed_point(self, lam: float):
+        """S at lam, the number m of saturated users, who lead the columns,
+        c_k in their order, a_k / c_k and their sum Q over the interior
+        users, a_k^2 in the columns' order and sum_I (a_k / c_k)^3.  At the
+        multiplier evaluated last, as `split` at the root usually is, the
+        same point again."""
+        self.evaluations += 1
+        if lam == self._last[0]:
+            return self._last[1]
+        s_m, q_m, m, c, ratio, a2, cube = self._prefix(lam)
+        r = lam * self.sigma_p2
         # r = 0 relays nothing, even where a_k / c_k is past the largest float
-        s = (s_m + amp * r * q_m) / (1.0 - r * q_m) if r > 0.0 else s_m
-        return s, m, c, ratio[m - z :], q_m
+        s = (s_m + self.amp * r * q_m) / (1.0 - r * q_m) if r > 0.0 else s_m
+        self._last = lam, (s, m, c, ratio, q_m, a2, cube)
+        return self._last[1]
 
     def phi(self, lam: float) -> tuple[float, float, float]:
         """phi at lam by the module's phi(lambda), and from the same sums
@@ -172,7 +212,7 @@ class _WaterFill:
         the interior ones, stays interior at the root only while r X < c_m,
         with X = Y = sqrt(t_p (sigma_p2 + L)) there.  The singularity is p or
         X's pole, whichever is nearer by its first-order estimate."""
-        s, m, c, ratio, q = self._fixed_point(lam)
+        s, m, c, ratio, q, a2, cube = self._fixed_point(lam)
         sigma_p2, s_p, t_p = self.sigma_p2, self.s_p, self.t_p
         x, r = self.amp + s, lam * sigma_p2
         # sum_I a_k^2 gamma_k^2 = (t |a_k / c_k|)^2, t = r X; with hypot, no
@@ -180,7 +220,7 @@ class _WaterFill:
         # nor at lambda = 0 from 0 times a norm past the largest float
         norm = math.hypot(*ratio)
         relay_norm = r * x * norm if r > 0.0 else 0.0
-        lost = sum(self.a2[m:]) - relay_norm * relay_norm
+        lost = sum(a2[m:]) - relay_norm * relay_norm
         phi = sigma_p2 * _excess(self.ch, s, lost)
         if not ratio:  # every user saturated: phi is constant
             return phi, math.nan, math.inf
@@ -193,9 +233,8 @@ class _WaterFill:
         grow = (sigma_p2 * q + s_p * norm_r * norm) / (1.0 - r * q)
         shed = 0.0  # at lambda = 0, where t = 0
         if r > 0.0:
-            cube = sum([v * v * v for v in ratio])
             shed = xx * ((sigma_p2 + r * grow) * norm_r * norm + s_p * r * r * cube)
-        w = math.sqrt(xx + t_p * ((sum(self.a2[:m]) if m else 0.0) + relay_norm * relay_norm))
+        w = math.sqrt(xx + t_p * ((sum(a2[:m]) if m else 0.0) + relay_norm * relay_norm))
         scale = sigma_p2 * (w + self.level)
         excess = phi / scale if 0.0 < scale < math.inf else math.nan  # W - C
         near = s_p * max(ratio)  # 1 / (p - lambda)
@@ -204,7 +243,7 @@ class _WaterFill:
         if abs(step) <= _FEW_ULPS * lam:
             span = sigma_p2 + lost
             y = math.sqrt(t_p * span) if span > 0.0 else 0.0
-            if not (lam + step) * sigma_p2 * y < c[m] - step * s_p * self.a[m]:
+            if not (lam + step) * sigma_p2 * y < float(c[m]) - step * s_p * float(self.a[m]):
                 step = math.nan
         if grow > near:
             near = grow
@@ -214,22 +253,24 @@ class _WaterFill:
         """X, gamma (K,) and the saturated flags (K,) at lam: gamma_k = 1 on
         the saturated users, and t / c_k from the path's own c_k on the
         others."""
-        s, m, c, _, _ = self._fixed_point(lam)
+        s, m, c, *_ = self._fixed_point(lam)
         x = self.amp + s
         t = lam * self.sigma_p2 * x
-        order = np.array(self.ids, dtype=np.intp)
+        order = np.asarray(self.ids, dtype=np.intp)
         gamma, saturated = np.zeros(self.ch.num_users), np.zeros(self.ch.num_users, dtype=bool)
         gamma[order[:m]], saturated[order[:m]] = 1.0, True
-        gamma[order[m:]] = np.minimum(t / np.array(c[m:]), 1.0)
+        gamma[order[m:]] = np.minimum(t / np.asarray(c[m:]), 1.0)
         return x, gamma, saturated
 
+    # overflow to inf, and 0 * inf in the rows that r = 0 skips, pass
+    # silently, as in Python floats
+    @np.errstate(over="ignore", invalid="ignore")
     def states(self, lam: np.ndarray):
         """X (n,), gamma (n, K) and the saturated flags (n, K) at each of n
         multipliers: `split` in array operations, one row each."""
         n, k = lam.size, self.users.size
         ls, r = lam[:, None] * self.s_p, lam[:, None] * self.sigma_p2
-        with np.errstate(over="ignore"):  # as `wa`, in the users' own order
-            wa_k = self.ch.h2[self.users] * self.ch.p[self.users] / self.a_k
+        wa_k = self.ch.h2[self.users] * self.ch.p[self.users] / self.a_k  # as `wa`, in user order
         c = wa_k - ls * self.a_k
         order = np.argsort(c, axis=1, kind="stable")
         c_s = np.take_along_axis(c, order, axis=1)
@@ -241,15 +282,64 @@ class _WaterFill:
         m = np.argmin(np.column_stack([prefix, np.zeros(n, dtype=bool)]), axis=1)
         rows, r = np.arange(n), r[:, 0]
         s_m = big_s[rows, m]
-        with np.errstate(invalid="ignore"):  # 0 * inf, in the rows that r = 0 skips
-            relayed = (s_m + self.amp * r * q[rows, m]) / (1.0 - r * q[rows, m])
-            x = self.amp + np.where(r > 0.0, relayed, s_m)
+        relayed = (s_m + self.amp * r * q[rows, m]) / (1.0 - r * q[rows, m])
+        x = self.amp + np.where(r > 0.0, relayed, s_m)
         pinned = np.argsort(order, axis=1) < m[:, None]  # rank below m
         interior = np.divide((r * x)[:, None], c, out=np.ones_like(c), where=~pinned)
         gamma = np.zeros((n, self.ch.num_users))
         saturated = np.zeros(gamma.shape, dtype=bool)
         gamma[:, self.users], saturated[:, self.users] = np.minimum(interior, 1.0), pinned
         return x, gamma, saturated
+
+
+class _ArrayFill(_WaterFill):
+    """`_WaterFill` with its per-user work, `_hold` and `_prefix`, in numpy
+    arrays, bit for bit the same (see the module docstring).  Overflow and
+    inf - inf pass silently, as in Python floats."""
+
+    def _hold(self, a2: np.ndarray, w: np.ndarray) -> float:
+        with np.errstate(over="ignore"):
+            wa = w / self.a_k
+            top = float(np.max(wa / self.a_k, initial=0.0))
+        # the columns as one (4, K) array, re-sorted by one take; the ids ride
+        # along as floats, exact up to 2^53
+        self.cols = np.array([self.a_k, a2, wa, self.users], dtype=float)
+        self.a, self.a2, self.wa, self.ids = self.cols
+        return top
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _prefix(self, lam: float):
+        ls, r, amp = lam * self.s_p, lam * self.sigma_p2, self.amp
+        c = self.wa - ls * self.a
+        order = c.argsort(kind="stable")
+        # argsort puts a NaN last, where Timsort may leave it elsewhere
+        if order.size and math.isnan(c.item(order.item(-1))):
+            order = sorted(range(c.size), key=c.tolist().__getitem__)
+        self.cols, c = self.cols.take(order, axis=1), c.take(order)
+        self.a, self.a2, self.wa, self.ids = self.cols
+        a, n = self.a, c.size
+        z = bisect_right(c, 0.0)  # by the list form's comparisons, NaN included
+        ratio = a[z:] / c[z:]
+        listed = ratio.tolist()
+        m, s_m, q_m, q = z, sum(a[:z].tolist()), sum(reversed(listed)), None
+        while m < n and r * (amp + s_m) >= c.item(m) * (1.0 - r * q_m):
+            if q is None:  # q[i]: the last i + 1 of a_k / c_k, summed from the end
+                q = np.cumsum(ratio[::-1])
+            s_m += a.item(m)
+            m += 1
+            q_m = q.item(n - m - 1) if m < n else 0.0
+        ratio = ratio[m - z :]
+        cube = sum((ratio * ratio * ratio).tolist())  # v * v * v, as the list form
+        return s_m, q_m, m, c, listed[m - z :], self.a2.tolist(), cube
+
+
+# the fewest users at which the array form is the faster (measured; README)
+_ARRAY_USERS = 60
+
+
+def _water_fill(ch: ChannelInstance) -> _WaterFill:
+    """The multiplier path of ch in the form that is faster at its K."""
+    return (_ArrayFill if ch.num_users >= _ARRAY_USERS else _WaterFill)(ch)
 
 
 def _finish(
@@ -360,8 +450,8 @@ def solve_max_sum_rate(ch: ChannelInstance, cfg: SolverConfig | None = None) -> 
     path stops there with gamma = 0 after 2 evaluations, one for phi and one
     for gamma, like any instance whose constraint does not bind.
     """
-    cfg = cfg or SolverConfig()
-    path = _WaterFill(ch)
+    cfg = cfg or _DEFAULT_CONFIG
+    path = _water_fill(ch)
     lam, reached = _follow(path, cfg.max_outer_iters - 1)  # one is kept for gamma
     x, gamma, saturated = path.split(lam)
     if reached:
@@ -398,23 +488,23 @@ def sweep_trajectory(
     """Evaluate the path on an even lambda grid over [0, lambda_max].
 
     lambda_max None stands for 1.25 lambda*, found as `solve_max_sum_rate`
-    finds it under cfg's budget, or when that is 0 for the least pole
-    (h_k / g_k)^2 / s_p > 0, else for max(s_p, sigma_p2) / sigma_p2^2, written
-    max(t, 1) / sigma_p2 and capped at the largest float.  Every
+    finds it under cfg's budget, or when that is 0 for the least pole > 0,
+    (h_k / g_k)^2 / s_p in the path's terms (as `_WaterFill.last`), else for
+    max(s_p, sigma_p2) / sigma_p2^2, written max(t, 1) / sigma_p2; either is
+    capped at the largest float.  Every
     grid point is evaluated by the prefix rule at once, and a point at an
     event already has that user saturated; the splits are checked once, as
     one (samples, K) array."""
-    path = _WaterFill(ch)
+    path = _water_fill(ch)
     if lambda_max is None:
-        lam_star, _ = _follow(path, (cfg or SolverConfig()).max_outer_iters - 1)
+        lam_star, _ = _follow(path, (cfg or _DEFAULT_CONFIG).max_outer_iters - 1)
         if lam_star > 0:
             lambda_max = 1.25 * lam_star
         else:
-            with np.errstate(over="ignore"):
-                beta2 = (ch.h[path.users] / ch.g[path.users]) ** 2
-            poles = beta2[beta2 > 0.0] / ch.s_p if ch.s_p > 0.0 else beta2[:0]
-            fallback = min(max(ch.t, 1.0) / ch.sigma_p2, sys.float_info.max)
-            lambda_max = float(poles.min()) if poles.size else fallback
+            with np.errstate(over="ignore"):  # w_k / a_k / a_k / s_p, as `last`
+                poles = np.divide(path.wa, path.a) / ch.s_p if ch.s_p > 0.0 else np.zeros(0)
+            poles, fallback = poles[poles > 0.0], max(ch.t, 1.0) / ch.sigma_p2
+            lambda_max = min(float(poles.min()) if poles.size else fallback, sys.float_info.max)
     if not 0 <= lambda_max < math.inf:
         raise ValueError(f"lambda_max must be nonnegative and finite, got {lambda_max}")
     if samples < 2:

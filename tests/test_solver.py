@@ -26,8 +26,8 @@ from cogmac.channel import _phi
 from cogmac import solver
 from cogmac.cli import load_scenario
 from cogmac.oracle import instance_suite, random_instance
-from cogmac.solver import _finish, _WaterFill
-from conftest import SUITE_SEED, bisect_root, limit_fuzz
+from cogmac.solver import _ArrayFill, _finish, _WaterFill
+from conftest import SUITE_SEED, bisect_root, extreme_fuzz, limit_fuzz
 from test_channel import make_instance
 from test_golden import GOLDEN, SCENARIOS
 
@@ -239,22 +239,27 @@ def _fixed_point_by_resumming(path, lam):
     the prefix rule, re-summing Q_m over the interior users at every step:
     the reference for `_WaterFill._fixed_point`'s suffix sums."""
     r, amp = lam * path.sigma_p2, path.amp
-    path._fixed_point(lam)  # leaves the lists in their order at lam
+    path._fixed_point(lam)  # leaves the columns in their order at lam
+    wa, a = (np.asarray(v).tolist() for v in (path.wa, path.a))
     ls = lam * path.s_p
-    c = [w - ls * a for w, a in zip(path.wa, path.a)]
+    c = [w - ls * a_k for w, a_k in zip(wa, a)]
     z = sum(1 for c_k in c if c_k <= 0.0)
-    ratio = [a / c_k for a, c_k in zip(path.a[z:], c[z:])]
-    m, s_m, q_m = z, sum(path.a[:z]), sum(reversed(ratio))
+    ratio = [a_k / c_k for a_k, c_k in zip(a[z:], c[z:])]
+    m, s_m, q_m = z, sum(a[:z]), sum(reversed(ratio))
     while m < len(c) and r * (amp + s_m) >= c[m] * (1.0 - r * q_m):
-        s_m += path.a[m]
+        s_m += a[m]
         m += 1
         q_m = sum(reversed(ratio[m - z :]))
     return (s_m + amp * r * q_m) / (1.0 - r * q_m), m
 
 
+# each form of the multiplier path, built directly
+FORMS = _WaterFill, _ArrayFill
+
+
 class TestLargeKFixedPoint:
-    """At K = 1000, where lambda* saturates 26 users, the scalar path's
-    suffix sums give the re-summed S and m, and `split` and `phi` give the
+    """At K = 1000, where lambda* saturates 26 users, each form's suffix
+    sums give the re-summed S and m, and `split` and `phi` give the
     `states` row, bit for bit."""
 
     @pytest.fixture(scope="class")
@@ -264,24 +269,75 @@ class TestLargeKFixedPoint:
 
     def test_suffix_sums_match_resumming(self, case):
         ch, lam_star = case
-        path = _WaterFill(ch)
-        for lam in (lam_star, 0.5 * lam_star, 2.0 * lam_star):
-            relayed, m, *_ = path._fixed_point(lam)
-            assert (relayed, m) == _fixed_point_by_resumming(_WaterFill(ch), lam)
-        assert path._fixed_point(lam_star)[1] >= 20
+        for form in FORMS:
+            path = form(ch)
+            for lam in (lam_star, 0.5 * lam_star, 2.0 * lam_star):
+                relayed, m, *_ = path._fixed_point(lam)
+                assert (relayed, m) == _fixed_point_by_resumming(form(ch), lam), form
+            assert path._fixed_point(lam_star)[1] >= 20
 
     def test_scalar_matches_states_row(self, case):
         ch, lam_star = case
-        path = _WaterFill(ch)
-        x, gamma, saturated = path.states(np.array([lam_star]))
-        x_s, gamma_s, saturated_s = path.split(lam_star)
-        assert saturated_s.sum() >= 20
-        assert x_s == x[0]
-        assert gamma_s.tobytes() == gamma[0].tobytes()
-        assert saturated_s.tolist() == saturated[0].tolist()
-        phi = path.phi(lam_star)[0]
-        assert phi == _WaterFill(ch).phi(lam_star)[0]  # from either list order
-        assert abs(phi - _phi(ch, gamma[0])) <= 1e-11 * ch.residual_scale
+        for form in FORMS:
+            path = form(ch)
+            x, gamma, saturated = path.states(np.array([lam_star]))
+            x_s, gamma_s, saturated_s = path.split(lam_star)
+            assert saturated_s.sum() >= 20
+            assert x_s == x[0]
+            assert gamma_s.tobytes() == gamma[0].tobytes()
+            assert saturated_s.tolist() == saturated[0].tolist()
+            phi = path.phi(lam_star)[0]
+            assert phi == form(ch).phi(lam_star)[0]  # from either column order
+            assert abs(phi - _phi(ch, gamma[0])) <= 1e-11 * ch.residual_scale
+
+
+class TestArrayForm:
+    """The array form is the list form bit for bit: the same lambda*,
+    gamma*, sum rate, residual, status and path evaluations on every suite,
+    from seeded to the limit of the float range."""
+
+    @staticmethod
+    def _results(monkeypatch, form, suite):
+        monkeypatch.setattr(solver, "_water_fill", form)
+        with np.errstate(all="ignore"):  # the limit fuzz still overflows (ROADMAP item 8)
+            results = [solve_max_sum_rate(ch) for ch in suite]
+        # hex, so that a NaN residual equals itself
+        return [
+            (r.lambda_star.hex(), r.gamma_star.gamma.tobytes(), r.sum_rate.hex(),
+             r.residual.hex(), r.status, r.outer_iterations)
+            for r in results
+        ]
+
+    @pytest.mark.parametrize("suite", [
+        pytest.param(lambda: instance_suite(1, 450), id="seeded-k1-3"),
+        pytest.param(lambda: instance_suite(0, 60, sizes=(10, 20, 50, 100, 200)), id="seeded-k10-200"),
+        pytest.param(lambda: extreme_fuzz(), id="extreme"),
+        pytest.param(lambda: limit_fuzz(), id="limit"),
+        pytest.param(lambda: [random_instance(np.random.default_rng(3), 1000)], id="k1000"),
+    ])
+    def test_suites(self, monkeypatch, suite):
+        suite = suite()
+        assert self._results(monkeypatch, _ArrayFill, suite) == self._results(monkeypatch, _WaterFill, suite)
+
+    def test_wide_suite(self, monkeypatch, wide_suite):
+        assert (self._results(monkeypatch, _ArrayFill, wide_suite)
+                == self._results(monkeypatch, _WaterFill, wide_suite))
+
+    def test_nan_key_keeps_the_list_order(self):
+        # user 0's w_0 / a_0 overflows, so at lambda = 1e300 c_0 = inf - inf;
+        # Timsort leaves [NaN, -inf] as it is, where argsort puts NaN last
+        ch = ChannelInstance(
+            h=[1e150, 1.0], g=[1e-10, 1.0], p=[1.0, 1.0], h_p=1e10, p_p=1.0, sigma_p2=1.0, sigma_c2=1.0,
+        )
+        lists, arrays = _WaterFill(ch), _ArrayFill(ch)
+        for path in (lists, arrays):
+            path._fixed_point(1e300)
+        assert np.asarray(arrays.ids).tolist() == lists.ids == [0, 1]
+
+    def test_form_by_k(self):
+        rng = np.random.default_rng(3)
+        for k, form in ((solver._ARRAY_USERS - 1, _WaterFill), (solver._ARRAY_USERS, _ArrayFill)):
+            assert type(solver._water_fill(random_instance(rng, k))) is form
 
 
 class TestFinishOrder:
@@ -660,9 +716,27 @@ class TestWholeFloatRange:
         # the range is user 1's pole, and max(s_p, sigma_p2) / sigma_p2^2
         # would overflow
         ch = dataclasses.replace(k2_reference, sigma_p2=1e308)
-        with np.errstate(all="ignore"):  # `states` still overflows (ROADMAP item 8)
+        with np.errstate(all="ignore"):  # `_phi` still overflows (ROADMAP item 8)
             traj = sweep_trajectory(ch, None, 5)
         assert _sweep_range(ch, SolverConfig()) == (traj.lam[-1], "pole")
+
+    def test_huge_primary_noise_states_do_not_warn(self, k2_reference):
+        # r (A + s_j) and r Q_j overflowed in the prefix test
+        ch = dataclasses.replace(k2_reference, sigma_p2=1e308)
+        grid = np.linspace(0.0, _sweep_range(ch, SolverConfig())[0], 21)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, gamma, _ = _WaterFill(ch).states(grid)
+        assert np.isfinite(gamma).all()
+
+    def test_sweep_pole_past_the_float_range(self):
+        # with no evaluation to spare, the range is the pole, (h / g)^2 / s_p
+        # = 1e320, which overflowed into lambda_max = inf; w / a / a / s_p
+        # overflows too, and is capped at the largest float
+        ch = ChannelInstance(h=[1e150], g=[1e-10], p=[1.0], h_p=1.0, p_p=1.0, sigma_p2=1.0, sigma_c2=1.0)
+        traj = sweep_trajectory(ch, None, 5, SolverConfig(max_outer_iters=1))
+        assert traj.lam[-1] == sys.float_info.max
+        assert _sweep_range(ch, SolverConfig(max_outer_iters=1)) == (traj.lam[-1], "pole")
 
     @pytest.mark.parametrize("sigma_p2", [1e-300, 1e-200, 1e200, 1e300])
     def test_sweep_fallback_range_is_finite(self, k2_no_interference, sigma_p2):
@@ -685,15 +759,19 @@ class TestWholeFloatRange:
 
 def _sweep_range(ch, cfg):
     """The sweep's default range, with its branch, from a whole solve and the
-    pole written out: 1.25 lambda*, else the least (h_k / g_k)^2 / s_p over
-    the users with h_k, g_k > 0, else max(s_p, sigma_p2) / sigma_p2^2 as
-    max(s_p / sigma_p2, 1) / sigma_p2, at most the largest float."""
+    pole written out: 1.25 lambda*, else the least pole (h_k / g_k)^2 / s_p >
+    0, as h_k^2 P_k / a_k / a_k / s_p over the users with a_k = g_k sqrt(P_k)
+    > 0, else max(s_p, sigma_p2) / sigma_p2^2 as max(s_p / sigma_p2, 1) /
+    sigma_p2; either at most the largest float."""
     lam = solve_max_sum_rate(ch, cfg).lambda_star
     if lam > 0:
         return 1.25 * lam, "lambda*"
-    users = (ch.h > 0) & (ch.g > 0)
+    users = ch.a > 0
     if ch.s_p > 0 and users.any():
-        return float(np.min((ch.h[users] / ch.g[users]) ** 2)) / ch.s_p, "pole"
+        with np.errstate(over="ignore"):
+            poles = ch.h[users] ** 2 * ch.p[users] / ch.a[users] / ch.a[users] / ch.s_p
+        if (poles > 0).any():
+            return min(float(np.min(poles[poles > 0])), sys.float_info.max), "pole"
     return min(max(ch.s_p / ch.sigma_p2, 1.0) / ch.sigma_p2, sys.float_info.max), "fallback"
 
 
