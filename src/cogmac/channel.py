@@ -2,8 +2,9 @@
 
 Batch-first: each formula has one private implementation that takes one
 split as a (K,) array or n splits as an (n, K) array and reduces over the
-last axis; every kernel takes whole splits, the per-coordinate quadratic
-included, and `_capacity` takes one SNR or an (n,) array of them.  The
+last axis; the per-coordinate quadratic takes the sums S' and L of one
+split, as floats, or of n splits, as columns, and `_capacity` and
+`_relative_phi` take one value or an (n,) array of them.  The
 public functions are thin scalar wrappers around them.  An instance
 derives its constant terms once, when it is built: s_p = h_p^2 P_p,
 A = h_p sqrt(P_p), a_k = g_k sqrt(P_k), a2 = a_k^2, t = s_p / sigma_p2,
@@ -198,7 +199,7 @@ def _capacity(snr):
     """Gaussian channel capacity 0.5 log2(1 + snr), in bits: a float for one
     SNR, an (n,) array for an (n,) array of them.  Each log is math.log2's,
     since np.log2 differs from it in the last bit on some inputs."""
-    if np.ndim(snr) == 0:
+    if not isinstance(snr, np.ndarray):
         return 0.5 * math.log2(1.0 + snr)
     return 0.5 * np.fromiter(map(math.log2, (1.0 + snr).tolist()), float, snr.size)
 
@@ -225,9 +226,10 @@ def _phi(ch: ChannelInstance, gamma: np.ndarray):
     return ch.sigma_p2 * _excess(ch, *_primary_terms(ch, gamma))
 
 
-def _relative_phi(ch: ChannelInstance, gamma: np.ndarray):
-    """|phi| / residual_scale; with a zero scale, 0 where phi = 0, else inf."""
-    phi = np.abs(_phi(ch, gamma))
+def _relative_phi(ch: ChannelInstance, phi):
+    """|phi| / residual_scale, for one phi or an array of them; with a zero
+    scale, 0 where phi = 0, else inf."""
+    phi = abs(phi)
     scale = ch.residual_scale
     if scale == 0.0:
         return np.where(phi == 0.0, 0.0, math.inf)
@@ -241,16 +243,19 @@ def _mac_snr(ch: ChannelInstance, gamma: np.ndarray, users=slice(None)):
     return effective[..., users].sum(axis=-1) / ch.sigma_c2
 
 
-def _coordinate_roots(ch: ChannelInstance, k: int, gamma: np.ndarray, slack: float = 1e-12):
+def _coordinate_roots(ch: ChannelInstance, k: int, relayed, lost, slack: float = 1e-12):
     """Solve phi = 0 for gamma_k with the other coordinates fixed.
 
-    gamma is one split (K,) or n splits (n, K); its column k is ignored.
-    Returns (mask, root): mask flags the rows with a root in [0, 1], up to
+    relayed and lost are S' and L at gamma_k = 0: the others' relayed
+    amplitude, and the lost power with a_k^2 in user k's place.  They are
+    floats for one split, which the solver projects, or columns (n,) for n
+    splits, which the feasible grid projects; the formula is written once
+    for both, and only its guards differ, since Python floats raise where
+    numpy warns.  Returns (ok, root): ok flags a root in [0, 1], up to
     `slack` (the feasible grid keeps roots that rounding put just outside),
-    and root is that root clipped to [0, 1].  The caller guarantees g_k > 0.
+    and root is that root clipped to [0, 1], or NaN where phi's terms are
+    not finite.  The caller guarantees g_k > 0.
     """
-    rest = np.where(np.arange(ch.num_users) == k, 0.0, gamma)
-    relayed, lost = _primary_terms(ch, rest)  # S' and L at gamma_k = 0
     num = -_excess(ch, relayed, lost)
     # with x = a_k and b = A + S', phi / sigma_p2 = x^2 (1 + t) gamma_k^2 +
     # 2 b x gamma_k - num, whose "-" root is at most 0 (b >= 0).  The "+" root,
@@ -259,13 +264,23 @@ def _coordinate_roots(ch: ChannelInstance, k: int, gamma: np.ndarray, slack: flo
     # only when h_p = 0 and S' = 0, where the root is 0
     disc = ch.t * (ch.sigma_p2 + lost + num)
     real = disc >= 0.0
-    den = ch.a[k] * (ch.primary_amplitude + relayed + np.sqrt(np.where(real, disc, 0.0)))
-    root = np.divide(num, den, out=np.zeros(np.shape(den)), where=den > 0.0)
-    # maximum(0, root) then minimum(., 1) is np.clip's result, bit for bit,
-    # the sign of a zero root included, at half its cost on one split;
-    # clipping in place with out= is slower on the feasible grid's columns
-    mask = real & (root >= -slack) & (root <= 1.0 + slack)
-    return mask, np.minimum(np.maximum(0.0, root), 1.0)
+    columns = isinstance(disc, np.ndarray)
+    if columns:
+        root_disc = np.sqrt(np.where(real, disc, 0.0))
+    else:
+        root_disc = math.sqrt(disc) if real else 0.0
+    den = ch.a.item(k) * (ch.primary_amplitude + relayed + root_disc)
+    if columns:
+        root = np.divide(num, den, out=np.zeros(den.shape), where=den > 0.0)
+        # maximum(0, root) then minimum(., 1) is np.clip's result, bit for
+        # bit, the sign of a zero root included, at half its cost; clipping in
+        # place with out= is slower on the feasible grid's columns
+        clipped = np.minimum(np.maximum(0.0, root), 1.0)
+    else:
+        root = num / den if den > 0.0 else 0.0
+        # as np.maximum and np.minimum: NaN stays NaN, and -0 becomes 0
+        clipped = 0.0 if root <= 0.0 else min(root, 1.0)
+    return real & (root >= -slack) & (root <= 1.0 + slack), clipped
 
 
 def baseline_primary_rate(ch: ChannelInstance) -> float:
@@ -293,7 +308,7 @@ def feasibility_residual(ch: ChannelInstance, split: PowerSplit) -> float:
 
 def relative_residual(ch: ChannelInstance, split: PowerSplit) -> float:
     """|phi| / residual_scale; 0 for the degenerate zero-scale case iff phi = 0."""
-    return float(_relative_phi(ch, _check_dims(ch, split)))
+    return float(_relative_phi(ch, _phi(ch, _check_dims(ch, split))))
 
 
 def sum_rate(ch: ChannelInstance, split: PowerSplit) -> float:

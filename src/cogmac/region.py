@@ -24,6 +24,8 @@ from .channel import (
     _capacity,
     _coordinate_roots,
     _mac_snr,
+    _phi,
+    _primary_terms,
     _relative_phi,
 )
 
@@ -84,15 +86,15 @@ def feasible_grid(ch: ChannelInstance, grid_step: float) -> np.ndarray:
     blocks = []
     for solved in solvable:
         # the (K, n) transpose, C-ordered: every grid tuple of the others, in
-        # lexicographic order, with grid[0] in the solved row, which the
-        # quadratic ignores; compress keeps it C-ordered, where a boolean
-        # index would not
+        # lexicographic order, with grid[0] = 0 in the solved row, so that its
+        # sums are S' and L at gamma_k = 0; compress keeps it C-ordered, where
+        # a boolean index would not
         shape = [1 if j == solved else grid.size for j in range(k)]
         cols = grid[np.indices(shape).reshape(k, -1)]
-        mask, root = _coordinate_roots(ch, solved, cols.T)
+        mask, root = _coordinate_roots(ch, solved, *_primary_terms(ch, cols.T))
         cols = np.compress(mask, cols, axis=1)
         cols[solved] = root[mask]
-        keep = _relative_phi(ch, cols.T) <= RESIDUAL_TOL
+        keep = _relative_phi(ch, _phi(ch, cols.T)) <= RESIDUAL_TOL
         blocks.append(np.compress(keep, cols, axis=1))
     grid = np.concatenate(blocks, axis=1).T
     if len(grid) == 0:

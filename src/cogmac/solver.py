@@ -24,21 +24,32 @@ path evaluations: it grows a bracket in the exponent, then takes Newton's
 step on a form of phi without the pole of X (`_WaterFill.phi`) where it
 lands inside a bracket that spans at most a factor of 4, and bisects on the
 exponents of lambda and of its distance to the nearest pole everywhere else.
-It builds gamma once, at lambda*, and projects its coordinates onto
-phi = 0 until one lands.  `sweep_trajectory` applies the prefix rule to a
-whole lambda grid at once and returns the path as columns.
+
+The end game reads the path's fixed point at lambda* once (`_split`): it
+builds gamma there, with the terms of S, of the lost power L and of the MAC
+SNR per user.  It projects gamma's coordinates onto phi = 0 until one lands
+(`_project`), each from S' and L at gamma_k = 0 by the channel's coordinate
+root, and scores the split from the same terms: phi by `_excess`, its
+relative residual, and the rate by `_capacity`.  Past the per-user terms
+this is O(1) Python floats, with no numpy call per coordinate.
+`sweep_trajectory` applies the prefix rule to a whole lambda grid at once
+and returns the path as columns.
 
 One evaluation costs O(K) per-user work (c_k, the sort, the prefix test and
-the sums) and O(1) scalar work (phi, Newton's step, the singularity).  The
-per-user work has two forms, picked once per instance from K alone: Python
-lists below `_ARRAY_USERS` users (`_WaterFill`), numpy arrays from there
-(`_ArrayFill`).  Each numpy call costs about a microsecond however short
-the array, so the array form is slower at small K and faster at large K;
-the two cross near K = 56.  Both give the same floats: every elementwise
-operation rounds alike, the sort is stable, every sum, norm and maximum is
-the same builtin over the same floats in the same order, and the running
-sums add in order (itertools.accumulate in one form, np.cumsum in the
-other; ndarray.sum is pairwise and would not).
+the sums) and O(1) scalar work (phi, Newton's step, the singularity), and
+the end game the per-user work of `_split` once.  The per-user work has two
+forms, picked once per instance from K alone: Python lists below
+`_ARRAY_USERS` users (`_WaterFill`), numpy arrays from there (`_ArrayFill`).
+Each numpy call costs about a microsecond however short the array, so the
+array form is slower at small K and faster at large K; the two cross near
+K = 56.  Both give the same floats: every elementwise operation rounds
+alike, the sorts are stable, every sum, norm and maximum is the same builtin
+over the same floats in the same order, and the running sums add in order
+(itertools.accumulate in one form, np.cumsum in the other).  Every sum is
+the builtin `sum`, sequential in user index order: the channel's kernels
+add alike up to 7 users, where ndarray.sum is sequential, so up to K = 7 the
+reported rate and residual are theirs bit for bit; from 8 terms ndarray.sum
+adds pairwise, and the two differ in the last bits.
 """
 
 from __future__ import annotations
@@ -62,7 +73,6 @@ from .channel import (
     SATURATED_GAMMA,
     _coordinate_roots,
     _excess,
-    _mac_snr,
     _phi,
     _real,
     _relative_phi,
@@ -121,12 +131,12 @@ class _WaterFill:
     n multipliers at once.  c_k = w_k / a_k - lambda s_p a_k, with w_k = h_k^2
     P_k, so no (h_k / g_k)^2 leaves the float range; `last` is the last
     pole, max_k w_k / a_k / a_k / s_p, within the normal floats.
-    `evaluations` counts the calls of phi and split.
+    `evaluations` counts the calls of phi and `_split`.
 
-    This is the list form: its per-user work, `_hold` and `_prefix`, runs on
-    Python floats, whose sort (Timsort) re-sorts the last order in about one
-    pass.  `_ArrayFill` does the same work in numpy arrays; everything else
-    is shared."""
+    This is the list form: its per-user work, `_hold`, `_prefix` and
+    `_split`, runs on Python floats, whose sort (Timsort) re-sorts the last
+    order in about one pass.  `_ArrayFill` does the same work in numpy
+    arrays; everything else is shared."""
 
     def __init__(self, ch: ChannelInstance):
         self.ch = ch
@@ -182,7 +192,7 @@ class _WaterFill:
         """S at lam, the number m of saturated users, who lead the columns,
         c_k in their order, a_k / c_k and their sum Q over the interior
         users, a_k^2 in the columns' order and sum_I (a_k / c_k)^3.  At the
-        multiplier evaluated last, as `split` at the root usually is, the
+        multiplier evaluated last, as `_split` at the root usually is, the
         same point again."""
         self.evaluations += 1
         if lam == self._last[0]:
@@ -249,25 +259,47 @@ class _WaterFill:
             near = grow
         return phi, step, 1.0 / near if near > 0.0 else math.inf
 
-    def split(self, lam: float):
-        """X, gamma (K,) and the saturated flags (K,) at lam: gamma_k = 1 on
-        the saturated users, and t / c_k from the path's own c_k on the
-        others."""
+    def _split(self, lam: float):
+        """The end game's columns at lam, from the path's fixed point.
+
+        gamma (K,) in index order: 1 on the saturated users, t / c_k from
+        the path's own c_k capped at 1 on the others, and 0 where a_k = 0;
+        a list here, an array in the array form.  The users with a_k > 0 in
+        the order `_project` tries them: interior before saturated, each
+        group by steepest slope a_k (X + t_p a_k gamma_k), half of
+        d phi / d gamma_k over sigma_p2, a NaN slope last, ties in index
+        order.  And, as lists in index order, the terms that
+        `_primary_terms` and `_mac_snr` sum: a_k gamma_k, a_k^2 u_k and
+        u_k h_k^2 P_k, with u_k = 1 - gamma_k^2."""
         s, m, c, *_ = self._fixed_point(lam)
         x = self.amp + s
         t = lam * self.sigma_p2 * x
-        order = np.asarray(self.ids, dtype=np.intp)
-        gamma, saturated = np.zeros(self.ch.num_users), np.zeros(self.ch.num_users, dtype=bool)
-        gamma[order[:m]], saturated[order[:m]] = 1.0, True
-        gamma[order[m:]] = np.minimum(t / np.asarray(c[m:]), 1.0)
-        return x, gamma, saturated
+        ch, t_p, ids = self.ch, self.t_p, self.ids
+        gamma = [0.0] * ch.num_users
+        for k in ids[:m]:
+            gamma[k] = 1.0
+        for k, c_k in zip(ids[m:], c[m:]):
+            gamma[k] = min(t / c_k, 1.0)
+        a, a2 = ch.a.tolist(), ch.a2.tolist()
+
+        def steepest(k):
+            slope = a[k] * (x + t_p * a[k] * gamma[k])
+            return (0, -slope, k) if slope == slope else (1, 0.0, k)
+
+        candidates = sorted(ids[m:], key=steepest) + sorted(ids[:m], key=steepest)
+        u = [1.0 - g * g for g in gamma]
+        relay = [a_k * g for a_k, g in zip(a, gamma)]
+        lost = [a2_k * u_k for a2_k, u_k in zip(a2, u)]
+        effective = [u_k * h2 * p for u_k, h2, p in zip(u, ch.h2.tolist(), ch.p.tolist())]
+        return gamma, candidates, relay, lost, effective
 
     # overflow to inf, and 0 * inf in the rows that r = 0 skips, pass
     # silently, as in Python floats
     @np.errstate(over="ignore", invalid="ignore")
     def states(self, lam: np.ndarray):
         """X (n,), gamma (n, K) and the saturated flags (n, K) at each of n
-        multipliers: `split` in array operations, one row each."""
+        multipliers, one row each: `_split`'s gamma, from the same prefix
+        rule in array operations."""
         n, k = lam.size, self.users.size
         ls, r = lam[:, None] * self.s_p, lam[:, None] * self.sigma_p2
         wa_k = self.ch.h2[self.users] * self.ch.p[self.users] / self.a_k  # as `wa`, in user order
@@ -293,9 +325,9 @@ class _WaterFill:
 
 
 class _ArrayFill(_WaterFill):
-    """`_WaterFill` with its per-user work, `_hold` and `_prefix`, in numpy
-    arrays, bit for bit the same (see the module docstring).  Overflow and
-    inf - inf pass silently, as in Python floats."""
+    """`_WaterFill` with its per-user work, `_hold`, `_prefix` and `_split`,
+    in numpy arrays, bit for bit the same (see the module docstring).
+    Overflow and inf - inf pass silently, as in Python floats."""
 
     def _hold(self, a2: np.ndarray, w: np.ndarray) -> float:
         with np.errstate(over="ignore"):
@@ -332,6 +364,24 @@ class _ArrayFill(_WaterFill):
         cube = sum((ratio * ratio * ratio).tolist())  # v * v * v, as the list form
         return s_m, q_m, m, c, listed[m - z :], self.a2.tolist(), cube
 
+    @np.errstate(over="ignore", invalid="ignore")
+    def _split(self, lam: float):
+        s, m, c, *_ = self._fixed_point(lam)
+        x = self.amp + s
+        t = lam * self.sigma_p2 * x
+        ch, users, ids = self.ch, self.users, self.ids.astype(np.intp)
+        gamma = np.zeros(ch.num_users)
+        gamma[ids[:m]] = 1.0
+        gamma[ids[m:]] = np.minimum(t / c[m:], 1.0)
+        saturated = np.zeros(ch.num_users, dtype=bool)
+        saturated[ids[:m]] = True
+        slope = self.a_k * (x + self.t_p * self.a_k * gamma[users])
+        # lexsort is stable and puts a NaN last, as the list form's key
+        candidates = users[np.lexsort((-slope, saturated[users]))]
+        u = 1.0 - gamma * gamma
+        terms = ch.a * gamma, ch.a2 * u, u * ch.h2 * ch.p
+        return (gamma, candidates.tolist(), *(v.tolist() for v in terms))
+
 
 # the fewest users at which the array form is the faster (measured; README)
 _ARRAY_USERS = 60
@@ -342,29 +392,29 @@ def _water_fill(ch: ChannelInstance) -> _WaterFill:
     return (_ArrayFill if ch.num_users >= _ARRAY_USERS else _WaterFill)(ch)
 
 
-def _finish(
-    ch: ChannelInstance, x: float, gamma: np.ndarray, saturated: np.ndarray, users: np.ndarray
-) -> np.ndarray:
-    """Project the path's `split` (x, gamma) onto phi = 0 one coordinate at a time.
+def _project(ch: ChannelInstance, gamma, candidates: list, relay: list, lost: list, effective: list):
+    """Project `_split`'s gamma onto phi = 0 one coordinate at a time, in
+    place, with its terms.
 
-    The candidates are `users`, those with g_k > 0, interior before
-    saturated, each group by steepest a_k (x + t a_k gamma_k), half of
-    d phi / d gamma_k over sigma_p2, ties in index order.  Each in turn is
-    set to its root clipped to [0, 1], if finite; the first root in [0, 1]
-    before clipping ends the walk (one that rounding put just outside does
-    not land once clipped).  phi increases in every such gamma_k, so one
-    that cannot land alone still moves phi toward 0: a relay with h_k = 0
-    released to 0 lets the next one land.
+    Each of `candidates` in turn is set to its root clipped to [0, 1], if
+    finite; the first root in [0, 1] before clipping ends the walk (one that
+    rounding put just outside does not land once clipped).  phi increases in
+    every such gamma_k, so one that cannot land alone still moves phi toward
+    0: a relay with h_k = 0 released to 0 lets the next one land.  Each root
+    comes from S' and L at gamma_k = 0, summed in index order, as
+    `_primary_terms` sums them.
     """
-    slope = ch.a * (x + ch.t * ch.a * gamma)
-    gamma = gamma.copy()
-    for k in users[np.lexsort((-slope[users], saturated[users]))]:
-        ok, root = _coordinate_roots(ch, k, gamma, slack=0.0)
+    for k in candidates:
+        held = relay[k], lost[k]
+        relay[k], lost[k] = 0.0, ch.a2.item(k)
+        ok, root = _coordinate_roots(ch, k, sum(relay), sum(lost), slack=0.0)
         if math.isfinite(root):  # NaN once phi's terms overflow
-            gamma[k] = root
+            gamma[k], u = root, 1.0 - root * root
+            held = ch.a.item(k) * root, ch.a2.item(k) * u
+            effective[k] = u * ch.h2.item(k) * ch.p.item(k)
+        relay[k], lost[k] = held
         if ok:
-            break
-    return gamma
+            return
 
 
 def _follow(path: _WaterFill, budget: int) -> tuple[float, bool]:
@@ -443,7 +493,8 @@ def _midpoint(lo: float, hi: float, gap: float) -> tuple[float, float]:
 
 def solve_max_sum_rate(ch: ChannelInstance, cfg: SolverConfig | None = None) -> SolverResult:
     """Find the root lambda* of phi along the multiplier path, build gamma
-    there, then project onto phi = 0.
+    there, project it onto phi = 0 and score it, all from the path's own
+    fixed point (see the module docstring).
 
     Returns the feasible split maximizing the cognitive sum rate.  With no
     interference path at all (every g_k = 0) phi is 0 at lambda = 0, so the
@@ -453,19 +504,21 @@ def solve_max_sum_rate(ch: ChannelInstance, cfg: SolverConfig | None = None) -> 
     cfg = cfg or _DEFAULT_CONFIG
     path = _water_fill(ch)
     lam, reached = _follow(path, cfg.max_outer_iters - 1)  # one is kept for gamma
-    x, gamma, saturated = path.split(lam)
+    gamma, candidates, relay, lost, effective = path._split(lam)
     if reached:
-        gamma = _finish(ch, x, gamma, saturated, path.users)
+        _project(ch, gamma, candidates, relay, lost, effective)
     split = PowerSplit(gamma)
-    residual = float(_relative_phi(ch, split.gamma))
+    # phi, its relative residual and the rate from the split's own terms,
+    # summed in index order: channel's `relative_residual` and `sum_rate`
+    residual = float(_relative_phi(ch, ch.sigma_p2 * _excess(ch, sum(relay), sum(lost))))
     converged = reached and residual <= cfg.residual_tol
     return SolverResult(
         gamma_star=split,
-        sum_rate=_capacity(_mac_snr(ch, split.gamma)),
+        sum_rate=_capacity(sum(effective) / ch.sigma_c2),
         lambda_star=lam,
         residual=residual,
         outer_iterations=path.evaluations,
-        active_set_changes=int(np.count_nonzero(gamma >= SATURATED_GAMMA)),
+        active_set_changes=int(np.count_nonzero(split.gamma >= SATURATED_GAMMA)),
         status=SolverStatus.CONVERGED if converged else SolverStatus.MAX_ITERS_EXCEEDED,
     )
 

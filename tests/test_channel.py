@@ -16,8 +16,17 @@ from cogmac import (
     relative_residual,
     sum_rate,
 )
-from cogmac.channel import _coordinate_roots
+from cogmac.channel import _coordinate_roots, _primary_terms
 from conftest import bisect_root
+
+
+def coordinate_root(ch, k, gamma, slack=1e-12):
+    """`_coordinate_roots` for gamma_k on one split (K,), in floats, or on
+    n splits (n, K), in columns, with S' and L at gamma_k = 0 summed from
+    the split; its column k is ignored."""
+    rest = np.array(gamma, dtype=float)
+    rest[..., k] = 0.0
+    return _coordinate_roots(ch, k, *_primary_terms(ch, rest), slack)
 
 
 def make_instance(rng, k):
@@ -199,10 +208,11 @@ class TestSumRate:
 
 class TestSolveFeasibleCoordinate:
     """`_coordinate_roots`, the projection of one coordinate of a full split
-    onto phi = 0: for one split it returns 0-d arrays (mask, root)."""
+    onto phi = 0: for one split it returns (ok, root) as floats, and for n
+    splits as columns that agree with them row by row."""
 
     def test_single_user_closed_root(self, unit_k1):
-        ok, root = _coordinate_roots(unit_k1, 0, np.zeros(1))
+        ok, root = coordinate_root(unit_k1, 0, np.zeros(1))
         assert ok
         assert root == pytest.approx((math.sqrt(3.0) - 1.0) / 2.0, abs=1e-12)
         split = PowerSplit(np.array([root]))
@@ -216,9 +226,9 @@ class TestSolveFeasibleCoordinate:
             sigma_p2=1.0, sigma_c2=1.0,
         )
         # put the other coordinate exactly on the constraint with gamma_0 = 0
-        ok, other = _coordinate_roots(ch, 1, np.zeros(2))
+        ok, other = coordinate_root(ch, 1, np.zeros(2))
         assert ok
-        ok, root = _coordinate_roots(ch, 0, np.array([0.0, other]))
+        ok, root = coordinate_root(ch, 0, np.array([0.0, other]))
         assert ok
         assert root == pytest.approx(0.0, abs=1e-9)
 
@@ -230,17 +240,17 @@ class TestSolveFeasibleCoordinate:
             sigma_p2=1.0, sigma_c2=1.0,
         )
         with np.errstate(all="raise"):
-            assert _coordinate_roots(ch, 0, np.zeros(2)) == (True, 0.0)
-            assert not _coordinate_roots(ch, 0, np.array([0.0, 0.5]))[0]
+            assert coordinate_root(ch, 0, np.zeros(2)) == (True, 0.0)
+            assert not coordinate_root(ch, 0, np.array([0.0, 0.5]))[0]
 
     @staticmethod
     def _agrees_with_bisection(ch, splits):
         """gamma_0 solved on every row of splits (n, K) by one batch call
         agrees with the call on that row alone and, where phi changes sign
         on [0, 1], with plain bisection."""
-        mask, roots = _coordinate_roots(ch, 0, splits)
+        mask, roots = coordinate_root(ch, 0, splits)
         for split, ok, batch_root in zip(splits, mask, roots):
-            alone = _coordinate_roots(ch, 0, split)
+            alone = coordinate_root(ch, 0, split)
             assert alone == (ok, batch_root)
             root = float(batch_root) if ok else None
             rest = split[1:]
@@ -289,7 +299,7 @@ class TestInvariants:
         if gap <= 1e-13:
             assert res <= 1e-9
         # and on a point projected onto the constraint both hold at once
-        ok, root = _coordinate_roots(ch, 0, gamma.gamma)
+        ok, root = coordinate_root(ch, 0, gamma.gamma)
         if ok:
             feasible = PowerSplit(np.array([root, gamma.gamma[1]]))
             assert relative_residual(ch, feasible) <= 1e-9

@@ -20,8 +20,9 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from cogmac.channel import _coordinate_roots, _phi
+from cogmac.channel import _phi
 from cogmac.solver import _WaterFill, solve_max_sum_rate
+from test_channel import coordinate_root
 
 EPS = sys.float_info.epsilon
 DIGITS = 60
@@ -90,7 +91,7 @@ def test_coordinate_roots(cases):
     checked = 0
     for i, (ch, gamma, _) in enumerate(cases):
         for k in range(ch.num_users):
-            ok, root = _coordinate_roots(ch, k, gamma)
+            ok, root = coordinate_root(ch, k, gamma)
             if ok and 0.0 < root < 1.0:
                 split = gamma.copy()
                 split[k] = root
@@ -102,11 +103,12 @@ def test_coordinate_roots(cases):
 
 def test_path_phi_matches_split(cases):
     """_WaterFill.phi at lambda* and at half and twice it equals _phi at
-    split(lambda) within the bound at that split."""
+    the end game's gamma before its projection (`_split`) within the bound
+    at that split."""
     for i, (ch, _, lam_star) in enumerate(cases):
         path = _WaterFill(ch)
         for lam in (0.5 * lam_star, lam_star, 2.0 * lam_star):
-            gamma = path.split(lam)[1]
+            gamma = np.asarray(path._split(lam)[0])
             _, scale = referee(ch, gamma)
             gap = Decimal(path.phi(lam)[0]) - Decimal(float(_phi(ch, gamma)))
             assert abs(gap) <= _bound(ch, scale), (i, lam)

@@ -26,10 +26,21 @@ from cogmac.channel import _phi
 from cogmac import solver
 from cogmac.cli import load_scenario
 from cogmac.oracle import instance_suite, random_instance
-from cogmac.solver import _ArrayFill, _finish, _WaterFill
+from cogmac.solver import _ArrayFill, _project, _WaterFill
 from conftest import SUITE_SEED, bisect_root, extreme_fuzz, limit_fuzz
 from test_channel import make_instance
 from test_golden import GOLDEN, SCENARIOS
+
+
+def _split(path, lam):
+    """X, gamma and the saturated flags at lam, as arrays: the end game's
+    gamma before its projection (`_split`), with X and the saturated users,
+    who lead the columns, from the path's fixed point there."""
+    gamma = np.asarray(path._split(lam)[0], dtype=float)
+    s, m, *_ = path._fixed_point(lam)
+    saturated = np.zeros(gamma.size, dtype=bool)
+    saturated[np.asarray(path.ids[:m], dtype=np.intp)] = True
+    return path.amp + s, gamma, saturated
 
 
 def _saturation_points(ch):
@@ -86,18 +97,18 @@ def grid():
 
 class TestXClosedForm:
     def test_zero_lambda_all_interior(self, k2_reference):
-        x, _, _ = _WaterFill(k2_reference).split(0.0)
+        x, _, _ = _split(_WaterFill(k2_reference), 0.0)
         assert x == pytest.approx(math.sqrt(10.0), abs=1e-14)
 
     def test_all_saturated(self, k2_reference):
         # past both poles beta_k^2 / (h_p^2 P_p) = 0.625 and 1.6
-        x, _, saturated = _WaterFill(k2_reference).split(2.0)
+        x, _, saturated = _split(_WaterFill(k2_reference), 2.0)
         assert saturated.all()
         expected = math.sqrt(10.0) + 0.6 * math.sqrt(5.0)
         assert x == pytest.approx(expected, abs=1e-13)
 
     def test_hand_evaluated_single_user(self, unit_k1):
-        x, _, _ = _WaterFill(unit_k1).split(0.2)
+        x, _, _ = _split(_WaterFill(unit_k1), 0.2)
         assert x == pytest.approx(4.0 / 3.0, abs=1e-14)
 
     def test_singularity_past_pole(self, unit_k1):
@@ -105,23 +116,23 @@ class TestXClosedForm:
         # D = 0 at 1/2 and the pole beta^2 / (h_p^2 P_p) = 1.  The float
         # 1/3 lies 1.9e-17 below the event, so it is bracketed by 1e-12
         path = _WaterFill(unit_k1)
-        assert not path.split(1.0 / 3.0 * (1.0 - 1e-12))[2].any()
-        assert path.split(1.0 / 3.0 * (1.0 + 1e-12))[2].all()
-        assert path.split(1.0 / 3.0)[1][0] == pytest.approx(1.0, abs=1e-15)
+        assert not _split(path, 1.0 / 3.0 * (1.0 - 1e-12))[2].any()
+        assert _split(path, 1.0 / 3.0 * (1.0 + 1e-12))[2].all()
+        assert _split(path, 1.0 / 3.0)[1][0] == pytest.approx(1.0, abs=1e-15)
         assert _saturation_points(unit_k1)[0] == pytest.approx(1.0 / 3.0, rel=1e-15)
 
 
 class TestGammaOfLambda:
     def test_zero_lambda_gives_zero(self, k2_reference):
-        _, gamma, _ = _WaterFill(k2_reference).split(0.0)
+        _, gamma, _ = _split(_WaterFill(k2_reference), 0.0)
         assert np.all(gamma == 0.0)
 
     def test_saturated_branch_is_one(self, unit_k1):
-        _, gamma, saturated = _WaterFill(unit_k1).split(0.4)
+        _, gamma, saturated = _split(_WaterFill(unit_k1), 0.4)
         assert saturated[0] and gamma[0] == 1.0
 
     def test_hand_evaluated_single_user(self, unit_k1):
-        x, gamma, _ = _WaterFill(unit_k1).split(0.2)
+        x, gamma, _ = _split(_WaterFill(unit_k1), 0.2)
         assert gamma[0] == pytest.approx(1.0 / 3.0, abs=1e-14)
         # consistency with the aggregate-amplitude definition
         assert 1.0 + gamma[0] == pytest.approx(x, abs=1e-14)
@@ -129,7 +140,7 @@ class TestGammaOfLambda:
     def test_overflow_reported(self, unit_k1):
         # between the event and the pole the raw ratio lambda / (1 - 2 lambda)
         # exceeds 1; the user is reported saturated, with gamma = 1
-        _, gamma, saturated = _WaterFill(unit_k1).split(0.45)
+        _, gamma, saturated = _split(_WaterFill(unit_k1), 0.45)
         assert np.flatnonzero(saturated).tolist() == [0]
         assert gamma.tolist() == [1.0]
 
@@ -138,7 +149,7 @@ class TestUpdateActiveSet:
     def test_zero_lambda_no_changes(self, k2_reference):
         path = _WaterFill(k2_reference)
         assert path.users.tolist() == [0, 1]
-        assert not path.split(0.0)[2].any()
+        assert not _split(path, 0.0)[2].any()
 
     def test_one_user_saturates_past_threshold(self):
         ch = ChannelInstance(
@@ -165,11 +176,11 @@ class TestUpdateActiveSet:
         assert event == pytest.approx(threshold, rel=1e-12)
         first = int(np.argmax(raw_gamma(threshold * (1.0 - 1e-9))))
         path = _WaterFill(ch)
-        assert not path.split(event * (1.0 - 1e-12))[2].any()
-        assert np.flatnonzero(path.split(event)[2]).tolist() == [first]
+        assert not _split(path, event * (1.0 - 1e-12))[2].any()
+        assert np.flatnonzero(_split(path, event)[2]).tolist() == [first]
 
     def test_all_saturated_fixed_point(self, k2_reference):
-        _, gamma, saturated = _WaterFill(k2_reference).split(2.0)
+        _, gamma, saturated = _split(_WaterFill(k2_reference), 2.0)
         assert saturated.all()
         assert np.all(gamma == 1.0)
 
@@ -209,7 +220,7 @@ class TestPathResidual:
 
 
 class TestScalarBatchAgreement:
-    """The scalar state (`split`, which `phi` shares) and the batch state
+    """The scalar state (`_split`, which `phi` shares) and the batch state
     (`states`, behind `sweep_trajectory`) saturate the same users and give
     the same X, on an even grid past lambda* and on `_saturation_grid`."""
 
@@ -220,7 +231,7 @@ class TestScalarBatchAgreement:
         path = _WaterFill(ch)
         x, _, saturated = path.states(lam)
         for t, x_t, flags in zip(lam.tolist(), x, saturated):
-            x_s, _, flags_s = path.split(t)
+            x_s, _, flags_s = _split(path, t)
             assert flags_s.tolist() == flags.tolist(), t
             assert abs(x_s - x_t) <= 1e-13 * abs(x_t), t
 
@@ -259,8 +270,8 @@ FORMS = _WaterFill, _ArrayFill
 
 class TestLargeKFixedPoint:
     """At K = 1000, where lambda* saturates 26 users, each form's suffix
-    sums give the re-summed S and m, and `split` and `phi` give the
-    `states` row, bit for bit."""
+    sums give the re-summed S and m, and the end game's gamma before its
+    projection and `phi` give the `states` row, bit for bit."""
 
     @pytest.fixture(scope="class")
     def case(self):
@@ -281,7 +292,7 @@ class TestLargeKFixedPoint:
         for form in FORMS:
             path = form(ch)
             x, gamma, saturated = path.states(np.array([lam_star]))
-            x_s, gamma_s, saturated_s = path.split(lam_star)
+            x_s, gamma_s, saturated_s = _split(path, lam_star)
             assert saturated_s.sum() >= 20
             assert x_s == x[0]
             assert gamma_s.tobytes() == gamma[0].tobytes()
@@ -299,8 +310,7 @@ class TestArrayForm:
     @staticmethod
     def _results(monkeypatch, form, suite):
         monkeypatch.setattr(solver, "_water_fill", form)
-        with np.errstate(all="ignore"):  # the limit fuzz still overflows (ROADMAP item 8)
-            results = [solve_max_sum_rate(ch) for ch in suite]
+        results = [solve_max_sum_rate(ch) for ch in suite]
         # hex, so that a NaN residual equals itself
         return [
             (r.lambda_star.hex(), r.gamma_star.gamma.tobytes(), r.sum_rate.hex(),
@@ -323,6 +333,35 @@ class TestArrayForm:
         assert (self._results(monkeypatch, _ArrayFill, wide_suite)
                 == self._results(monkeypatch, _WaterFill, wide_suite))
 
+    def test_end_game_columns(self):
+        # the end game's gamma, candidates and terms at, below and above
+        # lambda*; some candidate's slope is NaN at 46 of these multipliers,
+        # on 20 limit-fuzz draws
+        nan_slopes = 0
+        for ch in limit_fuzz() + instance_suite(1, 90):
+            star = solve_max_sum_rate(ch).lambda_star
+            for lam in (star, 0.5 * star, 2.0 * star):
+                lists, arrays = (form(ch)._split(lam) for form in FORMS)
+                assert np.asarray(arrays[0]).tobytes() == np.asarray(lists[0]).tobytes()
+                assert arrays[1] == lists[1]
+                for got, expected in zip(arrays[2:], lists[2:]):
+                    assert [v.hex() for v in got] == [v.hex() for v in expected]
+                nan_slopes += self._nan_slopes_last(ch, lam)
+        assert nan_slopes >= 1
+
+    @staticmethod
+    def _nan_slopes_last(ch, lam):
+        """Whether any candidate's slope at lam is NaN; each group's NaN
+        slopes come last in its order, as np.lexsort puts them."""
+        path = _WaterFill(ch)
+        x, gamma, saturated = _split(path, lam)
+        candidates = path._split(lam)[1]
+        with np.errstate(all="ignore"):
+            slope = ch.a * (x + ch.t * ch.a * gamma)
+        keys = [(bool(saturated[k]), bool(np.isnan(slope[k]))) for k in candidates]
+        assert keys == sorted(keys)
+        return any(nan for _, nan in keys)
+
     def test_nan_key_keeps_the_list_order(self):
         # user 0's w_0 / a_0 overflows, so at lambda = 1e300 c_0 = inf - inf;
         # Timsort leaves [NaN, -inf] as it is, where argsort puts NaN last
@@ -341,23 +380,28 @@ class TestArrayForm:
 
 
 class TestFinishOrder:
-    """`_finish` tries the users with g_k > 0 interior first, then
-    saturated, each group by steepest d phi / d gamma_k, written out here as
-    a_k (sigma_p2 X + s_p a_k gamma_k), ties in index order; here every
-    candidate fails to land, so each is tried once."""
+    """The end game's projection (`_project`) tries the users with g_k > 0
+    interior first, then saturated, each group by steepest d phi /
+    d gamma_k, written out here as a_k (sigma_p2 X + s_p a_k gamma_k), ties
+    in index order, in either form; here every candidate fails to land, so
+    each is tried once."""
 
     @staticmethod
     def _tried(monkeypatch, ch, lam):
-        tried = []
+        def tried_by(form):
+            tried = []
 
-        def never_lands(ch, k, gamma, slack):
-            tried.append(k)
-            return False, gamma[k]
+            def never_lands(ch, k, relayed, lost, slack):
+                tried.append(k)
+                return False, math.nan
 
-        monkeypatch.setattr(solver, "_coordinate_roots", never_lands)
-        path = _WaterFill(ch)
-        signal, gamma, saturated = path.split(lam)
-        _finish(ch, signal, gamma, saturated, path.users)
+            monkeypatch.setattr(solver, "_coordinate_roots", never_lands)
+            _project(ch, *form(ch)._split(lam))
+            return tried
+
+        tried = tried_by(_WaterFill)
+        assert tried_by(_ArrayFill) == tried
+        _, gamma, saturated = _split(_WaterFill(ch), lam)
         a = ch.g * np.sqrt(ch.p)
         x = ch.h_p * math.sqrt(ch.p_p) + float(a @ gamma)
         slope = (a * (ch.sigma_p2 * x + ch.h_p**2 * ch.p_p * a * gamma)).tolist()
@@ -484,8 +528,7 @@ class TestSolveMaxSumRate:
 
     def test_most_evaluations_limit_fuzz(self):
         # 73 with that halving
-        with np.errstate(all="ignore"):  # overflow warnings remain (ROADMAP item 8)
-            counts = [solve_max_sum_rate(ch).outer_iterations for ch in limit_fuzz()]
+        counts = [solve_max_sum_rate(ch).outer_iterations for ch in limit_fuzz()]
         assert max(counts) <= 73
 
     def test_single_user_wide_suite_matches_closed_form(self, wide_suite):
@@ -664,6 +707,48 @@ class TestSolveMaxSumRate:
                 assert deriv >= -1e-6 * scale
 
 
+class TestReport:
+    """The solver scores its split from the path's own terms, each summed
+    in index order by the builtin sum.  Up to K = 7, where ndarray.sum adds
+    in order too, its rate and residual are the channel's `sum_rate` and
+    `relative_residual` at the returned split, bit for bit; from K = 8
+    ndarray.sum adds pairwise, and the rate agrees within 1e-12 relative
+    and the residual, relative to the residual scale already, within 1e-12."""
+
+    @staticmethod
+    def _reported_and_recomputed(suite):
+        for ch in suite:
+            result = solve_max_sum_rate(ch)
+            # the channel's numpy kernels overflow on the limit fuzz (ROADMAP item 8)
+            with np.errstate(all="ignore"):
+                kernels = sum_rate(ch, result.gamma_star), relative_residual(ch, result.gamma_star)
+            yield ch, (result.sum_rate, result.residual), kernels
+
+    @pytest.mark.parametrize("suite", [
+        pytest.param(lambda: instance_suite(1, 450), id="seeded-k1-3"),
+        pytest.param(lambda: extreme_fuzz(), id="extreme"),
+        pytest.param(lambda: limit_fuzz(), id="limit"),
+    ])
+    def test_bit_for_bit_up_to_seven_users(self, suite):
+        checked = 0
+        for ch, reported, kernels in self._reported_and_recomputed(suite()):
+            if ch.num_users <= 7:
+                assert [v.hex() for v in reported] == [v.hex() for v in kernels]
+                checked += 1
+        assert checked > 0
+
+    def test_wide_suite_bit_for_bit(self, wide_suite):
+        for ch, reported, kernels in self._reported_and_recomputed(wide_suite):
+            assert ch.num_users <= 7
+            assert [v.hex() for v in reported] == [v.hex() for v in kernels]
+
+    def test_close_from_ten_users(self):
+        suite = instance_suite(0, 60, sizes=(10, 20, 50, 100, 200))
+        for _, (rate, residual), (rate_k, residual_k) in self._reported_and_recomputed(suite):
+            assert abs(rate - rate_k) <= 1e-12 * abs(rate_k)
+            assert abs(residual - residual_k) <= 1e-12
+
+
 class TestWholeFloatRange:
     """Valid instances near the ends of the float range (ROADMAP item 8)."""
 
@@ -672,11 +757,17 @@ class TestWholeFloatRange:
         # sigma_p2 times too large, so it overflowed into a NaN gamma
         ch = limit_fuzz()[5]
         assert ch.num_users == 1
-        assert isinstance(solve_max_sum_rate(ch), solver.SolverResult)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert isinstance(solve_max_sum_rate(ch), solver.SolverResult)
 
     def test_limit_fuzz_solves_without_exception(self):
-        # 10 draws raised ZeroDivisionError where (h_k / g_k)^2 overflowed
-        with np.errstate(all="ignore"):  # overflow warnings remain (ROADMAP item 8)
+        # 10 draws raised ZeroDivisionError where (h_k / g_k)^2 overflowed, and
+        # 206 warned from the projection and the report in numpy, which
+        # overflowed to the same inf and NaN values that they reach silently
+        # in Python floats (ROADMAP item 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             results = [solve_max_sum_rate(ch) for ch in limit_fuzz()]
         assert all(isinstance(r, solver.SolverResult) for r in results)
 
