@@ -23,13 +23,7 @@ from .oracle import (
     single_user_closed_form,
 )
 from .region import EmptyGridError, RegionBoundary, UnsupportedSizeError, region_boundary
-from .solver import (
-    SolverConfig,
-    SolverResult,
-    SolverStatus,
-    solve_max_sum_rate,
-    sweep_trajectory,
-)
+from .solver import SolverResult, SolverStatus, solve_max_sum_rate, sweep_trajectory
 
 __all__ = [
     "ChannelInstance",
@@ -42,7 +36,6 @@ __all__ = [
     "feasibility_residual",
     "relative_residual",
     "sum_rate",
-    "SolverConfig",
     "SolverResult",
     "SolverStatus",
     "solve_max_sum_rate",

@@ -20,13 +20,7 @@ from . import __version__
 from .channel import ChannelInstance, baseline_primary_rate, primary_rate
 from .oracle import grid_search, kkt_check
 from .region import EmptyGridError, region_boundary
-from .solver import (
-    SolverConfig,
-    SolverResult,
-    SolverStatus,
-    solve_max_sum_rate,
-    sweep_trajectory,
-)
+from .solver import SolverResult, SolverStatus, solve_max_sum_rate, sweep_trajectory
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -49,21 +43,13 @@ def _parse_int(text: str) -> int:
         return 2**1024
 
 
-_fields = functools.cache(dataclasses.fields)  # a dataclass's fields never change
+_FIELDS = dataclasses.fields(ChannelInstance)  # the scenario's schema
 
 
-def _arguments(cls, doc: dict) -> dict:
-    """The JSON object `doc` as keyword arguments of the dataclass `cls`,
-    whose constructor checks every value and names the field at fault.
-    Checked here is what only JSON holds: a missing field."""
-    for field in _fields(cls):
-        if field.name not in doc and field.default is dataclasses.MISSING:
-            raise ScenarioError(f"missing field {field.name!r}")
-    return doc
-
-
-def load_scenario(path: str) -> tuple[ChannelInstance, SolverConfig, str | None]:
-    """Parse a scenario JSON file into (instance, solver config, name)."""
+def load_scenario(path: str) -> tuple[ChannelInstance, str | None]:
+    """Parse a scenario JSON file into (instance, name).  `ChannelInstance`
+    checks every value and names the field at fault; checked here is what
+    only JSON holds: an unknown or a missing field."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh, parse_int=_parse_int)
@@ -73,29 +59,21 @@ def load_scenario(path: str) -> tuple[ChannelInstance, SolverConfig, str | None]
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("scenario file must contain a JSON object")
-    name, solver_doc = doc.pop("name", None), doc.pop("solver", {})
-    unknown = sorted(set(doc) - {f.name for f in _fields(ChannelInstance)})
+    name = doc.pop("name", None)
+    unknown = sorted(set(doc) - {f.name for f in _FIELDS})
     if unknown:
         raise ScenarioError(f"unknown field {unknown[0]!r}")
-    ch = ChannelInstance(**_arguments(ChannelInstance, doc))
-
-    if not isinstance(solver_doc, dict):
-        raise ScenarioError("solver must be an object")
-    unknown = sorted(set(solver_doc) - {f.name for f in _fields(SolverConfig)})
-    if unknown:
-        raise ScenarioError(f"unknown field solver.{unknown[0]}")
-    try:
-        cfg = SolverConfig(**_arguments(SolverConfig, solver_doc))
-    except ValueError as exc:
-        raise ScenarioError(f"solver.{exc}") from exc
-
+    for field in _FIELDS:
+        if field.name not in doc and field.default is dataclasses.MISSING:
+            raise ScenarioError(f"missing field {field.name!r}")
+    ch = ChannelInstance(**doc)
     if name is not None and not isinstance(name, str):
         raise ScenarioError("name must be a string")
-    return ch, cfg, name
+    return ch, name
 
 
 def scenario_echo(ch: ChannelInstance, name: str | None) -> dict:
-    echo = {f.name: np.asarray(getattr(ch, f.name)).tolist() for f in _fields(ChannelInstance)}
+    echo = {f.name: np.asarray(getattr(ch, f.name)).tolist() for f in _FIELDS}
     if name is not None:
         echo["name"] = name
     return echo
@@ -157,8 +135,8 @@ def solver_result_dict(ch: ChannelInstance, result: SolverResult) -> dict:
 
 def cmd_solve(args) -> int:
     started = time.monotonic()
-    ch, cfg, name = load_scenario(args.scenario)
-    result = solve_max_sum_rate(ch, cfg)
+    ch, name = load_scenario(args.scenario)
+    result = solve_max_sum_rate(ch)
     report = {
         "scenario": scenario_echo(ch, name),
         **solver_result_dict(ch, result),
@@ -170,7 +148,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_region(args) -> int:
-    ch, _cfg, _name = load_scenario(args.scenario)
+    ch, _name = load_scenario(args.scenario)
     boundary = region_boundary(ch, args.grid_step)
     lines = ["r1_bits,r2_bits", *map("%.12g,%.12g".__mod__, boundary.points)]
     _write_out("\n".join(lines) + "\n", args.out)
@@ -183,8 +161,8 @@ def cmd_region(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    ch, cfg, _name = load_scenario(args.scenario)
-    traj = sweep_trajectory(ch, args.lambda_max, args.samples, cfg)
+    ch, _name = load_scenario(args.scenario)
+    traj = sweep_trajectory(ch, args.lambda_max, args.samples)
     gammas = [f"gamma_{i + 1}" for i in range(ch.num_users)]
     lines = [",".join(["lambda", "x", *gammas, "phi", "saturated_users"])]
     numbers = np.column_stack([traj.lam, traj.x, traj.gamma, traj.phi]).tolist()
@@ -197,9 +175,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    ch, cfg, name = load_scenario(args.scenario)
+    ch, name = load_scenario(args.scenario)
     oracle = grid_search(ch, args.grid_step)  # first: rejects K > 3 before solving
-    result = solve_max_sum_rate(ch, cfg)
+    result = solve_max_sum_rate(ch)
     report = kkt_check(ch, result, tol=args.tol)
     gap = result.sum_rate - oracle.best_sum_rate
     agreement_ok = abs(gap) <= args.agreement_tol

@@ -46,17 +46,18 @@ K = 56.  Both give the same floats: every elementwise operation rounds
 alike, the sorts are stable, every sum, norm and maximum is the same builtin
 over the same floats in the same order, and the running sums add in order
 (itertools.accumulate in one form, np.cumsum in the other).  Every sum is
-the builtin `sum`, sequential in user index order: the channel's kernels
-add alike up to 7 users, where ndarray.sum is sequential, so up to K = 7 the
-reported rate and residual are theirs bit for bit; from 8 terms ndarray.sum
-adds pairwise, and the two differ in the last bits.
+the builtin `sum`, in user index order, which adds sequentially before
+CPython 3.12 (from 3.12 it is compensated).  Before 3.12, then, the
+channel's kernels add alike up to 7 users, where ndarray.sum is
+sequential, so up to K = 7 the reported rate and residual are theirs bit
+for bit; from 8 terms ndarray.sum adds pairwise, and the two differ in the
+last bits.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import numbers
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -74,7 +75,6 @@ from .channel import (
     _coordinate_roots,
     _excess,
     _phi,
-    _real,
     _relative_phi,
     _splits,
 )
@@ -83,35 +83,14 @@ from .channel import (
 # a step or a bracket this short, relative to the multiplier, ends the root find
 _FEW_ULPS = 4.0 * sys.float_info.epsilon
 
+# the most path evaluations one solve may make, far past the few dozen any
+# root find takes; read at each call
+_BUDGET = 200_000
+
 
 class SolverStatus(enum.Enum):
     CONVERGED = "Converged"
     MAX_ITERS_EXCEEDED = "MaxItersExceeded"
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """residual_tol: the largest relative residual reported as Converged, a
-    positive finite number.  max_outer_iters: the most path evaluations one
-    solve may make, a positive integer (not a bool) that fits a float.  An
-    invalid value raises ValueError naming the field, as `ChannelInstance`
-    does."""
-
-    residual_tol: float = RESIDUAL_TOL
-    max_outer_iters: int = 200_000
-
-    def __post_init__(self):
-        tol = _real(self.residual_tol, "residual_tol")
-        if not 0 < tol < math.inf:
-            raise ValueError(f"residual_tol must be positive and finite, got {tol}")
-        iters = self.max_outer_iters
-        if isinstance(iters, bool) or not isinstance(iters, (int, numbers.Integral)):
-            raise ValueError("max_outer_iters must be an integer")
-        if _real(iters, "max_outer_iters") < 1:
-            raise ValueError("max_outer_iters must be positive")
-
-
-_DEFAULT_CONFIG = SolverConfig()
 
 
 @dataclass(frozen=True)
@@ -199,8 +178,10 @@ class _WaterFill:
             return self._last[1]
         s_m, q_m, m, c, ratio, a2, cube = self._prefix(lam)
         r = lam * self.sigma_p2
-        # r = 0 relays nothing, even where a_k / c_k is past the largest float
-        s = (s_m + self.amp * r * q_m) / (1.0 - r * q_m) if r > 0.0 else s_m
+        # r = 0 relays nothing, even where a_k / c_k is past the largest float,
+        # nor does Q = 0 (no interior user, or each a_k / c_k underflowed),
+        # even where r A is
+        s = (s_m + self.amp * r * q_m) / (1.0 - r * q_m) if r > 0.0 and q_m > 0.0 else s_m
         self._last = lam, (s, m, c, ratio, q_m, a2, cube)
         return self._last[1]
 
@@ -227,9 +208,10 @@ class _WaterFill:
         x, r = self.amp + s, lam * sigma_p2
         # sum_I a_k^2 gamma_k^2 = (t |a_k / c_k|)^2, t = r X; with hypot, no
         # NaN from t^2 underflowing to 0 while sum (a_k / c_k)^2 overflows,
-        # nor at lambda = 0 from 0 times a norm past the largest float
+        # nor at lambda = 0 from 0 times a norm past the largest float, nor
+        # at a norm of 0 from a t past it times 0
         norm = math.hypot(*ratio)
-        relay_norm = r * x * norm if r > 0.0 else 0.0
+        relay_norm = r * x * norm if r > 0.0 and norm > 0.0 else 0.0
         lost = sum(a2[m:]) - relay_norm * relay_norm
         phi = sigma_p2 * _excess(self.ch, s, lost)
         if not ratio:  # every user saturated: phi is constant
@@ -313,9 +295,9 @@ class _WaterFill:
         prefix = (c_s <= 0.0) | (r * (self.amp + big_s[:, :k]) >= c_s * (1.0 - r * q[:, :k]))
         m = np.argmin(np.column_stack([prefix, np.zeros(n, dtype=bool)]), axis=1)
         rows, r = np.arange(n), r[:, 0]
-        s_m = big_s[rows, m]
-        relayed = (s_m + self.amp * r * q[rows, m]) / (1.0 - r * q[rows, m])
-        x = self.amp + np.where(r > 0.0, relayed, s_m)
+        s_m, q_m = big_s[rows, m], q[rows, m]
+        relayed = (s_m + self.amp * r * q_m) / (1.0 - r * q_m)
+        x = self.amp + np.where((r > 0.0) & (q_m > 0.0), relayed, s_m)  # as `_fixed_point`
         pinned = np.argsort(order, axis=1) < m[:, None]  # rank below m
         interior = np.divide((r * x)[:, None], c, out=np.ones_like(c), where=~pinned)
         gamma = np.zeros((n, self.ch.num_users))
@@ -491,19 +473,20 @@ def _midpoint(lo: float, hi: float, gap: float) -> tuple[float, float]:
     return mu_hi / mu_lo, lo + gap * ((mu - mu_lo) / (1.0 + mu))
 
 
-def solve_max_sum_rate(ch: ChannelInstance, cfg: SolverConfig | None = None) -> SolverResult:
+def solve_max_sum_rate(ch: ChannelInstance) -> SolverResult:
     """Find the root lambda* of phi along the multiplier path, build gamma
     there, project it onto phi = 0 and score it, all from the path's own
     fixed point (see the module docstring).
 
-    Returns the feasible split maximizing the cognitive sum rate.  With no
-    interference path at all (every g_k = 0) phi is 0 at lambda = 0, so the
-    path stops there with gamma = 0 after 2 evaluations, one for phi and one
-    for gamma, like any instance whose constraint does not bind.
+    Returns the feasible split maximizing the cognitive sum rate, reported
+    `Converged` once lambda* is reached and the split's relative residual is
+    at most `channel.RESIDUAL_TOL`.  With no interference path at all (every
+    g_k = 0) phi is 0 at lambda = 0, so the path stops there with gamma = 0
+    after 2 evaluations, one for phi and one for gamma, like any instance
+    whose constraint does not bind.
     """
-    cfg = cfg or _DEFAULT_CONFIG
     path = _water_fill(ch)
-    lam, reached = _follow(path, cfg.max_outer_iters - 1)  # one is kept for gamma
+    lam, reached = _follow(path, _BUDGET - 1)  # one is kept for gamma
     gamma, candidates, relay, lost, effective = path._split(lam)
     if reached:
         _project(ch, gamma, candidates, relay, lost, effective)
@@ -511,7 +494,7 @@ def solve_max_sum_rate(ch: ChannelInstance, cfg: SolverConfig | None = None) -> 
     # phi, its relative residual and the rate from the split's own terms,
     # summed in index order: channel's `relative_residual` and `sum_rate`
     residual = float(_relative_phi(ch, ch.sigma_p2 * _excess(ch, sum(relay), sum(lost))))
-    converged = reached and residual <= cfg.residual_tol
+    converged = reached and residual <= RESIDUAL_TOL
     return SolverResult(
         gamma_star=split,
         sum_rate=_capacity(sum(effective) / ch.sigma_c2),
@@ -535,34 +518,33 @@ class Trajectory:
     saturated: np.ndarray
 
 
-def sweep_trajectory(
-    ch: ChannelInstance, lambda_max: float | None, samples: int, cfg: SolverConfig | None = None
-) -> Trajectory:
-    """Evaluate the path on an even lambda grid over [0, lambda_max].
+def sweep_trajectory(ch: ChannelInstance, lambda_max: float | None, samples: int) -> Trajectory:
+    """Evaluate the path on an even lambda grid over [0, lambda_max], with
+    lambda_max = -0 read as 0.
 
     lambda_max None stands for 1.25 lambda*, found as `solve_max_sum_rate`
-    finds it under cfg's budget, or when that is 0 for the least pole > 0,
-    (h_k / g_k)^2 / s_p in the path's terms (as `_WaterFill.last`), else for
-    max(s_p, sigma_p2) / sigma_p2^2, written max(t, 1) / sigma_p2; either is
-    capped at the largest float.  Every
-    grid point is evaluated by the prefix rule at once, and a point at an
-    event already has that user saturated; the splits are checked once, as
-    one (samples, K) array."""
+    finds it, or when that is 0 for the least pole > 0, (h_k / g_k)^2 / s_p
+    in the path's terms (as `_WaterFill.last`), else for max(s_p, sigma_p2)
+    / sigma_p2^2, written max(t, 1) / sigma_p2; each is capped at the
+    largest float.  Every grid point is evaluated by the prefix rule at
+    once, and a point at an event already has that user saturated; the
+    splits are checked once, as one (samples, K) array."""
     path = _water_fill(ch)
     if lambda_max is None:
-        lam_star, _ = _follow(path, (cfg or _DEFAULT_CONFIG).max_outer_iters - 1)
+        lam_star, _ = _follow(path, _BUDGET - 1)
         if lam_star > 0:
             lambda_max = 1.25 * lam_star
         else:
             with np.errstate(over="ignore"):  # w_k / a_k / a_k / s_p, as `last`
                 poles = np.divide(path.wa, path.a) / ch.s_p if ch.s_p > 0.0 else np.zeros(0)
             poles, fallback = poles[poles > 0.0], max(ch.t, 1.0) / ch.sigma_p2
-            lambda_max = min(float(poles.min()) if poles.size else fallback, sys.float_info.max)
+            lambda_max = float(poles.min()) if poles.size else fallback
+        lambda_max = min(lambda_max, sys.float_info.max)
     if not 0 <= lambda_max < math.inf:
         raise ValueError(f"lambda_max must be nonnegative and finite, got {lambda_max}")
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    grid = np.linspace(0.0, lambda_max, samples)
+    grid = np.linspace(0.0, lambda_max + 0.0, samples)  # -0 + 0 = 0
     x, gamma, saturated = path.states(grid)
     gamma = _splits(gamma, ndim=2)
     return Trajectory(grid, x, gamma, _phi(ch, gamma), saturated)

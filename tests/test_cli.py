@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from conftest import hull_contains
 
-from cogmac import ChannelInstance, SolverConfig, cli
+from cogmac import ChannelInstance, cli, solver
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -37,12 +37,9 @@ UNIT_K1 = {
 }
 
 
-def _put(label, value):
-    """The scenario entries that place value where an error names `label`:
-    `h[1]` is the second entry of a two-user h, `solver.x` a solver field."""
-    name, _, solver_field = label.partition("solver.")
-    if solver_field:
-        return {"solver": {solver_field: value}}
+def _put(name, value):
+    """The scenario entries that place value where an error names `name`:
+    `h[1]` is the second entry of a two-user h."""
     if name.endswith("[1]"):
         return {"h": [1.0, 1.0], "g": [1.0, 1.0], "p": [1.0, 1.0], name[:-3]: [1.0, value]}
     if name.endswith("[0]"):
@@ -50,18 +47,13 @@ def _put(label, value):
     return {name: value}
 
 
-FIELD_LABELS = (
-    "h[0]", "g[0]", "p[0]", "h[1]", "h_p", "p_p", "sigma_p2", "sigma_c2", "f",
-    "solver.residual_tol", "solver.max_outer_iters",
-)
+FIELD_LABELS = ("h[0]", "g[0]", "p[0]", "h[1]", "h_p", "p_p", "sigma_p2", "sigma_c2", "f")
 # stable ids of the cases these two tables started with
 _FIRST_IDS = {
     ("p_p", "10e400"): "scalar",
     ("p[0]", "10e400"): "vector-entry",
-    ("solver.residual_tol", "10e400"): "solver-residual_tol",
     ("p_p", "5000-digits"): "scalar",
     ("h[1]", "5000-digits"): "vector-entry",
-    ("solver.max_outer_iters", "5000-digits"): "solver-max_outer_iters",
 }
 
 
@@ -114,18 +106,14 @@ class TestSolve:
         """`cogmac solve` on the scenario at path, run in process, prints one
         line `error: <label> <rule>` and nothing to stdout, and the
         constructor given `value` where `label` names it raises ValueError
-        `<label> <rule>`, without the CLI's `solver.`."""
+        `<label> <rule>`."""
         assert cli.main(["solve", "--scenario", str(path)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {label} {rule}\n"
-        name, _, solver_field = label.partition("solver.")
         with pytest.raises(ValueError) as exc:
-            if solver_field:
-                SolverConfig(**{solver_field: value})
-            else:
-                ChannelInstance(**dict(UNIT_K1, **_put(label, value)))
-        assert str(exc.value) == f"{solver_field or name} {rule}"
+            ChannelInstance(**dict(UNIT_K1, **_put(label, value)))
+        assert str(exc.value) == f"{label} {rule}"
 
     @pytest.mark.parametrize(
         "label, value",
@@ -135,8 +123,6 @@ class TestSolve:
         path = write_scenario(tmp_path, dict(UNIT_K1, **_put(label, value)))
         if value == 10**400:
             rule = "must be finite, got an integer too large for a float"
-        elif label == "solver.max_outer_iters":
-            rule = "must be an integer"
         else:
             rule = f"must be a number, got {value!r}"
         self._assert_field_error(capsys, path, label, value, rule)
@@ -181,11 +167,10 @@ class TestSolve:
         assert proc.returncode == 1
         assert "extra" in proc.stderr
 
-    def test_max_iters_exit_code(self, tmp_path):
-        doc = dict(UNIT_K1, solver={"max_outer_iters": 2})
-        path = write_scenario(tmp_path, doc)
-        proc = run_cli("solve", "--scenario", path, check=False)
-        assert proc.returncode == 2
+    def test_max_iters_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(solver, "_BUDGET", 2)
+        assert cli.main(["solve", "--scenario", str(SCENARIOS / "k1_unit.json")]) == 2
+        assert json.loads(capsys.readouterr().out)["status"] == "MaxItersExceeded"
 
     def test_scenario_echo_round_trips(self, tmp_path):
         proc = run_cli("solve", "--scenario", str(SCENARIOS / "k2_reference.json"))
@@ -293,6 +278,31 @@ class TestSweep:
             for key in ("x", "gamma_1", "gamma_2"):
                 assert float(cur[key]) >= float(prev[key]) - 1e-12
 
+    def test_default_range_past_the_float_range(self, tmp_path, capsys):
+        # lambda* is the largest float, and 1.25 lambda* overflowed into
+        # `error: lambda_max must be nonnegative and finite, got inf`
+        path = write_scenario(tmp_path, dict(UNIT_K1, h=[1e150], g=[1e-10]))
+        assert cli.main(["sweep", "--scenario", path, "--samples", "3"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert rows[-1]["lambda"] == "%.12g" % sys.float_info.max
+
+    def test_negative_zero_range_prints_no_negative_zero(self, capsys):
+        args = ["sweep", "--scenario", str(SCENARIOS / "k2_reference.json"), "--samples", "3"]
+        assert cli.main([*args, "--lambda-max", "-0.0"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0", "0", "0"]
+        assert "-0" not in ",".join(rows).split(",")
+
+    def test_all_saturated_rows_past_overflow(self, capsys):
+        # r A and r X overflow where both users are saturated, and inf * 0
+        # printed x = nan on the last row
+        args = ["sweep", "--scenario", str(SCENARIOS / "k2_reference.json"), "--samples", "3"]
+        assert cli.main([*args, "--lambda-max", "1e308"]) == 0
+        assert capsys.readouterr().out.splitlines()[2:] == [
+            "5e+307,4.50391844667,1,1,10.2852813742,1|2",
+            "1e+308,4.50391844667,1,1,10.2852813742,1|2",
+        ]
+
 
 class TestValidate:
     def test_single_user_pass(self):
@@ -310,13 +320,11 @@ class TestValidate:
         assert doc["verdict"] == "pass"
         assert abs(doc["sum_rate_gap_bits"]) <= 1e-3
 
-    def test_loosened_tolerance_fails_feasibility(self, tmp_path):
-        # the solve stops on its evaluation cap, short of the constraint
-        doc = dict(UNIT_K1, solver={"max_outer_iters": 2})
-        path = write_scenario(tmp_path, doc)
-        proc = run_cli("validate", "--scenario", path, check=False)
-        assert proc.returncode == 2
-        out = json.loads(proc.stdout)
+    def test_loosened_tolerance_fails_feasibility(self, monkeypatch, capsys):
+        # the solve stops on its evaluation budget, short of the constraint
+        monkeypatch.setattr(solver, "_BUDGET", 2)
+        assert cli.main(["validate", "--scenario", str(SCENARIOS / "k1_unit.json")]) == 2
+        out = json.loads(capsys.readouterr().out)
         assert out["verdict"] == "fail"
         assert out["kkt"]["feasibility_ok"] is False
 
@@ -405,23 +413,30 @@ class TestInvalidFlags:
         )
 
     def test_help_exits_zero(self):
-        proc = run_cli("solve", "--help")
-        assert proc.stdout.startswith("usage:")
-        options = [line.split()[0] for line in proc.stdout.splitlines() if line.startswith("  -")]
-        assert options == ["-h,", "--scenario", "--out"]
+        # every subcommand's option list, so that an added flag shows here
+        common = ["-h,", "--scenario", "--out"]
+        expected = {
+            "solve": common,
+            "region": [*common, "--grid-step"],
+            "sweep": [*common, "--lambda-max", "--samples"],
+            "validate": [*common, "--grid-step", "--tol", "--agreement-tol"],
+        }
+        for command, flags in expected.items():
+            proc = run_cli(command, "--help")
+            assert proc.stdout.startswith("usage:")
+            options = [line.split()[0] for line in proc.stdout.splitlines() if line.startswith("  -")]
+            assert options == flags, command
 
-    @pytest.mark.parametrize("key", ["lambda_step", "bisection_refine", "refine_tol"])
+    @pytest.mark.parametrize(
+        "key", ["lambda_step", "bisection_refine", "refine_tol", "residual_tol", "max_outer_iters"]
+    )
     def test_removed_solver_keys_rejected(self, tmp_path, key):
-        path = write_scenario(tmp_path, dict(UNIT_K1, solver={key: 1e-4}))
+        # the solver takes no settings, so a scenario's `solver` object is
+        # an unknown field whatever it holds
+        path = write_scenario(tmp_path, dict(UNIT_K1, solver={key: math.nan}))
         proc = run_cli("solve", "--scenario", path, check=False)
         assert proc.returncode == 1
-        assert proc.stderr == f"error: unknown field solver.{key}\n"
-
-    def test_nan_residual_tol_rejected(self, tmp_path):
-        path = write_scenario(tmp_path, dict(UNIT_K1, solver={"residual_tol": math.nan}))
-        proc = run_cli("solve", "--scenario", path, check=False)
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error: solver.residual_tol must be ")
+        assert proc.stderr == "error: unknown field 'solver'\n"
 
 
 class TestDeterminism:

@@ -11,9 +11,9 @@ written only in `ChannelInstance`, which derives them once for every kernel;
 g_k sqrt(P_k).  No module writes the primary constraint in its expanded
 form sigma_p2 X^2 - s_p (...), whose terms sigma_p2 A^2 and s_p sigma_p2
 cancel: `channel._excess` writes it once without them.  The CLI reads the
-scenario schema from the `ChannelInstance` and `SolverConfig` fields, and
-names none of them in a string of its own, and of an instance it reads
-only `num_users`: it parses, calls the library and prints.
+scenario schema from the `ChannelInstance` fields, and names none of them
+in a string of its own, and of an instance it reads only `num_users`: it
+parses, calls the library and prints.
 """
 
 import ast
@@ -217,9 +217,7 @@ def test_no_expanded_constraint(path):
     assert not found, f"{path.name}: sigma_p2 * x**2 - s_p * ... at lines {found}"
 
 
-FIELD_NAMES = {
-    f.name for cls in (cogmac.ChannelInstance, cogmac.SolverConfig) for f in dataclasses.fields(cls)
-}
+FIELD_NAMES = {f.name for f in dataclasses.fields(cogmac.ChannelInstance)}
 
 
 def _field_strings(tree) -> list:
@@ -236,7 +234,7 @@ def _field_strings(tree) -> list:
     "code, found",
     [
         ('keys = ("h", "g", "p")', True),
-        ('cfg_kwargs["max_outer_iters"] = value', True),
+        ('kwargs["sigma_p2"] = value', True),
         ("names = {f.name for f in dataclasses.fields(ChannelInstance)}", False),
         ('doc.pop("solver", {})', False),
     ],

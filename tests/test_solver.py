@@ -9,7 +9,6 @@ import pytest
 from cogmac import (
     ChannelInstance,
     PowerSplit,
-    SolverConfig,
     SolverStatus,
     baseline_primary_rate,
     feasibility_residual,
@@ -22,7 +21,7 @@ from cogmac import (
     sum_rate,
     sweep_trajectory,
 )
-from cogmac.channel import _phi
+from cogmac.channel import RESIDUAL_TOL, _phi
 from cogmac import solver
 from cogmac.cli import load_scenario
 from cogmac.oracle import instance_suite, random_instance
@@ -476,22 +475,26 @@ class TestSolveMaxSumRate:
         assert abs(result.sum_rate - oracle.best_sum_rate) <= 1e-3
         assert result.sum_rate >= oracle.best_sum_rate - 1e-3
 
-    def test_max_iters_exceeded(self, unit_k1, k2_reference):
-        # every cap short of a converged solve's evaluation count stops with
-        # at most that many evaluations and a valid split; that count itself
-        # reproduces the converged solve.  Instance 50 of the suite has K = 3
-        # and two saturation events before lambda*.
+    def test_max_iters_exceeded(self, monkeypatch, unit_k1, k2_reference):
+        # every budget short of a converged solve's evaluation count stops
+        # with at most that many evaluations and a valid split; that count
+        # itself reproduces the converged solve.  Instance 50 of the suite
+        # has K = 3 and two saturation events before lambda*.
         for ch in (unit_k1, k2_reference, instance_suite(1, 90)[50]):
             converged = solve_max_sum_rate(ch)
             assert converged.status is SolverStatus.CONVERGED
             needed = converged.outer_iterations
             for cap in range(1, needed):
-                result = solve_max_sum_rate(ch, SolverConfig(max_outer_iters=cap))
+                with monkeypatch.context() as patch:
+                    patch.setattr(solver, "_BUDGET", cap)
+                    result = solve_max_sum_rate(ch)
                 assert result.status is SolverStatus.MAX_ITERS_EXCEEDED, cap
                 assert result.outer_iterations <= cap
                 assert isinstance(result.gamma_star, PowerSplit)
                 assert len(result.gamma_star) == ch.num_users
-            again = solve_max_sum_rate(ch, SolverConfig(max_outer_iters=needed))
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_BUDGET", needed)
+                again = solve_max_sum_rate(ch)
             assert again.status is SolverStatus.CONVERGED
             assert again.outer_iterations == needed
             assert np.array_equal(again.gamma_star.gamma, converged.gamma_star.gamma)
@@ -557,7 +560,7 @@ class TestSolveMaxSumRate:
         )
         result = solve_max_sum_rate(ch)
         assert result.status is SolverStatus.CONVERGED
-        assert result.residual <= SolverConfig().residual_tol
+        assert result.residual <= RESIDUAL_TOL
         assert result.gamma_star.gamma[0] == pytest.approx(
             single_user_closed_form(ch), abs=1e-9
         )
@@ -678,7 +681,7 @@ class TestSolveMaxSumRate:
 
     def test_feasibility_at_convergence(self, k2_reference):
         result = solve_max_sum_rate(k2_reference)
-        assert result.residual <= SolverConfig().residual_tol
+        assert result.residual <= RESIDUAL_TOL
         assert abs(
             primary_rate(k2_reference, result.gamma_star)
             - baseline_primary_rate(k2_reference)
@@ -771,6 +774,16 @@ class TestWholeFloatRange:
             results = [solve_max_sum_rate(ch) for ch in limit_fuzz()]
         assert all(isinstance(r, solver.SolverResult) for r in results)
 
+    def test_phi_at_the_last_pole_is_a_number(self):
+        # with Q = 0, r A and r X past the largest float times Q or the relay
+        # norm made S and phi NaN at `last` on 223 of the 600 draws; on the
+        # 25 left, t = s_p / sigma_p2 overflows and `_excess` forms t L = inf * 0
+        paths = [solver._water_fill(ch) for ch in limit_fuzz()]
+        assert sum(math.isnan(path.phi(path.last)[0]) for path in paths) <= 25
+        # draw 4 (K = 1) stopped at the largest float with an infinite rate
+        result = solve_max_sum_rate(limit_fuzz()[4])
+        assert result.status is SolverStatus.CONVERGED and math.isfinite(result.sum_rate)
+
     def test_faint_interference_solves(self, k2_reference):
         # (h_k / g_k)^2 = 1e320 overflowed, and the first bracket divided by 0
         ch = dataclasses.replace(k2_reference, g=[1e-160, 1e-160])
@@ -809,25 +822,45 @@ class TestWholeFloatRange:
         ch = dataclasses.replace(k2_reference, sigma_p2=1e308)
         with np.errstate(all="ignore"):  # `_phi` still overflows (ROADMAP item 8)
             traj = sweep_trajectory(ch, None, 5)
-        assert _sweep_range(ch, SolverConfig()) == (traj.lam[-1], "pole")
+        assert _sweep_range(ch) == (traj.lam[-1], "pole")
 
     def test_huge_primary_noise_states_do_not_warn(self, k2_reference):
         # r (A + s_j) and r Q_j overflowed in the prefix test
         ch = dataclasses.replace(k2_reference, sigma_p2=1e308)
-        grid = np.linspace(0.0, _sweep_range(ch, SolverConfig())[0], 21)
+        grid = np.linspace(0.0, _sweep_range(ch)[0], 21)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _, gamma, _ = _WaterFill(ch).states(grid)
         assert np.isfinite(gamma).all()
 
-    def test_sweep_pole_past_the_float_range(self):
+    def test_sweep_pole_past_the_float_range(self, monkeypatch):
         # with no evaluation to spare, the range is the pole, (h / g)^2 / s_p
         # = 1e320, which overflowed into lambda_max = inf; w / a / a / s_p
         # overflows too, and is capped at the largest float
         ch = ChannelInstance(h=[1e150], g=[1e-10], p=[1.0], h_p=1.0, p_p=1.0, sigma_p2=1.0, sigma_c2=1.0)
-        traj = sweep_trajectory(ch, None, 5, SolverConfig(max_outer_iters=1))
+        monkeypatch.setattr(solver, "_BUDGET", 1)
+        traj = sweep_trajectory(ch, None, 5)
         assert traj.lam[-1] == sys.float_info.max
-        assert _sweep_range(ch, SolverConfig(max_outer_iters=1)) == (traj.lam[-1], "pole")
+        assert _sweep_range(ch) == (traj.lam[-1], "pole")
+
+    def test_sweep_past_lambda_star_at_the_float_range(self):
+        # the instance above, with its budget: lambda* is the largest float,
+        # and 1.25 lambda* overflowed into lambda_max = inf
+        ch = ChannelInstance(h=[1e150], g=[1e-10], p=[1.0], h_p=1.0, p_p=1.0, sigma_p2=1.0, sigma_c2=1.0)
+        assert solve_max_sum_rate(ch).lambda_star == sys.float_info.max
+        traj = sweep_trajectory(ch, None, 5)
+        assert traj.lam[-1] == sys.float_info.max
+        assert _sweep_range(ch) == (traj.lam[-1], "lambda*")
+
+    def test_all_saturated_segment_past_overflow(self, k2_reference):
+        # no user is interior, so Q = 0 and the relay norm is 0, while r A
+        # and r X overflow: inf * 0 made S, phi and X NaN from about 4e307
+        for form in (_WaterFill, _ArrayFill):
+            path = form(k2_reference)
+            phi = [path.phi(lam)[0] for lam in (5e307, 1e308, sys.float_info.max)]
+            assert math.isfinite(phi[0]) and phi == [phi[0]] * 3, form.__name__
+            x, _, saturated = path.states(np.array([5e307, 1e308]))
+            assert saturated.all() and x[0] == x[1] and math.isfinite(x[0]), form.__name__
 
     @pytest.mark.parametrize("sigma_p2", [1e-300, 1e-200, 1e200, 1e300])
     def test_sweep_fallback_range_is_finite(self, k2_no_interference, sigma_p2):
@@ -838,7 +871,7 @@ class TestWholeFloatRange:
             warnings.simplefilter("error")
             traj = sweep_trajectory(ch, None, 5)
         assert 0.0 < traj.lam[-1] < math.inf
-        assert _sweep_range(ch, SolverConfig()) == (traj.lam[-1], "fallback")
+        assert _sweep_range(ch) == (traj.lam[-1], "fallback")
 
     @pytest.mark.parametrize("draw", [98, 365])
     def test_split_holds_no_negative_zero(self, extreme_suite, draw):
@@ -848,15 +881,15 @@ class TestWholeFloatRange:
         assert not np.signbit(gamma).any()
 
 
-def _sweep_range(ch, cfg):
+def _sweep_range(ch):
     """The sweep's default range, with its branch, from a whole solve and the
     pole written out: 1.25 lambda*, else the least pole (h_k / g_k)^2 / s_p >
     0, as h_k^2 P_k / a_k / a_k / s_p over the users with a_k = g_k sqrt(P_k)
     > 0, else max(s_p, sigma_p2) / sigma_p2^2 as max(s_p / sigma_p2, 1) /
-    sigma_p2; either at most the largest float."""
-    lam = solve_max_sum_rate(ch, cfg).lambda_star
+    sigma_p2; each at most the largest float."""
+    lam = solve_max_sum_rate(ch).lambda_star
     if lam > 0:
-        return 1.25 * lam, "lambda*"
+        return min(1.25 * lam, sys.float_info.max), "lambda*"
     users = ch.a > 0
     if ch.s_p > 0 and users.any():
         with np.errstate(over="ignore"):
@@ -868,17 +901,18 @@ def _sweep_range(ch, cfg):
 
 class TestSweepTrajectory:
     @pytest.mark.parametrize("iters", [200_000, 2, 8])
-    def test_default_range(self, iters):
+    def test_default_range(self, monkeypatch, iters):
         names = ["k1_unit", "k2_reference", "k2_no_interference"]
         golden = ["k3_two_events", "k2_silent_relays", "k1_extreme_draw29", "k2_relay_and_user"]
         paths = [SCENARIOS / f"{n}.json" for n in names] + [GOLDEN / f"{n}.json" for n in golden]
         cases = [load_scenario(str(p))[0] for p in paths] + instance_suite(1, 90)
-        cfg, branches = SolverConfig(max_outer_iters=iters), set()
+        monkeypatch.setattr(solver, "_BUDGET", iters)
+        branches = set()
         for ch in cases:
-            lambda_max, branch = _sweep_range(ch, cfg)
+            lambda_max, branch = _sweep_range(ch)
             branches.add(branch)
             expected = sweep_trajectory(ch, lambda_max, 21)
-            traj = sweep_trajectory(ch, None, 21, cfg)
+            traj = sweep_trajectory(ch, None, 21)
             for name in (f.name for f in dataclasses.fields(traj)):
                 np.testing.assert_array_equal(getattr(traj, name), getattr(expected, name))
         assert branches == ({"lambda*", "pole", "fallback"} if iters > 2 else {"pole", "fallback"})
