@@ -20,10 +20,15 @@ r X / c_k on I and phi(lambda) = sigma_p2 S (2 A + S) - s_p L, with L =
 sum_I a_k^2 (1 - gamma_k^2): sigma_p2 times the channel's `_excess`.  Between
 two saturations phi is rational in lambda, with poles where c_k = 0 and where
 1 - r Q = 0.  The solver finds the root lambda* of phi in O(log decades)
-path evaluations: it grows a bracket in the exponent, then takes Newton's
-step on a form of phi without the pole of X (`_WaterFill.phi`) where it
-lands inside a bracket that spans at most a factor of 4, and bisects on the
-exponents of lambda and of its distance to the nearest pole everywhere else.
+path evaluations: it grows a bracket in the exponent, taking Newton's step
+on a form of phi without the pole of X (`_WaterFill.phi`) wherever it lands
+inside, then takes that step where it lands inside a bracket that spans at
+most a factor of 4, and bisects on the exponents of lambda and of its
+distance to the nearest pole everywhere else.  A step that crosses a
+saturation of lo's segment lands where more users are saturated, on a
+segment that may have no step of its own (all saturated, say); there lo's
+segment formula, continued past its saturation by the same sums over lo's
+users (`_continue`), gives the step back.
 
 The end game reads the path's fixed point at lambda* once (`_split`): it
 builds gamma there, with the terms of S, of the lost power L and of the MAC
@@ -36,8 +41,9 @@ this is O(1) Python floats, with no numpy call per coordinate.
 and returns the path as columns.
 
 One evaluation costs O(K) per-user work (c_k, the sort, the prefix test and
-the sums) and O(1) scalar work (phi, Newton's step, the singularity), and
-the end game the per-user work of `_split` once.  The per-user work has two
+the sums; a continuation skips the sort and the prefix test) and O(1)
+scalar work (phi, Newton's step, the singularity), and the end game the
+per-user work of `_split` once.  The per-user work has two
 forms, picked once per instance from K alone: Python lists below
 `_ARRAY_USERS` users (`_WaterFill`), numpy arrays from there (`_ArrayFill`).
 Each numpy call costs about a microsecond however short the array, so the
@@ -110,40 +116,46 @@ class _WaterFill:
     n multipliers at once.  c_k = w_k / a_k - lambda s_p a_k, with w_k = h_k^2
     P_k, so no (h_k / g_k)^2 leaves the float range; `last` is the last
     pole, max_k w_k / a_k / a_k / s_p, within the normal floats.
-    `evaluations` counts the calls of phi and `_split`.
+    `evaluations` counts the calls of phi and `_split`: each is one pass
+    over the users, a fixed point (`_prefix`) or a continuation
+    (`_continue`), except a `_split` that reads the last fixed point again.
 
-    This is the list form: its per-user work, `_hold`, `_prefix` and
-    `_split`, runs on Python floats, whose sort (Timsort) re-sorts the last
-    order in about one pass.  `_ArrayFill` does the same work in numpy
-    arrays; everything else is shared."""
+    This is the list form: its per-user work, `_hold`, `_prefix`,
+    `_continue` and `_split`, runs on Python floats, whose sort (Timsort)
+    re-sorts the last order in about one pass.  `_ArrayFill` does the same
+    work in numpy arrays; everything else is shared."""
 
     def __init__(self, ch: ChannelInstance):
         self.ch = ch
-        self.users = np.flatnonzero(ch.a > 0)  # g_k > 0, unless g_k sqrt(P_k) underflows
-        self.a_k, a2 = ch.a[self.users], ch.a2[self.users]
-        top = self._hold(a2, ch.h2[self.users] * ch.p[self.users])
+        top, total = self._hold(ch)
         pole = top / ch.s_p if ch.s_p > 0.0 else 0.0
         self.last = min(max(pole, sys.float_info.min), sys.float_info.max)
         self.amp, self.sigma_p2 = ch.primary_amplitude, ch.sigma_p2
         self.s_p, self.t_p = ch.s_p, ch.t
         # C = sqrt(t_p (sigma_p2 + sum_k a_k^2)), phi's constant term as a signal
-        self.level = math.sqrt(ch.t * (ch.sigma_p2 + sum(a2.tolist())))
+        self.level = math.sqrt(ch.t * (ch.sigma_p2 + total))
         self.evaluations = 0
         self._last = math.nan, None  # the last multiplier evaluated, and its fixed point
 
-    def _hold(self, a2: np.ndarray, w: np.ndarray) -> float:
-        """Keep ids, a, a2 and wa = w / a, the columns that follow the order
-        of c_k, and return max_k wa_k / a_k.  In Python floats, which
-        overflow to inf without a warning."""
-        self.ids, self.a, self.a2 = (v.tolist() for v in (self.users, self.a_k, a2))
-        self.wa, self.identity = list(map(truediv, w.tolist(), self.a)), list(range(self.users.size))
-        return max(map(truediv, self.wa, self.a), default=0.0)
+    def _hold(self, ch: ChannelInstance) -> tuple[float, float]:
+        """Keep ids, a, a2 and wa = w / a over the users with a_k > 0
+        (g_k > 0, unless g_k sqrt(P_k) underflows), the columns that follow
+        the order of c_k, and a, a2, h2 and P in index order for `_split`;
+        return max_k wa_k / a_k and sum_k a_k^2.  In Python floats, which
+        overflow to inf without a warning, from one tolist per array: a
+        numpy call costs microseconds where a solve starts with cold
+        caches."""
+        a, a2, h2, p = self.by_index = tuple(v.tolist() for v in (ch.a, ch.a2, ch.h2, ch.p))
+        ids = self.ids = [k for k, a_k in enumerate(a) if a_k > 0.0]
+        self.a, self.a2 = [a[k] for k in ids], [a2[k] for k in ids]
+        self.wa, self.identity = [h2[k] * p[k] / a[k] for k in ids], list(range(len(ids)))
+        return max(map(truediv, self.wa, self.a), default=0.0), sum(self.a2)
 
     def _prefix(self, lam: float):
         """Re-sort the columns by c_k at lam and find the m saturated users,
-        who lead them: s_m, Q_m, m, c in the columns' order, a_k / c_k over
-        the interior users and a_k^2 over all, as lists, and sum_I (a_k /
-        c_k)^3."""
+        who lead them: s_m, Q_m, m, c, a and wa in the columns' order, a_k /
+        c_k over the interior users and a_k^2 over all, as lists, and sum_I
+        (a_k / c_k)^3."""
         ls, r, amp = lam * self.s_p, lam * self.sigma_p2, self.amp
         c = [w - ls * a for w, a in zip(self.wa, self.a)]
         order = sorted(self.identity, key=c.__getitem__)
@@ -165,30 +177,58 @@ class _WaterFill:
             m += 1
             q_m = q[n - m]
         ratio = ratio[m - z :]
-        return s_m, q_m, m, c, ratio, self.a2, sum([v * v * v for v in ratio])
+        return s_m, q_m, m, c, a, self.wa, ratio, self.a2, sum([v * v * v for v in ratio])
 
-    def _fixed_point(self, lam: float):
-        """S at lam, the number m of saturated users, who lead the columns,
-        c_k in their order, a_k / c_k and their sum Q over the interior
-        users, a_k^2 in the columns' order and sum_I (a_k / c_k)^3.  At the
-        multiplier evaluated last, as `_split` at the root usually is, the
-        same point again."""
+    def _continue(self, lam: float, point: tuple):
+        """`_prefix`'s sums at lam for the segment of a point that
+        `_fixed_point` returned at another multiplier: that segment's
+        formula continued to lam, over the point's columns in their order
+        and with its m, which leaves the path's columns as they are.  With
+        no interior user once c_k <= 0 for one of them or r Q >= 1 (at or
+        past a pole)."""
+        _, m, _, a, wa, _, _, a2, _ = point
+        ls, r, s_m = lam * self.s_p, lam * self.sigma_p2, sum(a[:m])
+        c = [w - ls * a_k for w, a_k in zip(wa, a)]
+        if all(c_k > 0.0 for c_k in c[m:]):
+            ratio = list(map(truediv, a[m:], c[m:]))
+            q_m = sum(reversed(ratio))
+            if r * q_m < 1.0:
+                return s_m, q_m, m, c, a, wa, ratio, a2, sum([v * v * v for v in ratio])
+        return s_m, 0.0, m, c, a, wa, [], a2, 0.0
+
+    def _fixed_point(self, lam: float, segment=None):
+        """The point at lam: S, the number m of saturated users, who lead
+        the columns, c_k, a_k and wa_k in their order, a_k / c_k and their
+        sum Q over the interior users, a_k^2 in the columns' order and
+        sum_I (a_k / c_k)^3.  At the multiplier evaluated last, as `_split`
+        at the root usually is, the same point again.  With `segment`, a
+        point of another multiplier, the same from that point's segment
+        formula continued to lam (`_continue`), which is not kept."""
         self.evaluations += 1
-        if lam == self._last[0]:
-            return self._last[1]
-        s_m, q_m, m, c, ratio, a2, cube = self._prefix(lam)
+        if segment is None:
+            if lam == self._last[0]:
+                return self._last[1]
+            s_m, q_m, m, c, a, wa, ratio, a2, cube = self._prefix(lam)
+        else:
+            s_m, q_m, m, c, a, wa, ratio, a2, cube = self._continue(lam, segment)
         r = lam * self.sigma_p2
         # r = 0 relays nothing, even where a_k / c_k is past the largest float,
         # nor does Q = 0 (no interior user, or each a_k / c_k underflowed),
         # even where r A is
         s = (s_m + self.amp * r * q_m) / (1.0 - r * q_m) if r > 0.0 and q_m > 0.0 else s_m
-        self._last = lam, (s, m, c, ratio, q_m, a2, cube)
-        return self._last[1]
+        point = s, m, c, a, wa, ratio, q_m, a2, cube
+        if segment is None:
+            self._last = lam, point
+        return point
 
-    def phi(self, lam: float) -> tuple[float, float, float]:
+    def phi(self, lam: float, segment=None) -> tuple[float, float, float]:
         """phi at lam by the module's phi(lambda), and from the same sums
         what the root find needs: Newton's step from lam and the distance
-        from lam to the nearest singularity of the segment's formula.
+        from lam to the nearest singularity of the segment's formula.  With
+        `segment`, a point of another multiplier, the same for that point's
+        segment formula continued to lam, with a NaN step at or past a pole:
+        past the segment's next saturation this is no longer the path's phi,
+        but its step still leads back toward lambda*.
 
         The step is Newton's for psi = (W - C) / X, where t_p = s_p /
         sigma_p2, W^2 = X^2 + t_p sum_k a_k^2 gamma_k^2 and C^2 = t_p
@@ -203,7 +243,7 @@ class _WaterFill:
         the interior ones, stays interior at the root only while r X < c_m,
         with X = Y = sqrt(t_p (sigma_p2 + L)) there.  The singularity is p or
         X's pole, whichever is nearer by its first-order estimate."""
-        s, m, c, ratio, q, a2, cube = self._fixed_point(lam)
+        s, m, c, a, _, ratio, q, a2, cube = self._fixed_point(lam, segment)
         sigma_p2, s_p, t_p = self.sigma_p2, self.s_p, self.t_p
         x, r = self.amp + s, lam * sigma_p2
         # sum_I a_k^2 gamma_k^2 = (t |a_k / c_k|)^2, t = r X; with hypot, no
@@ -235,7 +275,7 @@ class _WaterFill:
         if abs(step) <= _FEW_ULPS * lam:
             span = sigma_p2 + lost
             y = math.sqrt(t_p * span) if span > 0.0 else 0.0
-            if not (lam + step) * sigma_p2 * y < float(c[m]) - step * s_p * float(self.a[m]):
+            if not (lam + step) * sigma_p2 * y < float(c[m]) - step * s_p * float(a[m]):
                 step = math.nan
         if grow > near:
             near = grow
@@ -258,21 +298,26 @@ class _WaterFill:
         t = lam * self.sigma_p2 * x
         ch, t_p, ids = self.ch, self.t_p, self.ids
         gamma = [0.0] * ch.num_users
-        for k in ids[:m]:
-            gamma[k] = 1.0
-        for k, c_k in zip(ids[m:], c[m:]):
-            gamma[k] = min(t / c_k, 1.0)
-        a, a2 = ch.a.tolist(), ch.a2.tolist()
-
-        def steepest(k):
-            slope = a[k] * (x + t_p * a[k] * gamma[k])
-            return (0, -slope, k) if slope == slope else (1, 0.0, k)
-
-        candidates = sorted(ids[m:], key=steepest) + sorted(ids[:m], key=steepest)
-        u = [1.0 - g * g for g in gamma]
-        relay = [a_k * g for a_k, g in zip(a, gamma)]
-        lost = [a2_k * u_k for a2_k, u_k in zip(a2, u)]
-        effective = [u_k * h2 * p for u_k, h2, p in zip(u, ch.h2.tolist(), ch.p.tolist())]
+        for k, g in zip(ids, [1.0] * m + [t / c_k for c_k in c[m:]]):
+            gamma[k] = 1.0 if 1.0 < g else g  # min(g, 1.0), NaN kept
+        a, a2, h2, p = self.by_index
+        # minus each slope: a stable sort of users in index order by it is
+        # steepest first, ties in index order, once the NaN slopes are out
+        steep = [-(a_k * (x + t_p * a_k * g)) for a_k, g in zip(a, gamma)]
+        unordered = math.isnan(sum(steep))  # a NaN, or inf - inf
+        candidates = []
+        for group in (sorted(ids[m:]), sorted(ids[:m])):
+            last = [k for k in group if math.isnan(steep[k])] if unordered else []
+            if last:
+                group = [k for k in group if not math.isnan(steep[k])]
+            group.sort(key=steep.__getitem__)
+            candidates += group + last
+        relay, lost, effective = [], [], []
+        for a_k, a2_k, h2_k, p_k, g in zip(a, a2, h2, p, gamma):
+            u = 1.0 - g * g
+            relay.append(a_k * g)
+            lost.append(a2_k * u)
+            effective.append(u * h2_k * p_k)
         return gamma, candidates, relay, lost, effective
 
     # overflow to inf, and 0 * inf in the rows that r = 0 skips, pass
@@ -282,13 +327,13 @@ class _WaterFill:
         """X (n,), gamma (n, K) and the saturated flags (n, K) at each of n
         multipliers, one row each: `_split`'s gamma, from the same prefix
         rule in array operations."""
-        n, k = lam.size, self.users.size
+        ch, users = self.ch, np.flatnonzero(self.ch.a > 0)
+        n, k, a_k = lam.size, users.size, ch.a[users]
         ls, r = lam[:, None] * self.s_p, lam[:, None] * self.sigma_p2
-        wa_k = self.ch.h2[self.users] * self.ch.p[self.users] / self.a_k  # as `wa`, in user order
-        c = wa_k - ls * self.a_k
+        c = ch.h2[users] * ch.p[users] / a_k - ls * a_k  # wa_k as `wa`, in user order
         order = np.argsort(c, axis=1, kind="stable")
         c_s = np.take_along_axis(c, order, axis=1)
-        a_s = self.a_k[order]
+        a_s = a_k[order]
         big_s = np.cumsum(np.column_stack([np.zeros(n), a_s]), axis=1)
         ratio = np.divide(a_s, c_s, out=np.zeros_like(c_s), where=c_s > 0.0)
         q = np.column_stack([np.cumsum(ratio[:, ::-1], axis=1)[:, ::-1], np.zeros(n)])
@@ -300,9 +345,9 @@ class _WaterFill:
         x = self.amp + np.where((r > 0.0) & (q_m > 0.0), relayed, s_m)  # as `_fixed_point`
         pinned = np.argsort(order, axis=1) < m[:, None]  # rank below m
         interior = np.divide((r * x)[:, None], c, out=np.ones_like(c), where=~pinned)
-        gamma = np.zeros((n, self.ch.num_users))
+        gamma = np.zeros((n, ch.num_users))
         saturated = np.zeros(gamma.shape, dtype=bool)
-        gamma[:, self.users], saturated[:, self.users] = np.minimum(interior, 1.0), pinned
+        gamma[:, users], saturated[:, users] = np.minimum(interior, 1.0), pinned
         return x, gamma, saturated
 
 
@@ -311,15 +356,17 @@ class _ArrayFill(_WaterFill):
     in numpy arrays, bit for bit the same (see the module docstring).
     Overflow and inf - inf pass silently, as in Python floats."""
 
-    def _hold(self, a2: np.ndarray, w: np.ndarray) -> float:
+    def _hold(self, ch: ChannelInstance) -> tuple[float, float]:
+        self.users = np.flatnonzero(ch.a > 0)
+        self.a_k, a2 = ch.a[self.users], ch.a2[self.users]
         with np.errstate(over="ignore"):
-            wa = w / self.a_k
+            wa = ch.h2[self.users] * ch.p[self.users] / self.a_k
             top = float(np.max(wa / self.a_k, initial=0.0))
         # the columns as one (4, K) array, re-sorted by one take; the ids ride
         # along as floats, exact up to 2^53
         self.cols = np.array([self.a_k, a2, wa, self.users], dtype=float)
         self.a, self.a2, self.wa, self.ids = self.cols
-        return top
+        return top, sum(a2.tolist())
 
     @np.errstate(over="ignore", invalid="ignore")
     def _prefix(self, lam: float):
@@ -344,7 +391,12 @@ class _ArrayFill(_WaterFill):
             q_m = q.item(n - m - 1) if m < n else 0.0
         ratio = ratio[m - z :]
         cube = sum((ratio * ratio * ratio).tolist())  # v * v * v, as the list form
-        return s_m, q_m, m, c, listed[m - z :], self.a2.tolist(), cube
+        return s_m, q_m, m, c, a, self.wa, listed[m - z :], self.a2.tolist(), cube
+
+    def _continue(self, lam: float, point: tuple):
+        # the list form's, on the point's columns as lists: it is rare
+        s, m, c, a, wa, *rest = point
+        return super()._continue(lam, (s, m, c, a.tolist(), wa.tolist(), *rest))
 
     @np.errstate(over="ignore", invalid="ignore")
     def _split(self, lam: float):
@@ -401,16 +453,20 @@ def _project(ch: ChannelInstance, gamma, candidates: list, relay: list, lost: li
 
 def _follow(path: _WaterFill, budget: int) -> tuple[float, bool]:
     """Find the root lambda* of phi.  From Newton's step at 0, grow the
-    bracket in the exponent, lambda 2^(2^j) up or down, or by a Newton step
-    that falls short of that.  Then, by one rule: while the bracket spans at
-    most a factor of 4 in mu = lambda / (p - lambda), with p lo's nearest
-    singularity, take Newton's step from either end if it lands strictly
-    inside; in every other case take `_midpoint`'s geometric mean in mu.
-    Stops on a bracket a few ulps wide, or at an end whose step is a few
-    ulps long.  Returns (lambda*, True), or (the largest multiplier known
-    to have phi < 0, False) once `budget` evaluations are spent.  Past the
-    last pole phi is constant: if still negative there, by rounding only,
-    that multiplier counts as reached."""
+    bracket in the exponent, lambda 2^(2^j) up or down, or by lo's Newton
+    step wherever it lands inside.  Then, by one rule: while the bracket
+    spans at most a factor of 4 in mu = lambda / (p - lambda), with p lo's
+    nearest singularity, take Newton's step from either end if it lands
+    strictly inside; in every other case take `_midpoint`'s geometric mean
+    in mu.  Where the bracket's new hi is a Newton step that saturated more
+    users than lo has, and in a bracket that narrow neither end's step
+    lands inside, hi's step is that of lo's segment formula continued to
+    hi, one more pass.  Stops at
+    an end whose step is a few ulps long, or on a bracket a few ulps wide.
+    Returns (lambda*, True), or (the largest multiplier known to have phi <
+    0, False) once `budget` evaluations are spent.  Past the last pole phi
+    is constant: if still negative there, by rounding only, that multiplier
+    counts as reached."""
     if budget < 1:
         return 0.0, False
     f, step, _ = path.phi(0.0)
@@ -421,30 +477,30 @@ def _follow(path: _WaterFill, budget: int) -> tuple[float, bool]:
     lam = step if 0.0 < step < math.inf else math.sqrt(tiny) * math.sqrt(last)
     lam, factor = min(max(lam, tiny), last), 2.0
     # phi < 0 at lo and phi >= 0 at hi, evaluated once `bounded`; each end
-    # with its step, and lo with its singularity
-    lo, f_lo, step_lo, gap = 0.0, f, step, math.inf
+    # with its step, lo with its singularity and its point, and hi with
+    # whether it is the Newton step aimed at
+    lo, f_lo, step_lo, gap, point = 0.0, f, step, math.inf, path._last[1]
     hi, f_hi, step_hi, bounded = last, math.inf, math.nan, False
+    newton = step
     while path.evaluations < budget:
         f, step, d = path.phi(lam)
         if f > 0.0:
-            hi, f_hi, step_hi, bounded = lam, f, step, True
+            hi, f_hi, step_hi, bounded, stepped = lam, f, step, True, lam == newton
         elif f == 0.0 or lam >= last:
             return lam, True
         else:
-            lo, f_lo, step_lo, gap = lam, f, step, d
+            lo, f_lo, step_lo, gap, point = lam, f, step, d, path._last[1]
+        if abs(step) <= few * lam and lo <= lam + step <= hi:
+            return lam, True
         width = hi - lo
         if width <= few * hi or width <= tiny:
             return (lo if -f_lo < f_hi else hi), True
-        if abs(step) <= few * lam and lo <= lam + step <= hi:
-            return lam, True
         newton = lo + step_lo
         if not lo < newton < hi:
             newton = hi + step_hi  # NaN unless it lands inside
         if not bounded:
-            lam = min(lo * factor, last)
+            lam = newton if lo < newton < hi else min(lo * factor, last)
             factor *= factor
-            if lo < newton < lam:
-                lam = newton
         elif lo == 0.0:
             lam = max(hi / factor, tiny)
             factor *= factor
@@ -452,8 +508,16 @@ def _follow(path: _WaterFill, budget: int) -> tuple[float, bool]:
                 lam = newton
         else:
             spread, mid = _midpoint(lo, hi, gap)
-            if spread <= 4.0 and lo < newton < hi:
-                mid = newton
+            if spread <= 4.0:
+                if lo < newton < hi:
+                    mid = newton
+                # hi, just evaluated, is a Newton step past a saturation of
+                # lo's segment: step back by lo's formula continued to hi
+                elif stepped and path._last[1][1] > point[1] and path.evaluations < budget:
+                    step_hi = path.phi(hi, point)[1]
+                    newton = hi + step_hi
+                    if lo < newton < hi:
+                        mid = newton
             # a singularity within an ulp of lo rounds the midpoint onto it
             lam = mid if lo < mid < hi else math.nextafter(lo, hi)
     return lo, False

@@ -43,8 +43,7 @@ def k2_no_interference():
     )
 
 
-@pytest.fixture(scope="session")
-def wide_suite():
+def wide_instances() -> list[ChannelInstance]:
     """The benchmark's seed-7 suite of 300 instances whose gains, powers and
     noise levels span many decades (`benchmarks/workloads.py`)."""
     if str(BENCHMARKS) not in sys.path:
@@ -52,6 +51,12 @@ def wide_suite():
     from workloads import wide_suite
 
     return wide_suite()
+
+
+@pytest.fixture(scope="session")
+def wide_suite():
+    """`wide_instances()`, built once per session."""
+    return wide_instances()
 
 
 def extreme_fuzz(seed: int = 11, count: int = 400) -> list[ChannelInstance]:

@@ -48,7 +48,7 @@ def _saturation_points(ch):
     state over all k at once between 0 and twice the last pole, where every
     user is saturated."""
     path = _WaterFill(ch)
-    users = path.users.size
+    users = len(path.ids)
 
     def counts(lam):
         return path.states(lam)[2].sum(axis=1)
@@ -147,7 +147,7 @@ class TestGammaOfLambda:
 class TestUpdateActiveSet:
     def test_zero_lambda_no_changes(self, k2_reference):
         path = _WaterFill(k2_reference)
-        assert path.users.tolist() == [0, 1]
+        assert path.ids == [0, 1]
         assert not _split(path, 0.0)[2].any()
 
     def test_one_user_saturates_past_threshold(self):
@@ -361,6 +361,20 @@ class TestArrayForm:
         assert keys == sorted(keys)
         return any(nan for _, nan in keys)
 
+    def test_continuation(self, wide_suite):
+        # each segment's formula continued past lambda* and toward 0, from
+        # the point of a pass below lambda*, in either form
+        for ch in wide_suite[::10]:
+            star = solve_max_sum_rate(ch).lambda_star
+            got = []
+            for form in FORMS:
+                path = form(ch)
+                path.phi(0.5 * star)
+                point = path._last[1]
+                lams = 0.25 * star, star, 2.0 * star
+                got.append([v.hex() for lam in lams for v in path.phi(lam, point)])
+            assert got[0] == got[1]
+
     def test_nan_key_keeps_the_list_order(self):
         # user 0's w_0 / a_0 overflows, so at lambda = 1e300 c_0 = inf - inf;
         # Timsort leaves [NaN, -inf] as it is, where argsort puts NaN last
@@ -475,12 +489,13 @@ class TestSolveMaxSumRate:
         assert abs(result.sum_rate - oracle.best_sum_rate) <= 1e-3
         assert result.sum_rate >= oracle.best_sum_rate - 1e-3
 
-    def test_max_iters_exceeded(self, monkeypatch, unit_k1, k2_reference):
+    def test_max_iters_exceeded(self, monkeypatch, unit_k1, k2_reference, wide_suite):
         # every budget short of a converged solve's evaluation count stops
         # with at most that many evaluations and a valid split; that count
         # itself reproduces the converged solve.  Instance 50 of the suite
-        # has K = 3 and two saturation events before lambda*.
-        for ch in (unit_k1, k2_reference, instance_suite(1, 90)[50]):
+        # has K = 3 and two saturation events before lambda*; wide draw 140
+        # spends its tenth evaluation on a continuation pass.
+        for ch in (unit_k1, k2_reference, instance_suite(1, 90)[50], wide_suite[140]):
             converged = solve_max_sum_rate(ch)
             assert converged.status is SolverStatus.CONVERGED
             needed = converged.outer_iterations
@@ -514,9 +529,19 @@ class TestSolveMaxSumRate:
 
     def test_tail_evaluations_wide_suite(self, wide_suite):
         # the draw at rank 290 of 300, which the benchmark's op_tail_ms
-        # reads: 80 with a doubling bracket and Brent's method
+        # reads: 80 with a doubling bracket and Brent's method, 25 before
+        # Newton's step was taken wherever it lands while the bracket grows
+        # and, by lo's formula, back from a step across a saturation
         counts = sorted(solve_max_sum_rate(ch).outer_iterations for ch in wide_suite)
-        assert counts[289] <= 40
+        assert counts[289] <= 16
+
+    @pytest.mark.parametrize("draw, count", [(73, 16), (140, 14)])
+    def test_step_back_across_a_saturation(self, wide_suite, draw, count):
+        # lambda* lies just below a saturation that Newton's step from lo
+        # crosses, into a segment with no step of its own; halving back
+        # took 36 and 23 evaluations, lo's formula continued to the far end
+        # gives a step back
+        assert solve_max_sum_rate(wide_suite[draw]).outer_iterations == count
 
     def test_mean_evaluations_extreme_fuzz(self, extreme_suite):
         # 117.1 with a doubling bracket and Brent's method, 17.7 with an
@@ -533,6 +558,45 @@ class TestSolveMaxSumRate:
         # 73 with that halving
         counts = [solve_max_sum_rate(ch).outer_iterations for ch in limit_fuzz()]
         assert max(counts) <= 73
+
+    @pytest.mark.parametrize("suite", [
+        pytest.param(lambda: instance_suite(1, 450), id="seeded-k1-3"),
+        pytest.param(None, id="wide"),
+    ])
+    @pytest.mark.parametrize("form", FORMS, ids=lambda form: form.__name__)
+    def test_outer_iterations_count_every_pass(self, monkeypatch, wide_suite, suite, form):
+        # outer_iterations is the number of passes over the users, fixed
+        # points (`_prefix`) and continuations (`_continue`) alike, plus one
+        # for gamma where `_split` reads again the fixed point of the last
+        # pass instead of making its own
+        calls = {"_prefix": 0, "_continue": 0, "reread": 0}
+
+        def counted(name):
+            method = getattr(form, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return method(*args)
+
+            monkeypatch.setattr(form, name, wrapper)
+
+        counted("_prefix")
+        counted("_continue")
+        split = form._split
+
+        def split_counted(path, lam):
+            before = calls["_prefix"]
+            result = split(path, lam)
+            calls["reread"] += calls["_prefix"] == before
+            return result
+
+        monkeypatch.setattr(form, "_split", split_counted)
+        monkeypatch.setattr(solver, "_water_fill", form)
+        for ch in suite() if suite else wide_suite:
+            before = sum(calls.values())
+            result = solve_max_sum_rate(ch)
+            assert result.outer_iterations == sum(calls.values()) - before
+        assert calls["_continue"] > 0
 
     def test_single_user_wide_suite_matches_closed_form(self, wide_suite):
         # gamma* is small against the primary terms on some of these (5.4e-7
@@ -808,6 +872,17 @@ class TestWholeFloatRange:
         result = solve_max_sum_rate(ch)
         assert result.lambda_star == pytest.approx(2.3421565923e-53, rel=1e-9)
         assert kkt_check(ch, result).passed
+
+    def test_short_step_ends_before_the_bracket_does(self):
+        # limit-fuzz draw 326 (K = 5): Newton's step from lambda = 2 lands
+        # on 493052.494574945, just past a saturation where phi leaps from
+        # -4.5e125 to 7.6e64.  The bracket closes to a few ulps below it at
+        # the same time as lo's step does; at lo the split projects onto
+        # phi = 0, at the end with the smaller phi the coordinate root of
+        # user 2 comes out 0 and the split stops at relative residual 1
+        result = solve_max_sum_rate(limit_fuzz()[326])
+        assert result.status is SolverStatus.CONVERGED
+        assert result.lambda_star < 493052.494574945
 
     def test_huge_primary_noise_does_not_overflow(self, k2_reference):
         ch = dataclasses.replace(k2_reference, sigma_p2=1e308)
