@@ -154,14 +154,23 @@ class ChannelInstance:
 def _splits(gamma, ndim: int = 1) -> np.ndarray:
     """gamma as a new read-only float array with `ndim` axes and no -0: one
     split (K,) or one split per row (n, K).  Every entry must be finite and
-    in [0, 1]; a NaN fails both bounds, since min and max propagate it."""
-    arr = np.asarray(gamma, dtype=float) + 0.0  # a copy, where -0 + 0 = 0
-    if arr.ndim != ndim:
-        raise ValueError("gamma must be a vector" if ndim == 1 else "gamma must be a matrix")
-    if not (0.0 <= arr.min(initial=1.0) and arr.max(initial=0.0) <= 1.0):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("gamma must be finite")
-        raise ValueError("gamma entries must lie in [0, 1]")
+    in [0, 1]; a NaN fails both bounds, since min and max propagate it.  A
+    list of Python floats in [0, 1], the solver's split, is checked in
+    Python floats and becomes one `np.array`, since a numpy reduction costs
+    microseconds where a solve starts with cold caches; any other input,
+    an invalid one included, takes the array path."""
+    if ndim == 1 and type(gamma) is list and all(
+        type(v) is float and 0.0 <= v <= 1.0 for v in gamma
+    ):
+        arr = np.array([v + 0.0 for v in gamma])  # -0 + 0 = 0
+    else:
+        arr = np.asarray(gamma, dtype=float) + 0.0  # a copy, where -0 + 0 = 0
+        if arr.ndim != ndim:
+            raise ValueError("gamma must be a vector" if ndim == 1 else "gamma must be a matrix")
+        if not (0.0 <= arr.min(initial=1.0) and arr.max(initial=0.0) <= 1.0):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError("gamma must be finite")
+            raise ValueError("gamma entries must lie in [0, 1]")
     arr.setflags(write=False)
     return arr
 

@@ -31,6 +31,11 @@ from .channel import (
 
 MAX_GRID_USERS = 3
 
+# the most rows, or 1-D grid points, that `feasible_grid` builds: above a
+# three-user grid at step 1e-3 (3.0e6 rows), below the gigabytes of arrays
+# that one at 1e-4 (3.0e8 rows) would take
+MAX_GRID_ROWS = 10**7
+
 
 class UnsupportedSizeError(ValueError):
     """Operation is only defined for a bounded number of users."""
@@ -67,6 +72,8 @@ def feasible_grid(ch: ChannelInstance, grid_step: float) -> np.ndarray:
     feasibility quadratic.  The rows are the points whose root lies in
     [0, 1] and whose relative residual is at most `channel.RESIDUAL_TOL`,
     the solver's default tolerance, block by solved user, in that order.
+    A step that asks for more than `MAX_GRID_ROWS` candidate rows, or grid
+    points, raises ValueError before anything is allocated.
     With no interference path at all every split is feasible and each rate
     falls as any gamma_k grows, so the one row gamma = 0 dominates the rest
     and stands for them.  Raises EmptyGridError if no row is left despite
@@ -82,6 +89,15 @@ def feasible_grid(ch: ChannelInstance, grid_step: float) -> np.ndarray:
     solvable = np.flatnonzero(ch.g > 0)
     if solvable.size == 0:
         return np.zeros((1, k))
+    # counted before anything is built; inf where 1 / step overflows
+    inverse = 1.0 / grid_step
+    points = math.ceil(inverse) + 1 if inverse < math.inf else math.inf
+    rows = max(points, solvable.size * points ** (k - 1)) if points <= MAX_GRID_ROWS else points
+    if rows > MAX_GRID_ROWS:
+        raise ValueError(
+            f"grid_step {grid_step} needs {rows:.3g} grid rows on this {k}-user "
+            f"instance, more than {MAX_GRID_ROWS:.0e}; take a larger --grid-step"
+        )
     grid = _grid(grid_step)
     blocks = []
     for solved in solvable:

@@ -36,7 +36,9 @@ SNR per user.  It projects gamma's coordinates onto phi = 0 until one lands
 (`_project`), each from S' and L at gamma_k = 0 by the channel's coordinate
 root, and scores the split from the same terms: phi by `_excess`, its
 relative residual, and the rate by `_capacity`.  Past the per-user terms
-this is O(1) Python floats, with no numpy call per coordinate.
+this is O(1) Python floats, with no numpy call per coordinate; the list
+form hands `PowerSplit` its list, which is checked in Python floats, so it
+makes no numpy reduction after `_hold`.
 `sweep_trajectory` applies the prefix rule to a whole lambda grid at once
 and returns the path as columns.
 
@@ -46,11 +48,12 @@ scalar work (phi, Newton's step, the singularity), and the end game the
 per-user work of `_split` once.  The per-user work has two
 forms, picked once per instance from K alone: Python lists below
 `_ARRAY_USERS` users (`_WaterFill`), numpy arrays from there (`_ArrayFill`).
-Each numpy call costs about a microsecond however short the array, so the
-array form is slower at small K and faster at large K; the two cross near
-K = 56.  Both give the same floats: every elementwise operation rounds
-alike, the sorts are stable, every sum, norm and maximum is the same builtin
-over the same floats in the same order, and the running sums add in order
+Each numpy call costs a microsecond or more however short the array (7 to
+15 where a solve starts with cold caches; README), so the array form is
+slower at small K and faster at large K; the two cross near K = 56.
+Both give the same floats: every elementwise operation rounds alike, the
+sorts are stable, every sum, norm and maximum is the same builtin over the
+same floats in the same order, and the running sums add in order
 (itertools.accumulate in one form, np.cumsum in the other).  Every sum is
 the builtin `sum`, in user index order, which adds sequentially before
 CPython 3.12 (from 3.12 it is compensated).  Before 3.12, then, the
@@ -565,7 +568,7 @@ def solve_max_sum_rate(ch: ChannelInstance) -> SolverResult:
         lambda_star=lam,
         residual=residual,
         outer_iterations=path.evaluations,
-        active_set_changes=int(np.count_nonzero(split.gamma >= SATURATED_GAMMA)),
+        active_set_changes=len([g for g in split.gamma.tolist() if g >= SATURATED_GAMMA]),
         status=SolverStatus.CONVERGED if converged else SolverStatus.MAX_ITERS_EXCEEDED,
     )
 

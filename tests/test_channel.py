@@ -68,6 +68,48 @@ class TestValidation:
         assert not np.signbit(split.gamma).any()
 
 
+class TestSplitOfFloats:
+    """A list of Python floats in [0, 1], the solver's split, is checked in
+    Python; any other input, an invalid float list included, takes the
+    array path, as before."""
+
+    @staticmethod
+    def _outcome(gamma):
+        try:
+            split = PowerSplit(gamma)
+        except ValueError as exc:
+            return type(exc), str(exc)
+        arr = split.gamma
+        assert not arr.flags.writeable and arr.base is None and arr.dtype == float
+        return arr.shape, arr.tobytes()
+
+    @pytest.mark.parametrize("values", [
+        [], [0.0], [-0.0], [-0.0, 0.5, 1.0], [1e-300, 1.0 - 1e-16, 5e-324],
+        [math.nan], [math.inf], [-math.inf], [-0.1], [1.2], [0.5, 1.2, math.nan],
+    ])
+    def test_same_as_the_array(self, values):
+        outcome = self._outcome(list(values))
+        assert outcome == self._outcome(np.array(values, dtype=float))
+        if not isinstance(outcome[0], tuple):  # the error, as the array's
+            assert outcome[1] in ("gamma must be finite", "gamma entries must lie in [0, 1]")
+        else:
+            assert not np.signbit(PowerSplit(list(values)).gamma).any()
+
+    @pytest.mark.parametrize("values, expected", [
+        ([0, 1], [0.0, 1.0]),
+        ([True], [1.0]),
+        ([np.float64(0.5)], [0.5]),
+        (["0.5"], [0.5]),
+        ([2], "gamma entries must lie in [0, 1]"),
+        ([[0.5]], "gamma must be a vector"),
+    ])
+    def test_other_lists_take_the_array_path(self, values, expected):
+        if isinstance(expected, str):
+            assert self._outcome(values) == (ValueError, expected)
+        else:
+            assert self._outcome(values) == ((len(expected),), np.array(expected).tobytes())
+
+
 class TestDerivedTerms:
     """The constant terms an instance derives once: read-only, not fields,
     and bitwise equal to the expressions the kernels evaluated in their

@@ -438,6 +438,23 @@ class TestInvalidFlags:
         assert proc.returncode == 1
         assert proc.stderr == "error: unknown field 'solver'\n"
 
+    @pytest.mark.parametrize(
+        "command, users, step, count",
+        [("validate", 1, "1e-9", "1e+09"), ("validate", 3, "1e-4", "3e+08"),
+         ("region", 2, "5e-324", "inf")],
+    )
+    def test_oversized_grid_is_one_error_line(self, tmp_path, capsys, command, users, step, count):
+        # counted before anything is built: the 1-D grid at 1e-9 would take
+        # 8 GB, one three-user block at 1e-4 about 2.4 GB, and 1 / 5e-324
+        # overflows, which ended in an OverflowError traceback
+        doc = dict(UNIT_K1, h=[1.0] * users, g=[1.0] * users, p=[1.0] * users)
+        path = write_scenario(tmp_path, doc)
+        assert cli.main([command, "--scenario", path, "--grid-step", step]) == 1
+        assert capsys.readouterr().err == (
+            f"error: grid_step {float(step)} needs {count} grid rows on this {users}-user "
+            "instance, more than 1e+07; take a larger --grid-step\n"
+        )
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

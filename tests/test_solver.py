@@ -816,6 +816,33 @@ class TestReport:
             assert abs(residual - residual_k) <= 1e-12
 
 
+def test_list_form_makes_no_numpy_reduction():
+    """A list-form solve calls numpy only to read the instance's arrays as
+    floats (`tolist`, `item`) and to build the split's read-only array:
+    each numpy call costs microseconds on a cold solve.  Every call of a
+    numpy builtin and every Python frame of a numpy module is recorded."""
+    suite = instance_suite(1, 30)
+    assert max(ch.num_users for ch in suite) < solver._ARRAY_USERS
+    seen = set()
+
+    def record(frame, event, arg):
+        if event == "c_call":
+            module = getattr(arg, "__module__", None) or type(arg.__self__).__module__
+            if module.startswith("numpy"):
+                seen.add(arg.__qualname__)
+        elif event == "call" and frame.f_globals.get("__name__", "").startswith("numpy"):
+            seen.add(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        for ch in suite:
+            solve_max_sum_rate(ch)
+    finally:
+        sys.setprofile(previous)
+    assert seen == {"ndarray.tolist", "ndarray.item", "array", "ndarray.setflags"}
+
+
 class TestWholeFloatRange:
     """Valid instances near the ends of the float range (ROADMAP item 8)."""
 
