@@ -252,18 +252,19 @@ def _mac_snr(ch: ChannelInstance, gamma: np.ndarray, users=slice(None)):
     return effective[..., users].sum(axis=-1) / ch.sigma_c2
 
 
-def _coordinate_roots(ch: ChannelInstance, k: int, relayed, lost, slack: float = 1e-12):
+def _coordinate_roots(ch: ChannelInstance, a_k: float, relayed, lost, slack: float = 1e-12):
     """Solve phi = 0 for gamma_k with the other coordinates fixed.
 
-    relayed and lost are S' and L at gamma_k = 0: the others' relayed
-    amplitude, and the lost power with a_k^2 in user k's place.  They are
-    floats for one split, which the solver projects, or columns (n,) for n
-    splits, which the feasible grid projects; the formula is written once
-    for both, and only its guards differ, since Python floats raise where
-    numpy warns.  Returns (ok, root): ok flags a root in [0, 1], up to
-    `slack` (the feasible grid keeps roots that rounding put just outside),
-    and root is that root clipped to [0, 1], or NaN where phi's terms are
-    not finite.  The caller guarantees g_k > 0.
+    a_k = g_k sqrt(P_k) is user k's, a float the caller reads; relayed and
+    lost are S' and L at gamma_k = 0: the others' relayed amplitude, and
+    the lost power with a_k^2 in user k's place.  They are floats for one
+    split, which the solver projects, or columns (n,) for n splits, which
+    the feasible grid projects; the formula is written once for both, and
+    only its guards differ, since Python floats raise where numpy warns.
+    Returns (ok, root): ok flags a root in [0, 1], up to `slack` (the
+    feasible grid keeps roots that rounding put just outside), and root is
+    that root clipped to [0, 1], or NaN where phi's terms are not finite.
+    The caller guarantees g_k > 0.
     """
     num = -_excess(ch, relayed, lost)
     # with x = a_k and b = A + S', phi / sigma_p2 = x^2 (1 + t) gamma_k^2 +
@@ -278,7 +279,7 @@ def _coordinate_roots(ch: ChannelInstance, k: int, relayed, lost, slack: float =
         root_disc = np.sqrt(np.where(real, disc, 0.0))
     else:
         root_disc = math.sqrt(disc) if real else 0.0
-    den = ch.a.item(k) * (ch.primary_amplitude + relayed + root_disc)
+    den = a_k * (ch.primary_amplitude + relayed + root_disc)
     if columns:
         root = np.divide(num, den, out=np.zeros(den.shape), where=den > 0.0)
         # maximum(0, root) then minimum(., 1) is np.clip's result, bit for

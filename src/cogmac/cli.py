@@ -1,7 +1,9 @@
 """Command-line front end: scenario ingestion and deterministic JSON/CSV output.
 
 Commands: solve, region, sweep, validate.  Floats are always emitted with 12
-significant digits and '\n' line endings so repeated runs are byte-identical.
+significant digits and '\n' line endings so repeated runs are byte-identical;
+a non-finite one as NaN, Infinity or -Infinity in JSON, which Python's json
+reads, and as nan, inf or -inf in CSV, which float() reads.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import json
 import math
 import sys
 import time
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -73,38 +77,48 @@ def load_scenario(path: str) -> tuple[ChannelInstance, str | None]:
 
 
 def scenario_echo(ch: ChannelInstance, name: str | None) -> dict:
-    echo = {f.name: np.asarray(getattr(ch, f.name)).tolist() for f in _FIELDS}
+    echo = {f.name: getattr(ch, f.name) for f in _FIELDS}  # vectors are arrays, scalars floats
+    echo = {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in echo.items()}
     if name is not None:
         echo["name"] = name
     return echo
 
 
-def format_float(x: float) -> str:
-    return format(float(x), ".12g")
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # JSON's spelling
 
 
-def dump_json(obj, indent: int = 0) -> str:
-    """JSON emitter with fixed 12-significant-digit float formatting."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
+def dump_json(obj) -> str:
+    """`obj` as JSON, two spaces per level: floats with 12 significant digits,
+    a non-finite one as NaN, Infinity or -Infinity, and keys and strings
+    quoted as `json.dumps` quotes them.  Dispatches on each value's exact
+    type; a numpy or other int or float is written as that number, and any
+    other type by `json.dumps`."""
+    return _json(obj, "")
+
+
+def _json(obj, pad: str) -> str:
+    kind = type(obj)
+    if kind is float:
+        text = "%.12g" % obj
+        return _NON_FINITE.get(text, text)
+    if kind is dict or kind is list or kind is tuple:
         if not obj:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {dump_json(v, indent + 1)}'
-            for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(f"{pad}  {dump_json(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
+            return "{}" if kind is dict else "[]"
+        inner = pad + "  "
+        if kind is dict:
+            items = [f"{inner}{_quote(str(k))}: {_json(v, inner)}" for k, v in obj.items()]
+            return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        return "[\n" + ",\n".join([inner + _json(v, inner) for v in obj]) + "\n" + pad + "]"
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return str(obj)
+    if kind is bool or obj is None:
+        return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format_float(obj)
+        return _json(float(obj), pad)
     return json.dumps(obj)
 
 
@@ -122,7 +136,7 @@ def _write_out(text: str, out_path: str | None) -> None:
 def solver_result_dict(ch: ChannelInstance, result: SolverResult) -> dict:
     return {
         "status": result.status.value,
-        "gamma_star": list(result.gamma_star.gamma),
+        "gamma_star": result.gamma_star.gamma.tolist(),
         "sum_rate_bits": result.sum_rate,
         "lambda_star": result.lambda_star,
         "residual_rel": result.residual,
@@ -150,11 +164,11 @@ def cmd_solve(args) -> int:
 def cmd_region(args) -> int:
     ch, _name = load_scenario(args.scenario)
     boundary = region_boundary(ch, args.grid_step)
-    lines = ["r1_bits,r2_bits", *map("%.12g,%.12g".__mod__, boundary.points)]
-    _write_out("\n".join(lines) + "\n", args.out)
+    rows = "%.12g,%.12g\n" * len(boundary.points) % tuple(chain.from_iterable(boundary.points))
+    _write_out("r1_bits,r2_bits\n" + rows, args.out)
     print(
         f"vertices={len(boundary.points)} samples={boundary.samples_used} "
-        f"max_sum_rate_bits={format_float(boundary.max_sum_rate())}",
+        f"max_sum_rate_bits={boundary.max_sum_rate():.12g}",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -164,13 +178,13 @@ def cmd_sweep(args) -> int:
     ch, _name = load_scenario(args.scenario)
     traj = sweep_trajectory(ch, args.lambda_max, args.samples)
     gammas = [f"gamma_{i + 1}" for i in range(ch.num_users)]
-    lines = [",".join(["lambda", "x", *gammas, "phi", "saturated_users"])]
-    numbers = np.column_stack([traj.lam, traj.x, traj.gamma, traj.phi]).tolist()
-    row = ",".join(["%.12g"] * (ch.num_users + 3)) + ",%s"  # format_float's format
+    head = ",".join(["lambda", "x", *gammas, "phi", "saturated_users\n"])
+    columns = np.vstack([traj.lam, traj.x, traj.gamma.T, traj.phi]).tolist()
     flags = list(map(tuple, traj.saturated.tolist()))
     labels = {f: "|".join(str(i + 1) for i, pinned in enumerate(f) if pinned) for f in set(flags)}
-    lines.extend(row % (*values, labels[f]) for values, f in zip(numbers, flags))
-    _write_out("\n".join(lines) + "\n", args.out)
+    cells = chain.from_iterable(zip(*columns, map(labels.__getitem__, flags)))
+    row = "%.12g," * (ch.num_users + 3) + "%s\n"
+    _write_out(head + row * len(flags) % tuple(cells), args.out)
     return EXIT_OK
 
 
@@ -187,7 +201,7 @@ def cmd_validate(args) -> int:
         "scenario": scenario_echo(ch, name),
         "solver": solver_result_dict(ch, result),
         "oracle": {
-            "best_gamma": list(oracle.best_gamma.gamma),
+            "best_gamma": oracle.best_gamma.gamma.tolist(),
             "best_sum_rate_bits": oracle.best_sum_rate,
             "grid_step": oracle.grid_step,
             "points_evaluated": oracle.points_evaluated,
@@ -196,7 +210,7 @@ def cmd_validate(args) -> int:
         "agreement_tol_bits": args.agreement_tol,
         "kkt": {
             "stationarity_scaled": {
-                str(k + 1): v for k, v in sorted(report.stationarity.items())
+                str(k + 1): float(v) for k, v in sorted(report.stationarity.items())
             },
             "interior_users": [k + 1 for k in report.interior_users],
             "saturated_users": [k + 1 for k in report.saturated_users],

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import starmap
+from operator import add
 
 import numpy as np
 
@@ -31,9 +33,9 @@ from .channel import (
 
 MAX_GRID_USERS = 3
 
-# the most rows, or 1-D grid points, that `feasible_grid` builds: above a
-# three-user grid at step 1e-3 (3.0e6 rows), below the gigabytes of arrays
-# that one at 1e-4 (3.0e8 rows) would take
+# the most candidate rows that `feasible_grid` builds: above a three-user
+# grid at step 1e-3 (3.0e6 rows), below the gigabytes of arrays that one at
+# 1e-4 (3.0e8 rows) would take
 MAX_GRID_ROWS = 10**7
 
 
@@ -53,7 +55,7 @@ class RegionBoundary:
     samples_used: int
 
     def max_sum_rate(self) -> float:
-        return max(r1 + r2 for r1, r2 in self.points)
+        return max(starmap(add, self.points))  # r1 + r2, with no Python frame per point
 
 
 def _grid(step: float) -> np.ndarray:
@@ -72,8 +74,11 @@ def feasible_grid(ch: ChannelInstance, grid_step: float) -> np.ndarray:
     feasibility quadratic.  The rows are the points whose root lies in
     [0, 1] and whose relative residual is at most `channel.RESIDUAL_TOL`,
     the solver's default tolerance, block by solved user, in that order.
-    A step that asks for more than `MAX_GRID_ROWS` candidate rows, or grid
-    points, raises ValueError before anything is allocated.
+    There are (number of such users) * points^(K - 1) candidate rows, with
+    points = ceil(1 / step) + 1, and only the grid they use is built: a
+    one-user instance has the one row gamma = 0 before its root, whatever
+    the step.  A step that asks for more than `MAX_GRID_ROWS` candidate
+    rows raises ValueError before anything is allocated.
     With no interference path at all every split is feasible and each rate
     falls as any gamma_k grows, so the one row gamma = 0 dominates the rest
     and stands for them.  Raises EmptyGridError if no row is left despite
@@ -89,16 +94,17 @@ def feasible_grid(ch: ChannelInstance, grid_step: float) -> np.ndarray:
     solvable = np.flatnonzero(ch.g > 0)
     if solvable.size == 0:
         return np.zeros((1, k))
-    # counted before anything is built; inf where 1 / step overflows
+    # counted before anything is built, in floats: inf where 1 / step
+    # overflows or the count passes the float range
     inverse = 1.0 / grid_step
-    points = math.ceil(inverse) + 1 if inverse < math.inf else math.inf
-    rows = max(points, solvable.size * points ** (k - 1)) if points <= MAX_GRID_ROWS else points
+    points = math.ceil(inverse) + 1.0 if inverse < math.inf else math.inf
+    rows = solvable.size * math.prod([points] * (k - 1))
     if rows > MAX_GRID_ROWS:
         raise ValueError(
             f"grid_step {grid_step} needs {rows:.3g} grid rows on this {k}-user "
             f"instance, more than {MAX_GRID_ROWS:.0e}; take a larger --grid-step"
         )
-    grid = _grid(grid_step)
+    grid = _grid(grid_step) if k > 1 else np.zeros(1)
     blocks = []
     for solved in solvable:
         # the (K, n) transpose, C-ordered: every grid tuple of the others, in
@@ -107,7 +113,7 @@ def feasible_grid(ch: ChannelInstance, grid_step: float) -> np.ndarray:
         # a boolean index would not
         shape = [1 if j == solved else grid.size for j in range(k)]
         cols = grid[np.indices(shape).reshape(k, -1)]
-        mask, root = _coordinate_roots(ch, solved, *_primary_terms(ch, cols.T))
+        mask, root = _coordinate_roots(ch, ch.a.item(solved), *_primary_terms(ch, cols.T))
         cols = np.compress(mask, cols, axis=1)
         cols[solved] = root[mask]
         keep = _relative_phi(ch, _phi(ch, cols.T)) <= RESIDUAL_TOL

@@ -143,11 +143,11 @@ class _WaterFill:
     def _hold(self, ch: ChannelInstance) -> tuple[float, float]:
         """Keep ids, a, a2 and wa = w / a over the users with a_k > 0
         (g_k > 0, unless g_k sqrt(P_k) underflows), the columns that follow
-        the order of c_k, and a, a2, h2 and P in index order for `_split`;
-        return max_k wa_k / a_k and sum_k a_k^2.  In Python floats, which
-        overflow to inf without a warning, from one tolist per array: a
-        numpy call costs microseconds where a solve starts with cold
-        caches."""
+        the order of c_k, and a, a2, h2 and P in index order for `_split`
+        and `_project` (`by_index`); return max_k wa_k / a_k and sum_k
+        a_k^2.  In Python floats, which overflow to inf without a warning,
+        from one tolist per array: a numpy call costs microseconds where a
+        solve starts with cold caches."""
         a, a2, h2, p = self.by_index = tuple(v.tolist() for v in (ch.a, ch.a2, ch.h2, ch.p))
         ids = self.ids = [k for k, a_k in enumerate(a) if a_k > 0.0]
         self.a, self.a2 = [a[k] for k in ids], [a2[k] for k in ids]
@@ -369,6 +369,9 @@ class _ArrayFill(_WaterFill):
         # along as floats, exact up to 2^53
         self.cols = np.array([self.a_k, a2, wa, self.users], dtype=float)
         self.a, self.a2, self.wa, self.ids = self.cols
+        # for `_project`, which reads a few users: indexing a memoryview
+        # gives a float, with no numpy call and no list of all K
+        self.by_index = tuple(map(memoryview, (ch.a, ch.a2, ch.h2, ch.p)))
         return top, sum(a2.tolist())
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -429,9 +432,10 @@ def _water_fill(ch: ChannelInstance) -> _WaterFill:
     return (_ArrayFill if ch.num_users >= _ARRAY_USERS else _WaterFill)(ch)
 
 
-def _project(ch: ChannelInstance, gamma, candidates: list, relay: list, lost: list, effective: list):
+def _project(path: _WaterFill, gamma, candidates: list, relay: list, lost: list, effective: list):
     """Project `_split`'s gamma onto phi = 0 one coordinate at a time, in
-    place, with its terms.
+    place, with its terms, reading each user's a_k, a_k^2, h_k^2 and P_k
+    from the path's `by_index`.
 
     Each of `candidates` in turn is set to its root clipped to [0, 1], if
     finite; the first root in [0, 1] before clipping ends the walk (one that
@@ -441,14 +445,15 @@ def _project(ch: ChannelInstance, gamma, candidates: list, relay: list, lost: li
     comes from S' and L at gamma_k = 0, summed in index order, as
     `_primary_terms` sums them.
     """
+    a, a2, h2, p = path.by_index
     for k in candidates:
         held = relay[k], lost[k]
-        relay[k], lost[k] = 0.0, ch.a2.item(k)
-        ok, root = _coordinate_roots(ch, k, sum(relay), sum(lost), slack=0.0)
+        relay[k], lost[k] = 0.0, a2[k]
+        ok, root = _coordinate_roots(path.ch, a[k], sum(relay), sum(lost), slack=0.0)
         if math.isfinite(root):  # NaN once phi's terms overflow
             gamma[k], u = root, 1.0 - root * root
-            held = ch.a.item(k) * root, ch.a2.item(k) * u
-            effective[k] = u * ch.h2.item(k) * ch.p.item(k)
+            held = a[k] * root, a2[k] * u
+            effective[k] = u * h2[k] * p[k]
         relay[k], lost[k] = held
         if ok:
             return
@@ -556,7 +561,7 @@ def solve_max_sum_rate(ch: ChannelInstance) -> SolverResult:
     lam, reached = _follow(path, _BUDGET - 1)  # one is kept for gamma
     gamma, candidates, relay, lost, effective = path._split(lam)
     if reached:
-        _project(ch, gamma, candidates, relay, lost, effective)
+        _project(path, gamma, candidates, relay, lost, effective)
     split = PowerSplit(gamma)
     # phi, its relative residual and the rate from the split's own terms,
     # summed in index order: channel's `relative_residual` and `sum_rate`

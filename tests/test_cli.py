@@ -1,17 +1,23 @@
+import contextlib
 import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
-from conftest import hull_contains
+from conftest import hull_contains, limit_fuzz
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cogmac import ChannelInstance, cli, solver
+from cogmac import ChannelInstance, cli, random_instance, region_boundary, solver, sweep_trajectory
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(*args, check=True):
@@ -172,6 +178,15 @@ class TestSolve:
         assert cli.main(["solve", "--scenario", str(SCENARIOS / "k1_unit.json")]) == 2
         assert json.loads(capsys.readouterr().out)["status"] == "MaxItersExceeded"
 
+    def test_non_finite_rate_is_valid_json(self, tmp_path, capsys):
+        # limit-fuzz draw 36 (K = 1): the rate overflows to inf, which was
+        # printed as `inf`, and json.loads rejected the report
+        path = write_scenario(tmp_path, cli.scenario_echo(limit_fuzz()[36], None))
+        assert cli.main(["solve", "--scenario", path]) == 0
+        out = capsys.readouterr().out
+        assert '"sum_rate_bits": Infinity,' in out
+        assert json.loads(out)["sum_rate_bits"] == math.inf
+
     def test_scenario_echo_round_trips(self, tmp_path):
         proc = run_cli("solve", "--scenario", str(SCENARIOS / "k2_reference.json"))
         echo = json.loads(proc.stdout)["scenario"]
@@ -320,6 +335,18 @@ class TestValidate:
         assert doc["verdict"] == "pass"
         assert abs(doc["sum_rate_gap_bits"]) <= 1e-3
 
+    def test_one_user_grid_at_any_step(self, capsys):
+        # one candidate row, gamma = 0 before its root, whatever the step:
+        # the 1-D grid was built and counted, and 1e-8 was refused
+        args = ["validate", "--scenario", str(SCENARIOS / "k1_unit.json"), "--grid-step"]
+        assert cli.main([*args, "1e-3"]) == 0
+        coarse = json.loads(capsys.readouterr().out)
+        assert cli.main([*args, "1e-8"]) == 0
+        fine = json.loads(capsys.readouterr().out)
+        assert fine["oracle"]["points_evaluated"] == coarse["oracle"]["points_evaluated"] == 1
+        assert fine["oracle"]["best_gamma"] == coarse["oracle"]["best_gamma"]
+        assert fine["verdict"] == coarse["verdict"] == "pass"
+
     def test_loosened_tolerance_fails_feasibility(self, monkeypatch, capsys):
         # the solve stops on its evaluation budget, short of the constraint
         monkeypatch.setattr(solver, "_BUDGET", 2)
@@ -440,13 +467,13 @@ class TestInvalidFlags:
 
     @pytest.mark.parametrize(
         "command, users, step, count",
-        [("validate", 1, "1e-9", "1e+09"), ("validate", 3, "1e-4", "3e+08"),
+        [("validate", 2, "1e-8", "2e+08"), ("validate", 3, "1e-4", "3e+08"),
          ("region", 2, "5e-324", "inf")],
     )
     def test_oversized_grid_is_one_error_line(self, tmp_path, capsys, command, users, step, count):
-        # counted before anything is built: the 1-D grid at 1e-9 would take
-        # 8 GB, one three-user block at 1e-4 about 2.4 GB, and 1 / 5e-324
-        # overflows, which ended in an OverflowError traceback
+        # counted before anything is built: one two-user block at 1e-8 would
+        # take over 1.6 GB, one three-user block at 1e-4 about 2.4 GB, and
+        # 1 / 5e-324 overflows, which ended in an OverflowError traceback
         doc = dict(UNIT_K1, h=[1.0] * users, g=[1.0] * users, p=[1.0] * users)
         path = write_scenario(tmp_path, doc)
         assert cli.main([command, "--scenario", path, "--grid-step", step]) == 1
@@ -474,3 +501,148 @@ class TestDeterminism:
         first = run_cli(*args)
         second = run_cli(*args)
         assert first.stdout == second.stdout
+
+
+def reference_dump_json(obj, indent=0):
+    """The recursive JSON writer the CLI had before its one-pass writer,
+    the reference for its bytes on finite floats."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = ",\n".join(
+            f"{pad}  {json.dumps(str(k))}: {reference_dump_json(v, indent + 1)}"
+            for k, v in obj.items()
+        )
+        return "{\n" + items + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = ",\n".join(f"{pad}  {reference_dump_json(v, indent + 1)}" for v in obj)
+        return "[\n" + items + "\n" + pad + "]"
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format(float(obj), ".12g")
+    return json.dumps(obj)
+
+
+def reference_region(boundary):
+    """`region`'s stdout and stderr as they were written row by row."""
+    lines = ["r1_bits,r2_bits", *map("%.12g,%.12g".__mod__, boundary.points)]
+    summary = (
+        f"vertices={len(boundary.points)} samples={boundary.samples_used} "
+        f"max_sum_rate_bits={format(max(r1 + r2 for r1, r2 in boundary.points), '.12g')}\n"
+    )
+    return "\n".join(lines) + "\n", summary
+
+
+def reference_sweep(traj, k):
+    """`sweep`'s stdout as it was written row by row."""
+    gammas = [f"gamma_{i + 1}" for i in range(k)]
+    lines = [",".join(["lambda", "x", *gammas, "phi", "saturated_users"])]
+    numbers = np.column_stack([traj.lam, traj.x, traj.gamma, traj.phi]).tolist()
+    row = ",".join(["%.12g"] * (k + 3)) + ",%s"
+    for values, flags in zip(numbers, traj.saturated.tolist()):
+        label = "|".join(str(i + 1) for i, pinned in enumerate(flags) if pinned)
+        lines.append(row % (*values, label))
+    return "\n".join(lines) + "\n"
+
+
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7fé€😀'), st.characters()))
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    _TEXT,
+)
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(_TEXT, st.integers()), inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestWriters:
+    """The one-pass writers give the bytes of the row-by-row and recursive
+    ones they replaced, kept above as references."""
+
+    @given(_DOCUMENTS)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_json_matches_reference(self, doc):
+        assert cli.dump_json(doc) == reference_dump_json(doc)
+
+    def test_json_non_finite_floats_parse(self):
+        doc = {"a": [math.nan, math.inf, -math.inf, np.float64(-math.inf)]}
+        text = cli.dump_json(doc)
+        assert text == '{\n  "a": [\n    NaN,\n    Infinity,\n    -Infinity,\n    -Infinity\n  ]\n}'
+        assert json.loads(text)["a"][1:] == [math.inf, -math.inf, -math.inf]
+
+    def test_region_matches_reference(self, tmp_path, capsys):
+        path = SCENARIOS / "k2_reference.json"
+        assert cli.main(["region", "--scenario", str(path), "--grid-step", "1e-3"]) == 0
+        ch, _ = cli.load_scenario(str(path))
+        assert capsys.readouterr() == reference_region(region_boundary(ch, 1e-3))
+
+    @pytest.mark.parametrize(
+        "silent, lambda_max, patterns", [(0, None, 6), (0, 0.5, 28), (64, None, 3)]
+    )
+    def test_sweep_matches_reference_past_64_users(
+        self, tmp_path, capsys, silent, lambda_max, patterns
+    ):
+        # labels keyed by a 64-bit mask collide from user 64 on: up to
+        # lambda = 0.5, users 64 to 70 saturate one by one, and with g_k = 0
+        # for the first 64 users only users 65 to 70 can saturate
+        ch = random_instance(np.random.default_rng(0), 70)
+        echo = cli.scenario_echo(ch, None)
+        echo["g"][:silent] = [0.0] * silent
+        path = write_scenario(tmp_path, echo)
+        extra = [] if lambda_max is None else ["--lambda-max", str(lambda_max)]
+        assert cli.main(["sweep", "--scenario", path, *extra]) == 0
+        traj = sweep_trajectory(cli.load_scenario(path)[0], lambda_max, 201)
+        assert capsys.readouterr().out == reference_sweep(traj, 70)
+        assert len({flags.tobytes() for flags in traj.saturated}) == patterns
+
+
+def _scenarios():
+    """Every bundled scenario and every scenario under tests/golden, which
+    the command outputs there sit beside."""
+    golden = [
+        p for p in sorted(GOLDEN.glob("*.json"))
+        if not p.name.startswith(("solve-", "validate-", "solver-"))
+    ]
+    return [*sorted(SCENARIOS.glob("*.json")), *golden]
+
+
+class TestStdoutParses:
+    """Every command's stdout parses: JSON by json.loads, CSV by csv with
+    float() reading every numeric cell."""
+
+    @pytest.mark.parametrize("path", _scenarios(), ids=lambda p: p.stem)
+    def test_every_command(self, path, capsys):
+        users = cli.load_scenario(str(path))[0].num_users
+        commands = [("solve",), ("validate", "--grid-step", "1e-2"), ("sweep",)]
+        if users == 2:
+            commands.append(("region",))
+        for command, *extra in commands:
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main([command, "--scenario", str(path), *extra]) in (0, 2)
+            out = capsys.readouterr().out
+            if command in ("solve", "validate"):
+                assert isinstance(json.loads(out), dict)
+                continue
+            head, *rows = csv.reader(io.StringIO(out))
+            assert rows and all(len(row) == len(head) for row in rows)
+            numeric = len(head) - (command == "sweep")  # saturated_users is a label
+            for row in rows:
+                list(map(float, row[:numeric]))
+                assert re.fullmatch(r"(\d+(\|\d+)*)?", "".join(row[numeric:]))

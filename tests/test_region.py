@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,31 @@ class TestFeasibleGrid:
         rows = feasible_grid(unit_k1, 0.1)
         assert rows.shape == (1, 1)
         assert rows[0, 0] == pytest.approx((math.sqrt(3) - 1) / 2, abs=1e-12)
+
+    def test_single_user_builds_one_row_at_any_step(self, unit_k1):
+        # the one candidate row reads only grid[0] = 0; the whole 1-D grid
+        # was built, 16 MB at step 1e-6, and 1e-8 was refused
+        tracemalloc.start()
+        try:
+            rows = feasible_grid(unit_k1, 1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.tolist() == feasible_grid(unit_k1, 0.1).tolist()
+        assert peak < 100_000
+
+    def test_oversized_step_refused_before_allocating(self):
+        ch = ChannelInstance(
+            h=[1.0] * 3, g=[1.0] * 3, p=[1.0] * 3, h_p=1.0, p_p=1.0, sigma_p2=1.0, sigma_c2=1.0
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="needs 3e[+]08 grid rows"):
+                feasible_grid(ch, 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_all_rows_preserve_primary_rate(self, k2_reference):
         rows = feasible_grid(k2_reference, 0.05)

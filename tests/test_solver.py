@@ -397,19 +397,27 @@ class TestFinishOrder:
     interior first, then saturated, each group by steepest d phi /
     d gamma_k, written out here as a_k (sigma_p2 X + s_p a_k gamma_k), ties
     in index order, in either form; here every candidate fails to land, so
-    each is tried once."""
+    each is tried once.  Each attempt returns its number plus 1 as the
+    root, which `_project` writes into gamma_k, so gamma tells who was
+    tried when, and every other gamma_k stays in [0, 1]."""
 
     @staticmethod
     def _tried(monkeypatch, ch, lam):
         def tried_by(form):
-            tried = []
+            given = []
 
-            def never_lands(ch, k, relayed, lost, slack):
-                tried.append(k)
-                return False, math.nan
+            def never_lands(ch, a_k, relayed, lost, slack):
+                given.append(a_k)
+                return False, 1.0 + len(given)
 
-            monkeypatch.setattr(solver, "_coordinate_roots", never_lands)
-            _project(ch, *form(ch)._split(lam))
+            path = form(ch)
+            gamma, *terms = path._split(lam)
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_coordinate_roots", never_lands)
+                _project(path, gamma, *terms)
+            gamma = np.asarray(gamma).tolist()
+            tried = sorted((k for k, g in enumerate(gamma) if g > 1.0), key=gamma.__getitem__)
+            assert given == [ch.a.item(k) for k in tried]
             return tried
 
         tried = tried_by(_WaterFill)
@@ -818,7 +826,7 @@ class TestReport:
 
 def test_list_form_makes_no_numpy_reduction():
     """A list-form solve calls numpy only to read the instance's arrays as
-    floats (`tolist`, `item`) and to build the split's read-only array:
+    floats (`tolist`) and to build the split's read-only array:
     each numpy call costs microseconds on a cold solve.  Every call of a
     numpy builtin and every Python frame of a numpy module is recorded."""
     suite = instance_suite(1, 30)
@@ -840,7 +848,7 @@ def test_list_form_makes_no_numpy_reduction():
             solve_max_sum_rate(ch)
     finally:
         sys.setprofile(previous)
-    assert seen == {"ndarray.tolist", "ndarray.item", "array", "ndarray.setflags"}
+    assert seen == {"ndarray.tolist", "array", "ndarray.setflags"}
 
 
 class TestWholeFloatRange:
