@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # the largest relative residual (`relative_residual`) at which a split counts
-# as feasible: the solver's default tolerance and the feasible grid's filter
+# as feasible: the solver reports `Converged` only at or below it, and the
+# feasible grid keeps only rows at or below it
 RESIDUAL_TOL = 1e-10
 
 # gamma_k at or above it counts as saturated (`active_set_changes`, `kkt_check`)
@@ -151,22 +152,19 @@ class ChannelInstance:
         return self.h.size
 
 
-def _splits(gamma, ndim: int = 1) -> np.ndarray:
-    """gamma as a new read-only float array with `ndim` axes and no -0: one
-    split (K,) or one split per row (n, K).  Every entry must be finite and
-    in [0, 1]; a NaN fails both bounds, since min and max propagate it.  A
-    list of Python floats in [0, 1], the solver's split, is checked in
-    Python floats and becomes one `np.array`, since a numpy reduction costs
-    microseconds where a solve starts with cold caches; any other input,
-    an invalid one included, takes the array path."""
-    if ndim == 1 and type(gamma) is list and all(
-        type(v) is float and 0.0 <= v <= 1.0 for v in gamma
-    ):
+def _splits(gamma) -> np.ndarray:
+    """gamma as a new read-only float vector (K,) with no -0.  Every entry
+    must be finite and in [0, 1]; a NaN fails both bounds, since min and
+    max propagate it.  A list of Python floats in [0, 1], the solver's
+    split, is checked in Python floats and becomes one `np.array`, since a
+    numpy reduction costs microseconds where a solve starts with cold
+    caches; any other input, an invalid one included, takes the array path."""
+    if type(gamma) is list and all(type(v) is float and 0.0 <= v <= 1.0 for v in gamma):
         arr = np.array([v + 0.0 for v in gamma])  # -0 + 0 = 0
     else:
         arr = np.asarray(gamma, dtype=float) + 0.0  # a copy, where -0 + 0 = 0
-        if arr.ndim != ndim:
-            raise ValueError("gamma must be a vector" if ndim == 1 else "gamma must be a matrix")
+        if arr.ndim != 1:
+            raise ValueError("gamma must be a vector")
         if not (0.0 <= arr.min(initial=1.0) and arr.max(initial=0.0) <= 1.0):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("gamma must be finite")

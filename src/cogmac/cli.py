@@ -210,7 +210,7 @@ def cmd_validate(args) -> int:
         "agreement_tol_bits": args.agreement_tol,
         "kkt": {
             "stationarity_scaled": {
-                str(k + 1): float(v) for k, v in sorted(report.stationarity.items())
+                str(k + 1): v for k, v in sorted(report.stationarity.items())
             },
             "interior_users": [k + 1 for k in report.interior_users],
             "saturated_users": [k + 1 for k in report.saturated_users],
@@ -289,7 +289,8 @@ def main(argv=None) -> int:
     except ValueError as exc:  # bad input: scenario, flag value or problem size
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except EmptyGridError as exc:  # a valid instance the grid cannot resolve
+    # a valid instance that the grid or the sweep cannot resolve in floats
+    except (EmptyGridError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
 

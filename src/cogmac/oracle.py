@@ -96,7 +96,7 @@ def kkt_check(
     feasibility_ok = feas_rel <= tol
     bounds_ok = bool(np.all(gamma >= 0.0) and np.all(gamma <= 1.0))
     return KktReport(
-        stationarity=dict(enumerate(scaled)),
+        stationarity=dict(enumerate(scaled.tolist())),
         interior_users=tuple(np.flatnonzero(inside).tolist()),
         saturated_users=tuple(np.flatnonzero(~inside).tolist()),
         feasibility_rel=feas_rel,

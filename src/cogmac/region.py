@@ -73,7 +73,8 @@ def feasible_grid(ch: ChannelInstance, grid_step: float) -> np.ndarray:
     over the grid in lexicographic order and gamma_k is solved from the
     feasibility quadratic.  The rows are the points whose root lies in
     [0, 1] and whose relative residual is at most `channel.RESIDUAL_TOL`,
-    the solver's default tolerance, block by solved user, in that order.
+    the residual at which the solver reports `Converged`, block by solved
+    user, in that order.
     There are (number of such users) * points^(K - 1) candidate rows, with
     points = ceil(1 / step) + 1, and only the grid they use is built: a
     one-user instance has the one row gamma = 0 before its root, whatever

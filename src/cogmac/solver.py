@@ -85,7 +85,6 @@ from .channel import (
     _excess,
     _phi,
     _relative_phi,
-    _splits,
 )
 
 
@@ -304,17 +303,12 @@ class _WaterFill:
         for k, g in zip(ids, [1.0] * m + [t / c_k for c_k in c[m:]]):
             gamma[k] = 1.0 if 1.0 < g else g  # min(g, 1.0), NaN kept
         a, a2, h2, p = self.by_index
-        # minus each slope: a stable sort of users in index order by it is
-        # steepest first, ties in index order, once the NaN slopes are out
-        steep = [-(a_k * (x + t_p * a_k * g)) for a_k, g in zip(a, gamma)]
-        unordered = math.isnan(sum(steep))  # a NaN, or inf - inf
-        candidates = []
-        for group in (sorted(ids[m:]), sorted(ids[:m])):
-            last = [k for k in group if math.isnan(steep[k])] if unordered else []
-            if last:
-                group = [k for k in group if not math.isnan(steep[k])]
-            group.sort(key=steep.__getitem__)
-            candidates += group + last
+        # minus each slope, at most 0, and a NaN slope read as +inf: a stable
+        # sort of users in index order by it is steepest first, ties in index
+        # order, NaN last
+        slopes = [a_k * (x + t_p * a_k * g) for a_k, g in zip(a, gamma)]
+        steep = [-v if v >= 0.0 else math.inf for v in slopes].__getitem__
+        candidates = sorted(sorted(ids[m:]), key=steep) + sorted(sorted(ids[:m]), key=steep)
         relay, lost, effective = [], [], []
         for a_k, a2_k, h2_k, p_k, g in zip(a, a2, h2, p, gamma):
             u = 1.0 - g * g
@@ -459,22 +453,24 @@ def _project(path: _WaterFill, gamma, candidates: list, relay: list, lost: list,
             return
 
 
-def _follow(path: _WaterFill, budget: int) -> tuple[float, bool]:
+def _follow(path: _WaterFill) -> tuple[float, bool]:
     """Find the root lambda* of phi.  From Newton's step at 0, grow the
     bracket in the exponent, lambda 2^(2^j) up or down, or by lo's Newton
     step wherever it lands inside.  Then, by one rule: while the bracket
     spans at most a factor of 4 in mu = lambda / (p - lambda), with p lo's
     nearest singularity, take Newton's step from either end if it lands
-    strictly inside; in every other case take `_midpoint`'s geometric mean
+    strictly inside, or the float just above lo where hi's step lands
+    exactly on lo; in every other case take `_midpoint`'s geometric mean
     in mu.  Where the bracket's new hi is a Newton step that saturated more
     users than lo has, and in a bracket that narrow neither end's step
     lands inside, hi's step is that of lo's segment formula continued to
     hi, one more pass.  Stops at
     an end whose step is a few ulps long, or on a bracket a few ulps wide.
     Returns (lambda*, True), or (the largest multiplier known to have phi <
-    0, False) once `budget` evaluations are spent.  Past the last pole phi
-    is constant: if still negative there, by rounding only, that multiplier
-    counts as reached."""
+    0, False) once `_BUDGET` - 1 evaluations are spent, one kept for
+    `_split`.  Past the last pole phi is constant: if still negative there,
+    by rounding only, that multiplier counts as reached."""
+    budget = _BUDGET - 1
     if budget < 1:
         return 0.0, False
     f, step, _ = path.phi(0.0)
@@ -506,6 +502,8 @@ def _follow(path: _WaterFill, budget: int) -> tuple[float, bool]:
         newton = lo + step_lo
         if not lo < newton < hi:
             newton = hi + step_hi  # NaN unless it lands inside
+            if newton == lo:  # lambda* lies within an ulp above lo
+                newton = math.nextafter(lo, hi)
         if not bounded:
             lam = newton if lo < newton < hi else min(lo * factor, last)
             factor *= factor
@@ -558,7 +556,7 @@ def solve_max_sum_rate(ch: ChannelInstance) -> SolverResult:
     whose constraint does not bind.
     """
     path = _water_fill(ch)
-    lam, reached = _follow(path, _BUDGET - 1)  # one is kept for gamma
+    lam, reached = _follow(path)
     gamma, candidates, relay, lost, effective = path._split(lam)
     if reached:
         _project(path, gamma, candidates, relay, lost, effective)
@@ -599,11 +597,13 @@ def sweep_trajectory(ch: ChannelInstance, lambda_max: float | None, samples: int
     in the path's terms (as `_WaterFill.last`), else for max(s_p, sigma_p2)
     / sigma_p2^2, written max(t, 1) / sigma_p2; each is capped at the
     largest float.  Every grid point is evaluated by the prefix rule at
-    once, and a point at an event already has that user saturated; the
-    splits are checked once, as one (samples, K) array."""
+    once, and a point at an event already has that user saturated.  Each
+    row of gamma lies in [0, 1] by the rule, or holds a NaN where the
+    path's terms pass the float range: then FloatingPointError names the
+    first such multiplier.  gamma is read-only, as a split's is."""
     path = _water_fill(ch)
     if lambda_max is None:
-        lam_star, _ = _follow(path, _BUDGET - 1)
+        lam_star, _ = _follow(path)
         if lam_star > 0:
             lambda_max = 1.25 * lam_star
         else:
@@ -618,5 +618,9 @@ def sweep_trajectory(ch: ChannelInstance, lambda_max: float | None, samples: int
         raise ValueError("need at least 2 samples")
     grid = np.linspace(0.0, lambda_max + 0.0, samples)  # -0 + 0 = 0
     x, gamma, saturated = path.states(grid)
-    gamma = _splits(gamma, ndim=2)
+    overflow = ~np.isfinite(gamma).all(axis=1)
+    if overflow.any():
+        lam = grid[overflow.argmax()]
+        raise FloatingPointError(f"the path passes the float range at lambda = {lam:.12g}")
+    gamma.setflags(write=False)
     return Trajectory(grid, x, gamma, _phi(ch, gamma), saturated)

@@ -318,6 +318,17 @@ class TestSweep:
             "1e+308,4.50391844667,1,1,10.2852813742,1|2",
         ]
 
+    @pytest.mark.parametrize("draw, lam", [(36, "7.73821813197e+194"), (81, "2.08746046618e+259")])
+    def test_path_past_the_float_range_is_one_error_line(self, tmp_path, capsys, draw, lam):
+        # limit-fuzz draws on which the path's rows turn NaN: checked as
+        # splits, they exited 1 with `error: gamma must be finite`, as if the
+        # scenario were invalid; now not-converged, and no RuntimeWarning
+        path = write_scenario(tmp_path, cli.scenario_echo(limit_fuzz()[draw], None))
+        assert cli.main(["sweep", "--scenario", path]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: the path passes the float range at lambda = {lam}\n"
+        )
+
 
 class TestValidate:
     def test_single_user_pass(self):

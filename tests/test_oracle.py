@@ -150,6 +150,14 @@ class TestKktCheck:
         assert not report.stationarity_ok
         assert not report.passed
 
+    def test_stationarity_holds_python_floats(self, k2_reference, extreme_suite):
+        """As annotated, dict[int, float]: the values were numpy float64."""
+        with np.errstate(all="ignore"):
+            for ch in [k2_reference] + extreme_suite[:20]:
+                report = kkt_check(ch, solve_max_sum_rate(ch))
+                assert list(map(type, report.stationarity)) == [int] * ch.num_users
+                assert list(map(type, report.stationarity.values())) == [float] * ch.num_users
+
     def test_saturated_users_match_active_set_changes(self, extreme_suite):
         """One cut, SATURATED_GAMMA, for both counts; the extreme fuzz has
         gamma_k in [1 - 1e-9, 1), where gamma_k == 1 and the cut differ."""

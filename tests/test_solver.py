@@ -551,6 +551,16 @@ class TestSolveMaxSumRate:
         # gives a step back
         assert solve_max_sum_rate(wide_suite[draw]).outer_iterations == count
 
+    def test_step_onto_lo(self, wide_suite):
+        # lambda* lies within an ulp above lo, and every Newton step from hi
+        # lands exactly on lo; the step taken one ulp above lo ends the root
+        # find, where the midpoint halved about 7,000 ulps in 22 evaluations
+        assert solve_max_sum_rate(wide_suite[82]).outer_iterations == 11
+
+    def test_most_evaluations_wide_suite(self, wide_suite):
+        # 22, on draw 82, before the step one ulp above lo
+        assert max(solve_max_sum_rate(ch).outer_iterations for ch in wide_suite) <= 18
+
     def test_mean_evaluations_extreme_fuzz(self, extreme_suite):
         # 117.1 with a doubling bracket and Brent's method, 17.7 with an
         # arithmetic halving wherever Newton's moves stopped halving
@@ -1026,6 +1036,19 @@ class TestSweepTrajectory:
             for name in (f.name for f in dataclasses.fields(traj)):
                 np.testing.assert_array_equal(getattr(traj, name), getattr(expected, name))
         assert branches == ({"lambda*", "pole", "fallback"} if iters > 2 else {"pole", "fallback"})
+
+    @pytest.mark.parametrize("draw", [36, 81])
+    def test_path_past_the_float_range(self, draw):
+        # limit-fuzz draws whose rows turn NaN within the default range,
+        # where c_k = w_k / a_k - lambda s_p a_k is inf - inf: the first such
+        # multiplier is named, and no RuntimeWarning is raised
+        ch = limit_fuzz()[draw]
+        grid = np.linspace(0.0, _sweep_range(ch)[0], 201)
+        _, gamma, _ = _WaterFill(ch).states(grid)
+        first = grid[~np.isfinite(gamma).all(axis=1)][0]
+        with pytest.raises(FloatingPointError) as info:
+            sweep_trajectory(ch, None, 201)
+        assert str(info.value) == f"the path passes the float range at lambda = {first:.12g}"
 
     def test_columns(self, k2_reference):
         traj = sweep_trajectory(k2_reference, 0.1, 5)
