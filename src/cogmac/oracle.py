@@ -3,7 +3,9 @@
 The grid search never reuses the sweep solver's machinery: it searches the
 same projected grid as the region (`region.feasible_grid`), where each
 candidate is projected onto the equality constraint through the
-per-coordinate quadratic, so every evaluated point is feasible.
+per-coordinate quadratic, so every evaluated point is feasible.  It reads
+that grid block by block from the one kernel that builds it
+(`region._blocks`) and keeps only a count and the best row.
 """
 
 from __future__ import annotations
@@ -17,12 +19,11 @@ from .channel import (
     SATURATED_GAMMA,
     ChannelInstance,
     PowerSplit,
-    _mac_snr,
     _primary_terms,
     relative_residual,
     sum_rate,
 )
-from .region import UnsupportedSizeError, feasible_grid
+from .region import UnsupportedSizeError, _blocks
 from .solver import SolverResult
 
 
@@ -53,17 +54,25 @@ def grid_search(ch: ChannelInstance, grid_step: float) -> OracleResult:
 
     For each coordinate with g_k > 0 the other K-1 coordinates run over the
     grid and that coordinate is solved from the equality constraint
-    (`feasible_grid`).  Scan order is deterministic; ties break toward the
-    earliest candidate.  `PowerSplit` copies the best row, so that the
-    result does not hold the whole grid.
+    (`feasible_grid`).  Each block is reduced where it is built, to its
+    count and best row, with each SNR summed in index order as `_mac_snr`
+    sums it.  Ties break toward the earliest block and row.
     """
-    rows = feasible_grid(ch, grid_step)
-    best = PowerSplit(rows[np.argmax(_mac_snr(ch, rows))])
+    count, best, best_snr = 0, None, -math.inf
+    for axes, keep in _blocks(ch, grid_step):
+        users = zip(ch.h2.tolist(), ch.p.tolist(), axes)
+        power = sum((1.0 - axis**2) * h2 * p for h2, p, axis in users)
+        snr = np.divide(power, ch.sigma_c2, out=np.full(keep.shape, -math.inf), where=keep)
+        row = int(snr.argmax())
+        count += int(np.count_nonzero(keep))
+        if snr.flat[row] > best_snr:
+            best_snr, best = snr.flat[row], [np.broadcast_to(a, keep.shape).flat[row] for a in axes]
+    best = PowerSplit(best)
     return OracleResult(
         best_gamma=best,
         best_sum_rate=sum_rate(ch, best),
         grid_step=grid_step,
-        points_evaluated=len(rows),
+        points_evaluated=count,
     )
 
 

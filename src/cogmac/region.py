@@ -1,9 +1,11 @@
 """The feasible grid and the two-user capacity region boundary.
 
-`feasible_grid` projects a uniform grid onto the primary-rate equality; the
-grid oracle searches the same array.  It is built, filtered and returned
-column-major, one user per column, so that every sum over the few users
-adds whole columns.  For each feasible split the two cognitive users see a
+`_blocks` projects a uniform grid onto the primary-rate equality, one block
+per solved user, from each user's grid on its own axis, and yields each
+block's roots and the mask of its kept rows.  The grid oracle reduces each
+block where it is built; `feasible_grid` gathers the kept rows column-major,
+one user per column, so that every sum over the few users adds whole
+columns.  For each feasible split the two cognitive users see a
 plain Gaussian MAC, whose achievable rates form a pentagon.  The region is
 the convex hull of the union of these pentagons over the feasible grid.
 `region_boundary` sorts the pentagons' dominant-face corners into the
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import starmap
+from itertools import chain, starmap
 from operator import add
 
 import numpy as np
@@ -25,17 +27,17 @@ from .channel import (
     ChannelInstance,
     _capacity,
     _coordinate_roots,
+    _excess,
     _mac_snr,
-    _phi,
-    _primary_terms,
     _relative_phi,
 )
 
 MAX_GRID_USERS = 3
 
 # the most candidate rows that `feasible_grid` builds: above a three-user
-# grid at step 1e-3 (3.0e6 rows), below the gigabytes of arrays that one at
-# 1e-4 (3.0e8 rows) would take
+# grid at step 1e-3 (3.0e6 rows).  `region` peaks at about 200 B per kept
+# row (tracemalloc, `k2_reference` at steps 1e-4 and 2e-5), so the cap still
+# admits a two-user region at a step near 2e-7, up to about 2 GB
 MAX_GRID_ROWS = 10**7
 
 
@@ -65,6 +67,63 @@ def _grid(step: float) -> np.ndarray:
     return values
 
 
+def _axis_terms(ch: ChannelInstance, axes):
+    """S and L of each candidate in a block: each user's terms on its own
+    axis, broadcast and added in index order, as `_primary_terms` adds a row's."""
+    relayed = sum(a * axis for a, axis in zip(ch.a.tolist(), axes))
+    lost = sum(a2 * (1.0 - axis**2) for a2, axis in zip(ch.a2.tolist(), axes))
+    return relayed, lost
+
+
+def _blocks(ch: ChannelInstance, grid_step: float):
+    """The feasible grid block by block, as (axes, keep): axes[j], user j's
+    coordinate, broadcasts to keep's shape, and keep marks the rows that
+    `feasible_grid` keeps.  In solved user k's block, user j's grid runs
+    along axis j and axis k has length 1, so the candidates are the others'
+    grid tuples in lexicographic (C) order; axes[k] holds their roots."""
+    if not 0 < grid_step < math.inf:
+        raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
+    k = ch.num_users
+    if k > MAX_GRID_USERS:
+        raise UnsupportedSizeError(
+            f"grid walk over the feasible set supports up to {MAX_GRID_USERS} users, got {k}"
+        )
+    solvable = np.flatnonzero(ch.g > 0).tolist()
+    if not solvable:
+        yield [np.zeros(1)] * k, np.ones(1, dtype=bool)
+        return
+    # counted before anything is built, in floats: inf where 1 / step
+    # overflows or the count passes the float range
+    inverse = 1.0 / grid_step
+    points = math.ceil(inverse) + 1.0 if inverse < math.inf else math.inf
+    rows = len(solvable) * math.prod([points] * (k - 1))
+    if rows > MAX_GRID_ROWS:
+        raise ValueError(
+            f"grid_step {grid_step} needs {rows:.3g} grid rows on this {k}-user "
+            f"instance, more than {MAX_GRID_ROWS:.0e}; take a larger --grid-step"
+        )
+    grid = _grid(grid_step) if k > 1 else np.zeros(1)
+    kept = 0
+    for solved in solvable:
+        axes = [grid.reshape([-1 if i == j else 1 for i in range(k)]) for j in range(k)]
+        axes[solved] = np.zeros([1] * k)  # S' and L at gamma_k = 0
+        relayed, lost = _axis_terms(ch, axes)
+        mask, root = _coordinate_roots(ch, ch.a.item(solved), relayed.ravel(), lost.ravel())
+        axes[solved] = root.reshape(relayed.shape)
+        # a residual past the float range, inf or NaN, fails the test: so
+        # do the roots outside [0, 1], whose residuals no row needs
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi = ch.sigma_p2 * _excess(ch, *_axis_terms(ch, axes))
+            keep = mask.reshape(phi.shape) & (_relative_phi(ch, phi) <= RESIDUAL_TOL)
+        kept += np.count_nonzero(keep)
+        yield axes, keep
+    if not kept:
+        raise EmptyGridError(
+            f"no feasible split on the step-{grid_step} grid of this {k}-user "
+            "instance despite nonzero interference"
+        )
+
+
 def feasible_grid(ch: ChannelInstance, grid_step: float) -> np.ndarray:
     """Grid points projected onto the feasible set, as a column-major (n, K)
     array.
@@ -85,47 +144,29 @@ def feasible_grid(ch: ChannelInstance, grid_step: float) -> np.ndarray:
     and stands for them.  Raises EmptyGridError if no row is left despite
     interference.
     """
-    if not 0 < grid_step < math.inf:
-        raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
-    k = ch.num_users
-    if k > MAX_GRID_USERS:
-        raise UnsupportedSizeError(
-            f"grid walk over the feasible set supports up to {MAX_GRID_USERS} users, got {k}"
-        )
-    solvable = np.flatnonzero(ch.g > 0)
-    if solvable.size == 0:
-        return np.zeros((1, k))
-    # counted before anything is built, in floats: inf where 1 / step
-    # overflows or the count passes the float range
-    inverse = 1.0 / grid_step
-    points = math.ceil(inverse) + 1.0 if inverse < math.inf else math.inf
-    rows = solvable.size * math.prod([points] * (k - 1))
-    if rows > MAX_GRID_ROWS:
-        raise ValueError(
-            f"grid_step {grid_step} needs {rows:.3g} grid rows on this {k}-user "
-            f"instance, more than {MAX_GRID_ROWS:.0e}; take a larger --grid-step"
-        )
-    grid = _grid(grid_step) if k > 1 else np.zeros(1)
-    blocks = []
-    for solved in solvable:
-        # the (K, n) transpose, C-ordered: every grid tuple of the others, in
-        # lexicographic order, with grid[0] = 0 in the solved row, so that its
-        # sums are S' and L at gamma_k = 0; compress keeps it C-ordered, where
-        # a boolean index would not
-        shape = [1 if j == solved else grid.size for j in range(k)]
-        cols = grid[np.indices(shape).reshape(k, -1)]
-        mask, root = _coordinate_roots(ch, ch.a.item(solved), *_primary_terms(ch, cols.T))
-        cols = np.compress(mask, cols, axis=1)
-        cols[solved] = root[mask]
-        keep = _relative_phi(ch, _phi(ch, cols.T)) <= RESIDUAL_TOL
-        blocks.append(np.compress(keep, cols, axis=1))
-    grid = np.concatenate(blocks, axis=1).T
-    if len(grid) == 0:
-        raise EmptyGridError(
-            f"no feasible split on the step-{grid_step} grid of this {k}-user "
-            "instance despite nonzero interference"
-        )
-    return grid
+    blocks = [
+        np.stack([np.broadcast_to(axis, keep.shape)[keep] for axis in axes])
+        for axes, keep in _blocks(ch, grid_step)
+    ]
+    return np.concatenate(blocks, axis=1).T
+
+
+def _staircase(ch: ChannelInstance, grid_step: float):
+    """The feasible grid's row count, c1max, c2max and, unless either is 0,
+    the corners no other corner dominates, r1 descending, as two arrays."""
+    rows = feasible_grid(ch, grid_step)
+    c1, c2, c12 = (_capacity(_mac_snr(ch, rows, users)) for users in ([0], [1], slice(None)))
+    c1max, c2max = float(c1.max()), float(c2.max())
+    if c1max == 0.0 or c2max == 0.0:
+        return len(rows), c1max, c2max, None, None
+    r1 = np.concatenate([c1, c12 - c2])
+    r2 = np.concatenate([c12 - c1, c2])
+    order = np.lexsort((-r2, -r1))  # r1 descending, ties by r2 descending
+    r1, r2 = r1[order], r2[order]
+    # kept: r2 above that of every corner with a larger or equal r1
+    kept = np.ones(r2.size, dtype=bool)
+    kept[1:] = r2[1:] > np.maximum.accumulate(r2)[:-1]
+    return len(rows), c1max, c2max, r1[kept], r2[kept]
 
 
 def region_boundary(ch: ChannelInstance, grid_step: float) -> RegionBoundary:
@@ -140,32 +181,28 @@ def region_boundary(ch: ChannelInstance, grid_step: float) -> RegionBoundary:
     staircase with left turns kept and ends at (0, c2max); a corner on an
     axis replaces the intercept it repeats, and the turn back to the origin
     is always a left one.  With c1max or c2max zero the region is a segment
-    on an axis, or the origin alone.
+    on an axis, or the origin alone.  The walk reads the staircase in slices
+    of floats once the sorted arrays are freed: whole lists would outweigh
+    the hull.
     """
     if ch.num_users != 2:
         raise UnsupportedSizeError(
             f"region boundary defined for 2 users, got {ch.num_users}"
         )
-    rows = feasible_grid(ch, grid_step)
-    c1, c2, c12 = (_capacity(_mac_snr(ch, rows, users)) for users in ([0], [1], slice(None)))
-    c1max, c2max = float(c1.max()), float(c2.max())
+    samples, c1max, c2max, xs, ys = _staircase(ch, grid_step)
     if c1max == 0.0 or c2max == 0.0:
         points = sorted({(0.0, 0.0), (c1max, 0.0), (0.0, c2max)})
-        return RegionBoundary(points=points, samples_used=len(rows))
-    r1 = np.concatenate([c1, c12 - c2])
-    r2 = np.concatenate([c12 - c1, c2])
-    order = np.lexsort((-r2, -r1))  # r1 descending, ties by r2 descending
-    r1, r2 = r1[order], r2[order]
-    # kept: r2 above that of every corner with a larger or equal r1
-    kept = np.ones(r2.size, dtype=bool)
-    kept[1:] = r2[1:] > np.maximum.accumulate(r2)[:-1]
-    staircase = zip(r1[kept].tolist(), r2[kept].tolist())
-    hull = [(0.0, 0.0)]
-    for x, y in ((c1max, 0.0), *staircase, (0.0, c2max)):
-        while len(hull) >= 2:
-            (ox, oy), (ax, ay) = hull[-2], hull[-1]
-            if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0.0:  # a left turn
-                break
-            hull.pop()
+        return RegionBoundary(points=points, samples_used=samples)
+    hull = [(0.0, 0.0), (c1max, 0.0)]
+    ox, oy, ax, ay = 0.0, 0.0, c1max, 0.0  # hull[-2] and hull[-1]
+    corners = chain.from_iterable(
+        zip(xs[i : i + 4096].tolist(), ys[i : i + 4096].tolist()) for i in range(0, xs.size, 4096)
+    )
+    for x, y in chain(corners, [(0.0, c2max)]):
+        while len(hull) >= 2 and not (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0.0:
+            hull.pop()  # hull[-1] made no left turn
+            ax, ay = ox, oy
+            ox, oy = hull[-2] if len(hull) >= 2 else hull[0]
         hull.append((x, y))
-    return RegionBoundary(points=hull, samples_used=len(rows))
+        ox, oy, ax, ay = ax, ay, x, y
+    return RegionBoundary(points=hull, samples_used=samples)

@@ -599,8 +599,9 @@ def sweep_trajectory(ch: ChannelInstance, lambda_max: float | None, samples: int
     largest float.  Every grid point is evaluated by the prefix rule at
     once, and a point at an event already has that user saturated.  Each
     row of gamma lies in [0, 1] by the rule, or holds a NaN where the
-    path's terms pass the float range: then FloatingPointError names the
-    first such multiplier.  gamma is read-only, as a split's is."""
+    path's terms pass the float range, and so does phi then; where phi is
+    not finite, FloatingPointError names the first such multiplier.  gamma
+    is read-only, as a split's is."""
     path = _water_fill(ch)
     if lambda_max is None:
         lam_star, _ = _follow(path)
@@ -618,9 +619,11 @@ def sweep_trajectory(ch: ChannelInstance, lambda_max: float | None, samples: int
         raise ValueError("need at least 2 samples")
     grid = np.linspace(0.0, lambda_max + 0.0, samples)  # -0 + 0 = 0
     x, gamma, saturated = path.states(grid)
-    overflow = ~np.isfinite(gamma).all(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = _phi(ch, gamma)
+    overflow = ~np.isfinite(phi)  # as is every row of gamma that holds a NaN
     if overflow.any():
         lam = grid[overflow.argmax()]
         raise FloatingPointError(f"the path passes the float range at lambda = {lam:.12g}")
     gamma.setflags(write=False)
-    return Trajectory(grid, x, gamma, _phi(ch, gamma), saturated)
+    return Trajectory(grid, x, gamma, phi, saturated)

@@ -6,6 +6,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -235,6 +236,21 @@ class TestRegion:
         )
         assert " samples=1 " in proc.stderr
 
+    def test_memory_per_feasible_row(self, tmp_path, capsys):
+        # the traced peak of one in-process region run over its feasible
+        # rows: 370 B when the staircase's corners were unpacked into tuples
+        # while its sorted arrays were alive
+        args = ["region", "--scenario", str(SCENARIOS / "k2_reference.json")]
+        tracemalloc.start()
+        try:
+            assert cli.main([*args, "--grid-step", "1e-4", "--out", str(tmp_path / "r.csv")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        samples = int(re.search(r" samples=(\d+) ", capsys.readouterr().err).group(1))
+        assert samples == 13225
+        assert peak / samples <= 260
+
     def test_refinement_containment(self):
         coarse = run_cli(
             "region", "--scenario", str(SCENARIOS / "k2_reference.json"),
@@ -318,11 +334,15 @@ class TestSweep:
             "1e+308,4.50391844667,1,1,10.2852813742,1|2",
         ]
 
-    @pytest.mark.parametrize("draw, lam", [(36, "7.73821813197e+194"), (81, "2.08746046618e+259")])
+    @pytest.mark.parametrize("draw, lam", [
+        (36, "7.73821813197e+194"), (81, "2.08746046618e+259"), (5, "0"), (9, "2.82793212873e-137"),
+    ])
     def test_path_past_the_float_range_is_one_error_line(self, tmp_path, capsys, draw, lam):
-        # limit-fuzz draws on which the path's rows turn NaN: checked as
-        # splits, they exited 1 with `error: gamma must be finite`, as if the
-        # scenario were invalid; now not-converged, and no RuntimeWarning
+        # limit-fuzz draws on which the path's rows turn NaN (36, 81): checked
+        # as splits, they exited 1 with `error: gamma must be finite`, as if
+        # the scenario were invalid; and draws whose gamma is finite but whose
+        # phi overflows (5, 9), which exited 0 with RuntimeWarnings on stderr.
+        # Now not-converged, and no RuntimeWarning
         path = write_scenario(tmp_path, cli.scenario_echo(limit_fuzz()[draw], None))
         assert cli.main(["sweep", "--scenario", path]) == 2
         assert capsys.readouterr() == (

@@ -13,7 +13,8 @@ form sigma_p2 X^2 - s_p (...), whose terms sigma_p2 A^2 and s_p sigma_p2
 cancel: `channel._excess` writes it once without them.  The CLI reads the
 scenario schema from the `ChannelInstance` fields, and names none of them
 in a string of its own, and of an instance it reads only `num_users`: it
-parses, calls the library and prints.
+parses, calls the library and prints.  The feasible grid has one kernel,
+`region._blocks`, which the oracle reads without building a grid of its own.
 """
 
 import ast
@@ -261,3 +262,37 @@ def test_cli_reads_no_instance_attribute_but_num_users():
         if isinstance(node, ast.Attribute) and node.attr in attributes
     )
     assert not found, f"cli.py: instance attributes read at {found}"
+
+
+def _calls(tree: ast.Module) -> set:
+    """(function, callee) for each call: the innermost function around it
+    (None at module level) and the name it calls."""
+    calls = set()
+    stack = [(tree, None)]
+    while stack:
+        node, func = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            calls.add((func, _name(node.func)))
+        stack.extend((child, func) for child in ast.iter_child_nodes(node))
+    return calls
+
+
+def test_one_grid_kernel():
+    """The feasible grid is built in one place, `region._blocks`, from each
+    user's grid on its own axis: no module builds an index grid, the
+    per-coordinate quadratic is solved only there and in the solver's
+    projection, and the oracle reads the grid's blocks without building any."""
+    calls = {path.name: _calls(ast.parse(path.read_text(encoding="utf-8"))) for path in MODULES}
+
+    def callers(name):
+        return sorted(
+            (module, func) for module, found in calls.items() for func, callee in found if callee == name
+        )
+
+    assert not callers("indices"), f"np.indices called in {callers('indices')}"
+    assert callers("_coordinate_roots") == [("region.py", "_blocks"), ("solver.py", "_project")]
+    builders = {"_grid", "arange", "linspace", "meshgrid", "feasible_grid", "_coordinate_roots"}
+    built = sorted(callee for _, callee in calls["oracle.py"] if callee in builders)
+    assert not built, f"oracle.py builds a grid with {built}"

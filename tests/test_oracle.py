@@ -18,7 +18,8 @@ from cogmac import (
     solve_max_sum_rate,
     sum_rate,
 )
-from cogmac.channel import _primary_terms
+from cogmac.channel import _mac_snr, _primary_terms
+from cogmac.region import EmptyGridError, feasible_grid
 from conftest import limit_fuzz
 from test_channel import make_instance
 
@@ -64,6 +65,52 @@ class TestGridSearch:
             solver = solve_max_sum_rate(ch)
             lip = float(np.sum(ch.h**2 * ch.p)) / (math.log(2.0) * ch.sigma_c2)
             assert solver.sum_rate >= oracle.best_sum_rate - lip * 1e-2
+
+
+def reference_grid_search(ch, grid_step):
+    """The oracle over the gathered rows: the first row of `feasible_grid`
+    with the largest `_mac_snr`, its sum rate and the row count, as bits."""
+    rows = feasible_grid(ch, grid_step)
+    best = PowerSplit(rows[np.argmax(_mac_snr(ch, rows))])
+    return best.gamma.tobytes(), sum_rate(ch, best).hex(), len(rows)
+
+
+class TestGridSearchReference:
+    """`grid_search` reduces each block where it is built; the reference
+    gathers every row first.  They agree bit for bit."""
+
+    @staticmethod
+    def _assert_matches(suite, grid_step):
+        for ch in suite:
+            result = grid_search(ch, grid_step)
+            assert (
+                result.best_gamma.gamma.tobytes(), result.best_sum_rate.hex(), result.points_evaluated
+            ) == reference_grid_search(ch, grid_step)
+
+    def test_seeded(self):
+        suite = instance_suite(1, 60, sizes=(2, 3))
+        self._assert_matches(suite, 1e-1)
+        self._assert_matches([ch for ch in suite if ch.num_users == 3], 1e-2)
+
+    def test_wide_and_extreme(self, wide_suite, extreme_suite):
+        self._assert_matches([ch for ch in wide_suite if ch.num_users <= 3], 1e-1)
+        self._assert_matches([ch for ch in extreme_suite if ch.num_users <= 3], 1e-1)
+
+    def test_one_user_and_no_interference(self, unit_k1, k2_no_interference):
+        self._assert_matches([unit_k1, k2_no_interference], 1e-1)
+        assert grid_search(k2_no_interference, 1e-1).points_evaluated == 1
+
+    def test_empty_grid_message(self):
+        # a three-user limit-fuzz draw whose step-0.1 grid keeps no row
+        ch = limit_fuzz()[219]
+        message = (
+            "no feasible split on the step-0.1 grid of this 3-user instance "
+            "despite nonzero interference"
+        )
+        for search in (grid_search, reference_grid_search):
+            with pytest.raises(EmptyGridError) as info:
+                search(ch, 1e-1)
+            assert str(info.value) == message
 
 
 class TestKktCheck:

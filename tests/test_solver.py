@@ -938,11 +938,14 @@ class TestWholeFloatRange:
 
     def test_sweep_range_skips_the_fallback_it_does_not_take(self, k2_reference):
         # the range is user 1's pole, and max(s_p, sigma_p2) / sigma_p2^2
-        # would overflow
+        # would overflow; phi = sigma_p2 (...) passes the float range from
+        # the grid's second multiplier, a quarter of the range, which is named
         ch = dataclasses.replace(k2_reference, sigma_p2=1e308)
-        with np.errstate(all="ignore"):  # `_phi` still overflows (ROADMAP item 8)
-            traj = sweep_trajectory(ch, None, 5)
-        assert _sweep_range(ch) == (traj.lam[-1], "pole")
+        lam_max, branch = _sweep_range(ch)
+        assert branch == "pole"
+        with pytest.raises(FloatingPointError) as info:
+            sweep_trajectory(ch, None, 5)
+        assert str(info.value) == f"the path passes the float range at lambda = {lam_max / 4:.12g}"
 
     def test_huge_primary_noise_states_do_not_warn(self, k2_reference):
         # r (A + s_j) and r Q_j overflowed in the prefix test
