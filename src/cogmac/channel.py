@@ -1,16 +1,18 @@
 """Channel model: scenario data, rate formulas, feasibility residual.
 
-Batch-first: each formula has one private implementation that takes one
-split as a (K,) array or n splits as an (n, K) array and reduces over the
-last axis; the per-coordinate quadratic takes the sums S' and L of one
-split, as floats, or of n splits, as columns, and `_capacity` and
-`_relative_phi` take one value or an (n,) array of them.  The
-public functions are thin scalar wrappers around them.  An instance
-derives its constant terms once, when it is built: s_p = h_p^2 P_p,
-A = h_p sqrt(P_p), a_k = g_k sqrt(P_k), a2 = a_k^2, t = s_p / sigma_p2,
-h2 = h_k^2 and the residual scale.  Every kernel reads them from it, and
-reads the primary-rate constraint from `_excess`, the one place it is written.
-Rates are in bits per channel use (log base 2 throughout).
+The paper splits user k's power into gamma_k^2 P_k, which relays the
+primary, and (1 - gamma_k^2) P_k, which carries its own message.  So a split
+is scored from three terms per user, each written once, here, elementwise
+on a float, a column or a grid axis: a_k gamma_k (`_relayed`), a_k^2 (1 -
+gamma_k^2) (`_lost`) and (1 - gamma_k^2) h_k^2 P_k (`_mac_power`).  Every
+module adds them in user index order with the builtin `sum`, so the solver,
+the feasible grid and the public functions, which read a split as floats
+through `tolist()`, agree bit for bit at every K.  An instance derives its
+constant terms once, when it is built: s_p = h_p^2 P_p, A = h_p sqrt(P_p),
+a_k = g_k sqrt(P_k), a2 = a_k^2, t = s_p / sigma_p2, h2 = h_k^2 and the
+residual scale.  Every kernel reads them from it, and reads the primary-rate
+constraint from `_excess`, the one place it is written.  Rates are in bits
+per channel use (log base 2 throughout).
 """
 
 from __future__ import annotations
@@ -194,12 +196,12 @@ class PowerSplit:
         return self.gamma.size
 
 
-def _check_dims(ch: ChannelInstance, split: PowerSplit) -> np.ndarray:
+def _check_dims(ch: ChannelInstance, split: PowerSplit) -> list:
     if len(split) != ch.num_users:
         raise DimensionMismatchError(
             f"gamma has {len(split)} entries, instance has {ch.num_users} users"
         )
-    return split.gamma
+    return split.gamma.tolist()
 
 
 def _capacity(snr):
@@ -211,13 +213,24 @@ def _capacity(snr):
     return 0.5 * np.fromiter(map(math.log2, (1.0 + snr).tolist()), float, snr.size)
 
 
-def _primary_terms(ch: ChannelInstance, gamma: np.ndarray):
-    """The relayed amplitude S = sum_k a_k gamma_k, which adds coherently to
-    A at the primary receiver, and the lost power L = sum_k a2_k (1 -
-    gamma_k^2) of the dirty-paper-coded parts, which remain as interference."""
-    relayed = (ch.a * gamma).sum(axis=-1)
-    lost = (ch.a2 * (1.0 - gamma**2)).sum(axis=-1)
-    return relayed, lost
+def _relayed(a, gamma):
+    """User k's relayed amplitude a_k gamma_k, which adds to A at the primary."""
+    return a * gamma
+
+
+def _lost(a2, gamma):
+    """User k's lost power a_k^2 (1 - gamma_k^2), squared by a product: a float's `**` raises."""
+    return a2 * (1.0 - gamma * gamma)
+
+
+def _mac_power(h2, p, gamma):
+    """User k's own-message power at the AP, (1 - gamma_k^2) h_k^2 P_k."""
+    return (1.0 - gamma * gamma) * h2 * p
+
+
+def _primary_sums(ch: ChannelInstance, gamma):
+    """S and L in index order, each term formed as it is added, from K floats or arrays."""
+    return sum(map(_relayed, ch.a.tolist(), gamma)), sum(map(_lost, ch.a2.tolist(), gamma))
 
 
 def _excess(ch: ChannelInstance, relayed, lost):
@@ -229,8 +242,8 @@ def _excess(ch: ChannelInstance, relayed, lost):
 
 
 def _phi(ch: ChannelInstance, gamma: np.ndarray):
-    """The residual phi of `feasibility_residual`."""
-    return ch.sigma_p2 * _excess(ch, *_primary_terms(ch, gamma))
+    """`feasibility_residual`'s phi at a split (K,) or n splits (n, K), by column."""
+    return ch.sigma_p2 * _excess(ch, *_primary_sums(ch, gamma.T))
 
 
 def _relative_phi(ch: ChannelInstance, phi):
@@ -241,13 +254,6 @@ def _relative_phi(ch: ChannelInstance, phi):
     if scale == 0.0:
         return np.where(phi == 0.0, 0.0, math.inf)
     return phi / scale
-
-
-def _mac_snr(ch: ChannelInstance, gamma: np.ndarray, users=slice(None)):
-    """SNR at the AP of the users selected by `users` (all by default):
-    the sum of (1 - gamma_k^2) h_k^2 P_k over them, over sigma_c2."""
-    effective = (1.0 - gamma**2) * ch.h2 * ch.p
-    return effective[..., users].sum(axis=-1) / ch.sigma_c2
 
 
 def _coordinate_roots(ch: ChannelInstance, a_k: float, relayed, lost, slack: float = 1e-12):
@@ -298,8 +304,9 @@ def baseline_primary_rate(ch: ChannelInstance) -> float:
 
 def primary_rate(ch: ChannelInstance, split: PowerSplit) -> float:
     """Primary rate when cognitive users relay with amplitude ratios gamma."""
-    relayed, lost = _primary_terms(ch, _check_dims(ch, split))
-    return _capacity((ch.primary_amplitude + relayed) ** 2 / (ch.sigma_p2 + lost))
+    relayed, lost = _primary_sums(ch, _check_dims(ch, split))
+    signal = ch.primary_amplitude + relayed
+    return _capacity(signal * signal / (ch.sigma_p2 + lost))
 
 
 def feasibility_residual(ch: ChannelInstance, split: PowerSplit) -> float:
@@ -311,15 +318,16 @@ def feasibility_residual(ch: ChannelInstance, split: PowerSplit) -> float:
     (by `_excess`).  phi = 0 iff the primary rate equals its baseline; phi < 0 means too
     little cooperation, phi > 0 too much.
     """
-    return float(_phi(ch, _check_dims(ch, split)))
+    return ch.sigma_p2 * _excess(ch, *_primary_sums(ch, _check_dims(ch, split)))
 
 
 def relative_residual(ch: ChannelInstance, split: PowerSplit) -> float:
     """|phi| / residual_scale; 0 for the degenerate zero-scale case iff phi = 0."""
-    return float(_relative_phi(ch, _phi(ch, _check_dims(ch, split))))
+    return float(_relative_phi(ch, feasibility_residual(ch, split)))
 
 
 def sum_rate(ch: ChannelInstance, split: PowerSplit) -> float:
     """Total rate of the cognitive users at the AP for a given split."""
-    return _capacity(_mac_snr(ch, _check_dims(ch, split)))
+    power = sum(map(_mac_power, ch.h2.tolist(), ch.p.tolist(), _check_dims(ch, split)))
+    return _capacity(power / ch.sigma_c2)
 

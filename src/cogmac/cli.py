@@ -164,8 +164,8 @@ def cmd_solve(args) -> int:
 def cmd_region(args) -> int:
     ch, _name = load_scenario(args.scenario)
     boundary = region_boundary(ch, args.grid_step)
-    rows = "%.12g,%.12g\n" * len(boundary.points) % tuple(chain.from_iterable(boundary.points))
-    _write_out("r1_bits,r2_bits\n" + rows, args.out)
+    document = "r1_bits,r2_bits\n" + "%.12g,%.12g\n" * len(boundary.points)
+    _write_out(document % tuple(chain.from_iterable(boundary.points)), args.out)
     print(
         f"vertices={len(boundary.points)} samples={boundary.samples_used} "
         f"max_sum_rate_bits={boundary.max_sum_rate():.12g}",

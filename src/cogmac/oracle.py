@@ -19,7 +19,8 @@ from .channel import (
     SATURATED_GAMMA,
     ChannelInstance,
     PowerSplit,
-    _primary_terms,
+    _mac_power,
+    _relayed,
     relative_residual,
     sum_rate,
 )
@@ -55,13 +56,12 @@ def grid_search(ch: ChannelInstance, grid_step: float) -> OracleResult:
     For each coordinate with g_k > 0 the other K-1 coordinates run over the
     grid and that coordinate is solved from the equality constraint
     (`feasible_grid`).  Each block is reduced where it is built, to its
-    count and best row, with each SNR summed in index order as `_mac_snr`
+    count and best row, with each SNR summed in index order as `sum_rate`
     sums it.  Ties break toward the earliest block and row.
     """
     count, best, best_snr = 0, None, -math.inf
     for axes, keep in _blocks(ch, grid_step):
-        users = zip(ch.h2.tolist(), ch.p.tolist(), axes)
-        power = sum((1.0 - axis**2) * h2 * p for h2, p, axis in users)
+        power = sum(map(_mac_power, ch.h2.tolist(), ch.p.tolist(), axes))
         snr = np.divide(power, ch.sigma_c2, out=np.full(keep.shape, -math.inf), where=keep)
         row = int(snr.argmax())
         count += int(np.count_nonzero(keep))
@@ -76,6 +76,7 @@ def grid_search(ch: ChannelInstance, grid_step: float) -> OracleResult:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def kkt_check(
     ch: ChannelInstance, result: SolverResult, tol: float = 1e-6
 ) -> KktReport:
@@ -83,12 +84,12 @@ def kkt_check(
 
     Interior users (gamma_k < 1, g_k > 0) must have a vanishing scaled
     derivative; saturated users a derivative pushing toward the bound;
-    users with g_k = 0 must sit at 0.  A stationarity entry that is not
-    finite (inf / inf where the terms overflow) fails.
+    users with g_k = 0 must sit at 0.  Overflow and inf / inf pass silently,
+    as in Python floats, and a stationarity entry that is not finite fails.
     """
     gamma = result.gamma_star.gamma
     lam = result.lambda_star
-    x = ch.primary_amplitude + float(_primary_terms(ch, gamma)[0])
+    x = ch.primary_amplitude + sum(map(_relayed, ch.a.tolist(), gamma.tolist()))
     inside = gamma < SATURATED_GAMMA
     own = 2.0 * ch.h**2 * ch.p
     term_obj = -own * gamma

@@ -28,7 +28,8 @@ from .channel import (
     _capacity,
     _coordinate_roots,
     _excess,
-    _mac_snr,
+    _mac_power,
+    _primary_sums,
     _relative_phi,
 )
 
@@ -67,14 +68,6 @@ def _grid(step: float) -> np.ndarray:
     return values
 
 
-def _axis_terms(ch: ChannelInstance, axes):
-    """S and L of each candidate in a block: each user's terms on its own
-    axis, broadcast and added in index order, as `_primary_terms` adds a row's."""
-    relayed = sum(a * axis for a, axis in zip(ch.a.tolist(), axes))
-    lost = sum(a2 * (1.0 - axis**2) for a2, axis in zip(ch.a2.tolist(), axes))
-    return relayed, lost
-
-
 def _blocks(ch: ChannelInstance, grid_step: float):
     """The feasible grid block by block, as (axes, keep): axes[j], user j's
     coordinate, broadcasts to keep's shape, and keep marks the rows that
@@ -107,13 +100,13 @@ def _blocks(ch: ChannelInstance, grid_step: float):
     for solved in solvable:
         axes = [grid.reshape([-1 if i == j else 1 for i in range(k)]) for j in range(k)]
         axes[solved] = np.zeros([1] * k)  # S' and L at gamma_k = 0
-        relayed, lost = _axis_terms(ch, axes)
+        relayed, lost = _primary_sums(ch, axes)  # broadcast over the block
         mask, root = _coordinate_roots(ch, ch.a.item(solved), relayed.ravel(), lost.ravel())
         axes[solved] = root.reshape(relayed.shape)
         # a residual past the float range, inf or NaN, fails the test: so
         # do the roots outside [0, 1], whose residuals no row needs
         with np.errstate(over="ignore", invalid="ignore"):
-            phi = ch.sigma_p2 * _excess(ch, *_axis_terms(ch, axes))
+            phi = ch.sigma_p2 * _excess(ch, *_primary_sums(ch, axes))
             keep = mask.reshape(phi.shape) & (_relative_phi(ch, phi) <= RESIDUAL_TOL)
         kept += np.count_nonzero(keep)
         yield axes, keep
@@ -155,7 +148,10 @@ def _staircase(ch: ChannelInstance, grid_step: float):
     """The feasible grid's row count, c1max, c2max and, unless either is 0,
     the corners no other corner dominates, r1 descending, as two arrays."""
     rows = feasible_grid(ch, grid_step)
-    c1, c2, c12 = (_capacity(_mac_snr(ch, rows, users)) for users in ([0], [1], slice(None)))
+    h2, p = ch.h2.tolist(), ch.p.tolist()
+    # one capacity at a time: a power kept for the next one raised peak RSS
+    c1, c2 = (_capacity(_mac_power(h2[k], p[k], rows[:, k]) / ch.sigma_c2) for k in (0, 1))
+    c12 = _capacity(sum(map(_mac_power, h2, p, rows.T)) / ch.sigma_c2)
     c1max, c2max = float(c1.max()), float(c2.max())
     if c1max == 0.0 or c2max == 0.0:
         return len(rows), c1max, c2max, None, None

@@ -54,13 +54,9 @@ slower at small K and faster at large K; the two cross near K = 56.
 Both give the same floats: every elementwise operation rounds alike, the
 sorts are stable, every sum, norm and maximum is the same builtin over the
 same floats in the same order, and the running sums add in order
-(itertools.accumulate in one form, np.cumsum in the other).  Every sum is
-the builtin `sum`, in user index order, which adds sequentially before
-CPython 3.12 (from 3.12 it is compensated).  Before 3.12, then, the
-channel's kernels add alike up to 7 users, where ndarray.sum is
-sequential, so up to K = 7 the reported rate and residual are theirs bit
-for bit; from 8 terms ndarray.sum adds pairwise, and the two differ in the
-last bits.
+(itertools.accumulate in one form, np.cumsum in the other).  The split's
+terms are summed as the channel sums them, so the reported rate and residual
+are `sum_rate` and `relative_residual` at the split, bit for bit, at any K.
 """
 
 from __future__ import annotations
@@ -83,8 +79,11 @@ from .channel import (
     SATURATED_GAMMA,
     _coordinate_roots,
     _excess,
+    _lost,
+    _mac_power,
     _phi,
     _relative_phi,
+    _relayed,
 )
 
 
@@ -292,9 +291,8 @@ class _WaterFill:
         the order `_project` tries them: interior before saturated, each
         group by steepest slope a_k (X + t_p a_k gamma_k), half of
         d phi / d gamma_k over sigma_p2, a NaN slope last, ties in index
-        order.  And, as lists in index order, the terms that
-        `_primary_terms` and `_mac_snr` sum: a_k gamma_k, a_k^2 u_k and
-        u_k h_k^2 P_k, with u_k = 1 - gamma_k^2."""
+        order.  And each user's terms by the channel's formulas, as lists
+        in index order: a_k gamma_k, a_k^2 u_k and u_k h_k^2 P_k."""
         s, m, c, *_ = self._fixed_point(lam)
         x = self.amp + s
         t = lam * self.sigma_p2 * x
@@ -311,10 +309,9 @@ class _WaterFill:
         candidates = sorted(sorted(ids[m:]), key=steep) + sorted(sorted(ids[:m]), key=steep)
         relay, lost, effective = [], [], []
         for a_k, a2_k, h2_k, p_k, g in zip(a, a2, h2, p, gamma):
-            u = 1.0 - g * g
-            relay.append(a_k * g)
-            lost.append(a2_k * u)
-            effective.append(u * h2_k * p_k)
+            relay.append(_relayed(a_k, g))
+            lost.append(_lost(a2_k, g))
+            effective.append(_mac_power(h2_k, p_k, g))
         return gamma, candidates, relay, lost, effective
 
     # overflow to inf, and 0 * inf in the rows that r = 0 skips, pass
@@ -412,8 +409,7 @@ class _ArrayFill(_WaterFill):
         slope = self.a_k * (x + self.t_p * self.a_k * gamma[users])
         # lexsort is stable and puts a NaN last, as the list form's key
         candidates = users[np.lexsort((-slope, saturated[users]))]
-        u = 1.0 - gamma * gamma
-        terms = ch.a * gamma, ch.a2 * u, u * ch.h2 * ch.p
+        terms = _relayed(ch.a, gamma), _lost(ch.a2, gamma), _mac_power(ch.h2, ch.p, gamma)
         return (gamma, candidates.tolist(), *(v.tolist() for v in terms))
 
 
@@ -437,17 +433,16 @@ def _project(path: _WaterFill, gamma, candidates: list, relay: list, lost: list,
     every such gamma_k, so one that cannot land alone still moves phi toward
     0: a relay with h_k = 0 released to 0 lets the next one land.  Each root
     comes from S' and L at gamma_k = 0, summed in index order, as
-    `_primary_terms` sums them.
+    `_primary_sums` sums them.
     """
     a, a2, h2, p = path.by_index
     for k in candidates:
         held = relay[k], lost[k]
-        relay[k], lost[k] = 0.0, a2[k]
+        relay[k], lost[k] = _relayed(a[k], 0.0), _lost(a2[k], 0.0)
         ok, root = _coordinate_roots(path.ch, a[k], sum(relay), sum(lost), slack=0.0)
         if math.isfinite(root):  # NaN once phi's terms overflow
-            gamma[k], u = root, 1.0 - root * root
-            held = a[k] * root, a2[k] * u
-            effective[k] = u * h2[k] * p[k]
+            gamma[k], held = root, (_relayed(a[k], root), _lost(a2[k], root))
+            effective[k] = _mac_power(h2[k], p[k], root)
         relay[k], lost[k] = held
         if ok:
             return

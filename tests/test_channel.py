@@ -16,7 +16,7 @@ from cogmac import (
     relative_residual,
     sum_rate,
 )
-from cogmac.channel import _coordinate_roots, _primary_terms
+from cogmac.channel import _coordinate_roots, _primary_sums
 from conftest import bisect_root
 
 
@@ -26,7 +26,7 @@ def coordinate_root(ch, k, gamma, slack=1e-12):
     the split; its column k is ignored."""
     rest = np.array(gamma, dtype=float)
     rest[..., k] = 0.0
-    return _coordinate_roots(ch, ch.a.item(k), *_primary_terms(ch, rest), slack)
+    return _coordinate_roots(ch, ch.a.item(k), *_primary_sums(ch, rest.T), slack)
 
 
 def make_instance(rng, k):

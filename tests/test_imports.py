@@ -15,6 +15,9 @@ scenario schema from the `ChannelInstance` fields, and names none of them
 in a string of its own, and of an instance it reads only `num_users`: it
 parses, calls the library and prints.  The feasible grid has one kernel,
 `region._blocks`, which the oracle reads without building a grid of its own.
+Every sum over the users is the builtin `sum` in index order: no module
+reduces with `ndarray.sum`, `np.sum` or `np.dot`, which add pairwise, but
+`ChannelInstance.__post_init__`, which only checks the received powers.
 """
 
 import ast
@@ -216,6 +219,42 @@ def test_no_expanded_constraint(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     found = [node.lineno for node in ast.walk(tree) if _expanded_constraint(node)]
     assert not found, f"{path.name}: sigma_p2 * x**2 - s_p * ... at lines {found}"
+
+
+def _numpy_sum(node) -> bool:
+    """A call of `x.sum(...)`, `np.sum(...)` or `np.dot(...)`."""
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
+        node.func.attr in ("sum", "dot")
+    )
+
+
+@pytest.mark.parametrize(
+    "code, found",
+    [
+        ("(ch.a * gamma).sum(axis=-1)", True),
+        ("float(np.sum(a2))", True),
+        ("np.dot(h2, p)", True),
+        ("sum(relay)", False),
+        ("math.fsum(v)", False),
+    ],
+)
+def test_numpy_sum_pattern(code, found):
+    assert any(map(_numpy_sum, ast.walk(ast.parse(code)))) is found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_numpy_sum_but_in_post_init(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    stack, found = list(tree.body), []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.ClassDef) and node.name == "ChannelInstance":
+            stack.extend(n for n in node.body if getattr(n, "name", None) != "__post_init__")
+            continue
+        if _numpy_sum(node):
+            found.append(node.lineno)
+        stack.extend(ast.iter_child_nodes(node))
+    assert not found, f"{path.name}: .sum(, np.sum or np.dot at lines {sorted(found)}"
 
 
 FIELD_NAMES = {f.name for f in dataclasses.fields(cogmac.ChannelInstance)}

@@ -19,18 +19,16 @@ from cogmac import (
     solve_max_sum_rate,
 )
 from cogmac import region
-from cogmac.channel import _capacity, _mac_snr
+from cogmac.channel import _capacity, _mac_power
 from cogmac.region import feasible_grid
 from conftest import convex_hull, hull_contains, pentagon_vertices
 from test_channel import make_instance
 
 
 def rate_bounds(ch, split):
-    """c1, c2, c12 at one split, from the channel kernel region_boundary uses."""
-    return tuple(
-        _capacity(float(_mac_snr(ch, split.gamma, users)))
-        for users in ([0], [1], slice(None))
-    )
+    """c1, c2, c12 at one split, from the channel formula region_boundary uses."""
+    powers = list(map(_mac_power, ch.h2.tolist(), ch.p.tolist(), split.gamma.tolist()))
+    return tuple(_capacity(w / ch.sigma_c2) for w in (*powers, sum(powers)))
 
 
 class TestPolytope:
