@@ -11,8 +11,10 @@ through `tolist()`, agree bit for bit at every K.  An instance derives its
 constant terms once, when it is built: s_p = h_p^2 P_p, A = h_p sqrt(P_p),
 a_k = g_k sqrt(P_k), a2 = a_k^2, t = s_p / sigma_p2, h2 = h_k^2 and the
 residual scale.  Every kernel reads them from it, and reads the primary-rate
-constraint from `_excess`, the one place it is written.  Rates are in bits
-per channel use (log base 2 throughout).
+constraint from `_excess`, the one place it is written.  The instance sums
+its received powers and the residual scale's sum a_k^2 by the same rule, so
+no sum over the users adds pairwise.  Rates are in bits per channel use (log
+base 2 throughout).
 """
 
 from __future__ import annotations
@@ -122,15 +124,18 @@ class ChannelInstance:
                     f"{name} must be a length-{k} vector, got shape ({len(values)},)"
                 )
             object.__setattr__(self, name, np.array(values) if vector else values[0])
-        # the rate formulas square the gains and sum the received powers
+        # the rate formulas square the gains and sum the received powers,
+        # each sum in index order as every kernel sums
         with np.errstate(over="ignore"):
             a = self.g * np.sqrt(self.p)
             a2, h2 = a * a, self.h**2
-            received = (
-                ("sum of h[k]^2 * p[k]", float(np.dot(h2, self.p))),
-                ("sum of g[k]^2 * p[k]", float(a2.sum())),
-                ("h_p^2 * p_p", self.h_p * self.h_p * self.p_p),
-            )
+            own = sum((h2 * self.p).tolist())
+        interference = sum(a2.tolist())
+        received = (
+            ("sum of h[k]^2 * p[k]", own),
+            ("sum of g[k]^2 * p[k]", interference),
+            ("h_p^2 * p_p", self.h_p * self.h_p * self.p_p),
+        )
         for label, value in received:
             if not math.isfinite(value):
                 raise ValueError(f"{label} must be finite, got {value}")
@@ -142,7 +147,7 @@ class ChannelInstance:
             ("a2", a2),
             ("t", s_p / self.sigma_p2),
             ("h2", h2),
-            ("residual_scale", max(s_p * float(a2.sum()), self.sigma_p2 * s_p)),
+            ("residual_scale", max(s_p * interference, self.sigma_p2 * s_p)),
         )
         for name, value in derived:
             object.__setattr__(self, name, value)

@@ -203,7 +203,7 @@ def cmd_validate(args) -> int:
         "oracle": {
             "best_gamma": oracle.best_gamma.gamma.tolist(),
             "best_sum_rate_bits": oracle.best_sum_rate,
-            "grid_step": oracle.grid_step,
+            "grid_step": args.grid_step,
             "points_evaluated": oracle.points_evaluated,
         },
         "sum_rate_gap_bits": gap,
@@ -215,7 +215,6 @@ def cmd_validate(args) -> int:
             "interior_users": [k + 1 for k in report.interior_users],
             "saturated_users": [k + 1 for k in report.saturated_users],
             "feasibility_rel": report.feasibility_rel,
-            "bounds_ok": report.bounds_ok,
             "stationarity_ok": report.stationarity_ok,
             "feasibility_ok": report.feasibility_ok,
             "passed": report.passed,

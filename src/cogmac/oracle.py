@@ -5,7 +5,9 @@ same projected grid as the region (`region.feasible_grid`), where each
 candidate is projected onto the equality constraint through the
 per-coordinate quadratic, so every evaluated point is feasible.  It reads
 that grid block by block from the one kernel that builds it
-(`region._blocks`) and keeps only a count and the best row.
+(`region._blocks`) and keeps only a count and the best row.  Only those
+blocks are worked as arrays here: `kkt_check` and the single-user closed
+form read one split as Python floats.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .channel import (
     ChannelInstance,
     PowerSplit,
     _mac_power,
-    _relayed,
     relative_residual,
     sum_rate,
 )
@@ -32,19 +33,17 @@ from .solver import SolverResult
 class OracleResult:
     best_gamma: PowerSplit
     best_sum_rate: float
-    grid_step: float
     points_evaluated: int
 
 
 @dataclass(frozen=True)
 class KktReport:
-    """Stationarity / feasibility / bound diagnostics for a solver output."""
+    """Stationarity and feasibility diagnostics for a solver output."""
 
     stationarity: dict[int, float]  # scaled derivative residual per user
     interior_users: tuple[int, ...]
     saturated_users: tuple[int, ...]
     feasibility_rel: float
-    bounds_ok: bool
     stationarity_ok: bool
     feasibility_ok: bool
     passed: bool
@@ -61,59 +60,59 @@ def grid_search(ch: ChannelInstance, grid_step: float) -> OracleResult:
     """
     count, best, best_snr = 0, None, -math.inf
     for axes, keep in _blocks(ch, grid_step):
-        power = sum(map(_mac_power, ch.h2.tolist(), ch.p.tolist(), axes))
-        snr = np.divide(power, ch.sigma_c2, out=np.full(keep.shape, -math.inf), where=keep)
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = sum(map(_mac_power, ch.h2.tolist(), ch.p.tolist(), axes))
+            snr = np.divide(power, ch.sigma_c2, out=np.full(keep.shape, -math.inf), where=keep)
         row = int(snr.argmax())
         count += int(np.count_nonzero(keep))
-        if snr.flat[row] > best_snr:
-            best_snr, best = snr.flat[row], [np.broadcast_to(a, keep.shape).flat[row] for a in axes]
+        if snr.item(row) > best_snr:
+            best_snr, best = snr.item(row), [np.broadcast_to(a, keep.shape).item(row) for a in axes]
     best = PowerSplit(best)
-    return OracleResult(
-        best_gamma=best,
-        best_sum_rate=sum_rate(ch, best),
-        grid_step=grid_step,
-        points_evaluated=count,
-    )
+    return OracleResult(best_gamma=best, best_sum_rate=sum_rate(ch, best), points_evaluated=count)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def kkt_check(
     ch: ChannelInstance, result: SolverResult, tol: float = 1e-6
 ) -> KktReport:
-    """Check the stationarity system, feasibility, and box bounds at a solution.
+    """Check the stationarity system and feasibility at a solution, one user
+    at a time in Python floats.
 
     Interior users (gamma_k < 1, g_k > 0) must have a vanishing scaled
     derivative; saturated users a derivative pushing toward the bound;
-    users with g_k = 0 must sit at 0.  Overflow and inf / inf pass silently,
-    as in Python floats, and a stationarity entry that is not finite fails.
+    users with g_k = 0 must sit at 0.  Each user's h_k^2 P_k, g_k sqrt(P_k)
+    and g_k^2 P_k are formed here, not read from the kernels.  Overflow and
+    inf / inf pass silently, and a stationarity entry that is not finite
+    fails.  The box bounds need no check: `PowerSplit` holds every gamma_k
+    in [0, 1].
     """
-    gamma = result.gamma_star.gamma
-    lam = result.lambda_star
-    x = ch.primary_amplitude + sum(map(_relayed, ch.a.tolist(), gamma.tolist()))
-    inside = gamma < SATURATED_GAMMA
-    own = 2.0 * ch.h**2 * ch.p
-    term_obj = -own * gamma
-    term_x = 2.0 * lam * ch.sigma_p2 * x * ch.g * np.sqrt(ch.p)
-    term_quad = 2.0 * lam * ch.s_p * ch.g**2 * ch.p * gamma
-    scale = np.maximum.reduce([np.abs(term_obj), np.abs(term_x), np.abs(term_quad), own])
-    scaled = (term_obj + term_x + term_quad) / np.where(scale == 0.0, 1.0, scale)
-    ok = np.where(
-        ch.g > 0, np.where(inside, np.abs(scaled) <= tol, scaled >= -tol), np.abs(gamma) <= tol
-    )
-    stationarity_ok = bool(np.all(ok & np.isfinite(scaled)))
-
+    gamma, lam = result.gamma_star.gamma.tolist(), result.lambda_star
+    h, g, p = ch.h.tolist(), ch.g.tolist(), ch.p.tolist()
+    roots = list(map(math.sqrt, p))
+    x = ch.primary_amplitude + sum(g_k * r_k * y for g_k, r_k, y in zip(g, roots, gamma))
+    drive, quad = 2.0 * lam * ch.sigma_p2 * x, 2.0 * lam * ch.s_p
+    stationarity, interior, saturated, stationarity_ok = {}, [], [], True
+    for k, (h_k, g_k, p_k, r_k, gamma_k) in enumerate(zip(h, g, p, roots, gamma)):
+        own = 2.0 * (h_k * h_k) * p_k
+        term_obj = -own * gamma_k
+        term_x = drive * g_k * r_k
+        term_quad = quad * (g_k * g_k) * p_k * gamma_k
+        # NaN only where a term is NaN, and then so is their sum: max need not propagate it
+        scale = max(abs(term_obj), abs(term_x), abs(term_quad), own)
+        s = stationarity[k] = (term_obj + term_x + term_quad) / (scale or 1.0)
+        inside = gamma_k < SATURATED_GAMMA
+        (interior if inside else saturated).append(k)
+        ok = gamma_k <= tol if g_k == 0.0 else abs(s) <= tol if inside else s >= -tol
+        stationarity_ok = stationarity_ok and ok and math.isfinite(s)
     feas_rel = relative_residual(ch, result.gamma_star)
     feasibility_ok = feas_rel <= tol
-    bounds_ok = bool(np.all(gamma >= 0.0) and np.all(gamma <= 1.0))
     return KktReport(
-        stationarity=dict(enumerate(scaled.tolist())),
-        interior_users=tuple(np.flatnonzero(inside).tolist()),
-        saturated_users=tuple(np.flatnonzero(~inside).tolist()),
+        stationarity=stationarity,
+        interior_users=tuple(interior),
+        saturated_users=tuple(saturated),
         feasibility_rel=feas_rel,
-        bounds_ok=bounds_ok,
         stationarity_ok=stationarity_ok,
         feasibility_ok=feasibility_ok,
-        passed=stationarity_ok and feasibility_ok and bounds_ok,
+        passed=stationarity_ok and feasibility_ok,
     )
 
 
@@ -130,7 +129,7 @@ def single_user_closed_form(ch: ChannelInstance) -> float:
     if ch.num_users != 1:
         raise UnsupportedSizeError(f"closed form defined for 1 user, got {ch.num_users}")
     amp = ch.primary_amplitude
-    x = ch.g[0] * math.sqrt(ch.p[0])
+    x = ch.g.item(0) * math.sqrt(ch.p.item(0))
     s = ch.sigma_p2
     return min(1.0, amp * x / (s + math.sqrt(s * s + (s + amp * amp) * x * x)))
 

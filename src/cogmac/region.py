@@ -38,7 +38,8 @@ MAX_GRID_USERS = 3
 # the most candidate rows that `feasible_grid` builds: above a three-user
 # grid at step 1e-3 (3.0e6 rows).  `region` peaks at about 200 B per kept
 # row (tracemalloc, `k2_reference` at steps 1e-4 and 2e-5), so the cap still
-# admits a two-user region at a step near 2e-7, up to about 2 GB
+# admits a two-user region at a step near 2e-7, up to about 2 GB.  It also
+# caps `solver.sweep_trajectory`'s samples x K path values
 MAX_GRID_ROWS = 10**7
 
 
@@ -98,14 +99,16 @@ def _blocks(ch: ChannelInstance, grid_step: float):
     grid = _grid(grid_step) if k > 1 else np.zeros(1)
     kept = 0
     for solved in solvable:
-        axes = [grid.reshape([-1 if i == j else 1 for i in range(k)]) for j in range(k)]
-        axes[solved] = np.zeros([1] * k)  # S' and L at gamma_k = 0
-        relayed, lost = _primary_sums(ch, axes)  # broadcast over the block
-        mask, root = _coordinate_roots(ch, ch.a.item(solved), relayed.ravel(), lost.ravel())
-        axes[solved] = root.reshape(relayed.shape)
-        # a residual past the float range, inf or NaN, fails the test: so
-        # do the roots outside [0, 1], whose residuals no row needs
+        # overflow and inf - inf pass silently: such a row's residual, inf
+        # or NaN, fails the test, as do the roots outside [0, 1], whose
+        # residuals no row needs.  The context closes before the yield,
+        # which would otherwise carry it into the caller
         with np.errstate(over="ignore", invalid="ignore"):
+            axes = [grid.reshape([-1 if i == j else 1 for i in range(k)]) for j in range(k)]
+            axes[solved] = np.zeros([1] * k)  # S' and L at gamma_k = 0
+            relayed, lost = _primary_sums(ch, axes)  # broadcast over the block
+            mask, root = _coordinate_roots(ch, ch.a.item(solved), relayed.ravel(), lost.ravel())
+            axes[solved] = root.reshape(relayed.shape)
             phi = ch.sigma_p2 * _excess(ch, *_primary_sums(ch, axes))
             keep = mask.reshape(phi.shape) & (_relative_phi(ch, phi) <= RESIDUAL_TOL)
         kept += np.count_nonzero(keep)
@@ -149,14 +152,16 @@ def _staircase(ch: ChannelInstance, grid_step: float):
     the corners no other corner dominates, r1 descending, as two arrays."""
     rows = feasible_grid(ch, grid_step)
     h2, p = ch.h2.tolist(), ch.p.tolist()
-    # one capacity at a time: a power kept for the next one raised peak RSS
-    c1, c2 = (_capacity(_mac_power(h2[k], p[k], rows[:, k]) / ch.sigma_c2) for k in (0, 1))
-    c12 = _capacity(sum(map(_mac_power, h2, p, rows.T)) / ch.sigma_c2)
-    c1max, c2max = float(c1.max()), float(c2.max())
-    if c1max == 0.0 or c2max == 0.0:
-        return len(rows), c1max, c2max, None, None
-    r1 = np.concatenate([c1, c12 - c2])
-    r2 = np.concatenate([c12 - c1, c2])
+    # an SNR past the float range reads inf, and inf - inf NaN, silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one capacity at a time: a power kept for the next one raised peak RSS
+        c1, c2 = (_capacity(_mac_power(h2[k], p[k], rows[:, k]) / ch.sigma_c2) for k in (0, 1))
+        c12 = _capacity(sum(map(_mac_power, h2, p, rows.T)) / ch.sigma_c2)
+        c1max, c2max = float(c1.max()), float(c2.max())
+        if c1max == 0.0 or c2max == 0.0:
+            return len(rows), c1max, c2max, None, None
+        r1 = np.concatenate([c1, c12 - c2])
+        r2 = np.concatenate([c12 - c1, c2])
     order = np.lexsort((-r2, -r1))  # r1 descending, ties by r2 descending
     r1, r2 = r1[order], r2[order]
     # kept: r2 above that of every corner with a larger or equal r1

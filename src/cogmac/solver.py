@@ -85,6 +85,7 @@ from .channel import (
     _relative_phi,
     _relayed,
 )
+from .region import MAX_GRID_ROWS
 
 
 # a step or a bracket this short, relative to the multiplier, ends the root find
@@ -596,7 +597,18 @@ def sweep_trajectory(ch: ChannelInstance, lambda_max: float | None, samples: int
     row of gamma lies in [0, 1] by the rule, or holds a NaN where the
     path's terms pass the float range, and so does phi then; where phi is
     not finite, FloatingPointError names the first such multiplier.  gamma
-    is read-only, as a split's is."""
+    is read-only, as a split's is.  The arguments are checked before
+    anything is solved or allocated: the (samples, K) gamma may hold at most
+    `region.MAX_GRID_ROWS` values, the feasible grid's cap."""
+    if samples < 2:
+        raise ValueError("need at least 2 samples")
+    if samples * ch.num_users > MAX_GRID_ROWS:
+        raise ValueError(
+            f"samples {samples} on this {ch.num_users}-user instance ask for more than "
+            f"{MAX_GRID_ROWS:.0e} path values; take a smaller --samples"
+        )
+    if lambda_max is not None and not 0 <= lambda_max < math.inf:
+        raise ValueError(f"lambda_max must be nonnegative and finite, got {lambda_max}")
     path = _water_fill(ch)
     if lambda_max is None:
         lam_star, _ = _follow(path)
@@ -608,10 +620,6 @@ def sweep_trajectory(ch: ChannelInstance, lambda_max: float | None, samples: int
             poles, fallback = poles[poles > 0.0], max(ch.t, 1.0) / ch.sigma_p2
             lambda_max = float(poles.min()) if poles.size else fallback
         lambda_max = min(lambda_max, sys.float_info.max)
-    if not 0 <= lambda_max < math.inf:
-        raise ValueError(f"lambda_max must be nonnegative and finite, got {lambda_max}")
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
     grid = np.linspace(0.0, lambda_max + 0.0, samples)  # -0 + 0 = 0
     x, gamma, saturated = path.states(grid)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -185,3 +185,27 @@ def bisect_root(func, lo, hi, iters=200):
         else:
             lo, f_lo = mid, func(mid)
     return 0.5 * (lo + hi)
+
+
+def numpy_calls(run) -> set:
+    """The numpy functions `run()` calls: every call of a numpy builtin, by
+    qualified name, and every Python frame of a numpy module, by function
+    name.  Each numpy call costs microseconds where a solve or a check
+    starts with cold caches."""
+    seen = set()
+
+    def record(frame, event, arg):
+        if event == "c_call":
+            module = getattr(arg, "__module__", None) or type(arg.__self__).__module__
+            if module.startswith("numpy"):
+                seen.add(arg.__qualname__)
+        elif event == "call" and frame.f_globals.get("__name__", "").startswith("numpy"):
+            seen.add(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return seen

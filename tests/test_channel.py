@@ -128,7 +128,7 @@ class TestDerivedTerms:
             "a2": a * a,
             "t": s_p / ch.sigma_p2,
             "h2": ch.h**2,
-            "residual_scale": max(s_p * float(np.sum(a * a)), ch.sigma_p2 * s_p),
+            "residual_scale": max(s_p * sum((a * a).tolist()), ch.sigma_p2 * s_p),
         }
 
     @staticmethod

@@ -513,6 +513,16 @@ class TestInvalidFlags:
             "instance, more than 1e+07; take a larger --grid-step\n"
         )
 
+    def test_oversized_sweep_is_one_error_line(self, capsys):
+        # refused before anything is allocated: the (samples, K) path took
+        # numpy's allocation error, a traceback
+        args = ["sweep", "--scenario", str(SCENARIOS / "k2_reference.json"), "--samples", str(10**15)]
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err == (
+            f"error: samples {10**15} on this 2-user instance ask for more than 1e+07 "
+            "path values; take a smaller --samples\n"
+        )
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -26,7 +26,7 @@ from cogmac import solver
 from cogmac.cli import load_scenario
 from cogmac.oracle import instance_suite, random_instance
 from cogmac.solver import _ArrayFill, _project, _WaterFill
-from conftest import SUITE_SEED, bisect_root, extreme_fuzz, limit_fuzz, wide_instances
+from conftest import SUITE_SEED, bisect_root, extreme_fuzz, limit_fuzz, numpy_calls, wide_instances
 from test_channel import make_instance
 from test_golden import GOLDEN, SCENARIOS
 
@@ -818,28 +818,10 @@ class TestReport:
 
 def test_list_form_makes_no_numpy_reduction():
     """A list-form solve calls numpy only to read the instance's arrays as
-    floats (`tolist`) and to build the split's read-only array:
-    each numpy call costs microseconds on a cold solve.  Every call of a
-    numpy builtin and every Python frame of a numpy module is recorded."""
+    floats (`tolist`) and to build the split's read-only array."""
     suite = instance_suite(1, 30)
     assert max(ch.num_users for ch in suite) < solver._ARRAY_USERS
-    seen = set()
-
-    def record(frame, event, arg):
-        if event == "c_call":
-            module = getattr(arg, "__module__", None) or type(arg.__self__).__module__
-            if module.startswith("numpy"):
-                seen.add(arg.__qualname__)
-        elif event == "call" and frame.f_globals.get("__name__", "").startswith("numpy"):
-            seen.add(frame.f_code.co_name)
-
-    previous = sys.getprofile()
-    sys.setprofile(record)
-    try:
-        for ch in suite:
-            solve_max_sum_rate(ch)
-    finally:
-        sys.setprofile(previous)
+    seen = numpy_calls(lambda: [solve_max_sum_rate(ch) for ch in suite])
     assert seen == {"ndarray.tolist", "array", "ndarray.setflags"}
 
 
@@ -1034,6 +1016,19 @@ class TestSweepTrajectory:
         with pytest.raises(FloatingPointError) as info:
             sweep_trajectory(ch, None, 201)
         assert str(info.value) == f"the path passes the float range at lambda = {first:.12g}"
+
+    @pytest.mark.parametrize(
+        "samples, message",
+        [(1, "need at least 2 samples"), (5 * 10**6 + 1, "ask for more than 1e[+]07 path values")],
+    )
+    def test_samples_checked_before_solving(self, monkeypatch, k2_reference, samples, message):
+        # the default range's root find ran before a bad count was refused
+        def unreachable(path):
+            raise AssertionError("solved before the arguments were checked")
+
+        monkeypatch.setattr(solver, "_follow", unreachable)
+        with pytest.raises(ValueError, match=message):
+            sweep_trajectory(k2_reference, None, samples)
 
     def test_columns(self, k2_reference):
         traj = sweep_trajectory(k2_reference, 0.1, 5)
