@@ -22,13 +22,14 @@ two saturations phi is rational in lambda, with poles where c_k = 0 and where
 1 - r Q = 0.  The solver finds the root lambda* of phi in O(log decades)
 path evaluations: it grows a bracket in the exponent, taking Newton's step
 on a form of phi without the pole of X (`_WaterFill.phi`) wherever it lands
-inside, then takes that step where it lands inside a bracket that spans at
-most a factor of 4, and bisects on the exponents of lambda and of its
-distance to the nearest pole everywhere else.  A step that crosses a
-saturation of lo's segment lands where more users are saturated, on a
-segment that may have no step of its own (all saturated, say); there lo's
-segment formula, continued past its saturation by the same sums over lo's
-users (`_continue`), gives the step back.
+inside.  Then one rule picks each next multiplier: hi's step wherever it
+lands strictly inside; while the bracket spans at most a factor of 4, lo's
+step or the continuation pass below; otherwise the midpoint on the
+exponents of lambda and of its distance to the nearest pole.  A step that
+crosses a saturation of lo's segment lands where more users are saturated,
+on a segment that may have no step of its own (all saturated, say); there
+lo's segment formula, continued past its saturation by the same sums over
+lo's users (`_continue`), gives the step back.
 
 The end game reads the path's fixed point at lambda* once (`_split`): it
 builds gamma there, with the terms of S, of the lost power L and of the MAC
@@ -160,25 +161,29 @@ class _WaterFill:
         (a_k / c_k)^3."""
         ls, r, amp = lam * self.s_p, lam * self.sigma_p2, self.amp
         c = [w - ls * a for w, a in zip(self.wa, self.a)]
-        order = sorted(self.identity, key=c.__getitem__)
-        if order != self.identity:  # never with one user
-            get = itemgetter(*order)
-            lists = c, self.ids, self.a, self.a2, self.wa
-            c, self.ids, self.a, self.a2, self.wa = map(get, lists)
-        a, n = self.a, len(c)
-        z = bisect_right(c, 0.0)  # at or past their pole
-        ratio = list(map(truediv, a[z:], c[z:]))
+        n = len(c)
+        if n > 1:  # one user is sorted, and itemgetter(k) returns no tuple
+            order = sorted(self.identity, key=c.__getitem__)
+            if order != self.identity:
+                get = itemgetter(*order)
+                lists = c, self.ids, self.a, self.a2, self.wa
+                c, self.ids, self.a, self.a2, self.wa = map(get, lists)
+        # users at or past their pole lead, and most evaluations have none (z
+        # = 0) and saturate none (m = z): no slice is copied then
+        a, z = self.a, bisect_right(c, 0.0)
+        ratio = list(map(truediv, a[z:], c[z:]) if z else map(truediv, a, c))
         # s_m = sum_{i<m} a_i and Q_m, summed in the order of `states`'
         # cumulative sums; Q_j past z is q[n - j], suffix sums listed only once
-        # a user past z saturates (most evaluations saturate none)
-        m, s_m, q_m, q = z, sum(a[:z]), sum(reversed(ratio)), None
+        # a user past z saturates
+        m, s_m, q_m, q = z, sum(a[:z]) if z else 0.0, sum(reversed(ratio)), None
         while m < n and r * (amp + s_m) >= c[m] * (1.0 - r * q_m):
             if q is None:
                 q = list(accumulate(reversed(ratio), initial=0.0))
             s_m += a[m]
             m += 1
             q_m = q[n - m]
-        ratio = ratio[m - z :]
+        if m > z:
+            ratio = ratio[m - z :]
         return s_m, q_m, m, c, a, self.wa, ratio, self.a2, sum([v * v * v for v in ratio])
 
     def _continue(self, lam: float, point: tuple):
@@ -378,18 +383,19 @@ class _ArrayFill(_WaterFill):
         self.a, self.a2, self.wa, self.ids = self.cols
         a, n = self.a, c.size
         z = bisect_right(c, 0.0)  # by the list form's comparisons, NaN included
-        ratio = a[z:] / c[z:]
+        ratio = a[z:] / c[z:] if z else a / c
         listed = ratio.tolist()
-        m, s_m, q_m, q = z, sum(a[:z].tolist()), sum(reversed(listed)), None
+        m, s_m, q_m, q = z, sum(a[:z].tolist()) if z else 0.0, sum(reversed(listed)), None
         while m < n and r * (amp + s_m) >= c.item(m) * (1.0 - r * q_m):
             if q is None:  # q[i]: the last i + 1 of a_k / c_k, summed from the end
                 q = np.cumsum(ratio[::-1])
             s_m += a.item(m)
             m += 1
             q_m = q.item(n - m - 1) if m < n else 0.0
-        ratio = ratio[m - z :]
+        if m > z:
+            ratio, listed = ratio[m - z :], listed[m - z :]
         cube = sum((ratio * ratio * ratio).tolist())  # v * v * v, as the list form
-        return s_m, q_m, m, c, a, self.wa, listed[m - z :], self.a2.tolist(), cube
+        return s_m, q_m, m, c, a, self.wa, listed, self.a2.tolist(), cube
 
     def _continue(self, lam: float, point: tuple):
         # the list form's, on the point's columns as lists: it is rare
@@ -414,7 +420,7 @@ class _ArrayFill(_WaterFill):
         return (gamma, candidates.tolist(), *(v.tolist() for v in terms))
 
 
-# the fewest users at which the array form is the faster (measured; README)
+# from this many users on, the array form is the faster (measured; README)
 _ARRAY_USERS = 60
 
 
@@ -452,15 +458,13 @@ def _project(path: _WaterFill, gamma, candidates: list, relay: list, lost: list,
 def _follow(path: _WaterFill) -> tuple[float, bool]:
     """Find the root lambda* of phi.  From Newton's step at 0, grow the
     bracket in the exponent, lambda 2^(2^j) up or down, or by lo's Newton
-    step wherever it lands inside.  Then, by one rule: while the bracket
-    spans at most a factor of 4 in mu = lambda / (p - lambda), with p lo's
-    nearest singularity, take Newton's step from either end if it lands
-    strictly inside, or the float just above lo where hi's step lands
-    exactly on lo; in every other case take `_midpoint`'s geometric mean
-    in mu.  Where the bracket's new hi is a Newton step that saturated more
-    users than lo has, and in a bracket that narrow neither end's step
-    lands inside, hi's step is that of lo's segment formula continued to
-    hi, one more pass.  Stops at
+    step wherever it lands inside.  Then take hi's Newton step wherever it
+    lands strictly inside; while the bracket spans at most a factor of 4
+    in mu = lambda / (p - lambda), p lo's nearest singularity, lo's step if
+    it lands strictly inside, the float just above lo where hi's lands
+    exactly on lo, or, where hi is a Newton step past a saturation of lo's
+    segment, that formula's step continued to hi (one more pass) if it
+    lands inside; otherwise `_midpoint`'s geometric mean in mu.  Stops at
     an end whose step is a few ulps long, or on a bracket a few ulps wide.
     Returns (lambda*, True), or (the largest multiplier known to have phi <
     0, False) once `_BUDGET` - 1 evaluations are spent, one kept for
@@ -508,6 +512,8 @@ def _follow(path: _WaterFill) -> tuple[float, bool]:
             factor *= factor
             if lam < newton < hi:
                 lam = newton
+        elif lo < hi + step_hi < hi:  # at any width
+            lam = newton = hi + step_hi
         else:
             spread, mid = _midpoint(lo, hi, gap)
             if spread <= 4.0:
