@@ -33,6 +33,13 @@ RESIDUAL_TOL = 1e-10
 # gamma_k at or above it counts as saturated (`active_set_changes`, `kkt_check`)
 SATURATED_GAMMA = 1.0 - 1e-9
 
+# the most candidate rows that `region.feasible_grid` builds: above a
+# three-user grid at step 1e-3 (3.0e6 rows).  `region` peaks at about 200 B
+# per kept row (tracemalloc, `k2_reference` at steps 1e-4 and 2e-5), so the
+# cap still admits a two-user region at a step near 2e-7, up to about 2 GB.
+# It also caps `solver.sweep_trajectory`'s samples x K path values
+MAX_GRID_ROWS = 10**7
+
 
 class DimensionMismatchError(ValueError):
     """Vector argument length does not match the instance's user count."""

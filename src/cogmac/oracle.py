@@ -26,7 +26,6 @@ from .channel import (
     sum_rate,
 )
 from .region import UnsupportedSizeError, _blocks
-from .solver import SolverResult
 
 
 @dataclass(frozen=True)
@@ -71,11 +70,11 @@ def grid_search(ch: ChannelInstance, grid_step: float) -> OracleResult:
     return OracleResult(best_gamma=best, best_sum_rate=sum_rate(ch, best), points_evaluated=count)
 
 
-def kkt_check(
-    ch: ChannelInstance, result: SolverResult, tol: float = 1e-6
-) -> KktReport:
+def kkt_check(ch: ChannelInstance, result, tol: float = 1e-6) -> KktReport:
     """Check the stationarity system and feasibility at a solution, one user
-    at a time in Python floats.
+    at a time in Python floats.  `result` is a `solver.SolverResult`, or any
+    object with its `gamma_star` and `lambda_star`: the check imports
+    nothing from the solver.
 
     Interior users (gamma_k < 1, g_k > 0) must have a vanishing scaled
     derivative; saturated users a derivative pushing toward the bound;

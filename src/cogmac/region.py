@@ -23,6 +23,7 @@ from operator import add
 import numpy as np
 
 from .channel import (
+    MAX_GRID_ROWS,
     RESIDUAL_TOL,
     ChannelInstance,
     _capacity,
@@ -34,13 +35,6 @@ from .channel import (
 )
 
 MAX_GRID_USERS = 3
-
-# the most candidate rows that `feasible_grid` builds: above a three-user
-# grid at step 1e-3 (3.0e6 rows).  `region` peaks at about 200 B per kept
-# row (tracemalloc, `k2_reference` at steps 1e-4 and 2e-5), so the cap still
-# admits a two-user region at a step near 2e-7, up to about 2 GB.  It also
-# caps `solver.sweep_trajectory`'s samples x K path values
-MAX_GRID_ROWS = 10**7
 
 
 class UnsupportedSizeError(ValueError):

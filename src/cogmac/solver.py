@@ -25,7 +25,11 @@ on a form of phi without the pole of X (`_WaterFill.phi`) wherever it lands
 inside.  Then one rule picks each next multiplier: hi's step wherever it
 lands strictly inside; while the bracket spans at most a factor of 4, lo's
 step or the continuation pass below; otherwise the midpoint on the
-exponents of lambda and of its distance to the nearest pole.  A step that
+exponents of lambda and of its distance to the nearest pole.  Once the
+rules have taken as many steps as plain bisection in the exponent would
+need to close the bracket, every step is that bisection, so a solve makes
+at most a stated number of evaluations, 248 over the whole float range
+(`_follow`), and reaches lambda* within it.  A step that
 crosses a saturation of lo's segment lands where more users are saturated,
 on a segment that may have no step of its own (all saturated, say); there
 lo's segment formula, continued past its saturation by the same sums over
@@ -73,6 +77,7 @@ from operator import itemgetter, truediv
 import numpy as np
 
 from .channel import (
+    MAX_GRID_ROWS,
     RESIDUAL_TOL,
     ChannelInstance,
     PowerSplit,
@@ -86,18 +91,20 @@ from .channel import (
     _relative_phi,
     _relayed,
 )
-from .region import MAX_GRID_ROWS
 
 
 # a step or a bracket this short, relative to the multiplier, ends the root find
 _FEW_ULPS = 4.0 * sys.float_info.epsilon
 
-# the most path evaluations one solve may make, far past the few dozen any
-# root find takes; read at each call
-_BUDGET = 200_000
-
 
 class SolverStatus(enum.Enum):
+    """How a solve ended.  Every root find reaches lambda* within its stated
+    worst case (`_follow`), so the status reads the split there alone:
+    `Converged` where its relative residual is at most
+    `channel.RESIDUAL_TOL`, `MaxItersExceeded` where it is above.  That
+    value keeps its old name, which every report prints, though no
+    iteration budget is left to exceed."""
+
     CONVERGED = "Converged"
     MAX_ITERS_EXCEEDED = "MaxItersExceeded"
 
@@ -455,7 +462,7 @@ def _project(path: _WaterFill, gamma, candidates: list, relay: list, lost: list,
             return
 
 
-def _follow(path: _WaterFill) -> tuple[float, bool]:
+def _follow(path: _WaterFill) -> float:
     """Find the root lambda* of phi.  From Newton's step at 0, grow the
     bracket in the exponent, lambda 2^(2^j) up or down, or by lo's Newton
     step wherever it lands inside.  Then take hi's Newton step wherever it
@@ -466,52 +473,68 @@ def _follow(path: _WaterFill) -> tuple[float, bool]:
     segment, that formula's step continued to hi (one more pass) if it
     lands inside; otherwise `_midpoint`'s geometric mean in mu.  Stops at
     an end whose step is a few ulps long, or on a bracket a few ulps wide.
-    Returns (lambda*, True), or (the largest multiplier known to have phi <
-    0, False) once `_BUDGET` - 1 evaluations are spent, one kept for
-    `_split`.  Past the last pole phi is constant: if still negative there,
-    by rounding only, that multiplier counts as reached."""
-    budget = _BUDGET - 1
-    if budget < 1:
-        return 0.0, False
+    Past the last pole phi is constant: if still negative there, by
+    rounding only, that multiplier is lambda*.
+
+    The worst case is stated, not budgeted.  `_halvings` counts the
+    geometric bisections in lambda that close a bracket to the few-ulps
+    stop: k for [tiny, last], n for the first bracket bounded with lo > 0.
+    While the bracket grows, Newton's step is taken in the first k - 1
+    steps at most; the factor is inf by the eleventh, so a later step of
+    the exponent lands on tiny or on last and ends the growth.  Then the
+    rules above pick n - 1 steps at most, and each step after those is the
+    geometric mean of lo and hi, strictly inside the bracket, which halves
+    ln(hi / lo) up to its rounding, at most 1.5 epsilon a step and so 3
+    epsilon in all: n + 3 such steps close any bracket the rules left.  A
+    solve so makes at most max(k, 11) + 3 n + 4 path evaluations: phi at 0
+    and at the first multiplier, max(k, 11) growth steps, n - 1 rule steps
+    with at most one continuation pass each, n + 3 bisections and
+    `_split`'s pass.  k and n are at most 61 over the normal floats, so no
+    solve makes more than 248."""
     f, step, _ = path.phi(0.0)
     if f >= 0.0:
-        return 0.0, True
+        return 0.0
     tiny, last, few = sys.float_info.min, path.last, _FEW_ULPS
-    # with no finite step at 0, start midway between tiny and last in exponent
+    # with no finite step at 0, start midway between tiny and last in exponent;
+    # the growth factor squares at each step
     lam = step if 0.0 < step < math.inf else math.sqrt(tiny) * math.sqrt(last)
     lam, factor = min(max(lam, tiny), last), 2.0
     # phi < 0 at lo and phi >= 0 at hi, evaluated once `bounded`; each end
     # with its step, lo with its singularity and its point, and hi with
-    # whether it is the Newton step aimed at
+    # whether it is the Newton step aimed at; the steps left before the
+    # bisection, counted from [tiny, last] while `growing`
     lo, f_lo, step_lo, gap, point = 0.0, f, step, math.inf, path._last[1]
     hi, f_hi, step_hi, bounded = last, math.inf, math.nan, False
-    newton = step
-    while path.evaluations < budget:
+    newton, left, growing = step, _halvings(tiny, last), True
+    while True:
         f, step, d = path.phi(lam)
         if f > 0.0:
             hi, f_hi, step_hi, bounded, stepped = lam, f, step, True, lam == newton
         elif f == 0.0 or lam >= last:
-            return lam, True
+            return lam
         else:
             lo, f_lo, step_lo, gap, point = lam, f, step, d, path._last[1]
         if abs(step) <= few * lam and lo <= lam + step <= hi:
-            return lam, True
+            return lam
         width = hi - lo
         if width <= few * hi or width <= tiny:
-            return (lo if -f_lo < f_hi else hi), True
+            return lo if -f_lo < f_hi else hi
         newton = lo + step_lo
         if not lo < newton < hi:
             newton = hi + step_hi  # NaN unless it lands inside
             if newton == lo:  # lambda* lies within an ulp above lo
                 newton = math.nextafter(lo, hi)
+        left -= 1
+        if growing and bounded and lo > 0.0:  # count this bracket's own halvings
+            left, growing = _halvings(lo, hi) - 1, False
         if not bounded:
-            lam = newton if lo < newton < hi else min(lo * factor, last)
-            factor *= factor
+            lam = newton if lo < newton < hi and left > 0 else min(lo * factor, last)
         elif lo == 0.0:
             lam = max(hi / factor, tiny)
-            factor *= factor
-            if lam < newton < hi:
+            if lam < newton < hi and left > 0:
                 lam = newton
+        elif left <= 0:  # inside the bracket, as it spans more than a few ulps
+            lam = _midpoint(lo, hi, math.inf)[1]
         elif lo < hi + step_hi < hi:  # at any width
             lam = newton = hi + step_hi
         else:
@@ -521,14 +544,24 @@ def _follow(path: _WaterFill) -> tuple[float, bool]:
                     mid = newton
                 # hi, just evaluated, is a Newton step past a saturation of
                 # lo's segment: step back by lo's formula continued to hi
-                elif stepped and path._last[1][1] > point[1] and path.evaluations < budget:
+                elif stepped and path._last[1][1] > point[1]:
                     step_hi = path.phi(hi, point)[1]
                     newton = hi + step_hi
                     if lo < newton < hi:
                         mid = newton
             # a singularity within an ulp of lo rounds the midpoint onto it
             lam = mid if lo < mid < hi else math.nextafter(lo, hi)
-    return lo, False
+        factor *= factor
+
+
+def _halvings(lo: float, hi: float) -> int:
+    """The geometric bisections in lambda that close [lo, hi], 0 < lo <= hi,
+    to the few-ulps stop, at least 0: ceil(log2(ln(hi / lo) / `_FEW_ULPS`)),
+    with hi / lo as the square of sqrt(hi) / sqrt(lo), which cannot
+    overflow.  The stop holds once ln(hi / lo) <= -ln(1 - `_FEW_ULPS`),
+    which is more than `_FEW_ULPS`."""
+    span = 2.0 * math.log(math.sqrt(hi) / math.sqrt(lo))
+    return math.ceil(math.log2(span / _FEW_ULPS)) if span > _FEW_ULPS else 0
 
 
 def _midpoint(lo: float, hi: float, gap: float) -> tuple[float, float]:
@@ -551,22 +584,22 @@ def solve_max_sum_rate(ch: ChannelInstance) -> SolverResult:
     fixed point (see the module docstring).
 
     Returns the feasible split maximizing the cognitive sum rate, reported
-    `Converged` once lambda* is reached and the split's relative residual is
-    at most `channel.RESIDUAL_TOL`.  With no interference path at all (every
+    `Converged` where the split's relative residual is at most
+    `channel.RESIDUAL_TOL` and `MaxItersExceeded` where it is above
+    (`SolverStatus`).  With no interference path at all (every
     g_k = 0) phi is 0 at lambda = 0, so the path stops there with gamma = 0
     after 2 evaluations, one for phi and one for gamma, like any instance
     whose constraint does not bind.
     """
     path = _water_fill(ch)
-    lam, reached = _follow(path)
+    lam = _follow(path)
     gamma, candidates, relay, lost, effective = path._split(lam)
-    if reached:
-        _project(path, gamma, candidates, relay, lost, effective)
+    _project(path, gamma, candidates, relay, lost, effective)
     split = PowerSplit(gamma)
     # phi, its relative residual and the rate from the split's own terms,
     # summed in index order: channel's `relative_residual` and `sum_rate`
     residual = float(_relative_phi(ch, ch.sigma_p2 * _excess(ch, sum(relay), sum(lost))))
-    converged = reached and residual <= RESIDUAL_TOL
+    converged = residual <= RESIDUAL_TOL
     return SolverResult(
         gamma_star=split,
         sum_rate=_capacity(sum(effective) / ch.sigma_c2),
@@ -605,7 +638,7 @@ def sweep_trajectory(ch: ChannelInstance, lambda_max: float | None, samples: int
     not finite, FloatingPointError names the first such multiplier.  gamma
     is read-only, as a split's is.  The arguments are checked before
     anything is solved or allocated: the (samples, K) gamma may hold at most
-    `region.MAX_GRID_ROWS` values, the feasible grid's cap."""
+    `channel.MAX_GRID_ROWS` values, the feasible grid's cap."""
     if samples < 2:
         raise ValueError("need at least 2 samples")
     if samples * ch.num_users > MAX_GRID_ROWS:
@@ -617,10 +650,8 @@ def sweep_trajectory(ch: ChannelInstance, lambda_max: float | None, samples: int
         raise ValueError(f"lambda_max must be nonnegative and finite, got {lambda_max}")
     path = _water_fill(ch)
     if lambda_max is None:
-        lam_star, _ = _follow(path)
-        if lam_star > 0:
-            lambda_max = 1.25 * lam_star
-        else:
+        lambda_max = 1.25 * _follow(path)
+        if lambda_max == 0.0:
             with np.errstate(over="ignore"):  # w_k / a_k / a_k / s_p, as `last`
                 poles = np.divide(path.wa, path.a) / ch.s_p if ch.s_p > 0.0 else np.zeros(0)
             poles, fallback = poles[poles > 0.0], max(ch.t, 1.0) / ch.sigma_p2

@@ -15,7 +15,7 @@ from conftest import hull_contains, limit_fuzz
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cogmac import ChannelInstance, cli, random_instance, region_boundary, solver, sweep_trajectory
+from cogmac import ChannelInstance, cli, random_instance, region_boundary, sweep_trajectory
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -174,10 +174,14 @@ class TestSolve:
         assert proc.returncode == 1
         assert "extra" in proc.stderr
 
-    def test_max_iters_exit_code(self, monkeypatch, capsys):
-        monkeypatch.setattr(solver, "_BUDGET", 2)
-        assert cli.main(["solve", "--scenario", str(SCENARIOS / "k1_unit.json")]) == 2
-        assert json.loads(capsys.readouterr().out)["status"] == "MaxItersExceeded"
+    def test_max_iters_exit_code(self, tmp_path, capsys):
+        # limit-fuzz draw 22 (K = 2): the root find reaches lambda*, but the
+        # split there keeps a relative residual of 1, far above RESIDUAL_TOL
+        path = write_scenario(tmp_path, cli.scenario_echo(limit_fuzz()[22], None))
+        assert cli.main(["solve", "--scenario", path]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "MaxItersExceeded"
+        assert out["residual_rel"] == 1
 
     def test_non_finite_rate_is_valid_json(self, tmp_path, capsys):
         # limit-fuzz draw 36 (K = 1): the rate overflows to inf, which was
@@ -378,11 +382,13 @@ class TestValidate:
         assert fine["oracle"]["best_gamma"] == coarse["oracle"]["best_gamma"]
         assert fine["verdict"] == coarse["verdict"] == "pass"
 
-    def test_loosened_tolerance_fails_feasibility(self, monkeypatch, capsys):
-        # the solve stops on its evaluation budget, short of the constraint
-        monkeypatch.setattr(solver, "_BUDGET", 2)
-        assert cli.main(["validate", "--scenario", str(SCENARIOS / "k1_unit.json")]) == 2
+    def test_loosened_tolerance_fails_feasibility(self, tmp_path, capsys):
+        # limit-fuzz draw 22: its solve ends far off the constraint, while
+        # its step-1e-2 grid holds a feasible point
+        path = write_scenario(tmp_path, cli.scenario_echo(limit_fuzz()[22], None))
+        assert cli.main(["validate", "--scenario", path, "--grid-step", "1e-2"]) == 2
         out = json.loads(capsys.readouterr().out)
+        assert out["oracle"]["points_evaluated"] > 0
         assert out["verdict"] == "fail"
         assert out["kkt"]["feasibility_ok"] is False
 

@@ -15,6 +15,8 @@ scenario schema from the `ChannelInstance` fields, and names none of them
 in a string of its own, and of an instance it reads only `num_users`: it
 parses, calls the library and prints.  The feasible grid has one kernel,
 `region._blocks`, which the oracle reads without building a grid of its own.
+The independent checks stay apart from the solver: `oracle` imports only
+`channel` and `region`, and `solver` and `region` only `channel`.
 Every sum over the users is the builtin `sum` in index order: no module
 reduces with `ndarray.sum`, `np.sum` or `np.dot`, which add pairwise, not
 even `ChannelInstance.__post_init__` for its received powers and residual
@@ -330,3 +332,20 @@ def test_one_grid_kernel():
     builders = {"_grid", "arange", "linspace", "meshgrid", "feasible_grid", "_coordinate_roots"}
     built = sorted(callee for _, callee in calls["oracle.py"] if callee in builders)
     assert not built, f"oracle.py builds a grid with {built}"
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The `cogmac` modules that a module imports from."""
+    return {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+
+
+@pytest.mark.parametrize("name, allowed", [
+    ("channel.py", set()),
+    ("region.py", {"channel"}),
+    ("solver.py", {"channel"}),
+    ("oracle.py", {"channel", "region"}),
+])
+def test_checks_import_apart_from_the_solver(name, allowed):
+    # the grid oracle and the KKT check read nothing of the solver, and the
+    # solver reads the grid's row cap from `channel`, not from `region`
+    assert _package_imports(ast.parse((SOURCE / name).read_text(encoding="utf-8"))) == allowed
