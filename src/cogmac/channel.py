@@ -34,11 +34,18 @@ RESIDUAL_TOL = 1e-10
 SATURATED_GAMMA = 1.0 - 1e-9
 
 # the most candidate rows that `region.feasible_grid` builds: above a
-# three-user grid at step 1e-3 (3.0e6 rows).  `region` peaks at about 200 B
-# per kept row (tracemalloc, `k2_reference` at steps 1e-4 and 2e-5), so the
-# cap still admits a two-user region at a step near 2e-7, up to about 2 GB.
+# three-user grid at step 1e-3 (3.0e6 rows).  `region` peaks at about 80 B
+# per kept row (tracemalloc, `k2_reference` at steps 1e-4 and 1e-5), so the
+# cap still admits a two-user region at a step near 2e-7, up to about 0.8 GB.
 # It also caps `solver.sweep_trajectory`'s samples x K path values
 MAX_GRID_ROWS = 10**7
+
+# the most rows that one array pass holds: `region._blocks` yields each
+# block in chunks of at most this many candidate rows, and
+# `sweep_trajectory` evaluates at most this many path values (multipliers x
+# K) at a time, so that peak memory is set by the output and one chunk, not
+# by the whole grid or path
+GRID_CHUNK_ROWS = 2**16
 
 
 class DimensionMismatchError(ValueError):

@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import time
-from itertools import chain
+from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -122,15 +122,34 @@ def _json(obj, pad: str) -> str:
     return json.dumps(obj)
 
 
-def _write_out(text: str, out_path: str | None) -> None:
+def _write_out(chunks, out_path: str | None) -> None:
+    """Write the strings `chunks` yields, in order, to `out_path` or stdout."""
     if out_path is None or out_path == "-":
-        sys.stdout.write(text)
+        for text in chunks:
+            sys.stdout.write(text)
         return
     try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            for text in chunks:
+                fh.write(text)
     except OSError as exc:
         raise ValueError(f"cannot write output file: {exc}") from exc
+
+
+# CSV rows formatted at a time: a row's floats as Python objects, the tuple
+# that `%` reads and its text take 100 to 300 B, so a chunk stays near 1 MB
+_CSV_ROWS = 4096
+
+
+def _row_chunks(*columns):
+    """The columns' rows in chunks of at most `_CSV_ROWS`, as tuples of
+    views; the columns themselves, sliced by nothing, where they fit one."""
+    size = len(columns[0])
+    if size <= _CSV_ROWS:
+        yield columns
+        return
+    for start in range(0, size, _CSV_ROWS):
+        yield tuple(column[start : start + _CSV_ROWS] for column in columns)
 
 
 def solver_result_dict(ch: ChannelInstance, result: SolverResult) -> dict:
@@ -156,7 +175,7 @@ def cmd_solve(args) -> int:
         **solver_result_dict(ch, result),
         "artifact_version": __version__,
     }
-    _write_out(dump_json(report) + "\n", args.out)
+    _write_out([dump_json(report) + "\n"], args.out)
     print(f"duration_s={time.monotonic() - started:.3f}", file=sys.stderr)
     return EXIT_OK if result.status is SolverStatus.CONVERGED else EXIT_NOT_CONVERGED
 
@@ -164,10 +183,13 @@ def cmd_solve(args) -> int:
 def cmd_region(args) -> int:
     ch, _name = load_scenario(args.scenario)
     boundary = region_boundary(ch, args.grid_step)
-    document = "r1_bits,r2_bits\n" + "%.12g,%.12g\n" * len(boundary.points)
-    _write_out(document % tuple(chain.from_iterable(boundary.points)), args.out)
+    rows = (
+        "%.12g,%.12g\n" * r1.size % tuple(np.column_stack([r1, r2]).ravel().tolist())
+        for r1, r2 in _row_chunks(boundary.r1, boundary.r2)
+    )
+    _write_out(chain(["r1_bits,r2_bits\n"], rows), args.out)
     print(
-        f"vertices={len(boundary.points)} samples={boundary.samples_used} "
+        f"vertices={boundary.r1.size} samples={boundary.samples_used} "
         f"max_sum_rate_bits={boundary.max_sum_rate():.12g}",
         file=sys.stderr,
     )
@@ -179,12 +201,17 @@ def cmd_sweep(args) -> int:
     traj = sweep_trajectory(ch, args.lambda_max, args.samples)
     gammas = [f"gamma_{i + 1}" for i in range(ch.num_users)]
     head = ",".join(["lambda", "x", *gammas, "phi", "saturated_users\n"])
-    columns = np.vstack([traj.lam, traj.x, traj.gamma.T, traj.phi]).tolist()
-    flags = list(map(tuple, traj.saturated.tolist()))
-    labels = {f: "|".join(str(i + 1) for i, pinned in enumerate(f) if pinned) for f in set(flags)}
-    cells = chain.from_iterable(zip(*columns, map(labels.__getitem__, flags)))
     row = "%.12g," * (ch.num_users + 3) + "%s\n"
-    _write_out(head + row * len(flags) % tuple(cells), args.out)
+
+    def rows(lam, x, gamma, phi, saturated):
+        columns = np.vstack([lam, x, gamma.T, phi]).tolist()
+        flags = list(map(tuple, saturated.tolist()))
+        labels = {f: "|".join(str(i + 1) for i, pinned in enumerate(f) if pinned) for f in set(flags)}
+        cells = chain.from_iterable(zip(*columns, map(labels.__getitem__, flags)))
+        return row * len(flags) % tuple(cells)
+
+    chunks = _row_chunks(traj.lam, traj.x, traj.gamma, traj.phi, traj.saturated)
+    _write_out(chain([head], starmap(rows, chunks)), args.out)
     return EXIT_OK
 
 
@@ -222,7 +249,7 @@ def cmd_validate(args) -> int:
         "verdict": "pass" if verdict else "fail",
         "artifact_version": __version__,
     }
-    _write_out(dump_json(doc) + "\n", args.out)
+    _write_out([dump_json(doc) + "\n"], args.out)
     return EXIT_OK if verdict else EXIT_NOT_CONVERGED
 
 

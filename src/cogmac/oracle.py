@@ -4,9 +4,9 @@ The grid search never reuses the sweep solver's machinery: it searches the
 same projected grid as the region (`region.feasible_grid`), where each
 candidate is projected onto the equality constraint through the
 per-coordinate quadratic, so every evaluated point is feasible.  It reads
-that grid block by block from the one kernel that builds it
+that grid chunk by chunk from the one kernel that builds it
 (`region._blocks`) and keeps only a count and the best row.  Only those
-blocks are worked as arrays here: `kkt_check` and the single-user closed
+chunks are worked as arrays here: `kkt_check` and the single-user closed
 form read one split as Python floats.
 """
 
@@ -53,9 +53,10 @@ def grid_search(ch: ChannelInstance, grid_step: float) -> OracleResult:
 
     For each coordinate with g_k > 0 the other K-1 coordinates run over the
     grid and that coordinate is solved from the equality constraint
-    (`feasible_grid`).  Each block is reduced where it is built, to its
-    count and best row, with each SNR summed in index order as `sum_rate`
-    sums it.  Ties break toward the earliest block and row.
+    (`feasible_grid`).  Each chunk of each block is reduced where it is
+    built, to its count and best row, with each SNR summed in index order
+    as `sum_rate` sums it, so that peak memory is set by one chunk.  Ties
+    break toward the earliest block and row.
     """
     count, best, best_snr = 0, None, -math.inf
     for axes, keep in _blocks(ch, grid_step):

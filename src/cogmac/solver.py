@@ -77,6 +77,7 @@ from operator import itemgetter, truediv
 import numpy as np
 
 from .channel import (
+    GRID_CHUNK_ROWS,
     MAX_GRID_ROWS,
     RESIDUAL_TOL,
     ChannelInstance,
@@ -338,19 +339,27 @@ class _WaterFill:
         n, k, a_k = lam.size, users.size, ch.a[users]
         ls, r = lam[:, None] * self.s_p, lam[:, None] * self.sigma_p2
         c = ch.h2[users] * ch.p[users] / a_k - ls * a_k  # wa_k as `wa`, in user order
+        del ls  # each (n, .) temporary is dropped once used, for peak memory
         order = np.argsort(c, axis=1, kind="stable")
         c_s = np.take_along_axis(c, order, axis=1)
         a_s = a_k[order]
         big_s = np.cumsum(np.column_stack([np.zeros(n), a_s]), axis=1)
         ratio = np.divide(a_s, c_s, out=np.zeros_like(c_s), where=c_s > 0.0)
+        del a_s
         q = np.column_stack([np.cumsum(ratio[:, ::-1], axis=1)[:, ::-1], np.zeros(n)])
+        del ratio
         prefix = (c_s <= 0.0) | (r * (self.amp + big_s[:, :k]) >= c_s * (1.0 - r * q[:, :k]))
+        del c_s
         m = np.argmin(np.column_stack([prefix, np.zeros(n, dtype=bool)]), axis=1)
+        del prefix
         rows, r = np.arange(n), r[:, 0]
         s_m, q_m = big_s[rows, m], q[rows, m]
+        del rows, big_s, q
         relayed = (s_m + self.amp * r * q_m) / (1.0 - r * q_m)
         x = self.amp + np.where((r > 0.0) & (q_m > 0.0), relayed, s_m)  # as `_fixed_point`
+        del relayed, s_m, q_m
         pinned = np.argsort(order, axis=1) < m[:, None]  # rank below m
+        del order, m
         interior = np.divide((r * x)[:, None], c, out=np.ones_like(c), where=~pinned)
         gamma = np.zeros((n, ch.num_users))
         saturated = np.zeros(gamma.shape, dtype=bool)
@@ -631,8 +640,10 @@ def sweep_trajectory(ch: ChannelInstance, lambda_max: float | None, samples: int
     finds it, or when that is 0 for the least pole > 0, (h_k / g_k)^2 / s_p
     in the path's terms (as `_WaterFill.last`), else for max(s_p, sigma_p2)
     / sigma_p2^2, written max(t, 1) / sigma_p2; each is capped at the
-    largest float.  Every grid point is evaluated by the prefix rule at
-    once, and a point at an event already has that user saturated.  Each
+    largest float.  The grid points are evaluated by the prefix rule in
+    array operations, in chunks of at most `channel.GRID_CHUNK_ROWS` path
+    values (multipliers x K), so that peak memory is set by the output and
+    one chunk; a point at an event already has that user saturated.  Each
     row of gamma lies in [0, 1] by the rule, or holds a NaN where the
     path's terms pass the float range, and so does phi then; where phi is
     not finite, FloatingPointError names the first such multiplier.  gamma
@@ -658,12 +669,28 @@ def sweep_trajectory(ch: ChannelInstance, lambda_max: float | None, samples: int
             lambda_max = float(poles.min()) if poles.size else fallback
         lambda_max = min(lambda_max, sys.float_info.max)
     grid = np.linspace(0.0, lambda_max + 0.0, samples)  # -0 + 0 = 0
-    x, gamma, saturated = path.states(grid)
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi = _phi(ch, gamma)
-    overflow = ~np.isfinite(phi)  # as is every row of gamma that holds a NaN
-    if overflow.any():
-        lam = grid[overflow.argmax()]
-        raise FloatingPointError(f"the path passes the float range at lambda = {lam:.12g}")
+    chunk = max(1, GRID_CHUNK_ROWS // ch.num_users)  # multipliers of K path values each
+    if samples <= chunk:
+        x, gamma, saturated, phi = _evaluate(path, grid)
+    else:  # filled chunk by chunk: peak memory is the output's and one chunk's
+        x, phi = np.empty(samples), np.empty(samples)
+        gamma = np.empty((samples, ch.num_users))
+        saturated = np.empty(gamma.shape, dtype=bool)
+        for start in range(0, samples, chunk):
+            rows = slice(start, start + chunk)
+            x[rows], gamma[rows], saturated[rows], phi[rows] = _evaluate(path, grid[rows])
     gamma.setflags(write=False)
     return Trajectory(grid, x, gamma, phi, saturated)
+
+
+def _evaluate(path: _WaterFill, lam: np.ndarray):
+    """`states` and phi at the multipliers lam; FloatingPointError names the
+    first one where phi is not finite."""
+    x, gamma, saturated = path.states(lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = _phi(path.ch, gamma)
+    overflow = ~np.isfinite(phi)  # as is every row of gamma that holds a NaN
+    if overflow.any():
+        at = lam[overflow.argmax()]
+        raise FloatingPointError(f"the path passes the float range at lambda = {at:.12g}")
+    return x, gamma, saturated, phi
