@@ -47,6 +47,12 @@ MAX_GRID_ROWS = 10**7
 # by the whole grid or path
 GRID_CHUNK_ROWS = 2**16
 
+# the most rows turned into Python floats at a time, where a loop or a format
+# reads them one by one (`region_boundary`'s walk, the CLI's CSV): a row's
+# floats, the tuple that reads them and its text take 100 to 300 B, so a
+# batch stays near 1 MB
+FLOAT_BATCH_ROWS = 4096
+
 
 class DimensionMismatchError(ValueError):
     """Vector argument length does not match the instance's user count."""

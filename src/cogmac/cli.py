@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii as _quote
 import numpy as np
 
 from . import __version__
-from .channel import ChannelInstance, baseline_primary_rate, primary_rate
+from .channel import FLOAT_BATCH_ROWS, ChannelInstance, baseline_primary_rate, primary_rate
 from .oracle import grid_search, kkt_check
 from .region import EmptyGridError, region_boundary
 from .solver import SolverResult, SolverStatus, solve_max_sum_rate, sweep_trajectory
@@ -136,20 +136,11 @@ def _write_out(chunks, out_path: str | None) -> None:
         raise ValueError(f"cannot write output file: {exc}") from exc
 
 
-# CSV rows formatted at a time: a row's floats as Python objects, the tuple
-# that `%` reads and its text take 100 to 300 B, so a chunk stays near 1 MB
-_CSV_ROWS = 4096
-
-
 def _row_chunks(*columns):
-    """The columns' rows in chunks of at most `_CSV_ROWS`, as tuples of
-    views; the columns themselves, sliced by nothing, where they fit one."""
-    size = len(columns[0])
-    if size <= _CSV_ROWS:
-        yield columns
-        return
-    for start in range(0, size, _CSV_ROWS):
-        yield tuple(column[start : start + _CSV_ROWS] for column in columns)
+    """The columns' rows in chunks of at most `FLOAT_BATCH_ROWS`, as tuples
+    of views."""
+    for start in range(0, len(columns[0]), FLOAT_BATCH_ROWS):
+        yield tuple(column[start : start + FLOAT_BATCH_ROWS] for column in columns)
 
 
 def solver_result_dict(ch: ChannelInstance, result: SolverResult) -> dict:

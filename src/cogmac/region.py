@@ -23,6 +23,7 @@ from itertools import chain
 import numpy as np
 
 from .channel import (
+    FLOAT_BATCH_ROWS,
     GRID_CHUNK_ROWS,
     MAX_GRID_ROWS,
     RESIDUAL_TOL,
@@ -46,13 +47,15 @@ class EmptyGridError(RuntimeError):
     """No grid point of a valid instance passed the feasibility check."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionBoundary:
     """Counterclockwise hull boundary of the two-user region, in bits, as two
-    read-only float columns: vertex i is (r1[i], r2[i]).  At 16 B per vertex
-    the hull weighs less than the kept rows it is drawn from, which the grid
+    read-only float columns: vertex i is (r1[i], r2[i]).  The arrays passed
+    in are kept, not copied, and made read-only.  At 16 B per vertex the
+    hull weighs less than the kept rows it is drawn from, which the grid
     builds one chunk at a time: `region_boundary`'s peak memory is set by the
-    kept rows and one chunk, not by the candidate grid or the vertices."""
+    kept rows and one chunk, not by the candidate grid or the vertices.
+    Two boundaries are equal where their points and sample counts are."""
 
     r1: np.ndarray
     r2: np.ndarray
@@ -61,6 +64,11 @@ class RegionBoundary:
     def __post_init__(self):
         self.r1.setflags(write=False)
         self.r2.setflags(write=False)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.samples_used == other.samples_used and self.points == other.points
 
     @property
     def points(self) -> list[tuple[float, float]]:
@@ -112,12 +120,9 @@ def _blocks(ch: ChannelInstance, grid_step: float):
     grid = _grid(grid_step) if k > 1 else np.zeros(1)
     # the first free axis's grid in chunks of whole lines, each line the
     # grid tuples of the free axes after it (the cap leaves no line longer
-    # than a chunk); one chunk, the grid itself, wherever the block fits
+    # than a chunk)
     lines = max(1, GRID_CHUNK_ROWS // grid.size ** max(k - 2, 0))
-    if lines < grid.size:
-        parts = [grid[i : i + lines] for i in range(0, grid.size, lines)]
-    else:
-        parts = [grid]
+    parts = [grid[i : i + lines] for i in range(0, grid.size, lines)]
     kept = 0
     for solved in solvable:
         first = 1 if solved == 0 else 0  # the block's first free axis, where k > 1
@@ -243,7 +248,8 @@ def region_boundary(ch: ChannelInstance, grid_step: float) -> RegionBoundary:
     hull_r1[1], n = c1max, 2
     ox, oy, ax, ay = 0.0, 0.0, c1max, 0.0  # the last two vertices
     corners = chain.from_iterable(
-        zip(xs[i : i + 4096].tolist(), ys[i : i + 4096].tolist()) for i in range(0, xs.size, 4096)
+        zip(xs[i : i + FLOAT_BATCH_ROWS].tolist(), ys[i : i + FLOAT_BATCH_ROWS].tolist())
+        for i in range(0, xs.size, FLOAT_BATCH_ROWS)
     )
     for x, y in chain(corners, [(0.0, c2max)]):
         # the turn first: most corners make a left one

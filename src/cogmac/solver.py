@@ -339,27 +339,19 @@ class _WaterFill:
         n, k, a_k = lam.size, users.size, ch.a[users]
         ls, r = lam[:, None] * self.s_p, lam[:, None] * self.sigma_p2
         c = ch.h2[users] * ch.p[users] / a_k - ls * a_k  # wa_k as `wa`, in user order
-        del ls  # each (n, .) temporary is dropped once used, for peak memory
         order = np.argsort(c, axis=1, kind="stable")
         c_s = np.take_along_axis(c, order, axis=1)
         a_s = a_k[order]
         big_s = np.cumsum(np.column_stack([np.zeros(n), a_s]), axis=1)
         ratio = np.divide(a_s, c_s, out=np.zeros_like(c_s), where=c_s > 0.0)
-        del a_s
         q = np.column_stack([np.cumsum(ratio[:, ::-1], axis=1)[:, ::-1], np.zeros(n)])
-        del ratio
         prefix = (c_s <= 0.0) | (r * (self.amp + big_s[:, :k]) >= c_s * (1.0 - r * q[:, :k]))
-        del c_s
         m = np.argmin(np.column_stack([prefix, np.zeros(n, dtype=bool)]), axis=1)
-        del prefix
         rows, r = np.arange(n), r[:, 0]
         s_m, q_m = big_s[rows, m], q[rows, m]
-        del rows, big_s, q
         relayed = (s_m + self.amp * r * q_m) / (1.0 - r * q_m)
         x = self.amp + np.where((r > 0.0) & (q_m > 0.0), relayed, s_m)  # as `_fixed_point`
-        del relayed, s_m, q_m
         pinned = np.argsort(order, axis=1) < m[:, None]  # rank below m
-        del order, m
         interior = np.divide((r * x)[:, None], c, out=np.ones_like(c), where=~pinned)
         gamma = np.zeros((n, ch.num_users))
         saturated = np.zeros(gamma.shape, dtype=bool)

@@ -1,6 +1,6 @@
 """Chunked passes: the feasible grid's blocks and the sweep's multipliers
-come `channel.GRID_CHUNK_ROWS` rows at a time, and the CLI formats its CSV
-`cli._CSV_ROWS` rows at a time.
+come `channel.GRID_CHUNK_ROWS` rows at a time, and the hull walk and the
+CLI's CSV read `channel.FLOAT_BATCH_ROWS` rows of Python floats at a time.
 
 Every result is the same, bit for bit (compared as float hex), at any chunk
 size: one grid line per chunk, 7 rows and 64 rows against the default.  And
@@ -10,7 +10,6 @@ are `tracemalloc` peaks, which count the same bytes on any machine.
 
 import dataclasses
 import math
-import operator
 import tracemalloc
 from pathlib import Path
 
@@ -32,7 +31,8 @@ CHUNKS = (1, 7, 64)
 def _chunk(monkeypatch, rows: int) -> None:
     monkeypatch.setattr(region, "GRID_CHUNK_ROWS", rows)
     monkeypatch.setattr(solver, "GRID_CHUNK_ROWS", rows)
-    monkeypatch.setattr(cli, "_CSV_ROWS", rows)
+    monkeypatch.setattr(region, "FLOAT_BATCH_ROWS", rows)
+    monkeypatch.setattr(cli, "FLOAT_BATCH_ROWS", rows)
 
 
 def _hex(values) -> list[str]:
@@ -150,11 +150,8 @@ def test_cli_writes_the_same_bytes_in_any_chunk(monkeypatch, capsys, command):
             assert capsys.readouterr() == expected, rows
 
 
-def test_row_chunks_pass_one_chunk_through():
-    columns = np.arange(5.0), np.arange(5)
-    (chunk,) = cli._row_chunks(*columns)
-    assert all(map(operator.is_, chunk, columns))
-    # the largest block the benchmark builds, three users at step 1e-2, fits one
+def test_the_largest_benchmark_block_fits_one_chunk():
+    # three users at step 1e-2
     assert GRID_CHUNK_ROWS >= 101**2
 
 
@@ -184,7 +181,7 @@ def test_region_peak_per_feasible_row(k2_reference):
 
 
 def test_sweep_peak_within_twice_its_output(k2_reference):
-    # 8.4 MB of output and one chunk's temporaries; 6x the output without chunks
+    # 8.4 MB of output and one chunk's temporaries: 1.96x; 6.05x without chunks
     traj, peak = _peak(lambda: sweep_trajectory(k2_reference, None, 200_000))
     output = sum(a.nbytes for a in (traj.lam, traj.x, traj.gamma, traj.phi, traj.saturated))
     assert peak < 2 * output

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -182,6 +183,12 @@ class TestRegionBoundary:
         xs = [p for p in boundary.points if p[1] == 0.0 and p[0] > 0]
         ys = [p for p in boundary.points if p[0] == 0.0 and p[1] > 0]
         assert xs and ys
+
+    def test_equality_compares_points_and_samples(self, k2_reference):
+        boundary = region_boundary(k2_reference, 0.05)
+        assert boundary == region_boundary(k2_reference, 0.05)
+        assert boundary != region_boundary(k2_reference, 0.1)
+        assert boundary != dataclasses.replace(boundary, samples_used=boundary.samples_used + 1)
 
     def test_convex_chain(self, k2_reference):
         pts = region_boundary(k2_reference, 0.05).points
