@@ -6,24 +6,35 @@ is scored from three terms per user, each written once, here, elementwise
 on a float, a column or a grid axis: a_k gamma_k (`_relayed`), a_k^2 (1 -
 gamma_k^2) (`_lost`) and (1 - gamma_k^2) h_k^2 P_k (`_mac_power`).  Every
 module adds them in user index order with the builtin `sum`, so the solver,
-the feasible grid and the public functions, which read a split as floats
-through `tolist()`, agree bit for bit at every K.  An instance derives its
-constant terms once, when it is built: s_p = h_p^2 P_p, A = h_p sqrt(P_p),
-a_k = g_k sqrt(P_k), a2 = a_k^2, t = s_p / sigma_p2, h2 = h_k^2 and the
-residual scale.  Every kernel reads them from it, and reads the primary-rate
-constraint from `_excess`, the one place it is written.  The instance sums
-its received powers and the residual scale's sum a_k^2 by the same rule, so
-no sum over the users adds pairwise.  Rates are in bits per channel use (log
-base 2 throughout).
+the feasible grid and the public functions agree bit for bit at every K.
+An instance derives its constant terms once, when it is built: s_p = h_p^2
+P_p, A = h_p sqrt(P_p), a_k = g_k sqrt(P_k), a2 = a_k^2, t = s_p / sigma_p2,
+h2 = h_k^2 and the residual scale.  Every kernel reads them from it, and
+reads the primary-rate constraint from `_excess`, the one place it is
+written.  The instance sums its received powers and the residual scale's
+sum a_k^2 by the same rule, so no sum over the users adds pairwise.  Rates
+are in bits per channel use (log base 2 throughout).
+
+A scenario or a split is a few floats per user, and the kernels that score
+one split read them as Python floats: an instance holds each vector as a
+tuple of floats (`h_floats`, ..., `h2_floats`), and a split its ratios
+(`gamma_floats`).  The read-only float64 arrays `h`, ..., `gamma` are built
+from them on first read and kept, and numpy is imported only there and in
+the branches that work on columns or grids: scoring one split imports no
+numpy, so neither does a `cogmac solve` process below the solver's array
+form.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # the largest relative residual (`relative_residual`) at which a split counts
 # as feasible: the solver reports `Converged` only at or below it, and the
@@ -81,7 +92,30 @@ _FIELD_SIGNS = (
 )
 
 
-@dataclass(frozen=True)
+class _Array:
+    """A vector read as a read-only float64 array, built on the first read
+    from the floats held in `<name>_floats` and then kept in the instance,
+    where later reads find it first.  Read from the class it raises
+    AttributeError, so that a dataclass field of this type has no default,
+    and the value given to `__init__` stays in the instance until
+    `__post_init__` takes it."""
+
+    def __set_name__(self, owner, name):
+        self.name, self.floats = name, f"{name}_floats"
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        import numpy as np
+
+        floats = getattr(obj, self.floats)
+        arr = np.fromiter(floats, float, len(floats))
+        arr.setflags(write=False)
+        object.__setattr__(obj, self.name, arr)
+        return arr
+
+
+@dataclass(frozen=True, eq=False)
 class ChannelInstance:
     """All scalar parameters of one scenario.
 
@@ -106,27 +140,38 @@ class ChannelInstance:
     primary_amplitude = A = h_p sqrt(P_p), a = g_k sqrt(P_k), a2 = a_k^2,
     t = s_p / sigma_p2, h2 = h_k^2 and residual_scale = s_p max(sigma_p2,
     sum a_k^2), which makes the feasibility residual relative.
+
+    Each vector, h, g, p, a, a2 and h2, is held as a tuple of floats,
+    `h_floats`, ..., `h2_floats`, which the kernels read; its read-only
+    float64 array `h`, ..., `h2` is built on the first read and kept.  Two
+    instances are equal, and hash alike, where their fields' values are.
     """
 
-    h: np.ndarray
-    g: np.ndarray
-    p: np.ndarray
+    h: np.ndarray = _Array()
+    g: np.ndarray = _Array()
+    p: np.ndarray = _Array()
     h_p: float
     p_p: float
     sigma_p2: float
     sigma_c2: float
     f: float = 0.0
+    a = _Array()
+    a2 = _Array()
+    h2 = _Array()
 
     def __post_init__(self):
         k = None
+        numpy = sys.modules.get("numpy")  # an array given means numpy is loaded
         for name, vector, positive in _FIELD_SIGNS:
-            raw = getattr(self, name)
             if vector:
-                if isinstance(raw, np.ndarray):
+                # the value as given; deleted, it leaves the array to `_Array`
+                raw = getattr(self, name)
+                object.__delattr__(self, name)
+                if numpy is not None and isinstance(raw, numpy.ndarray):
                     raw = raw.tolist()
                 if not isinstance(raw, (list, tuple)) or not raw:
                     raise ValueError(f"{name} must be a nonempty list of numbers")
-            values = list(raw) if vector else [raw]
+            values = list(raw) if vector else [getattr(self, name)]
             for i, v in enumerate(values):
                 if type(v) is not float:  # an int, a numpy scalar, or no number
                     v = values[i] = _real(v, f"{name}[{i}]" if vector else name)
@@ -143,14 +188,17 @@ class ChannelInstance:
                 raise DimensionMismatchError(
                     f"{name} must be a length-{k} vector, got shape ({len(values)},)"
                 )
-            object.__setattr__(self, name, np.array(values) if vector else values[0])
+            if vector:
+                object.__setattr__(self, f"{name}_floats", tuple(values))
+            else:
+                object.__setattr__(self, name, values[0])
         # the rate formulas square the gains and sum the received powers,
-        # each sum in index order as every kernel sums
-        with np.errstate(over="ignore"):
-            a = self.g * np.sqrt(self.p)
-            a2, h2 = a * a, self.h**2
-            own = sum((h2 * self.p).tolist())
-        interference = sum(a2.tolist())
+        # each sum in index order as every kernel sums; a product past the
+        # float range is inf, which the check below rejects
+        a = [g * math.sqrt(p) for g, p in zip(self.g_floats, self.p_floats)]
+        a2, h2 = [v * v for v in a], [v * v for v in self.h_floats]
+        own = sum([w * p_k for w, p_k in zip(h2, self.p_floats)])
+        interference = sum(a2)
         received = (
             ("sum of h[k]^2 * p[k]", own),
             ("sum of g[k]^2 * p[k]", interference),
@@ -163,78 +211,114 @@ class ChannelInstance:
         derived = (
             ("s_p", s_p),
             ("primary_amplitude", self.h_p * math.sqrt(self.p_p)),
-            ("a", a),
-            ("a2", a2),
+            ("a_floats", tuple(a)),
+            ("a2_floats", tuple(a2)),
             ("t", s_p / self.sigma_p2),
-            ("h2", h2),
+            ("h2_floats", tuple(h2)),
             ("residual_scale", max(s_p * interference, self.sigma_p2 * s_p)),
         )
         for name, value in derived:
             object.__setattr__(self, name, value)
-        for arr in (self.h, self.g, self.p, a, a2, h2):
-            arr.setflags(write=False)
 
     @property
     def num_users(self) -> int:
-        return self.h.size
+        return len(self.h_floats)
+
+    def _values(self) -> tuple:
+        """The fields' values in field order: a tuple of floats per vector,
+        a float per scalar."""
+        return tuple(
+            getattr(self, f"{name}_floats" if vector else name) for name, vector, _ in _FIELD_SIGNS
+        )
+
+    def as_dict(self) -> dict:
+        """The fields' values by name, in field order: a list of floats per
+        vector, a float per scalar."""
+        names = [name for name, *_ in _FIELD_SIGNS]
+        return {name: list(v) if type(v) is tuple else v for name, v in zip(names, self._values())}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
 
-def _splits(gamma) -> np.ndarray:
-    """gamma as a new read-only float vector (K,) with no -0.  Every entry
-    must be finite and in [0, 1]; a NaN fails both bounds, since min and
-    max propagate it.  A list of Python floats in [0, 1], the solver's
-    split, is checked in Python floats and becomes one `np.array`, since a
-    numpy reduction costs microseconds where a solve starts with cold
-    caches; any other input, an invalid one included, takes the array path."""
-    if type(gamma) is list and all(type(v) is float and 0.0 <= v <= 1.0 for v in gamma):
-        arr = np.array([v + 0.0 for v in gamma])  # -0 + 0 = 0
-    else:
-        arr = np.asarray(gamma, dtype=float) + 0.0  # a copy, where -0 + 0 = 0
-        if arr.ndim != 1:
-            raise ValueError("gamma must be a vector")
-        if not (0.0 <= arr.min(initial=1.0) and arr.max(initial=0.0) <= 1.0):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("gamma must be finite")
-            raise ValueError("gamma entries must lie in [0, 1]")
-    arr.setflags(write=False)
-    return arr
+def _splits(gamma) -> tuple:
+    """gamma as a tuple of floats with no -0.  Every entry must be finite
+    and in [0, 1]; a NaN fails both bounds, since min and max propagate it.
+    A list of Python floats in [0, 1], the solver's split, is checked in
+    Python floats; any other input, an invalid one included, takes the
+    array path, which imports numpy."""
+    if type(gamma) is list:
+        # -0 + 0 = 0
+        floats = tuple([v + 0.0 for v in gamma if type(v) is float and 0.0 <= v <= 1.0])
+        if len(floats) == len(gamma):
+            return floats
+    import numpy as np
+
+    arr = np.asarray(gamma, dtype=float) + 0.0  # a copy, where -0 + 0 = 0
+    if arr.ndim != 1:
+        raise ValueError("gamma must be a vector")
+    if not (0.0 <= arr.min(initial=1.0) and arr.max(initial=0.0) <= 1.0):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("gamma must be finite")
+        raise ValueError("gamma entries must lie in [0, 1]")
+    return tuple(arr.tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerSplit:
-    """Cooperation ratios gamma_k, each in [0, 1]."""
+    """Cooperation ratios gamma_k, each in [0, 1], held as the tuple of
+    floats `gamma_floats`; the read-only float64 array `gamma` is built
+    from it on the first read and kept.  Two splits are equal, and hash
+    alike, where their ratios are."""
 
-    gamma: np.ndarray
+    gamma: np.ndarray = _Array()
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", _splits(self.gamma))
+        gamma = self.gamma  # as given; deleted, it leaves the array to `_Array`
+        object.__delattr__(self, "gamma")
+        object.__setattr__(self, "gamma_floats", _splits(gamma))
 
     @classmethod
     def zeros(cls, num_users: int) -> "PowerSplit":
-        return cls(np.zeros(num_users))
+        return cls([0.0] * num_users)
 
     @classmethod
     def ones(cls, num_users: int) -> "PowerSplit":
-        return cls(np.ones(num_users))
+        return cls([1.0] * num_users)
 
     def __len__(self) -> int:
-        return self.gamma.size
+        return len(self.gamma_floats)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.gamma_floats == other.gamma_floats
+
+    def __hash__(self):
+        return hash(self.gamma_floats)
 
 
-def _check_dims(ch: ChannelInstance, split: PowerSplit) -> list:
+def _check_dims(ch: ChannelInstance, split: PowerSplit) -> tuple:
     if len(split) != ch.num_users:
         raise DimensionMismatchError(
             f"gamma has {len(split)} entries, instance has {ch.num_users} users"
         )
-    return split.gamma.tolist()
+    return split.gamma_floats
 
 
 def _capacity(snr):
     """Gaussian channel capacity 0.5 log2(1 + snr), in bits: a float for one
     SNR, an (n,) array for an (n,) array of them.  Each log is math.log2's,
     since np.log2 differs from it in the last bit on some inputs."""
-    if not isinstance(snr, np.ndarray):
+    if isinstance(snr, float):
         return 0.5 * math.log2(1.0 + snr)
+    import numpy as np
+
     return 0.5 * np.fromiter(map(math.log2, (1.0 + snr).tolist()), float, snr.size)
 
 
@@ -255,7 +339,7 @@ def _mac_power(h2, p, gamma):
 
 def _primary_sums(ch: ChannelInstance, gamma):
     """S and L in index order, each term formed as it is added, from K floats or arrays."""
-    return sum(map(_relayed, ch.a.tolist(), gamma)), sum(map(_lost, ch.a2.tolist(), gamma))
+    return sum(map(_relayed, ch.a_floats, gamma)), sum(map(_lost, ch.a2_floats, gamma))
 
 
 def _excess(ch: ChannelInstance, relayed, lost):
@@ -276,9 +360,13 @@ def _relative_phi(ch: ChannelInstance, phi):
     scale, 0 where phi = 0, else inf."""
     phi = abs(phi)
     scale = ch.residual_scale
-    if scale == 0.0:
-        return np.where(phi == 0.0, 0.0, math.inf)
-    return phi / scale
+    if scale != 0.0:
+        return phi / scale
+    if isinstance(phi, float):
+        return 0.0 if phi == 0.0 else math.inf
+    import numpy as np
+
+    return np.where(phi == 0.0, 0.0, math.inf)
 
 
 def _coordinate_roots(ch: ChannelInstance, a_k: float, relayed, lost, slack: float = 1e-12):
@@ -303,8 +391,10 @@ def _coordinate_roots(ch: ChannelInstance, a_k: float, relayed, lost, slack: flo
     # only when h_p = 0 and S' = 0, where the root is 0
     disc = ch.t * (ch.sigma_p2 + lost + num)
     real = disc >= 0.0
-    columns = isinstance(disc, np.ndarray)
+    columns = not isinstance(disc, float)
     if columns:
+        import numpy as np
+
         root_disc = np.sqrt(np.where(real, disc, 0.0))
     else:
         root_disc = math.sqrt(disc) if real else 0.0
@@ -348,11 +438,11 @@ def feasibility_residual(ch: ChannelInstance, split: PowerSplit) -> float:
 
 def relative_residual(ch: ChannelInstance, split: PowerSplit) -> float:
     """|phi| / residual_scale; 0 for the degenerate zero-scale case iff phi = 0."""
-    return float(_relative_phi(ch, feasibility_residual(ch, split)))
+    return _relative_phi(ch, feasibility_residual(ch, split))
 
 
 def sum_rate(ch: ChannelInstance, split: PowerSplit) -> float:
     """Total rate of the cognitive users at the AP for a given split."""
-    power = sum(map(_mac_power, ch.h2.tolist(), ch.p.tolist(), _check_dims(ch, split)))
+    power = sum(map(_mac_power, ch.h2_floats, ch.p_floats, _check_dims(ch, split)))
     return _capacity(power / ch.sigma_c2)
 

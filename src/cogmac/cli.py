@@ -13,12 +13,11 @@ import dataclasses
 import functools
 import json
 import math
+import numbers
 import sys
 import time
 from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii as _quote
-
-import numpy as np
 
 from . import __version__
 from .channel import FLOAT_BATCH_ROWS, ChannelInstance, baseline_primary_rate, primary_rate
@@ -77,8 +76,7 @@ def load_scenario(path: str) -> tuple[ChannelInstance, str | None]:
 
 
 def scenario_echo(ch: ChannelInstance, name: str | None) -> dict:
-    echo = {f.name: getattr(ch, f.name) for f in _FIELDS}  # vectors are arrays, scalars floats
-    echo = {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in echo.items()}
+    echo = ch.as_dict()
     if name is not None:
         echo["name"] = name
     return echo
@@ -91,8 +89,8 @@ def dump_json(obj) -> str:
     """`obj` as JSON, two spaces per level: floats with 12 significant digits,
     a non-finite one as NaN, Infinity or -Infinity, and keys and strings
     quoted as `json.dumps` quotes them.  Dispatches on each value's exact
-    type; a numpy or other int or float is written as that number, and any
-    other type by `json.dumps`."""
+    type; any other integral or real number, a numpy one included, is
+    written as that number, and any other type by `json.dumps`."""
     return _json(obj, "")
 
 
@@ -115,9 +113,9 @@ def _json(obj, pad: str) -> str:
         return str(obj)
     if kind is bool or obj is None:
         return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, numbers.Integral):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, numbers.Real):
         return _json(float(obj), pad)
     return json.dumps(obj)
 
@@ -146,7 +144,7 @@ def _row_chunks(*columns):
 def solver_result_dict(ch: ChannelInstance, result: SolverResult) -> dict:
     return {
         "status": result.status.value,
-        "gamma_star": result.gamma_star.gamma.tolist(),
+        "gamma_star": list(result.gamma_star.gamma_floats),
         "sum_rate_bits": result.sum_rate,
         "lambda_star": result.lambda_star,
         "residual_rel": result.residual,
@@ -172,6 +170,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_region(args) -> int:
+    import numpy as np
+
     ch, _name = load_scenario(args.scenario)
     boundary = region_boundary(ch, args.grid_step)
     rows = (
@@ -188,6 +188,8 @@ def cmd_region(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    import numpy as np
+
     ch, _name = load_scenario(args.scenario)
     traj = sweep_trajectory(ch, args.lambda_max, args.samples)
     gammas = [f"gamma_{i + 1}" for i in range(ch.num_users)]
@@ -219,7 +221,7 @@ def cmd_validate(args) -> int:
         "scenario": scenario_echo(ch, name),
         "solver": solver_result_dict(ch, result),
         "oracle": {
-            "best_gamma": oracle.best_gamma.gamma.tolist(),
+            "best_gamma": list(oracle.best_gamma.gamma_floats),
             "best_sum_rate_bits": oracle.best_sum_rate,
             "grid_step": args.grid_step,
             "points_evaluated": oracle.points_evaluated,

@@ -6,16 +6,16 @@ candidate is projected onto the equality constraint through the
 per-coordinate quadratic, so every evaluated point is feasible.  It reads
 that grid chunk by chunk from the one kernel that builds it
 (`region._blocks`) and keeps only a count and the best row.  Only those
-chunks are worked as arrays here: `kkt_check` and the single-user closed
-form read one split as Python floats.
+chunks are worked as arrays here, and numpy is imported only for them:
+`kkt_check` and the single-user closed form read one split and the
+instance as Python floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .channel import (
     SATURATED_GAMMA,
@@ -26,6 +26,9 @@ from .channel import (
     sum_rate,
 )
 from .region import UnsupportedSizeError, _blocks
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -58,10 +61,12 @@ def grid_search(ch: ChannelInstance, grid_step: float) -> OracleResult:
     as `sum_rate` sums it, so that peak memory is set by one chunk.  Ties
     break toward the earliest block and row.
     """
+    import numpy as np
+
     count, best, best_snr = 0, None, -math.inf
     for axes, keep in _blocks(ch, grid_step):
         with np.errstate(over="ignore", invalid="ignore"):
-            power = sum(map(_mac_power, ch.h2.tolist(), ch.p.tolist(), axes))
+            power = sum(map(_mac_power, ch.h2_floats, ch.p_floats, axes))
             snr = np.divide(power, ch.sigma_c2, out=np.full(keep.shape, -math.inf), where=keep)
         row = int(snr.argmax())
         count += int(np.count_nonzero(keep))
@@ -85,8 +90,8 @@ def kkt_check(ch: ChannelInstance, result, tol: float = 1e-6) -> KktReport:
     fails.  The box bounds need no check: `PowerSplit` holds every gamma_k
     in [0, 1].
     """
-    gamma, lam = result.gamma_star.gamma.tolist(), result.lambda_star
-    h, g, p = ch.h.tolist(), ch.g.tolist(), ch.p.tolist()
+    gamma, lam = result.gamma_star.gamma_floats, result.lambda_star
+    h, g, p = ch.h_floats, ch.g_floats, ch.p_floats
     roots = list(map(math.sqrt, p))
     x = ch.primary_amplitude + sum(g_k * r_k * y for g_k, r_k, y in zip(g, roots, gamma))
     drive, quad = 2.0 * lam * ch.sigma_p2 * x, 2.0 * lam * ch.s_p
@@ -129,7 +134,7 @@ def single_user_closed_form(ch: ChannelInstance) -> float:
     if ch.num_users != 1:
         raise UnsupportedSizeError(f"closed form defined for 1 user, got {ch.num_users}")
     amp = ch.primary_amplitude
-    x = ch.g.item(0) * math.sqrt(ch.p.item(0))
+    x = ch.g_floats[0] * math.sqrt(ch.p_floats[0])
     s = ch.sigma_p2
     return min(1.0, amp * x / (s + math.sqrt(s * s + (s + amp * amp) * x * x)))
 
@@ -154,5 +159,7 @@ def random_instance(rng: np.random.Generator, num_users: int) -> ChannelInstance
 
 def instance_suite(seed: int, count: int, sizes=(1, 2, 3)) -> list[ChannelInstance]:
     """Deterministic suite of random instances cycling through the sizes."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     return [random_instance(rng, sizes[i % len(sizes)]) for i in range(count)]

@@ -11,7 +11,8 @@ plain Gaussian MAC, whose achievable rates form a pentagon.  The region is
 the convex hull of the union of these pentagons over the feasible grid.
 `region_boundary` sorts the pentagons' dominant-face corners into the
 staircase of those no other corner dominates, and draws the hull in one
-monotone-chain pass over it, from the origin counterclockwise.
+monotone-chain pass over it, from the origin counterclockwise.  Every
+function here works on grids and columns, and imports numpy where it runs.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .channel import (
     FLOAT_BATCH_ROWS,
@@ -35,6 +35,9 @@ from .channel import (
     _primary_sums,
     _relative_phi,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_GRID_USERS = 3
 
@@ -80,6 +83,8 @@ class RegionBoundary:
 
 
 def _grid(step: float) -> np.ndarray:
+    import numpy as np
+
     n = int(math.ceil(1.0 / step))
     values = np.minimum(np.arange(n + 1) * step, 1.0)
     values[-1] = 1.0
@@ -98,12 +103,14 @@ def _blocks(ch: ChannelInstance, grid_step: float):
     chunk, not by the grid."""
     if not 0 < grid_step < math.inf:
         raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
+    import numpy as np
+
     k = ch.num_users
     if k > MAX_GRID_USERS:
         raise UnsupportedSizeError(
             f"grid walk over the feasible set supports up to {MAX_GRID_USERS} users, got {k}"
         )
-    solvable = np.flatnonzero(ch.g > 0).tolist()
+    solvable = [j for j, g in enumerate(ch.g_floats) if g > 0.0]
     if not solvable:
         yield [np.zeros(1)] * k, np.ones(1, dtype=bool)
         return
@@ -138,7 +145,8 @@ def _blocks(ch: ChannelInstance, grid_step: float):
                 ]
                 axes[solved] = np.zeros([1] * k)  # S' and L at gamma_k = 0
                 relayed, lost = _primary_sums(ch, axes)  # broadcast over the chunk
-                mask, root = _coordinate_roots(ch, ch.a.item(solved), relayed.ravel(), lost.ravel())
+                a_k = ch.a_floats[solved]
+                mask, root = _coordinate_roots(ch, a_k, relayed.ravel(), lost.ravel())
                 axes[solved] = root.reshape(relayed.shape)
                 phi = ch.sigma_p2 * _excess(ch, *_primary_sums(ch, axes))
                 keep = mask.reshape(phi.shape) & (_relative_phi(ch, phi) <= RESIDUAL_TOL)
@@ -175,6 +183,8 @@ def feasible_grid(ch: ChannelInstance, grid_step: float) -> np.ndarray:
     reduced to its kept rows before the next is built: peak memory is set
     by the kept rows and one chunk, not by the candidate grid.
     """
+    import numpy as np
+
     blocks = [
         np.stack([np.broadcast_to(axis, keep.shape)[keep] for axis in axes])
         for axes, keep in _blocks(ch, grid_step)
@@ -186,9 +196,11 @@ def _staircase(ch: ChannelInstance, grid_step: float):
     """The feasible grid's row count, c1max, c2max and, unless either is 0,
     the corners no other corner dominates, r1 descending, as two arrays.
     The grid's rows and c1, c2 and c12 are freed once they are used."""
+    import numpy as np
+
     rows = feasible_grid(ch, grid_step)
     samples = len(rows)
-    h2, p = ch.h2.tolist(), ch.p.tolist()
+    h2, p = ch.h2_floats, ch.p_floats
     # an SNR past the float range reads inf, and inf - inf NaN, silently
     with np.errstate(over="ignore", invalid="ignore"):
         # one capacity at a time: a power kept for the next one raised peak RSS
@@ -236,6 +248,8 @@ def region_boundary(ch: ChannelInstance, grid_step: float) -> RegionBoundary:
         raise UnsupportedSizeError(
             f"region boundary defined for 2 users, got {ch.num_users}"
         )
+    import numpy as np
+
     samples, c1max, c2max, xs, ys = _staircase(ch, grid_step)
     if c1max == 0.0 or c2max == 0.0:
         hull = sorted({(0.0, 0.0), (c1max, 0.0), (0.0, c2max)})

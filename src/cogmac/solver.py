@@ -42,8 +42,9 @@ SNR per user.  It projects gamma's coordinates onto phi = 0 until one lands
 root, and scores the split from the same terms: phi by `_excess`, its
 relative residual, and the rate by `_capacity`.  Past the per-user terms
 this is O(1) Python floats, with no numpy call per coordinate; the list
-form hands `PowerSplit` its list, which is checked in Python floats, so it
-makes no numpy reduction after `_hold`.
+form reads the instance's floats in `_hold` and hands `PowerSplit` its
+list, which is checked in Python floats, so a list-form solve makes no
+numpy call at all, and imports no numpy.
 `sweep_trajectory` applies the prefix rule to a whole lambda grid at once
 and returns the path as columns.
 
@@ -52,7 +53,8 @@ the sums; a continuation skips the sort and the prefix test) and O(1)
 scalar work (phi, Newton's step, the singularity), and the end game the
 per-user work of `_split` once.  The per-user work has two
 forms, picked once per instance from K alone: Python lists below
-`_ARRAY_USERS` users (`_WaterFill`), numpy arrays from there (`_ArrayFill`).
+`_ARRAY_USERS` users (`_WaterFill`), numpy arrays from there (`_ArrayFill`),
+which, like `states` and `sweep_trajectory`, imports numpy where it runs.
 Each numpy call costs a microsecond or more however short the array (7 to
 15 where a solve starts with cold caches; README), so the array form is
 slower at small K and faster at large K; the two cross near K = 56.
@@ -73,8 +75,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter, truediv
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .channel import (
     GRID_CHUNK_ROWS,
@@ -94,8 +95,33 @@ from .channel import (
 )
 
 
+if TYPE_CHECKING:
+    import numpy as np
+
 # a step or a bracket this short, relative to the multiplier, ends the root find
 _FEW_ULPS = 4.0 * sys.float_info.epsilon
+
+
+class _quiet:
+    """A method under `np.errstate(over="ignore", invalid="ignore")`, so
+    that overflow to inf, and 0 * inf in the rows that r = 0 skips, pass
+    silently, as in Python floats.  numpy's decorator is applied at the
+    method's first lookup, which imports numpy, and the decorated method
+    then takes this one's place on its class: later calls cost only what
+    the decorator costs."""
+
+    def __init__(self, method):
+        self.method = method
+
+    def __set_name__(self, owner, name):
+        self.owner, self.name = owner, name
+
+    def __get__(self, obj, owner=None):
+        import numpy as np
+
+        method = np.errstate(over="ignore", invalid="ignore")(self.method)
+        setattr(self.owner, self.name, method)
+        return method.__get__(obj, owner)
 
 
 class SolverStatus(enum.Enum):
@@ -154,9 +180,9 @@ class _WaterFill:
         the order of c_k, and a, a2, h2 and P in index order for `_split`
         and `_project` (`by_index`); return max_k wa_k / a_k and sum_k
         a_k^2.  In Python floats, which overflow to inf without a warning,
-        from one tolist per array: a numpy call costs microseconds where a
-        solve starts with cold caches."""
-        a, a2, h2, p = self.by_index = tuple(v.tolist() for v in (ch.a, ch.a2, ch.h2, ch.p))
+        read from the instance's floats: a numpy call costs microseconds
+        where a solve starts with cold caches."""
+        a, a2, h2, p = self.by_index = ch.a_floats, ch.a2_floats, ch.h2_floats, ch.p_floats
         ids = self.ids = [k for k, a_k in enumerate(a) if a_k > 0.0]
         self.a, self.a2 = [a[k] for k in ids], [a2[k] for k in ids]
         self.wa, self.identity = [h2[k] * p[k] / a[k] for k in ids], list(range(len(ids)))
@@ -321,20 +347,16 @@ class _WaterFill:
         slopes = [a_k * (x + t_p * a_k * g) for a_k, g in zip(a, gamma)]
         steep = [-v if v >= 0.0 else math.inf for v in slopes].__getitem__
         candidates = sorted(sorted(ids[m:]), key=steep) + sorted(sorted(ids[:m]), key=steep)
-        relay, lost, effective = [], [], []
-        for a_k, a2_k, h2_k, p_k, g in zip(a, a2, h2, p, gamma):
-            relay.append(_relayed(a_k, g))
-            lost.append(_lost(a2_k, g))
-            effective.append(_mac_power(h2_k, p_k, g))
-        return gamma, candidates, relay, lost, effective
+        relay, lost = list(map(_relayed, a, gamma)), list(map(_lost, a2, gamma))
+        return gamma, candidates, relay, lost, list(map(_mac_power, h2, p, gamma))
 
-    # overflow to inf, and 0 * inf in the rows that r = 0 skips, pass
-    # silently, as in Python floats
-    @np.errstate(over="ignore", invalid="ignore")
+    @_quiet
     def states(self, lam: np.ndarray):
         """X (n,), gamma (n, K) and the saturated flags (n, K) at each of n
         multipliers, one row each: `_split`'s gamma, from the same prefix
         rule in array operations."""
+        import numpy as np
+
         ch, users = self.ch, np.flatnonzero(self.ch.a > 0)
         n, k, a_k = lam.size, users.size, ch.a[users]
         ls, r = lam[:, None] * self.s_p, lam[:, None] * self.sigma_p2
@@ -365,6 +387,8 @@ class _ArrayFill(_WaterFill):
     Overflow and inf - inf pass silently, as in Python floats."""
 
     def _hold(self, ch: ChannelInstance) -> tuple[float, float]:
+        import numpy as np
+
         self.users = np.flatnonzero(ch.a > 0)
         self.a_k, a2 = ch.a[self.users], ch.a2[self.users]
         with np.errstate(over="ignore"):
@@ -374,12 +398,11 @@ class _ArrayFill(_WaterFill):
         # along as floats, exact up to 2^53
         self.cols = np.array([self.a_k, a2, wa, self.users], dtype=float)
         self.a, self.a2, self.wa, self.ids = self.cols
-        # for `_project`, which reads a few users: indexing a memoryview
-        # gives a float, with no numpy call and no list of all K
-        self.by_index = tuple(map(memoryview, (ch.a, ch.a2, ch.h2, ch.p)))
+        # for `_project`, which reads a few users as floats
+        self.by_index = ch.a_floats, ch.a2_floats, ch.h2_floats, ch.p_floats
         return top, sum(a2.tolist())
 
-    @np.errstate(over="ignore", invalid="ignore")
+    @_quiet
     def _prefix(self, lam: float):
         ls, r, amp = lam * self.s_p, lam * self.sigma_p2, self.amp
         c = self.wa - ls * self.a
@@ -396,7 +419,7 @@ class _ArrayFill(_WaterFill):
         m, s_m, q_m, q = z, sum(a[:z].tolist()) if z else 0.0, sum(reversed(listed)), None
         while m < n and r * (amp + s_m) >= c.item(m) * (1.0 - r * q_m):
             if q is None:  # q[i]: the last i + 1 of a_k / c_k, summed from the end
-                q = np.cumsum(ratio[::-1])
+                q = ratio[::-1].cumsum()
             s_m += a.item(m)
             m += 1
             q_m = q.item(n - m - 1) if m < n else 0.0
@@ -410,8 +433,10 @@ class _ArrayFill(_WaterFill):
         s, m, c, a, wa, *rest = point
         return super()._continue(lam, (s, m, c, a.tolist(), wa.tolist(), *rest))
 
-    @np.errstate(over="ignore", invalid="ignore")
+    @_quiet
     def _split(self, lam: float):
+        import numpy as np
+
         s, m, c, *_ = self._fixed_point(lam)
         x = self.amp + s
         t = lam * self.sigma_p2 * x
@@ -599,7 +624,7 @@ def solve_max_sum_rate(ch: ChannelInstance) -> SolverResult:
     split = PowerSplit(gamma)
     # phi, its relative residual and the rate from the split's own terms,
     # summed in index order: channel's `relative_residual` and `sum_rate`
-    residual = float(_relative_phi(ch, ch.sigma_p2 * _excess(ch, sum(relay), sum(lost))))
+    residual = _relative_phi(ch, ch.sigma_p2 * _excess(ch, sum(relay), sum(lost)))
     converged = residual <= RESIDUAL_TOL
     return SolverResult(
         gamma_star=split,
@@ -607,7 +632,7 @@ def solve_max_sum_rate(ch: ChannelInstance) -> SolverResult:
         lambda_star=lam,
         residual=residual,
         outer_iterations=path.evaluations,
-        active_set_changes=len([g for g in split.gamma.tolist() if g >= SATURATED_GAMMA]),
+        active_set_changes=len([g for g in split.gamma_floats if g >= SATURATED_GAMMA]),
         status=SolverStatus.CONVERGED if converged else SolverStatus.MAX_ITERS_EXCEEDED,
     )
 
@@ -651,6 +676,8 @@ def sweep_trajectory(ch: ChannelInstance, lambda_max: float | None, samples: int
         )
     if lambda_max is not None and not 0 <= lambda_max < math.inf:
         raise ValueError(f"lambda_max must be nonnegative and finite, got {lambda_max}")
+    import numpy as np
+
     path = _water_fill(ch)
     if lambda_max is None:
         lambda_max = 1.25 * _follow(path)
@@ -678,6 +705,8 @@ def sweep_trajectory(ch: ChannelInstance, lambda_max: float | None, samples: int
 def _evaluate(path: _WaterFill, lam: np.ndarray):
     """`states` and phi at the multipliers lam; FloatingPointError names the
     first one where phi is not finite."""
+    import numpy as np
+
     x, gamma, saturated = path.states(lam)
     with np.errstate(over="ignore", invalid="ignore"):
         phi = _phi(path.ch, gamma)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from cogmac import (
     feasibility_residual,
     primary_rate,
     relative_residual,
+    solve_max_sum_rate,
     sum_rate,
 )
 from cogmac.channel import _coordinate_roots, _primary_sums
@@ -173,6 +175,64 @@ class TestDerivedTerms:
             "h": [1.0, 0.8], "g": [0.4, 0.2], "p": [5.0, 5.0], "h_p": 1.0, "p_p": 10.0,
             "sigma_p2": 1.0, "sigma_c2": 1.0, "f": 0.0, "name": "ref",
         }
+
+
+class TestEquality:
+    """Instances and splits compare and hash by their float values, at any
+    K; an instance or a split is held as floats, and its arrays are built
+    only when read."""
+
+    @staticmethod
+    def _twice(k):
+        return [make_instance(np.random.default_rng(7), k) for _ in range(2)]
+
+    @pytest.mark.parametrize("k", [1, 2, 60])
+    def test_instances_equal_by_value(self, k):
+        ch, again = self._twice(k)
+        assert ch is not again and ch == again and hash(ch) == hash(again)
+        other = dataclasses.replace(ch, h_p=ch.h_p * 2.0)
+        assert ch != other
+        assert ch != dataclasses.replace(ch, h=ch.h * 2.0)
+        assert len({ch, again, other}) == 2
+
+    @pytest.mark.parametrize("k", [1, 2, 60])
+    def test_replace_round_trip_is_equal(self, k):
+        ch = self._twice(k)[0]
+        assert dataclasses.replace(ch) == ch
+        assert dataclasses.replace(ch, h=ch.h.tolist(), p=tuple(ch.p.tolist())) == ch
+
+    @pytest.mark.parametrize("k", [1, 2, 60])
+    def test_splits_and_results_equal_by_value(self, k):
+        ch, again = self._twice(k)
+        result, repeat = solve_max_sum_rate(ch), solve_max_sum_rate(again)
+        assert result.gamma_star == repeat.gamma_star
+        assert hash(result.gamma_star) == hash(repeat.gamma_star)
+        assert result == repeat and hash(result) == hash(repeat)
+        assert PowerSplit(result.gamma_star.gamma) == result.gamma_star
+        assert PowerSplit.zeros(k) != PowerSplit.ones(k)
+        assert dataclasses.replace(result.gamma_star) == result.gamma_star
+
+    def test_instance_is_not_a_split(self, k2_reference):
+        assert k2_reference != PowerSplit([0.5, 0.5])
+        assert PowerSplit([0.5, 0.5]) != (0.5, 0.5)
+
+    def test_bundled_scenario_loaded_twice(self):
+        from cogmac.cli import load_scenario
+
+        path = str(Path(__file__).resolve().parent.parent / "scenarios" / "k2_reference.json")
+        (ch, _), (again, _) = load_scenario(path), load_scenario(path)
+        assert ch == again and hash(ch) == hash(again)
+        assert solve_max_sum_rate(ch) == solve_max_sum_rate(again)
+
+    def test_arrays_built_on_first_read(self):
+        ch = make_instance(np.random.default_rng(7), 3)
+        held = set(vars(ch))
+        assert not held & {"h", "g", "p", "a", "a2", "h2"}
+        assert {"h_floats", "g_floats", "p_floats", "a_floats", "a2_floats", "h2_floats"} <= held
+        assert ch.a is ch.a and ch.a.tolist() == list(ch.a_floats)
+        split = PowerSplit([0.25, 0.5])
+        assert "gamma" not in vars(split) and split.gamma_floats == (0.25, 0.5)
+        assert split.gamma is split.gamma and split.gamma.tolist() == [0.25, 0.5]
 
 
 class TestBaselinePrimaryRate:

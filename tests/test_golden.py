@@ -2,7 +2,8 @@
 
 Each file under tests/golden/ other than the scenarios k3_two_events.json,
 k2_silent_relays.json, k2_relay_and_user.json and k1_extreme_draw29.json,
-and the solver's record solver-reference.json (tests/test_reference.py), is
+and the solver's records solver-reference.json and solver-suites.json
+(tests/test_reference.py), is
 the stdout of one command below.  Stdout is the contract for deterministic
 output, so a refactor must leave every byte as it is; regenerate the files
 only for an intended change of output, and say why in CHANGES.md.

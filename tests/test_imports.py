@@ -20,11 +20,15 @@ The independent checks stay apart from the solver: `oracle` imports only
 Every sum over the users is the builtin `sum` in index order: no module
 reduces with `ndarray.sum`, `np.sum` or `np.dot`, which add pairwise, not
 even `ChannelInstance.__post_init__` for its received powers and residual
-scale.
+scale.  And a `cogmac solve` process on any bundled or golden scenario,
+all below the solver's array form, imports no numpy at all.
 """
 
 import ast
 import dataclasses
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -349,3 +353,28 @@ def test_checks_import_apart_from_the_solver(name, allowed):
     # the grid oracle and the KKT check read nothing of the solver, and the
     # solver reads the grid's row cap from `channel`, not from `region`
     assert _package_imports(ast.parse((SOURCE / name).read_text(encoding="utf-8"))) == allowed
+
+
+GOLDEN = SOURCE.parent.parent / "tests" / "golden"
+# the bundled scenarios and the scenarios among the goldens, whose names
+# have no "-": every one has K <= 3, below the solver's array form
+SOLVE_SCENARIOS = sorted((SOURCE.parent.parent / "scenarios").glob("*.json")) + sorted(
+    path for path in GOLDEN.glob("*.json") if "-" not in path.name
+)
+
+
+@pytest.mark.parametrize("scenario", SOLVE_SCENARIOS, ids=[p.name for p in SOLVE_SCENARIOS])
+def test_solve_process_imports_no_numpy(scenario):
+    """A `cogmac solve` process below the array form never imports numpy:
+    `python -X importtime` lists every module imported, and none is numpy
+    or one of its submodules."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "cogmac", "solve", "--scenario", str(scenario)],
+        capture_output=True,
+        text=True,
+    )
+    report = json.loads(proc.stdout)
+    assert len(report["gamma_star"]) <= 3
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if "|" in line]
+    assert "cogmac.solver" in imported
+    assert not [name for name in imported if name.split(".")[0] == "numpy"]

@@ -1,4 +1,4 @@
-"""The solver's results on the seeded suites, against a committed record.
+"""The solver's results on the seeded suites, against committed records.
 
 tests/golden/solver-reference.json holds, per suite, each solve's status,
 path evaluations, lambda* and sum rate, and on the suites of at most five
@@ -9,23 +9,35 @@ relative of the record, and gamma* within 1e-9 of it relative to its
 largest coordinate (a coordinate far below the others, t / c_k at 1e-15,
 moves with the last bits of lambda* by more than 1e-9 of itself).  The
 record is the solver of the commits that CHANGES.md names, one for the
-evaluations and one for the rest;
-`PYTHONPATH=src python tests/test_reference.py` rewrites it from the
-solver in the tree, so run it only for an intended change of results, and
-say why in CHANGES.md.
+evaluations and one for the rest.
+
+tests/golden/solver-suites.json holds, for those suites and for the extreme
+and limit fuzzes, what does not depend on the machine: the number of
+solves, the total, mean and largest path evaluations, the count of each
+status, the `Converged` solves that fail `kkt_check`, and the
+RuntimeWarnings raised while solving and checking.  Every count is
+compared exactly.
+
+`PYTHONPATH=src python tests/test_reference.py` rewrites both records from
+the solver in the tree, so run it only for an intended change of results,
+and say why in CHANGES.md.
 """
 
+import functools
 import json
 import math
+import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from cogmac import solve_max_sum_rate
+from cogmac import SolverStatus, kkt_check, solve_max_sum_rate
 from cogmac.oracle import instance_suite
-from conftest import wide_instances
+from conftest import extreme_fuzz, limit_fuzz, wide_instances
 
 RECORD = Path(__file__).resolve().parent / "golden" / "solver-reference.json"
+COUNTS = RECORD.with_name("solver-suites.json")
 TOL = 1e-9
 
 # name -> (instances, whether gamma* is recorded)
@@ -34,17 +46,51 @@ SUITES = {
     "k10-200": (lambda: instance_suite(0, 60, sizes=(10, 20, 50, 100, 200)), False),
     "wide": (wide_instances, True),
 }
+# name -> instances, for the record of counts
+COUNTED = {name: suite for name, (suite, _) in SUITES.items()} | {
+    "extreme": extreme_fuzz,
+    "limit": limit_fuzz,
+}
+
+
+@functools.cache
+def _solves(name):
+    """The suite's solves, whether each passes `kkt_check`, and the warnings
+    raised while solving and checking them, every one recorded."""
+    suite = COUNTED[name]()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        results = [solve_max_sum_rate(ch) for ch in suite]
+        passed = [kkt_check(ch, r).passed for ch, r in zip(suite, results)]
+    return results, passed, caught
 
 
 def _rows(name):
     """[status, evaluations, lambda*, rate, *gamma*] per solve of the suite."""
-    suite, with_gamma = SUITES[name]
+    with_gamma = SUITES[name][1]
     rows = []
-    for ch in suite():
-        r = solve_max_sum_rate(ch)
-        floats = [r.lambda_star, r.sum_rate] + (r.gamma_star.gamma.tolist() if with_gamma else [])
+    for r in _solves(name)[0]:
+        floats = [r.lambda_star, r.sum_rate] + (list(r.gamma_star.gamma_floats) if with_gamma else [])
         rows.append([r.status.value, r.outer_iterations] + [float(f"{v:.12g}") for v in floats])
     return rows
+
+
+def _counts(name):
+    """The suite's record of counts."""
+    results, passed, caught = _solves(name)
+    evaluations = [r.outer_iterations for r in results]
+    converged = [r.status is SolverStatus.CONVERGED for r in results]
+    return {
+        "solves": len(results),
+        "evaluations": {
+            "total": sum(evaluations),
+            "mean": round(sum(evaluations) / len(evaluations), 2),
+            "max": max(evaluations),
+        },
+        "statuses": dict(sorted(Counter(r.status.value for r in results).items())),
+        "kkt_failures_among_converged": sum(c and not ok for c, ok in zip(converged, passed)),
+        "runtime_warnings": sum(issubclass(w.category, RuntimeWarning) for w in caught),
+    }
 
 
 def _close(got, want, scale):
@@ -72,6 +118,11 @@ def test_matches_the_record(record, name):
         assert all(_close(g, e, largest) for g, e in zip(got[4:], expected[4:])), (i, got, expected)
 
 
+@pytest.mark.parametrize("name", COUNTED)
+def test_counts_match_the_record(name):
+    assert _counts(name) == json.loads(COUNTS.read_text())[name]
+
+
 if __name__ == "__main__":
     with RECORD.open("w") as out:
         out.write("{\n")
@@ -81,3 +132,4 @@ if __name__ == "__main__":
             out.write(",\n".join(json.dumps(row, separators=(",", ":")) for row in rows))
             out.write("\n]" + (",\n" if n + 1 < len(SUITES) else "\n"))
         out.write("}\n")
+    COUNTS.write_text(json.dumps({name: _counts(name) for name in COUNTED}, indent=2) + "\n")

@@ -1,8 +1,12 @@
 import importlib.util
 import json
+import platform
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -36,6 +40,12 @@ def _bench_pairs():
     return module
 
 
+def _canned(rss, ops, failed=0):
+    """A run's summary with two metrics."""
+    metrics = {"peak_rss_mb": {"value": rss, "unit": "MB"}, "ops_per_s": {"value": ops, "unit": "1/s"}}
+    return {"correct": True, "attempted": 207, "failed": failed, "metrics": metrics}
+
+
 def test_bench_pairs_summary_from_canned_runs():
     """The pair summary reads each run's last output line, and counts a pair
     as won when the change is better in the metric's own direction; it
@@ -43,9 +53,7 @@ def test_bench_pairs_summary_from_canned_runs():
     bench = _bench_pairs()
 
     def line(rss, ops, failed=0):
-        metrics = {"peak_rss_mb": {"value": rss, "unit": "MB"}, "ops_per_s": {"value": ops, "unit": "1/s"}}
-        doc = {"correct": True, "attempted": 207, "failed": failed, "metrics": metrics}
-        return "setup done\n" + json.dumps(doc) + "\n"
+        return "setup done\n" + json.dumps(_canned(rss, ops, failed)) + "\n"
 
     parents = [line(40.7, 400.0), line(40.5, 410.0), line(40.9, 420.0), line(40.7, 405.0)]
     changes = [line(39.3, 400.0), line(39.1, 405.0), line(39.5, 430.0), line(39.3, 406.0, failed=1)]
@@ -62,3 +70,72 @@ def test_bench_pairs_summary_from_canned_runs():
 
 def test_bench_pairs_quartiles_of_one_run():
     assert _bench_pairs().quartiles([2.0]) == (2.0, 2.0, 2.0)
+
+
+def test_bench_pairs_series_from_canned_runs():
+    """`compare` holds the figures that the summary prints, per metric."""
+    bench = _bench_pairs()
+    parents = [_canned(40.7, 400.0), _canned(40.5, 410.0), _canned(40.9, 420.0), _canned(40.7, 405.0)]
+    changes = [_canned(39.3, 400.0), _canned(39.1, 405.0), _canned(39.5, 430.0), _canned(39.3, 406.0, 1)]
+    pairs = list(zip(parents, changes))
+    metrics = [{"name": "peak_rss_mb", "better": "lower"}, {"name": "ops_per_s", "better": "higher"}]
+    series = bench.compare(pairs, metrics)
+    assert series["pairs"] == 4
+    assert series["correct"] == {"parent": 4, "change": 4}
+    assert series["failed"] == {"parent": 0, "change": 1}
+    assert series["attempted"] == {"parent": 828, "change": 828}
+    rss, ops = series["metrics"]["peak_rss_mb"], series["metrics"]["ops_per_s"]
+    assert rss["better"] == "lower" and rss["won"] == 4 and rss["gain"] is True
+    assert rss["parent"] == {"median": 40.7, "q1": pytest.approx(40.65), "q3": pytest.approx(40.75)}
+    assert rss["change"]["median"] == pytest.approx(39.3)
+    assert ops["won"] == 2 and ops["gain"] is False
+    assert ops["change"] == {"median": 405.5, "q1": 403.75, "q3": 412.0}
+
+
+def test_bench_pairs_json_adds_each_series(tmp_path, monkeypatch):
+    """`--json PATH` adds one entry per series to the list in PATH, with the
+    workload, seed, host and per-metric figures.  The runs are canned: every
+    end-to-end metric reads 10 plus the seed in the parent and 9 plus the
+    seed in the change."""
+    bench = _bench_pairs()
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [metric["name"] for metric in spec["end_to_end"]]
+
+    def run(checkout, workload, seed, seconds):
+        value = (10.0 if checkout.name == "parent" else 9.0) + seed
+        metrics = {name: {"value": value, "unit": ""} for name in names}
+        return {"correct": True, "attempted": 40, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench, "run", run)
+    path = tmp_path / "BENCH.json"
+    for seed in ("1", "2"):
+        argv = ["parent", "change", "--workload", "solve-uniform", "--seed", seed, "--pairs", "2"]
+        assert bench.main([*argv, "--json", str(path)]) == 0
+    first, second = json.loads(path.read_text())
+    assert (first["workload"], first["seed"], first["pairs"]) == ("solve-uniform", 1, 2)
+    assert second["seed"] == 2
+    assert first["nproc"] >= 1 and first["python"] == platform.python_version()
+    assert first["numpy"] == np.__version__
+    assert list(first["metrics"]) == names
+    rss = first["metrics"]["peak_rss_mb"]
+    assert rss["parent"] == {"median": 11.0, "q1": 11.0, "q3": 11.0}
+    assert rss["change"]["median"] == 10.0 and rss["won"] == 2 and rss["gain"] is True
+    ops = second["metrics"]["ops_per_s"]
+    assert ops["change"]["median"] == 11.0 and ops["won"] == 0 and ops["gain"] is False
+
+
+def test_process_times_one_round(tmp_path):
+    """One round of the cheapest command, `python -c pass`, on this tree:
+    the report names it with its quartiles, in milliseconds."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "process_times.py"), "--rounds", "1", "--only", "pass"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["rounds"] == 1 and report["nproc"] >= 1
+    (tree,) = report["trees"].values()
+    (figures,) = tree.values()
+    assert list(tree) == ["pass"]
+    assert 0.0 < figures["q1_ms"] == figures["median_ms"] == figures["q3_ms"]

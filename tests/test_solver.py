@@ -871,12 +871,12 @@ class TestReport:
 
 
 def test_list_form_makes_no_numpy_reduction():
-    """A list-form solve calls numpy only to read the instance's arrays as
-    floats (`tolist`) and to build the split's read-only array."""
+    """A list-form solve makes no numpy call at all: it reads the
+    instance's floats and holds the split as floats."""
     suite = instance_suite(1, 30)
     assert max(ch.num_users for ch in suite) < solver._ARRAY_USERS
     seen = numpy_calls(lambda: [solve_max_sum_rate(ch) for ch in suite])
-    assert seen == {"ndarray.tolist", "array", "ndarray.setflags"}
+    assert seen == set()
 
 
 class TestWholeFloatRange:
