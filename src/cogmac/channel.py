@@ -16,13 +16,14 @@ sum a_k^2 by the same rule, so no sum over the users adds pairwise.  Rates
 are in bits per channel use (log base 2 throughout).
 
 A scenario or a split is a few floats per user, and the kernels that score
-one split read them as Python floats: an instance holds each vector as a
-tuple of floats (`h_floats`, ..., `h2_floats`), and a split its ratios
-(`gamma_floats`).  The read-only float64 arrays `h`, ..., `gamma` are built
-from them on first read and kept, and numpy is imported only there and in
-the branches that work on columns or grids: scoring one split imports no
-numpy, so neither does a `cogmac solve` process below the solver's array
-form.
+one split read them as Python floats: an instance holds each vector once,
+as its floats (`h_floats`, ..., `h2_floats`: a tuple, or from the solver's
+array form on an `array('d')`), and a split its ratios as a tuple
+(`gamma_floats`).  The read-only float64 arrays `h`,
+..., `gamma` are made from them on first read and kept, and numpy is
+imported only there and in the branches that work on columns or grids:
+scoring one split imports no numpy, so neither does a `cogmac solve`
+process below the solver's array form.
 """
 
 from __future__ import annotations
@@ -64,6 +65,23 @@ GRID_CHUNK_ROWS = 2**16
 # batch stays near 1 MB
 FLOAT_BATCH_ROWS = 4096
 
+# from this many users on, the solver's array form is the faster (measured;
+# README), and an instance holds each vector as an `array('d')`, which that
+# form views as a float64 array without a copy; below it, as a tuple of
+# Python floats, which the list form reads as they are (`_held`)
+_ARRAY_USERS = 60
+
+
+def _held(values: list, k: int):
+    """The floats of one of a k-user instance's vectors, as it holds them.
+    `array` is imported only here: loading it raises a process's peak RSS
+    by about 0.2 MB."""
+    if k < _ARRAY_USERS:
+        return tuple(values)
+    from array import array
+
+    return array("d", values)
+
 
 class DimensionMismatchError(ValueError):
     """Vector argument length does not match the instance's user count."""
@@ -93,9 +111,10 @@ _FIELD_SIGNS = (
 
 
 class _Array:
-    """A vector read as a read-only float64 array, built on the first read
-    from the floats held in `<name>_floats` and then kept in the instance,
-    where later reads find it first.  Read from the class it raises
+    """A vector read as a read-only float64 array, made on the first read
+    from the floats held in `<name>_floats`, as a view of an `array('d')` or
+    a copy of a tuple, and then kept in the instance, where later reads find
+    it first.  Read from the class it raises
     AttributeError, so that a dataclass field of this type has no default,
     and the value given to `__init__` stays in the instance until
     `__post_init__` takes it."""
@@ -109,7 +128,7 @@ class _Array:
         import numpy as np
 
         floats = getattr(obj, self.floats)
-        arr = np.fromiter(floats, float, len(floats))
+        arr = np.fromiter(floats, float, len(floats)) if type(floats) is tuple else np.frombuffer(floats)
         arr.setflags(write=False)
         object.__setattr__(obj, self.name, arr)
         return arr
@@ -141,10 +160,12 @@ class ChannelInstance:
     t = s_p / sigma_p2, h2 = h_k^2 and residual_scale = s_p max(sigma_p2,
     sum a_k^2), which makes the feasibility residual relative.
 
-    Each vector, h, g, p, a, a2 and h2, is held as a tuple of floats,
-    `h_floats`, ..., `h2_floats`, which the kernels read; its read-only
-    float64 array `h`, ..., `h2` is built on the first read and kept.  Two
-    instances are equal, and hash alike, where their fields' values are.
+    Each vector, h, g, p, a, a2 and h2, is held once, as its floats
+    `h_floats`, ..., `h2_floats`, which the kernels read: a tuple below
+    `_ARRAY_USERS` users, an `array('d')` from there.  Its read-only
+    float64 array `h`, ..., `h2` is made from them on the first read, a
+    view of an `array('d')`, and kept.  Two instances are equal, and hash
+    alike, where their fields' values are.
     """
 
     h: np.ndarray = _Array()
@@ -189,7 +210,7 @@ class ChannelInstance:
                     f"{name} must be a length-{k} vector, got shape ({len(values)},)"
                 )
             if vector:
-                object.__setattr__(self, f"{name}_floats", tuple(values))
+                object.__setattr__(self, f"{name}_floats", _held(values, k))
             else:
                 object.__setattr__(self, name, values[0])
         # the rate formulas square the gains and sum the received powers,
@@ -211,10 +232,10 @@ class ChannelInstance:
         derived = (
             ("s_p", s_p),
             ("primary_amplitude", self.h_p * math.sqrt(self.p_p)),
-            ("a_floats", tuple(a)),
-            ("a2_floats", tuple(a2)),
+            ("a_floats", _held(a, k)),
+            ("a2_floats", _held(a2, k)),
             ("t", s_p / self.sigma_p2),
-            ("h2_floats", tuple(h2)),
+            ("h2_floats", _held(h2, k)),
             ("residual_scale", max(s_p * interference, self.sigma_p2 * s_p)),
         )
         for name, value in derived:
@@ -224,26 +245,21 @@ class ChannelInstance:
     def num_users(self) -> int:
         return len(self.h_floats)
 
-    def _values(self) -> tuple:
-        """The fields' values in field order: a tuple of floats per vector,
-        a float per scalar."""
-        return tuple(
-            getattr(self, f"{name}_floats" if vector else name) for name, vector, _ in _FIELD_SIGNS
-        )
-
     def as_dict(self) -> dict:
         """The fields' values by name, in field order: a list of floats per
         vector, a float per scalar."""
-        names = [name for name, *_ in _FIELD_SIGNS]
-        return {name: list(v) if type(v) is tuple else v for name, v in zip(names, self._values())}
+        return {
+            name: list(getattr(self, f"{name}_floats")) if vector else getattr(self, name)
+            for name, vector, _ in _FIELD_SIGNS
+        }
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self.as_dict() == other.as_dict()
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(tuple(tuple(v) if type(v) is list else v for v in self.as_dict().values()))
 
 
 def _splits(gamma) -> tuple:

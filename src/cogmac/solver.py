@@ -53,8 +53,10 @@ the sums; a continuation skips the sort and the prefix test) and O(1)
 scalar work (phi, Newton's step, the singularity), and the end game the
 per-user work of `_split` once.  The per-user work has two
 forms, picked once per instance from K alone: Python lists below
-`_ARRAY_USERS` users (`_WaterFill`), numpy arrays from there (`_ArrayFill`),
-which, like `states` and `sweep_trajectory`, imports numpy where it runs.
+`channel._ARRAY_USERS` users (`_WaterFill`), numpy arrays from there
+(`_ArrayFill`), which, like `states` and `sweep_trajectory`, imports numpy
+where it runs; the instance holds its floats in the container each form
+reads without a copy, a tuple or an `array('d')`, by the same threshold.
 Each numpy call costs a microsecond or more however short the array (7 to
 15 where a solve starts with cold caches; README), so the array form is
 slower at small K and faster at large K; the two cross near K = 56.
@@ -78,6 +80,7 @@ from operator import itemgetter, truediv
 from typing import TYPE_CHECKING
 
 from .channel import (
+    _ARRAY_USERS,
     GRID_CHUNK_ROWS,
     MAX_GRID_ROWS,
     RESIDUAL_TOL,
@@ -451,10 +454,6 @@ class _ArrayFill(_WaterFill):
         candidates = users[np.lexsort((-slope, saturated[users]))]
         terms = _relayed(ch.a, gamma), _lost(ch.a2, gamma), _mac_power(ch.h2, ch.p, gamma)
         return (gamma, candidates.tolist(), *(v.tolist() for v in terms))
-
-
-# from this many users on, the array form is the faster (measured; README)
-_ARRAY_USERS = 60
 
 
 def _water_fill(ch: ChannelInstance) -> _WaterFill:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from cogmac import (
     solve_max_sum_rate,
     sum_rate,
 )
+from cogmac import solver
 from cogmac.channel import _coordinate_roots, _primary_sums
 from conftest import bisect_root
 
@@ -223,6 +225,18 @@ class TestEquality:
         (ch, _), (again, _) = load_scenario(path), load_scenario(path)
         assert ch == again and hash(ch) == hash(again)
         assert solve_max_sum_rate(ch) == solve_max_sum_rate(again)
+
+    @pytest.mark.parametrize("k, held", [(59, tuple), (60, array)])
+    def test_floats_held_as_each_form_reads_them(self, k, held):
+        """A tuple below the solver's array form, whose lists read it as it
+        is; an `array('d')` from there, which the array is a view of."""
+        assert solver._ARRAY_USERS == 60
+        ch = make_instance(np.random.default_rng(7), k)
+        for name in ("h", "g", "p", "a", "a2", "h2"):
+            floats = getattr(ch, f"{name}_floats")
+            assert type(floats) is held and len(floats) == k
+            assert np.shares_memory(getattr(ch, name), floats) is (held is array)
+            assert getattr(ch, name).tolist() == list(floats)
 
     def test_arrays_built_on_first_read(self):
         ch = make_instance(np.random.default_rng(7), 3)
