@@ -19,11 +19,10 @@ A scenario or a split is a few floats per user, and the kernels that score
 one split read them as Python floats: an instance holds each vector once,
 as its floats (`h_floats`, ..., `h2_floats`: a tuple, or from the solver's
 array form on an `array('d')`), and a split its ratios as a tuple
-(`gamma_floats`).  The read-only float64 arrays `h`,
-..., `gamma` are made from them on first read and kept, and numpy is
-imported only there and in the branches that work on columns or grids:
-scoring one split imports no numpy, so neither does a `cogmac solve`
-process below the solver's array form.
+(`gamma_floats`).  The read-only float64 arrays `h`, ..., `gamma` are made
+from them on first read and kept, and numpy is imported only there and in
+the branches that work on columns or grids: scoring one split imports no
+numpy, so neither does a `cogmac solve` process below the array form.
 """
 
 from __future__ import annotations
@@ -74,8 +73,8 @@ _ARRAY_USERS = 60
 
 def _held(values: list, k: int):
     """The floats of one of a k-user instance's vectors, as it holds them.
-    `array` is imported only here: loading it raises a process's peak RSS
-    by about 0.2 MB."""
+    `array` is imported only here: loading it raised the benchmark worker's
+    peak RSS by about 0.2 MB."""
     if k < _ARRAY_USERS:
         return tuple(values)
     from array import array
@@ -114,10 +113,9 @@ class _Array:
     """A vector read as a read-only float64 array, made on the first read
     from the floats held in `<name>_floats`, as a view of an `array('d')` or
     a copy of a tuple, and then kept in the instance, where later reads find
-    it first.  Read from the class it raises
-    AttributeError, so that a dataclass field of this type has no default,
-    and the value given to `__init__` stays in the instance until
-    `__post_init__` takes it."""
+    it first.  Read from the class it raises AttributeError, so that a
+    dataclass field of this type has no default, and the value given to
+    `__init__` stays in the instance until `__post_init__` takes it."""
 
     def __set_name__(self, owner, name):
         self.name, self.floats = name, f"{name}_floats"
