@@ -12,8 +12,8 @@ g_k sqrt(P_k).  No module writes the primary constraint in its expanded
 form sigma_p2 X^2 - s_p (...), whose terms sigma_p2 A^2 and s_p sigma_p2
 cancel: `channel._excess` writes it once without them.  The CLI reads the
 scenario schema from the `ChannelInstance` fields, and names none of them
-in a string of its own, and of an instance it reads only `num_users`: it
-parses, calls the library and prints.  The feasible grid has one kernel,
+in a string of its own, and of an instance it reads only `num_users` (its
+echo comes from `as_dict`): it parses, calls the library and prints.  The feasible grid has one kernel,
 `region._blocks`, which the oracle reads without building a grid of its own.
 The independent checks stay apart from the solver: `oracle` imports only
 `channel` and `region`, and `solver` and `region` only `channel`.
@@ -34,6 +34,7 @@ from pathlib import Path
 import pytest
 
 import cogmac
+from cogmac.channel import _Array
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "cogmac"
 MODULES = sorted(SOURCE.glob("*.py"))
@@ -294,7 +295,11 @@ def test_cli_reads_no_instance_attribute_but_num_users():
     ch = cogmac.ChannelInstance(
         h=[1.0], g=[1.0], p=[1.0], h_p=1.0, p_p=1.0, sigma_p2=1.0, sigma_c2=1.0
     )
-    attributes = set(vars(ch))  # the fields and derived terms, not num_users
+    # the held floats, scalars and derived terms, and the arrays made on
+    # first read; not num_users or as_dict
+    arrays = {name for name, value in vars(cogmac.ChannelInstance).items() if isinstance(value, _Array)}
+    attributes = set(vars(ch)) | arrays
+    assert {"h", "a", "h_floats", "a_floats", "s_p"} <= attributes
     tree = ast.parse((SOURCE / "cli.py").read_text(encoding="utf-8"))
     found = sorted(
         (node.lineno, node.attr)
