@@ -8,17 +8,21 @@ slow spell of the host falls on every command alike.  The commands are
 `python -c pass`, `python -c "import numpy"`, and `cogmac solve`, `sweep`
 and `validate` on each scenario in scenarios/, and `cogmac region` on its
 two-user ones, each with the tree's `src` on PYTHONPATH and its output
-discarded.  Prints one JSON object: the rounds, the Python version, the
-processors available, and per tree and command the median and quartiles of
-the wall times in milliseconds.  A command that exits with an error stops
-the script.
+discarded.  Each command runs with PYTHONDONTWRITEBYTECODE=1, so a tree
+without `__pycache__` compiles `cogmac` at every start.  Each `cogmac`
+command also runs as `<name>+pyc`, with a bytecode cache: PYTHONPYCACHEPREFIX
+set to a temporary directory per tree, filled by one untimed run of the
+command before the first round and removed at the end.  Prints one JSON
+object: the rounds, the Python version, the processors available, and per
+tree and command the median and quartiles of the wall times in
+milliseconds.  A command that exits with an error stops the script.
 
 Usage: python3 scripts/process_times.py [--rounds 15] [--src SRC ...] [--only NAME ...]
 
   --src SRC    a tree's source directory, once per tree (default: this
                repository's src)
   --only NAME  run only the commands of this name, e.g. `pass`,
-               `import-numpy` or `solve-k2_reference`
+               `import-numpy` or `solve-k2_reference` (with its `+pyc`)
 """
 
 import argparse
@@ -27,6 +31,7 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -47,9 +52,22 @@ def commands() -> dict[str, list[str]]:
     return found
 
 
-def wall_time(args: list[str], src: Path) -> float:
-    """Seconds from starting `python args` with src on PYTHONPATH to its exit."""
-    env = dict(os.environ, PYTHONPATH=str(src))
+def variants(name: str, command: list[str], cache: Path):
+    """(name, command, bytecode cache) for the command as given, with no
+    cache, and for a `cogmac` command also with `cache`."""
+    yield name, command, None
+    if command[:2] == ["-m", "cogmac"]:
+        yield f"{name}+pyc", command, cache
+
+
+def wall_time(args: list[str], src: Path, cache: Path | None = None) -> float:
+    """Seconds from starting `python args` with src on PYTHONPATH to its
+    exit, writing no bytecode, or with cache as its bytecode cache."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    if cache is not None:
+        del env["PYTHONDONTWRITEBYTECODE"]
+        env["PYTHONPYCACHEPREFIX"] = str(cache)
     begin = time.perf_counter()
     proc = subprocess.run([sys.executable, *args], env=env, cwd=ROOT, capture_output=True)
     elapsed = time.perf_counter() - begin
@@ -68,20 +86,26 @@ def main(argv=None) -> int:
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     trees = [path.resolve() for path in args.src or [ROOT / "src"]]
-    runs = [
-        (tree, name, command)
-        for tree in trees
-        for name, command in commands().items()
-        if args.only is None or name in args.only
-    ]
-    if not runs:
-        parser.error(f"no command named {args.only}")
-    times = {(tree, name): [] for tree, name, _ in runs}
-    for i in range(args.rounds):
-        shift = i % len(runs)
-        for tree, name, command in runs[shift:] + runs[:shift]:
-            times[tree, name].append(wall_time(command, tree) * 1e3)
-        print(f"round {i + 1} of {args.rounds} done", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as scratch:
+        caches = {tree: Path(scratch, str(i)) for i, tree in enumerate(trees)}
+        runs = [
+            (tree, *variant)
+            for tree in trees
+            for name, command in commands().items()
+            if args.only is None or name in args.only
+            for variant in variants(name, command, caches[tree])
+        ]
+        if not runs:
+            parser.error(f"no command named {args.only}")
+        for tree, _, command, cache in runs:
+            if cache is not None:
+                wall_time(command, tree, cache)  # fills the cache, untimed
+        times = {(tree, name): [] for tree, name, _, _ in runs}
+        for i in range(args.rounds):
+            shift = i % len(runs)
+            for tree, name, command, cache in runs[shift:] + runs[:shift]:
+                times[tree, name].append(wall_time(command, tree, cache) * 1e3)
+            print(f"round {i + 1} of {args.rounds} done", file=sys.stderr)
     report = {
         "rounds": args.rounds,
         "python": platform.python_version(),

@@ -51,15 +51,19 @@ and returns the path as columns.
 One evaluation costs O(K) per-user work (c_k, the sort, the prefix test and
 the sums; a continuation skips the sort and the prefix test) and O(1)
 scalar work (phi, Newton's step, the singularity), and the end game the
-per-user work of `_split` once.  The per-user work has two
-forms, picked once per instance from K alone: Python lists below
-`channel._ARRAY_USERS` users (`_WaterFill`), numpy arrays from there
-(`_ArrayFill`), which, like `states` and `sweep_trajectory`, imports numpy
-where it runs; the instance holds its floats in the container each form
-reads without a copy, a tuple or an `array('d')`, by the same threshold.
-Each numpy call costs a microsecond or more however short the array (7 to
-15 where a solve starts with cold caches; README), so the array form is
-slower at small K and faster at large K; the two cross near K = 56.
+per-user work of `_split` once.  The per-user work has two forms, picked
+once per instance from K alone: Python lists below `channel._ARRAY_USERS`
+users (`_WaterFill`), numpy arrays from there (`_ArrayFill`), which, like
+`states` and `sweep_trajectory`, imports numpy where it runs; the instance
+holds its floats in the container each form reads without a copy, a tuple
+or an `array('d')`, by the same threshold.  Overflow passes silently in
+both forms: in Python floats by itself, in the arrays under one
+`np.errstate` each for `_hold`, the whole root find (`root`), `_split` and
+each call of `states`, so a solve sets numpy's float state three times
+however many evaluations it makes.  Each numpy call costs a microsecond or
+more however short the array (7 to 15 where a solve starts with cold
+caches; README), so the array form is slower at small K and faster at
+large K; the two cross near K = 56.
 Both give the same floats: every elementwise operation rounds alike, the
 sorts are stable, every sum, norm and maximum is the same builtin over the
 same floats in the same order, and the running sums add in order
@@ -105,28 +109,6 @@ if TYPE_CHECKING:
 _FEW_ULPS = 4.0 * sys.float_info.epsilon
 
 
-class _quiet:
-    """A method under `np.errstate(over="ignore", invalid="ignore")`, so
-    that overflow to inf, and 0 * inf in the rows that r = 0 skips, pass
-    silently, as in Python floats.  numpy's decorator is applied at the
-    method's first lookup, which imports numpy, and the decorated method
-    then takes this one's place on its class: later calls cost only what
-    the decorator costs."""
-
-    def __init__(self, method):
-        self.method = method
-
-    def __set_name__(self, owner, name):
-        self.owner, self.name = owner, name
-
-    def __get__(self, obj, owner=None):
-        import numpy as np
-
-        method = np.errstate(over="ignore", invalid="ignore")(self.method)
-        setattr(self.owner, self.name, method)
-        return method.__get__(obj, owner)
-
-
 class SolverStatus(enum.Enum):
     """How a solve ended.  Every root find reaches lambda* within its stated
     worst case (`_follow`), so the status reads the split there alone:
@@ -161,9 +143,11 @@ class _WaterFill:
     (`_continue`), except a `_split` that reads the last fixed point again.
 
     This is the list form: its per-user work, `_hold`, `_prefix`,
-    `_continue` and `_split`, runs on Python floats, whose sort (Timsort)
-    re-sorts the last order in about one pass.  `_ArrayFill` does the same
-    work in numpy arrays; everything else is shared."""
+    `_continue` and `_split`, runs on Python floats, which overflow to inf
+    without a warning, and whose sort (Timsort) re-sorts the last order in
+    about one pass.  `_ArrayFill` does the same work in numpy arrays;
+    everything else is shared.  Only `states` sets numpy's float state, in
+    its own `np.errstate`."""
 
     def __init__(self, ch: ChannelInstance):
         self.ch = ch
@@ -177,15 +161,17 @@ class _WaterFill:
         self.evaluations = 0
         self._last = math.nan, None  # the last multiplier evaluated, and its fixed point
 
+    def root(self) -> float:
+        """lambda*, the root of phi on this path (`_follow`)."""
+        return _follow(self)
+
     def _hold(self, ch: ChannelInstance) -> tuple[float, float]:
         """Keep ids, a, a2 and wa = w / a over the users with a_k > 0
         (g_k > 0, unless g_k sqrt(P_k) underflows), the columns that follow
-        the order of c_k, and a, a2, h2 and P in index order for `_split`
-        and `_project` (`by_index`); return max_k wa_k / a_k and sum_k
-        a_k^2.  In Python floats, which overflow to inf without a warning,
-        read from the instance's floats: a numpy call costs microseconds
-        where a solve starts with cold caches."""
-        a, a2, h2, p = self.by_index = ch.a_floats, ch.a2_floats, ch.h2_floats, ch.p_floats
+        the order of c_k; return max_k wa_k / a_k and sum_k a_k^2.  In
+        Python floats, read from the instance's floats: a numpy call costs
+        microseconds where a solve starts with cold caches."""
+        a, a2, h2, p = ch.a_floats, ch.a2_floats, ch.h2_floats, ch.p_floats
         ids = self.ids = [k for k, a_k in enumerate(a) if a_k > 0.0]
         self.a, self.a2 = [a[k] for k in ids], [a2[k] for k in ids]
         self.wa, self.identity = [h2[k] * p[k] / a[k] for k in ids], list(range(len(ids)))
@@ -343,7 +329,7 @@ class _WaterFill:
         gamma = [0.0] * ch.num_users
         for k, g in zip(ids, [1.0] * m + [t / c_k for c_k in c[m:]]):
             gamma[k] = 1.0 if 1.0 < g else g  # min(g, 1.0), NaN kept
-        a, a2, h2, p = self.by_index
+        a, a2, h2, p = ch.a_floats, ch.a2_floats, ch.h2_floats, ch.p_floats
         # minus each slope, at most 0, and a NaN slope read as +inf: a stable
         # sort of users in index order by it is steepest first, ties in index
         # order, NaN last
@@ -353,41 +339,45 @@ class _WaterFill:
         relay, lost = list(map(_relayed, a, gamma)), list(map(_lost, a2, gamma))
         return gamma, candidates, relay, lost, list(map(_mac_power, h2, p, gamma))
 
-    @_quiet
     def states(self, lam: np.ndarray):
         """X (n,), gamma (n, K) and the saturated flags (n, K) at each of n
         multipliers, one row each: `_split`'s gamma, from the same prefix
-        rule in array operations."""
+        rule in array operations, under one `np.errstate`, so that overflow
+        to inf, and 0 * inf in the rows that r = 0 skips, pass silently, as in
+        Python floats."""
         import numpy as np
 
-        ch, users = self.ch, np.flatnonzero(self.ch.a > 0)
-        n, k, a_k = lam.size, users.size, ch.a[users]
-        ls, r = lam[:, None] * self.s_p, lam[:, None] * self.sigma_p2
-        c = ch.h2[users] * ch.p[users] / a_k - ls * a_k  # wa_k as `wa`, in user order
-        order = np.argsort(c, axis=1, kind="stable")
-        c_s = np.take_along_axis(c, order, axis=1)
-        a_s = a_k[order]
-        big_s = np.cumsum(np.column_stack([np.zeros(n), a_s]), axis=1)
-        ratio = np.divide(a_s, c_s, out=np.zeros_like(c_s), where=c_s > 0.0)
-        q = np.column_stack([np.cumsum(ratio[:, ::-1], axis=1)[:, ::-1], np.zeros(n)])
-        prefix = (c_s <= 0.0) | (r * (self.amp + big_s[:, :k]) >= c_s * (1.0 - r * q[:, :k]))
-        m = np.argmin(np.column_stack([prefix, np.zeros(n, dtype=bool)]), axis=1)
-        rows, r = np.arange(n), r[:, 0]
-        s_m, q_m = big_s[rows, m], q[rows, m]
-        relayed = (s_m + self.amp * r * q_m) / (1.0 - r * q_m)
-        x = self.amp + np.where((r > 0.0) & (q_m > 0.0), relayed, s_m)  # as `_fixed_point`
-        pinned = np.argsort(order, axis=1) < m[:, None]  # rank below m
-        interior = np.divide((r * x)[:, None], c, out=np.ones_like(c), where=~pinned)
-        gamma = np.zeros((n, ch.num_users))
-        saturated = np.zeros(gamma.shape, dtype=bool)
-        gamma[:, users], saturated[:, users] = np.minimum(interior, 1.0), pinned
+        with np.errstate(over="ignore", invalid="ignore"):
+            ch, users = self.ch, np.flatnonzero(self.ch.a > 0)
+            n, k, a_k = lam.size, users.size, ch.a[users]
+            ls, r = lam[:, None] * self.s_p, lam[:, None] * self.sigma_p2
+            c = ch.h2[users] * ch.p[users] / a_k - ls * a_k  # wa_k as `wa`, in user order
+            order = np.argsort(c, axis=1, kind="stable")
+            c_s = np.take_along_axis(c, order, axis=1)
+            a_s = a_k[order]
+            big_s = np.cumsum(np.column_stack([np.zeros(n), a_s]), axis=1)
+            ratio = np.divide(a_s, c_s, out=np.zeros_like(c_s), where=c_s > 0.0)
+            q = np.column_stack([np.cumsum(ratio[:, ::-1], axis=1)[:, ::-1], np.zeros(n)])
+            prefix = (c_s <= 0.0) | (r * (self.amp + big_s[:, :k]) >= c_s * (1.0 - r * q[:, :k]))
+            m = np.argmin(np.column_stack([prefix, np.zeros(n, dtype=bool)]), axis=1)
+            rows, r = np.arange(n), r[:, 0]
+            s_m, q_m = big_s[rows, m], q[rows, m]
+            relayed = (s_m + self.amp * r * q_m) / (1.0 - r * q_m)
+            x = self.amp + np.where((r > 0.0) & (q_m > 0.0), relayed, s_m)  # as `_fixed_point`
+            pinned = np.argsort(order, axis=1) < m[:, None]  # rank below m
+            interior = np.divide((r * x)[:, None], c, out=np.ones_like(c), where=~pinned)
+            gamma = np.zeros((n, ch.num_users))
+            saturated = np.zeros(gamma.shape, dtype=bool)
+            gamma[:, users], saturated[:, users] = np.minimum(interior, 1.0), pinned
         return x, gamma, saturated
 
 
 class _ArrayFill(_WaterFill):
     """`_WaterFill` with its per-user work, `_hold`, `_prefix` and `_split`,
     in numpy arrays, bit for bit the same (see the module docstring).
-    Overflow and inf - inf pass silently, as in Python floats."""
+    Overflow and inf - inf pass silently, as in Python floats: `root` and
+    `_split`, which make every call of `_prefix`, each run under one
+    `np.errstate`, as `_hold` and `states` do."""
 
     def _hold(self, ch: ChannelInstance) -> tuple[float, float]:
         import numpy as np
@@ -401,11 +391,14 @@ class _ArrayFill(_WaterFill):
         # along as floats, exact up to 2^53
         self.cols = np.array([self.a_k, a2, wa, self.users], dtype=float)
         self.a, self.a2, self.wa, self.ids = self.cols
-        # for `_project`, which reads a few users as floats
-        self.by_index = ch.a_floats, ch.a2_floats, ch.h2_floats, ch.p_floats
         return top, sum(a2.tolist())
 
-    @_quiet
+    def root(self) -> float:
+        import numpy as np
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _follow(self)
+
     def _prefix(self, lam: float):
         ls, r, amp = lam * self.s_p, lam * self.sigma_p2, self.amp
         c = self.wa - ls * self.a
@@ -436,24 +429,24 @@ class _ArrayFill(_WaterFill):
         s, m, c, a, wa, *rest = point
         return super()._continue(lam, (s, m, c, a.tolist(), wa.tolist(), *rest))
 
-    @_quiet
     def _split(self, lam: float):
         import numpy as np
 
-        s, m, c, *_ = self._fixed_point(lam)
-        x = self.amp + s
-        t = lam * self.sigma_p2 * x
-        ch, users, ids = self.ch, self.users, self.ids.astype(np.intp)
-        gamma = np.zeros(ch.num_users)
-        gamma[ids[:m]] = 1.0
-        gamma[ids[m:]] = np.minimum(t / c[m:], 1.0)
-        saturated = np.zeros(ch.num_users, dtype=bool)
-        saturated[ids[:m]] = True
-        slope = self.a_k * (x + self.t_p * self.a_k * gamma[users])
-        # lexsort is stable and puts a NaN last, as the list form's key
-        candidates = users[np.lexsort((-slope, saturated[users]))]
-        terms = _relayed(ch.a, gamma), _lost(ch.a2, gamma), _mac_power(ch.h2, ch.p, gamma)
-        return (gamma, candidates.tolist(), *(v.tolist() for v in terms))
+        with np.errstate(over="ignore", invalid="ignore"):
+            s, m, c, *_ = self._fixed_point(lam)
+            x = self.amp + s
+            t = lam * self.sigma_p2 * x
+            ch, users, ids = self.ch, self.users, self.ids.astype(np.intp)
+            gamma = np.zeros(ch.num_users)
+            gamma[ids[:m]] = 1.0
+            gamma[ids[m:]] = np.minimum(t / c[m:], 1.0)
+            saturated = np.zeros(ch.num_users, dtype=bool)
+            saturated[ids[:m]] = True
+            slope = self.a_k * (x + self.t_p * self.a_k * gamma[users])
+            # lexsort is stable and puts a NaN last, as the list form's key
+            candidates = users[np.lexsort((-slope, saturated[users]))]
+            terms = _relayed(ch.a, gamma), _lost(ch.a2, gamma), _mac_power(ch.h2, ch.p, gamma)
+            return (gamma, candidates.tolist(), *(v.tolist() for v in terms))
 
 
 def _water_fill(ch: ChannelInstance) -> _WaterFill:
@@ -464,7 +457,7 @@ def _water_fill(ch: ChannelInstance) -> _WaterFill:
 def _project(path: _WaterFill, gamma, candidates: list, relay: list, lost: list, effective: list):
     """Project `_split`'s gamma onto phi = 0 one coordinate at a time, in
     place, with its terms, reading each user's a_k, a_k^2, h_k^2 and P_k
-    from the path's `by_index`.
+    from the instance's floats, in Python floats in either form.
 
     Each of `candidates` in turn is set to its root clipped to [0, 1], if
     finite; the first root in [0, 1] before clipping ends the walk (one that
@@ -474,11 +467,12 @@ def _project(path: _WaterFill, gamma, candidates: list, relay: list, lost: list,
     comes from S' and L at gamma_k = 0, summed in index order, as
     `_primary_sums` sums them.
     """
-    a, a2, h2, p = path.by_index
+    ch = path.ch
+    a, a2, h2, p = ch.a_floats, ch.a2_floats, ch.h2_floats, ch.p_floats
     for k in candidates:
         held = relay[k], lost[k]
         relay[k], lost[k] = _relayed(a[k], 0.0), _lost(a2[k], 0.0)
-        ok, root = _coordinate_roots(path.ch, a[k], sum(relay), sum(lost), slack=0.0)
+        ok, root = _coordinate_roots(ch, a[k], sum(relay), sum(lost), slack=0.0)
         if math.isfinite(root):  # NaN once phi's terms overflow
             gamma[k], held = root, (_relayed(a[k], root), _lost(a2[k], root))
             effective[k] = _mac_power(h2[k], p[k], root)
@@ -617,7 +611,7 @@ def solve_max_sum_rate(ch: ChannelInstance) -> SolverResult:
     whose constraint does not bind.
     """
     path = _water_fill(ch)
-    lam = _follow(path)
+    lam = path.root()
     gamma, candidates, relay, lost, effective = path._split(lam)
     _project(path, gamma, candidates, relay, lost, effective)
     split = PowerSplit(gamma)
@@ -679,7 +673,7 @@ def sweep_trajectory(ch: ChannelInstance, lambda_max: float | None, samples: int
 
     path = _water_fill(ch)
     if lambda_max is None:
-        lambda_max = 1.25 * _follow(path)
+        lambda_max = 1.25 * path.root()
         if lambda_max == 0.0:
             with np.errstate(over="ignore"):  # w_k / a_k / a_k / s_p, as `last`
                 poles = np.divide(path.wa, path.a) / ch.s_p if ch.s_p > 0.0 else np.zeros(0)

@@ -20,7 +20,9 @@ The independent checks stay apart from the solver: `oracle` imports only
 Every sum over the users is the builtin `sum` in index order: no module
 reduces with `ndarray.sum`, `np.sum` or `np.dot`, which add pairwise, not
 even `ChannelInstance.__post_init__` for its received powers and residual
-scale.  And a `cogmac solve` process on any bundled or golden scenario,
+scale.  Every `np.errstate` is entered by a `with`, so numpy's float
+state is set once per block of array work, not on each call of a wrapped
+method.  And a `cogmac solve` process on any bundled or golden scenario,
 all below the solver's array form, imports no numpy at all.
 """
 
@@ -257,6 +259,44 @@ def test_no_numpy_sum_but_in_post_init(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     found = sorted(node.lineno for node in ast.walk(tree) if _numpy_sum(node))
     assert not found, f"{path.name}: .sum(, np.sum or np.dot at lines {found}"
+
+
+def _loose_errstate(tree: ast.Module) -> list[int]:
+    """The lines of each `errstate(...)` call that is not the context
+    expression of a `with` item: one applied as a decorator, kept or
+    entered by hand sets numpy's float state on every call it wraps."""
+    entered = {
+        id(item.context_expr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.With)
+        for item in node.items
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _name(node.func) == "errstate" and id(node) not in entered
+    )
+
+
+@pytest.mark.parametrize(
+    "code, found",
+    [
+        ('with np.errstate(over="ignore"):\n    x = 1', []),
+        ('with open(f) as g, np.errstate(invalid="ignore") as s:\n    x = 1', []),
+        ('method = np.errstate(over="ignore")(method)', [1]),
+        ('@np.errstate(over="ignore")\ndef f():\n    pass', [1]),
+        ('state = errstate(all="ignore")\nwith state:\n    x = 1', [1]),
+    ],
+)
+def test_loose_errstate_pattern(code, found):
+    assert _loose_errstate(ast.parse(code)) == found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_errstate_only_in_with(path):
+    # numpy's float state is set once per block of array work, never per call
+    found = _loose_errstate(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found, f"{path.name}: errstate outside a with item at lines {found}"
 
 
 FIELD_NAMES = {f.name for f in dataclasses.fields(cogmac.ChannelInstance)}

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import platform
 import subprocess
 import sys
@@ -139,3 +140,22 @@ def test_process_times_one_round(tmp_path):
     (figures,) = tree.values()
     assert list(tree) == ["pass"]
     assert 0.0 < figures["q1_ms"] == figures["median_ms"] == figures["q3_ms"]
+
+
+def test_process_times_reports_the_cached_variant(tmp_path):
+    """One round of a `cogmac` command reports it without and with the
+    bytecode cache, side by side; the cache's temporary directory is gone
+    once the script exits."""
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "process_times.py"), "--rounds", "1", "--only", "solve-k1_unit"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (tree,) = json.loads(proc.stdout)["trees"].values()
+    assert list(tree) == ["solve-k1_unit", "solve-k1_unit+pyc"]
+    for figures in tree.values():
+        assert 0.0 < figures["q1_ms"] == figures["median_ms"] == figures["q3_ms"]
+    assert not list(tmp_path.iterdir())

@@ -378,14 +378,37 @@ class TestArrayForm:
 
     def test_nan_key_keeps_the_list_order(self):
         # user 0's w_0 / a_0 overflows, so at lambda = 1e300 c_0 = inf - inf;
-        # Timsort leaves [NaN, -inf] as it is, where argsort puts NaN last
+        # Timsort leaves [NaN, -inf] as it is, where argsort puts NaN last;
+        # outside `root` the array form's float state is the caller's
         ch = ChannelInstance(
             h=[1e150, 1.0], g=[1e-10, 1.0], p=[1.0, 1.0], h_p=1e10, p_p=1.0, sigma_p2=1.0, sigma_c2=1.0,
         )
         lists, arrays = _WaterFill(ch), _ArrayFill(ch)
         for path in (lists, arrays):
-            path._fixed_point(1e300)
+            with np.errstate(over="ignore", invalid="ignore"):
+                path._fixed_point(1e300)
         assert np.asarray(arrays.ids).tolist() == lists.ids == [0, 1]
+
+    def test_float_state_set_per_solve_not_per_evaluation(self, monkeypatch):
+        # every np.errstate in the package is a `with` item (test_imports.py),
+        # so its entries count each time a solve sets numpy's float state:
+        # as often at 5 path evaluations as at 15
+        entries = []
+
+        class Counted(np.errstate):
+            def __enter__(self):
+                entries.append(self)
+                return super().__enter__()
+
+        suite = [ch for ch in instance_suite(0, 60, sizes=(10, 20, 50, 100, 200)) if ch.num_users >= 100]
+        counts = {}
+        monkeypatch.setattr(np, "errstate", Counted)
+        for ch in suite:
+            entries.clear()
+            evaluations = solve_max_sum_rate(ch).outer_iterations
+            counts.setdefault(len(entries), set()).add(evaluations)
+        assert len(counts) == 1 and max(counts) <= 3
+        assert len(counts[max(counts)]) > 1
 
     def test_form_by_k(self):
         rng = np.random.default_rng(3)
