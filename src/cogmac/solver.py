@@ -36,11 +36,11 @@ lo's segment formula, continued past its saturation by the same sums over
 lo's users (`_continue`), gives the step back.
 
 The end game reads the path's fixed point at lambda* once (`_split`): it
-builds gamma there, with the terms of S, of the lost power L and of the MAC
-SNR per user.  It projects gamma's coordinates onto phi = 0 until one lands
-(`_project`), each from S' and L at gamma_k = 0 by the channel's coordinate
-root, and scores the split from the same terms: phi by `_excess`, its
-relative residual, and the rate by `_capacity`.  Past the per-user terms
+builds gamma there, with the terms of S and of the lost power L per user.
+It projects gamma's coordinates onto phi = 0 until one lands (`_project`),
+each from S' and L at gamma_k = 0 by the channel's coordinate root, and
+scores phi from the same terms, by `_excess`, and its relative residual;
+the rate is the channel's `sum_rate` of the split.  Past the per-user terms
 this is O(1) Python floats, with no numpy call per coordinate; the list
 form reads the instance's floats in `_hold` and hands `PowerSplit` its
 list, which is checked in Python floats, so a list-form solve makes no
@@ -68,8 +68,8 @@ Both give the same floats: every elementwise operation rounds alike, the
 sorts are stable, every sum, norm and maximum is the same builtin over the
 same floats in the same order, and the running sums add in order
 (itertools.accumulate in one form, np.cumsum in the other).  The split's
-terms are summed as the channel sums them, so the reported rate and residual
-are `sum_rate` and `relative_residual` at the split, bit for bit, at any K.
+terms are summed as the channel sums them, so the reported residual is
+`relative_residual` at the split, bit for bit, at any K.
 """
 
 from __future__ import annotations
@@ -90,15 +90,14 @@ from .channel import (
     RESIDUAL_TOL,
     ChannelInstance,
     PowerSplit,
-    _capacity,
     SATURATED_GAMMA,
     _coordinate_roots,
     _excess,
     _lost,
-    _mac_power,
     _phi,
     _relative_phi,
     _relayed,
+    sum_rate,
 )
 
 
@@ -320,8 +319,8 @@ class _WaterFill:
         the order `_project` tries them: interior before saturated, each
         group by steepest slope a_k (X + t_p a_k gamma_k), half of
         d phi / d gamma_k over sigma_p2, a NaN slope last, ties in index
-        order.  And each user's terms by the channel's formulas, as lists
-        in index order: a_k gamma_k, a_k^2 u_k and u_k h_k^2 P_k."""
+        order.  And each user's terms of phi by the channel's formulas, as
+        lists in index order: a_k gamma_k and a_k^2 u_k."""
         s, m, c, *_ = self._fixed_point(lam)
         x = self.amp + s
         t = lam * self.sigma_p2 * x
@@ -329,15 +328,14 @@ class _WaterFill:
         gamma = [0.0] * ch.num_users
         for k, g in zip(ids, [1.0] * m + [t / c_k for c_k in c[m:]]):
             gamma[k] = 1.0 if 1.0 < g else g  # min(g, 1.0), NaN kept
-        a, a2, h2, p = ch.a_floats, ch.a2_floats, ch.h2_floats, ch.p_floats
+        a, a2 = ch.a_floats, ch.a2_floats
         # minus each slope, at most 0, and a NaN slope read as +inf: a stable
         # sort of users in index order by it is steepest first, ties in index
         # order, NaN last
         slopes = [a_k * (x + t_p * a_k * g) for a_k, g in zip(a, gamma)]
         steep = [-v if v >= 0.0 else math.inf for v in slopes].__getitem__
         candidates = sorted(sorted(ids[m:]), key=steep) + sorted(sorted(ids[:m]), key=steep)
-        relay, lost = list(map(_relayed, a, gamma)), list(map(_lost, a2, gamma))
-        return gamma, candidates, relay, lost, list(map(_mac_power, h2, p, gamma))
+        return gamma, candidates, list(map(_relayed, a, gamma)), list(map(_lost, a2, gamma))
 
     def states(self, lam: np.ndarray):
         """X (n,), gamma (n, K) and the saturated flags (n, K) at each of n
@@ -445,8 +443,8 @@ class _ArrayFill(_WaterFill):
             slope = self.a_k * (x + self.t_p * self.a_k * gamma[users])
             # lexsort is stable and puts a NaN last, as the list form's key
             candidates = users[np.lexsort((-slope, saturated[users]))]
-            terms = _relayed(ch.a, gamma), _lost(ch.a2, gamma), _mac_power(ch.h2, ch.p, gamma)
-            return (gamma, candidates.tolist(), *(v.tolist() for v in terms))
+            relay, lost = _relayed(ch.a, gamma), _lost(ch.a2, gamma)
+            return gamma, candidates.tolist(), relay.tolist(), lost.tolist()
 
 
 def _water_fill(ch: ChannelInstance) -> _WaterFill:
@@ -454,10 +452,10 @@ def _water_fill(ch: ChannelInstance) -> _WaterFill:
     return (_ArrayFill if ch.num_users >= _ARRAY_USERS else _WaterFill)(ch)
 
 
-def _project(path: _WaterFill, gamma, candidates: list, relay: list, lost: list, effective: list):
+def _project(path: _WaterFill, gamma, candidates: list, relay: list, lost: list):
     """Project `_split`'s gamma onto phi = 0 one coordinate at a time, in
-    place, with its terms, reading each user's a_k, a_k^2, h_k^2 and P_k
-    from the instance's floats, in Python floats in either form.
+    place, with its terms of phi, reading each user's a_k and a_k^2 from
+    the instance's floats, in Python floats in either form.
 
     Each of `candidates` in turn is set to its root clipped to [0, 1], if
     finite; the first root in [0, 1] before clipping ends the walk (one that
@@ -468,14 +466,13 @@ def _project(path: _WaterFill, gamma, candidates: list, relay: list, lost: list,
     `_primary_sums` sums them.
     """
     ch = path.ch
-    a, a2, h2, p = ch.a_floats, ch.a2_floats, ch.h2_floats, ch.p_floats
+    a, a2 = ch.a_floats, ch.a2_floats
     for k in candidates:
         held = relay[k], lost[k]
         relay[k], lost[k] = _relayed(a[k], 0.0), _lost(a2[k], 0.0)
         ok, root = _coordinate_roots(ch, a[k], sum(relay), sum(lost), slack=0.0)
         if math.isfinite(root):  # NaN once phi's terms overflow
             gamma[k], held = root, (_relayed(a[k], root), _lost(a2[k], root))
-            effective[k] = _mac_power(h2[k], p[k], root)
         relay[k], lost[k] = held
         if ok:
             return
@@ -493,7 +490,9 @@ def _follow(path: _WaterFill) -> float:
     lands inside; otherwise `_midpoint`'s geometric mean in mu.  Stops at
     an end whose step is a few ulps long, or on a bracket a few ulps wide.
     Past the last pole phi is constant: if still negative there, by
-    rounding only, that multiplier is lambda*.
+    rounding only, or NaN, that multiplier is lambda*: while the bracket is
+    unbounded, hi is the last pole, so that multiplier becomes lo and the
+    width stop returns it.
 
     The worst case is stated, not budgeted.  `_halvings` counts the
     geometric bisections in lambda that close a bracket to the few-ulps
@@ -529,7 +528,7 @@ def _follow(path: _WaterFill) -> float:
         f, step, d = path.phi(lam)
         if f > 0.0:
             hi, f_hi, step_hi, bounded, stepped = lam, f, step, True, lam == newton
-        elif f == 0.0 or lam >= last:
+        elif f == 0.0:
             return lam
         else:
             lo, f_lo, step_lo, gap, point = lam, f, step, d, path._last[1]
@@ -599,8 +598,8 @@ def _midpoint(lo: float, hi: float, gap: float) -> tuple[float, float]:
 
 def solve_max_sum_rate(ch: ChannelInstance) -> SolverResult:
     """Find the root lambda* of phi along the multiplier path, build gamma
-    there, project it onto phi = 0 and score it, all from the path's own
-    fixed point (see the module docstring).
+    there, project it onto phi = 0 and score phi from the path's own fixed
+    point, and the rate by `sum_rate` (see the module docstring).
 
     Returns the feasible split maximizing the cognitive sum rate, reported
     `Converged` where the split's relative residual is at most
@@ -612,16 +611,16 @@ def solve_max_sum_rate(ch: ChannelInstance) -> SolverResult:
     """
     path = _water_fill(ch)
     lam = path.root()
-    gamma, candidates, relay, lost, effective = path._split(lam)
-    _project(path, gamma, candidates, relay, lost, effective)
+    gamma, candidates, relay, lost = path._split(lam)
+    _project(path, gamma, candidates, relay, lost)
     split = PowerSplit(gamma)
-    # phi, its relative residual and the rate from the split's own terms,
-    # summed in index order: channel's `relative_residual` and `sum_rate`
+    # phi and its relative residual from the projection's own terms, summed
+    # in index order: channel's `relative_residual`
     residual = _relative_phi(ch, ch.sigma_p2 * _excess(ch, sum(relay), sum(lost)))
     converged = residual <= RESIDUAL_TOL
     return SolverResult(
         gamma_star=split,
-        sum_rate=_capacity(sum(effective) / ch.sigma_c2),
+        sum_rate=sum_rate(ch, split),
         lambda_star=lam,
         residual=residual,
         outer_iterations=path.evaluations,

@@ -11,6 +11,13 @@ on the answer is known, solves both and compares.
 - A silent user: a user with g = 0 relays nothing and interferes with
   nothing, so it is left at gamma = 0 and every other user's gamma stays
   bit for bit the same.
+- A dropped user: a feasible split of the instance without user k, with
+  gamma_k = 1 added, is a feasible split of the full instance at the same
+  sum rate, since user k then relays all its power, which only helps the
+  primary, and sends nothing of its own.  So the smaller instance's best
+  rate is at most the full one's, and the reported rates keep that order
+  with no tolerance.  This runs on the instances with 2 to 50 users, each
+  user dropped in turn.
 
 Each runs on the seeded suites at K = 1..3 and K = 10..200 and on the wide
 suite.
@@ -80,3 +87,13 @@ def test_silent_user(suite):
         assert gamma[-1] == 0.0
         expected = solve_max_sum_rate(ch).gamma_star.gamma_floats
         assert [v.hex() for v in gamma[:-1]] == [v.hex() for v in expected]
+
+
+def test_dropped_user(suite):
+    for ch in suite:
+        if not 2 <= ch.num_users <= 50:
+            continue
+        fields, rate = ch.as_dict(), solve_max_sum_rate(ch).sum_rate
+        for k in range(ch.num_users):
+            smaller = _changed(ch, **{name: fields[name][:k] + fields[name][k + 1 :] for name in ("h", "g", "p")})
+            assert solve_max_sum_rate(smaller).sum_rate <= rate, k

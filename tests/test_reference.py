@@ -14,9 +14,9 @@ evaluations and one for the rest.
 tests/golden/solver-suites.json holds, for those suites and for the extreme
 and limit fuzzes, what does not depend on the machine: the number of
 solves, the total, mean and largest path evaluations, the count of each
-status, the `Converged` solves that fail `kkt_check`, and the
-RuntimeWarnings raised while solving and checking.  Every count is
-compared exactly.
+status, the `Converged` solves that fail `kkt_check`, the
+RuntimeWarnings raised while solving and checking, and a digest of every
+result bit for bit (`_digest`).  Every count is compared exactly.
 
 `PYTHONPATH=src python tests/test_reference.py` rewrites both records from
 the solver in the tree, so run it only for an intended change of results,
@@ -24,6 +24,7 @@ and say why in CHANGES.md.
 """
 
 import functools
+import hashlib
 import json
 import math
 import warnings
@@ -75,6 +76,17 @@ def _rows(name):
     return rows
 
 
+def _digest(name):
+    """SHA-256 of the suite's solves in suite order, one line each: its
+    status, path evaluations, lambda*, rate, residual and gamma* as
+    float.hex, so that a change of any last bit, or of a NaN, shows."""
+    lines = []
+    for r in _solves(name)[0]:
+        floats = [r.lambda_star, r.sum_rate, r.residual, *r.gamma_star.gamma_floats]
+        lines.append(" ".join([r.status.value, str(r.outer_iterations), *map(float.hex, floats)]))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def _counts(name):
     """The suite's record of counts."""
     results, passed, caught = _solves(name)
@@ -90,6 +102,7 @@ def _counts(name):
         "statuses": dict(sorted(Counter(r.status.value for r in results).items())),
         "kkt_failures_among_converged": sum(c and not ok for c, ok in zip(converged, passed)),
         "runtime_warnings": sum(issubclass(w.category, RuntimeWarning) for w in caught),
+        "digest": _digest(name),
     }
 
 

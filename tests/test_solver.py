@@ -654,6 +654,23 @@ class TestSolveMaxSumRate:
             assert path.evaluations + 1 <= _worst_case(counts, continued=False) <= 248
             assert lam == pytest.approx(root, rel=8 * sys.float_info.epsilon)
 
+    @pytest.mark.parametrize(("last", "step", "evaluations"), [
+        (1e10, math.nan, 12),
+        (1e10, 1.0, 62),
+        (sys.float_info.max, math.nan, 12),
+        (sys.float_info.max, 1.0, 63),
+        (1e-300, math.nan, 6),
+        (1e-300, 1.0, 2),
+    ])
+    @pytest.mark.parametrize("at_last", [-1.0, -math.inf, -1e-300, math.nan])
+    def test_phi_below_zero_at_the_last_pole_returns_it(self, last, step, evaluations, at_last):
+        # past the last pole phi is constant, so where it is still below 0,
+        # or NaN, there, `last` is lambda*: it becomes lo while the bracket is
+        # unbounded, with hi at `last`, and the bracket-width stop returns it
+        path = _Flat(last, at_last, step)
+        assert solver._follow(path) == last
+        assert path.evaluations == evaluations
+
     @pytest.mark.parametrize("suite", [
         pytest.param(lambda: instance_suite(1, 450), id="seeded-k1-3"),
         pytest.param(None, id="wide"),
@@ -870,11 +887,11 @@ class TestSolveMaxSumRate:
 
 
 class TestReport:
-    """The solver scores its split from the channel's per-user terms, each
-    summed in index order by the builtin sum, as the channel's kernels sum
-    them, so its rate and residual are `sum_rate` and `relative_residual` at
-    the returned split, bit for bit, at every K.  No kernel warns at a
-    split, `primary_rate` included, on any suite."""
+    """The solver reports `sum_rate` of its split, and scores its residual
+    from the channel's per-user terms of phi, each summed in index order by
+    the builtin sum, as the channel's kernels sum them, so its residual is
+    `relative_residual` at the returned split, bit for bit, at every K.  No
+    kernel warns at a split, `primary_rate` included, on any suite."""
 
     @pytest.mark.parametrize("suite", [
         pytest.param(lambda: instance_suite(1, 450), id="seeded-k1-3"),
@@ -1088,6 +1105,19 @@ class _Creep:
         assert self.evaluations < 248, "past the worst case over the normal floats"
         f = (lam > self.root) - (lam < self.root)
         return float(f), (-self.down if f > 0 else self.up) * lam, math.inf
+
+
+class _Flat:
+    """A path whose phi is -1 below `last` and `at_last` from there, with
+    every Newton step `step`."""
+
+    def __init__(self, last, at_last, step):
+        self.last, self.at_last, self.step = last, at_last, step
+        self.evaluations, self._last = 0, (math.nan, (0.0, 0))
+
+    def phi(self, lam, segment=None):
+        self.evaluations += 1
+        return (self.at_last if lam >= self.last else -1.0), self.step, math.inf
 
 
 def _sweep_range(ch):
