@@ -95,5 +95,5 @@ def test_dropped_user(suite):
             continue
         fields, rate = ch.as_dict(), solve_max_sum_rate(ch).sum_rate
         for k in range(ch.num_users):
-            smaller = _changed(ch, **{name: fields[name][:k] + fields[name][k + 1 :] for name in ("h", "g", "p")})
-            assert solve_max_sum_rate(smaller).sum_rate <= rate, k
+            dropped = {name: fields[name][:k] + fields[name][k + 1 :] for name in ("h", "g", "p")}
+            assert solve_max_sum_rate(_changed(ch, **dropped)).sum_rate <= rate, k

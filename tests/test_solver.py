@@ -664,9 +664,9 @@ class TestSolveMaxSumRate:
     ])
     @pytest.mark.parametrize("at_last", [-1.0, -math.inf, -1e-300, math.nan])
     def test_phi_below_zero_at_the_last_pole_returns_it(self, last, step, evaluations, at_last):
-        # past the last pole phi is constant, so where it is still below 0,
-        # or NaN, there, `last` is lambda*: it becomes lo while the bracket is
-        # unbounded, with hi at `last`, and the bracket-width stop returns it
+        # past the last pole phi is constant, so where phi at `last` is
+        # still below 0, or NaN, `last` is lambda*: it becomes lo while the
+        # bracket is unbounded, with hi at `last`, and the width stop returns it
         path = _Flat(last, at_last, step)
         assert solver._follow(path) == last
         assert path.evaluations == evaluations
