@@ -9,11 +9,12 @@ module adds them in user index order with the builtin `sum`, so the solver,
 the feasible grid and the public functions agree bit for bit at every K.
 An instance derives its constant terms once, when it is built: s_p = h_p^2
 P_p, A = h_p sqrt(P_p), a_k = g_k sqrt(P_k), a2 = a_k^2, t = s_p / sigma_p2,
-h2 = h_k^2 and the residual scale.  Every kernel reads them from it, and
-reads the primary-rate constraint from `_excess`, the one place it is
-written.  The instance sums its received powers and the residual scale's
-sum a_k^2 by the same rule, so no sum over the users adds pairwise.  Rates
-are in bits per channel use (log base 2 throughout).
+h2 = h_k^2, the interference sum_k a_k^2 and the residual scale.  Every
+kernel reads them from it, and reads the primary-rate constraint from
+`_excess`, the one place it is written.  The instance sums its received
+powers, the interference included, by the same rule, so no sum over the
+users adds pairwise.  Rates are in bits per channel use (log base 2
+throughout).
 
 A scenario or a split is a few floats per user, and the kernels that score
 one split read them as Python floats: an instance holds each vector once,
@@ -155,8 +156,10 @@ class ChannelInstance:
     The constant terms are derived once, here, as read-only attributes that
     are not fields (`dataclasses.replace` derives them again): s_p = h_p^2 P_p,
     primary_amplitude = A = h_p sqrt(P_p), a = g_k sqrt(P_k), a2 = a_k^2,
-    t = s_p / sigma_p2, h2 = h_k^2 and residual_scale = s_p max(sigma_p2,
-    sum a_k^2), which makes the feasibility residual relative.
+    t = s_p / sigma_p2, h2 = h_k^2, interference = sum_k a_k^2 in index
+    order, the primary's received interference before any relaying, and
+    residual_scale = s_p max(sigma_p2, interference), which makes the
+    feasibility residual relative.
 
     Each vector, h, g, p, a, a2 and h2, is held once, as its floats
     `h_floats`, ..., `h2_floats`, which the kernels read: a tuple below
@@ -234,6 +237,7 @@ class ChannelInstance:
             ("a2_floats", _held(a2, k)),
             ("t", s_p / self.sigma_p2),
             ("h2_floats", _held(h2, k)),
+            ("interference", interference),
             ("residual_scale", max(s_p * interference, self.sigma_p2 * s_p)),
         )
         for name, value in derived:

@@ -41,10 +41,8 @@ It projects gamma's coordinates onto phi = 0 until one lands (`_project`),
 each from S' and L at gamma_k = 0 by the channel's coordinate root, and
 scores phi from the same terms, by `_excess`, and its relative residual;
 the rate is the channel's `sum_rate` of the split.  Past the per-user terms
-this is O(1) Python floats, with no numpy call per coordinate; the list
-form reads the instance's floats in `_hold` and hands `PowerSplit` its
-list, which is checked in Python floats, so a list-form solve makes no
-numpy call at all, and imports no numpy.
+this is O(1) Python floats, with no numpy call per coordinate, and gamma
+reaches `PowerSplit` as a list, which it checks in Python floats.
 `sweep_trajectory` applies the prefix rule to a whole lambda grid at once
 and returns the path as columns.
 
@@ -150,13 +148,13 @@ class _WaterFill:
 
     def __init__(self, ch: ChannelInstance):
         self.ch = ch
-        top, total = self._hold(ch)
+        top = self._hold(ch)
         pole = top / ch.s_p if ch.s_p > 0.0 else 0.0
         self.last = min(max(pole, sys.float_info.min), sys.float_info.max)
         self.amp, self.sigma_p2 = ch.primary_amplitude, ch.sigma_p2
         self.s_p, self.t_p = ch.s_p, ch.t
         # C = sqrt(t_p (sigma_p2 + sum_k a_k^2)), phi's constant term as a signal
-        self.level = math.sqrt(ch.t * (ch.sigma_p2 + total))
+        self.level = math.sqrt(ch.t * (ch.sigma_p2 + ch.interference))
         self.evaluations = 0
         self._last = math.nan, None  # the last multiplier evaluated, and its fixed point
 
@@ -164,17 +162,15 @@ class _WaterFill:
         """lambda*, the root of phi on this path (`_follow`)."""
         return _follow(self)
 
-    def _hold(self, ch: ChannelInstance) -> tuple[float, float]:
+    def _hold(self, ch: ChannelInstance) -> float:
         """Keep ids, a, a2 and wa = w / a over the users with a_k > 0
         (g_k > 0, unless g_k sqrt(P_k) underflows), the columns that follow
-        the order of c_k; return max_k wa_k / a_k and sum_k a_k^2.  In
-        Python floats, read from the instance's floats: a numpy call costs
-        microseconds where a solve starts with cold caches."""
+        the order of c_k; return max_k wa_k / a_k."""
         a, a2, h2, p = ch.a_floats, ch.a2_floats, ch.h2_floats, ch.p_floats
         ids = self.ids = [k for k, a_k in enumerate(a) if a_k > 0.0]
         self.a, self.a2 = [a[k] for k in ids], [a2[k] for k in ids]
         self.wa, self.identity = [h2[k] * p[k] / a[k] for k in ids], list(range(len(ids)))
-        return max(map(truediv, self.wa, self.a), default=0.0), sum(self.a2)
+        return max(map(truediv, self.wa, self.a), default=0.0)
 
     def _prefix(self, lam: float):
         """Re-sort the columns by c_k at lam and find the m saturated users,
@@ -313,14 +309,13 @@ class _WaterFill:
     def _split(self, lam: float):
         """The end game's columns at lam, from the path's fixed point.
 
-        gamma (K,) in index order: 1 on the saturated users, t / c_k from
-        the path's own c_k capped at 1 on the others, and 0 where a_k = 0;
-        a list here, an array in the array form.  The users with a_k > 0 in
-        the order `_project` tries them: interior before saturated, each
-        group by steepest slope a_k (X + t_p a_k gamma_k), half of
-        d phi / d gamma_k over sigma_p2, a NaN slope last, ties in index
-        order.  And each user's terms of phi by the channel's formulas, as
-        lists in index order: a_k gamma_k and a_k^2 u_k."""
+        Four lists: gamma in index order, 1 on the saturated users, t / c_k
+        from the path's own c_k capped at 1 on the others, and 0 where a_k =
+        0; the users with a_k > 0 in the order `_project` tries them:
+        interior before saturated, each group by steepest slope a_k (X + t_p
+        a_k gamma_k), half of d phi / d gamma_k over sigma_p2, a NaN slope
+        last, ties in index order; and each user's terms of phi by the
+        channel's formulas, in index order: a_k gamma_k and a_k^2 u_k."""
         s, m, c, *_ = self._fixed_point(lam)
         x = self.amp + s
         t = lam * self.sigma_p2 * x
@@ -371,13 +366,13 @@ class _WaterFill:
 
 
 class _ArrayFill(_WaterFill):
-    """`_WaterFill` with its per-user work, `_hold`, `_prefix` and `_split`,
-    in numpy arrays, bit for bit the same (see the module docstring).
+    """`_WaterFill` with `_hold`, `_prefix` and `_split` in numpy arrays,
+    bit for bit the same (see the module docstring).
     Overflow and inf - inf pass silently, as in Python floats: `root` and
     `_split`, which make every call of `_prefix`, each run under one
     `np.errstate`, as `_hold` and `states` do."""
 
-    def _hold(self, ch: ChannelInstance) -> tuple[float, float]:
+    def _hold(self, ch: ChannelInstance) -> float:
         import numpy as np
 
         self.users = np.flatnonzero(ch.a > 0)
@@ -389,7 +384,7 @@ class _ArrayFill(_WaterFill):
         # along as floats, exact up to 2^53
         self.cols = np.array([self.a_k, a2, wa, self.users], dtype=float)
         self.a, self.a2, self.wa, self.ids = self.cols
-        return top, sum(a2.tolist())
+        return top
 
     def root(self) -> float:
         import numpy as np
@@ -444,7 +439,7 @@ class _ArrayFill(_WaterFill):
             # lexsort is stable and puts a NaN last, as the list form's key
             candidates = users[np.lexsort((-slope, saturated[users]))]
             relay, lost = _relayed(ch.a, gamma), _lost(ch.a2, gamma)
-            return gamma, candidates.tolist(), relay.tolist(), lost.tolist()
+            return gamma.tolist(), candidates.tolist(), relay.tolist(), lost.tolist()
 
 
 def _water_fill(ch: ChannelInstance) -> _WaterFill:

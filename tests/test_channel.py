@@ -119,7 +119,7 @@ class TestDerivedTerms:
     and bitwise equal to the expressions the kernels evaluated in their
     place."""
 
-    NAMES = ("s_p", "primary_amplitude", "a", "a2", "t", "h2", "residual_scale")
+    NAMES = ("s_p", "primary_amplitude", "a", "a2", "t", "h2", "interference", "residual_scale")
 
     @staticmethod
     def _expected(ch):
@@ -132,6 +132,7 @@ class TestDerivedTerms:
             "a2": a * a,
             "t": s_p / ch.sigma_p2,
             "h2": ch.h**2,
+            "interference": sum((a * a).tolist()),
             "residual_scale": max(s_p * sum((a * a).tolist()), ch.sigma_p2 * s_p),
         }
 
@@ -141,8 +142,8 @@ class TestDerivedTerms:
 
     def test_bitwise_equal_to_the_expressions(self):
         rng = np.random.default_rng(5)
-        suite = [make_instance(rng, k) for k in (1, 2, 3, 50)]
-        suite.append(ChannelInstance(  # many decades apart, and zeros
+        suite = [make_instance(rng, k) for k in (1, 2, 3, 50, 60)]  # 60: held as array('d')
+        suite.append(ChannelInstance(  # many decades apart, and zeros, g_2 = 0 among them
             h=[3.8e33, 0.0, 1e-12], g=[3.5e-10, 2e5, 0.0], p=[2.1e-15, 7e19, 1.0],
             h_p=4.2e15, p_p=6.6e7, sigma_p2=1135.05, sigma_c2=1.9e7,
         ))

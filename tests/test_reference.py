@@ -18,9 +18,10 @@ status, the `Converged` solves that fail `kkt_check`, the
 RuntimeWarnings raised while solving and checking, and a digest of every
 result bit for bit (`_digest`).  Every count is compared exactly.
 
-`PYTHONPATH=src python tests/test_reference.py` rewrites both records from
-the solver in the tree, so run it only for an intended change of results,
-and say why in CHANGES.md.
+`PYTHONPATH=src python tests/test_reference.py NAME` rewrites the one
+record named, `solver-reference.json` or `solver-suites.json`, from the
+solver in the tree, and with no name writes nothing.  Run it only for an
+intended change of results, and say why in CHANGES.md.
 """
 
 import functools
@@ -137,12 +138,18 @@ def test_counts_match_the_record(name):
 
 
 if __name__ == "__main__":
-    with RECORD.open("w") as out:
-        out.write("{\n")
-        for n, name in enumerate(SUITES):
-            out.write(f'"{name}": [\n')
-            rows = _rows(name)
-            out.write(",\n".join(json.dumps(row, separators=(",", ":")) for row in rows))
-            out.write("\n]" + (",\n" if n + 1 < len(SUITES) else "\n"))
-        out.write("}\n")
-    COUNTS.write_text(json.dumps({name: _counts(name) for name in COUNTED}, indent=2) + "\n")
+    import argparse
+
+    parser = argparse.ArgumentParser(description="Rewrite one record from the solver in the tree.")
+    parser.add_argument("name", choices=[RECORD.name, COUNTS.name])
+    if parser.parse_args().name == COUNTS.name:
+        COUNTS.write_text(json.dumps({name: _counts(name) for name in COUNTED}, indent=2) + "\n")
+    else:
+        with RECORD.open("w") as out:
+            out.write("{\n")
+            for n, name in enumerate(SUITES):
+                out.write(f'"{name}": [\n')
+                rows = _rows(name)
+                out.write(",\n".join(json.dumps(row, separators=(",", ":")) for row in rows))
+                out.write("\n]" + (",\n" if n + 1 < len(SUITES) else "\n"))
+            out.write("}\n")

@@ -34,6 +34,20 @@ def test_reference_experiments_write_every_output(tmp_path):
         assert (tmp_path / name).read_bytes() == (GOLDEN / golden).read_bytes(), name
 
 
+def test_reference_writer_needs_a_record_name():
+    """With no record named, `tests/test_reference.py` exits non-zero and
+    leaves both records as they are."""
+    records = [GOLDEN / "solver-reference.json", GOLDEN / "solver-suites.json"]
+    before = [path.read_bytes() for path in records]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tests" / "test_reference.py")], capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode != 0
+    assert "solver-suites.json" in proc.stderr
+    assert [path.read_bytes() for path in records] == before
+
+
 def _bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     module = importlib.util.module_from_spec(spec)

@@ -23,7 +23,7 @@ from cogmac import (
     sweep_trajectory,
 )
 from cogmac.channel import RESIDUAL_TOL, _phi
-from cogmac import solver
+from cogmac import channel, solver
 from cogmac.cli import load_scenario
 from cogmac.oracle import instance_suite, random_instance
 from cogmac.solver import _ArrayFill, _project, _WaterFill
@@ -335,17 +335,17 @@ class TestArrayForm:
 
     def test_end_game_columns(self):
         # the end game's gamma, candidates and terms at, below and above
-        # lambda*; some candidate's slope is NaN at 46 of these multipliers,
-        # on 20 limit-fuzz draws
+        # lambda*, four lists in either form; some candidate's slope is NaN
+        # at 46 of these multipliers, on 20 limit-fuzz draws
         nan_slopes = 0
         for ch in limit_fuzz() + instance_suite(1, 90):
             star = solve_max_sum_rate(ch).lambda_star
             for lam in (star, 0.5 * star, 2.0 * star):
                 lists, arrays = (form(ch)._split(lam) for form in FORMS)
-                assert np.asarray(arrays[0]).tobytes() == np.asarray(lists[0]).tobytes()
+                assert [type(column) for column in lists + arrays] == [list] * 8
                 assert arrays[1] == lists[1]
-                for got, expected in zip(arrays[2:], lists[2:]):
-                    assert [v.hex() for v in got] == [v.hex() for v in expected]
+                for i in (0, 2, 3):  # gamma, a_k gamma_k and a_k^2 u_k
+                    assert [v.hex() for v in arrays[i]] == [v.hex() for v in lists[i]]
                 nan_slopes += self._nan_slopes_last(ch, lam)
         assert nan_slopes >= 1
 
@@ -409,6 +409,21 @@ class TestArrayForm:
             counts.setdefault(len(entries), set()).add(evaluations)
         assert len(counts) == 1 and max(counts) <= 3
         assert len(counts[max(counts)]) > 1
+
+    def test_split_reaches_power_split_as_a_list(self, monkeypatch):
+        # from K = 60 on, the array form's split takes `_splits`' Python
+        # float path too, as the list form's does
+        given = []
+
+        def spy(gamma, splits=channel._splits):
+            given.append(type(gamma))
+            return splits(gamma)
+
+        monkeypatch.setattr(channel, "_splits", spy)
+        suite = instance_suite(0, 20, sizes=(60, 100, 200, 1000))
+        for ch in suite:
+            solve_max_sum_rate(ch)
+        assert given == [list] * len(suite)
 
     def test_form_by_k(self):
         rng = np.random.default_rng(3)
