@@ -59,11 +59,19 @@ MAX_GRID_ROWS = 10**7
 # by the whole grid or path
 GRID_CHUNK_ROWS = 2**16
 
-# the most rows turned into Python floats at a time, where a loop or a format
-# reads them one by one (`region_boundary`'s walk, the CLI's CSV): a row's
-# floats, the tuple that reads them and its text take 100 to 300 B, so a
-# batch stays near 1 MB
+# the most rows turned into Python floats at a time (`_row_chunks`), where a
+# loop or a format reads them one by one (`region_boundary`'s walk, the
+# CLI's CSV): a row's floats, the tuple that reads them and its text take
+# 100 to 300 B, so a batch stays near 1 MB
 FLOAT_BATCH_ROWS = 4096
+
+
+def _row_chunks(*columns):
+    """The columns' rows in chunks of at most `FLOAT_BATCH_ROWS`, as tuples
+    of views."""
+    for start in range(0, len(columns[0]), FLOAT_BATCH_ROWS):
+        yield tuple(column[start : start + FLOAT_BATCH_ROWS] for column in columns)
+
 
 # from this many users on, the solver's array form is the faster (measured;
 # README), and an instance holds each vector as an `array('d')`, which that
@@ -220,16 +228,15 @@ class ChannelInstance:
         a = [g * math.sqrt(p) for g, p in zip(self.g_floats, self.p_floats)]
         a2, h2 = [v * v for v in a], [v * v for v in self.h_floats]
         own = sum([w * p_k for w, p_k in zip(h2, self.p_floats)])
-        interference = sum(a2)
+        interference, s_p = sum(a2), self.h_p * self.h_p * self.p_p
         received = (
             ("sum of h[k]^2 * p[k]", own),
             ("sum of g[k]^2 * p[k]", interference),
-            ("h_p^2 * p_p", self.h_p * self.h_p * self.p_p),
+            ("h_p^2 * p_p", s_p),
         )
         for label, value in received:
             if not math.isfinite(value):
                 raise ValueError(f"{label} must be finite, got {value}")
-        s_p = self.h_p**2 * self.p_p
         derived = (
             ("s_p", s_p),
             ("primary_amplitude", self.h_p * math.sqrt(self.p_p)),

@@ -20,7 +20,7 @@ from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
-from .channel import FLOAT_BATCH_ROWS, ChannelInstance, baseline_primary_rate, primary_rate
+from .channel import ChannelInstance, _row_chunks, baseline_primary_rate, primary_rate
 from .oracle import grid_search, kkt_check
 from .region import EmptyGridError, region_boundary
 from .solver import SolverResult, SolverStatus, solve_max_sum_rate, sweep_trajectory
@@ -132,13 +132,6 @@ def _write_out(chunks, out_path: str | None) -> None:
                 fh.write(text)
     except OSError as exc:
         raise ValueError(f"cannot write output file: {exc}") from exc
-
-
-def _row_chunks(*columns):
-    """The columns' rows in chunks of at most `FLOAT_BATCH_ROWS`, as tuples
-    of views."""
-    for start in range(0, len(columns[0]), FLOAT_BATCH_ROWS):
-        yield tuple(column[start : start + FLOAT_BATCH_ROWS] for column in columns)
 
 
 def solver_result_dict(ch: ChannelInstance, result: SolverResult) -> dict:

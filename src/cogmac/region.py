@@ -23,7 +23,6 @@ from itertools import chain
 from typing import TYPE_CHECKING
 
 from .channel import (
-    FLOAT_BATCH_ROWS,
     GRID_CHUNK_ROWS,
     MAX_GRID_ROWS,
     RESIDUAL_TOL,
@@ -34,6 +33,7 @@ from .channel import (
     _mac_power,
     _primary_sums,
     _relative_phi,
+    _row_chunks,
 )
 
 if TYPE_CHECKING:
@@ -261,10 +261,7 @@ def region_boundary(ch: ChannelInstance, grid_step: float) -> RegionBoundary:
     hull_r1, hull_r2 = memoryview(hull[0]), memoryview(hull[1])
     hull_r1[1], n = c1max, 2
     ox, oy, ax, ay = 0.0, 0.0, c1max, 0.0  # the last two vertices
-    corners = chain.from_iterable(
-        zip(xs[i : i + FLOAT_BATCH_ROWS].tolist(), ys[i : i + FLOAT_BATCH_ROWS].tolist())
-        for i in range(0, xs.size, FLOAT_BATCH_ROWS)
-    )
+    corners = chain.from_iterable(zip(x.tolist(), y.tolist()) for x, y in _row_chunks(xs, ys))
     for x, y in chain(corners, [(0.0, c2max)]):
         # the turn first: most corners make a left one
         while not (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0.0 and n >= 2:

@@ -43,8 +43,9 @@ scores phi from the same terms, by `_excess`, and its relative residual;
 the rate is the channel's `sum_rate` of the split.  Past the per-user terms
 this is O(1) Python floats, with no numpy call per coordinate, and gamma
 reaches `PowerSplit` as a list, which it checks in Python floats.
-`sweep_trajectory` applies the prefix rule to a whole lambda grid at once
-and returns the path as columns.
+`sweep_trajectory` applies the prefix rule to a lambda grid a chunk of
+rows at a time (`_states`), from the instance's terms alone, and returns
+the path as columns.
 
 One evaluation costs O(K) per-user work (c_k, the sort, the prefix test and
 the sums; a continuation skips the sort and the prefix test) and O(1)
@@ -52,16 +53,17 @@ scalar work (phi, Newton's step, the singularity), and the end game the
 per-user work of `_split` once.  The per-user work has two forms, picked
 once per instance from K alone: Python lists below `channel._ARRAY_USERS`
 users (`_WaterFill`), numpy arrays from there (`_ArrayFill`), which, like
-`states` and `sweep_trajectory`, imports numpy where it runs; the instance
-holds its floats in the container each form reads without a copy, a tuple
-or an `array('d')`, by the same threshold.  Overflow passes silently in
-both forms: in Python floats by itself, in the arrays under one
-`np.errstate` each for `_hold`, the whole root find (`root`), `_split` and
-each call of `states`, so a solve sets numpy's float state three times
-however many evaluations it makes.  Each numpy call costs a microsecond or
-more however short the array (7 to 15 where a solve starts with cold
-caches; README), so the array form is slower at small K and faster at
-large K; the two cross near K = 56.
+`sweep_trajectory`, imports numpy where it runs; the instance holds its
+floats in the container each form reads without a copy, a tuple or an
+`array('d')`, by the same threshold.  Overflow passes silently in both
+forms: in Python floats by itself, in the arrays under one `np.errstate`
+each for `_hold`, the whole root find (`root`) and `_split`, so a solve
+sets numpy's float state three times however many evaluations it makes.
+A sweep sets it once, around all of its array work, however many chunks
+it takes.  Each numpy call costs a microsecond or more however short the
+array (7 to 15 where a solve starts with cold caches; README), so the
+array form is slower at small K and faster at large K; the two cross near
+K = 56.
 Both give the same floats: every elementwise operation rounds alike, the
 sorts are stable, every sum, norm and maximum is the same builtin over the
 same floats in the same order, and the running sums add in order
@@ -131,10 +133,10 @@ class SolverResult:
 
 class _WaterFill:
     """The multiplier path of one instance at any lambda, by its fixed point,
-    over the users a_k > 0 kept in their last order of c_k, or by `states` at
-    n multipliers at once.  c_k = w_k / a_k - lambda s_p a_k, with w_k = h_k^2
-    P_k, so no (h_k / g_k)^2 leaves the float range; `last` is the last
-    pole, max_k w_k / a_k / a_k / s_p, within the normal floats.
+    over the users a_k > 0 kept in their last order of c_k.  c_k = w_k /
+    a_k - lambda s_p a_k, with w_k = h_k^2 P_k, so no (h_k / g_k)^2 leaves
+    the float range; `last` is the last pole, max_k w_k / a_k / a_k / s_p,
+    within the normal floats.
     `evaluations` counts the calls of phi and `_split`: each is one pass
     over the users, a fixed point (`_prefix`) or a continuation
     (`_continue`), except a `_split` that reads the last fixed point again.
@@ -143,8 +145,7 @@ class _WaterFill:
     `_continue` and `_split`, runs on Python floats, which overflow to inf
     without a warning, and whose sort (Timsort) re-sorts the last order in
     about one pass.  `_ArrayFill` does the same work in numpy arrays;
-    everything else is shared.  Only `states` sets numpy's float state, in
-    its own `np.errstate`."""
+    everything else is shared.  This form sets no numpy float state."""
 
     def __init__(self, ch: ChannelInstance):
         self.ch = ch
@@ -190,7 +191,7 @@ class _WaterFill:
         # = 0) and saturate none (m = z): no slice is copied then
         a, z = self.a, bisect_right(c, 0.0)
         ratio = list(map(truediv, a[z:], c[z:]) if z else map(truediv, a, c))
-        # s_m = sum_{i<m} a_i and Q_m, summed in the order of `states`'
+        # s_m = sum_{i<m} a_i and Q_m, summed in the order of `_states`'
         # cumulative sums; Q_j past z is q[n - j], suffix sums listed only once
         # a user past z saturates
         m, s_m, q_m, q = z, sum(a[:z]) if z else 0.0, sum(reversed(ratio)), None
@@ -332,45 +333,13 @@ class _WaterFill:
         candidates = sorted(sorted(ids[m:]), key=steep) + sorted(sorted(ids[:m]), key=steep)
         return gamma, candidates, list(map(_relayed, a, gamma)), list(map(_lost, a2, gamma))
 
-    def states(self, lam: np.ndarray):
-        """X (n,), gamma (n, K) and the saturated flags (n, K) at each of n
-        multipliers, one row each: `_split`'s gamma, from the same prefix
-        rule in array operations, under one `np.errstate`, so that overflow
-        to inf, and 0 * inf in the rows that r = 0 skips, pass silently, as in
-        Python floats."""
-        import numpy as np
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            ch, users = self.ch, np.flatnonzero(self.ch.a > 0)
-            n, k, a_k = lam.size, users.size, ch.a[users]
-            ls, r = lam[:, None] * self.s_p, lam[:, None] * self.sigma_p2
-            c = ch.h2[users] * ch.p[users] / a_k - ls * a_k  # wa_k as `wa`, in user order
-            order = np.argsort(c, axis=1, kind="stable")
-            c_s = np.take_along_axis(c, order, axis=1)
-            a_s = a_k[order]
-            big_s = np.cumsum(np.column_stack([np.zeros(n), a_s]), axis=1)
-            ratio = np.divide(a_s, c_s, out=np.zeros_like(c_s), where=c_s > 0.0)
-            q = np.column_stack([np.cumsum(ratio[:, ::-1], axis=1)[:, ::-1], np.zeros(n)])
-            prefix = (c_s <= 0.0) | (r * (self.amp + big_s[:, :k]) >= c_s * (1.0 - r * q[:, :k]))
-            m = np.argmin(np.column_stack([prefix, np.zeros(n, dtype=bool)]), axis=1)
-            rows, r = np.arange(n), r[:, 0]
-            s_m, q_m = big_s[rows, m], q[rows, m]
-            relayed = (s_m + self.amp * r * q_m) / (1.0 - r * q_m)
-            x = self.amp + np.where((r > 0.0) & (q_m > 0.0), relayed, s_m)  # as `_fixed_point`
-            pinned = np.argsort(order, axis=1) < m[:, None]  # rank below m
-            interior = np.divide((r * x)[:, None], c, out=np.ones_like(c), where=~pinned)
-            gamma = np.zeros((n, ch.num_users))
-            saturated = np.zeros(gamma.shape, dtype=bool)
-            gamma[:, users], saturated[:, users] = np.minimum(interior, 1.0), pinned
-        return x, gamma, saturated
-
 
 class _ArrayFill(_WaterFill):
     """`_WaterFill` with `_hold`, `_prefix` and `_split` in numpy arrays,
     bit for bit the same (see the module docstring).
     Overflow and inf - inf pass silently, as in Python floats: `root` and
     `_split`, which make every call of `_prefix`, each run under one
-    `np.errstate`, as `_hold` and `states` do."""
+    `np.errstate`, as `_hold` does."""
 
     def _hold(self, ch: ChannelInstance) -> float:
         import numpy as np
@@ -644,13 +613,15 @@ def sweep_trajectory(ch: ChannelInstance, lambda_max: float | None, samples: int
     finds it, or when that is 0 for the least pole > 0, (h_k / g_k)^2 / s_p
     in the path's terms (as `_WaterFill.last`), else for max(s_p, sigma_p2)
     / sigma_p2^2, written max(t, 1) / sigma_p2; each is capped at the
-    largest float.  The grid points are evaluated by the prefix rule in
-    array operations, in chunks of at most `channel.GRID_CHUNK_ROWS` path
-    values (multipliers x K), so that peak memory is set by the output and
-    one chunk; a point at an event already has that user saturated.  Each
-    row of gamma lies in [0, 1] by the rule, or holds a NaN where the
-    path's terms pass the float range, and so does phi then; where phi is
-    not finite, FloatingPointError names the first such multiplier.  gamma
+    largest float; only then is a path built.  Every sweep takes one loop:
+    the grid points are evaluated by the prefix rule in array operations
+    (`_states`), in chunks of at most `channel.GRID_CHUNK_ROWS` path values
+    (multipliers x K), so that peak memory is set by the output and one
+    chunk; a point at an event already has that user saturated.  All of it
+    runs under one `np.errstate`.  Each row of gamma lies in [0, 1] by the
+    rule, or holds a NaN where the path's terms pass the float range, and
+    so does phi then; where phi is not finite, FloatingPointError names the
+    first such multiplier, once every chunk is evaluated.  gamma
     is read-only, as a split's is.  The arguments are checked before
     anything is solved or allocated: the (samples, K) gamma may hold at most
     `channel.MAX_GRID_ROWS` values, the feasible grid's cap."""
@@ -665,40 +636,61 @@ def sweep_trajectory(ch: ChannelInstance, lambda_max: float | None, samples: int
         raise ValueError(f"lambda_max must be nonnegative and finite, got {lambda_max}")
     import numpy as np
 
-    path = _water_fill(ch)
-    if lambda_max is None:
-        lambda_max = 1.25 * path.root()
-        if lambda_max == 0.0:
-            with np.errstate(over="ignore"):  # w_k / a_k / a_k / s_p, as `last`
+    # overflow to inf, and 0 * inf in the rows that r = 0 skips, pass
+    # silently, as in Python floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        if lambda_max is None:
+            path = _water_fill(ch)
+            lambda_max = 1.25 * path.root()
+            if lambda_max == 0.0:  # w_k / a_k / a_k / s_p, as `last`
                 poles = np.divide(path.wa, path.a) / ch.s_p if ch.s_p > 0.0 else np.zeros(0)
-            poles, fallback = poles[poles > 0.0], max(ch.t, 1.0) / ch.sigma_p2
-            lambda_max = float(poles.min()) if poles.size else fallback
-        lambda_max = min(lambda_max, sys.float_info.max)
-    grid = np.linspace(0.0, lambda_max + 0.0, samples)  # -0 + 0 = 0
-    chunk = max(1, GRID_CHUNK_ROWS // ch.num_users)  # multipliers of K path values each
-    if samples <= chunk:
-        x, gamma, saturated, phi = _evaluate(path, grid)
-    else:  # filled chunk by chunk: peak memory is the output's and one chunk's
+                poles, fallback = poles[poles > 0.0], max(ch.t, 1.0) / ch.sigma_p2
+                lambda_max = float(poles.min()) if poles.size else fallback
+            lambda_max = min(lambda_max, sys.float_info.max)
+        grid = np.linspace(0.0, lambda_max + 0.0, samples)  # -0 + 0 = 0
+        # filled chunk by chunk: peak memory is the output's and one chunk's
         x, phi = np.empty(samples), np.empty(samples)
         gamma = np.empty((samples, ch.num_users))
         saturated = np.empty(gamma.shape, dtype=bool)
+        chunk = max(1, GRID_CHUNK_ROWS // ch.num_users)  # multipliers of K path values each
         for start in range(0, samples, chunk):
             rows = slice(start, start + chunk)
-            x[rows], gamma[rows], saturated[rows], phi[rows] = _evaluate(path, grid[rows])
+            x[rows], gamma[rows], saturated[rows] = _states(ch, grid[rows])
+            phi[rows] = _phi(ch, gamma[rows])
+    overflow = ~np.isfinite(phi)  # as is every row of gamma that holds a NaN
+    if overflow.any():
+        at = grid[overflow.argmax()]
+        raise FloatingPointError(f"the path passes the float range at lambda = {at:.12g}")
     gamma.setflags(write=False)
     return Trajectory(grid, x, gamma, phi, saturated)
 
 
-def _evaluate(path: _WaterFill, lam: np.ndarray):
-    """`states` and phi at the multipliers lam; FloatingPointError names the
-    first one where phi is not finite."""
+def _states(ch: ChannelInstance, lam: np.ndarray):
+    """X (n,), gamma (n, K) and the saturated flags (n, K) at each of n
+    multipliers, one row each: `_WaterFill._split`'s gamma, from the same
+    prefix rule in array operations on the instance's terms.  Overflow
+    passes silently under the caller's `np.errstate`, as in Python floats."""
     import numpy as np
 
-    x, gamma, saturated = path.states(lam)
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi = _phi(path.ch, gamma)
-    overflow = ~np.isfinite(phi)  # as is every row of gamma that holds a NaN
-    if overflow.any():
-        at = lam[overflow.argmax()]
-        raise FloatingPointError(f"the path passes the float range at lambda = {at:.12g}")
-    return x, gamma, saturated, phi
+    users = np.flatnonzero(ch.a > 0)
+    n, k, a_k, amp = lam.size, users.size, ch.a[users], ch.primary_amplitude
+    ls, r = lam[:, None] * ch.s_p, lam[:, None] * ch.sigma_p2
+    c = ch.h2[users] * ch.p[users] / a_k - ls * a_k  # wa_k as `wa`, in user order
+    order = np.argsort(c, axis=1, kind="stable")
+    c_s = np.take_along_axis(c, order, axis=1)
+    a_s = a_k[order]
+    big_s = np.cumsum(np.column_stack([np.zeros(n), a_s]), axis=1)
+    ratio = np.divide(a_s, c_s, out=np.zeros_like(c_s), where=c_s > 0.0)
+    q = np.column_stack([np.cumsum(ratio[:, ::-1], axis=1)[:, ::-1], np.zeros(n)])
+    prefix = (c_s <= 0.0) | (r * (amp + big_s[:, :k]) >= c_s * (1.0 - r * q[:, :k]))
+    m = np.argmin(np.column_stack([prefix, np.zeros(n, dtype=bool)]), axis=1)
+    rows, r = np.arange(n), r[:, 0]
+    s_m, q_m = big_s[rows, m], q[rows, m]
+    relayed = (s_m + amp * r * q_m) / (1.0 - r * q_m)
+    x = amp + np.where((r > 0.0) & (q_m > 0.0), relayed, s_m)  # as `_fixed_point`
+    pinned = np.argsort(order, axis=1) < m[:, None]  # rank below m
+    interior = np.divide((r * x)[:, None], c, out=np.ones_like(c), where=~pinned)
+    gamma = np.zeros((n, ch.num_users))
+    saturated = np.zeros(gamma.shape, dtype=bool)
+    gamma[:, users], saturated[:, users] = np.minimum(interior, 1.0), pinned
+    return x, gamma, saturated

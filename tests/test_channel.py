@@ -123,7 +123,7 @@ class TestDerivedTerms:
 
     @staticmethod
     def _expected(ch):
-        s_p = ch.h_p**2 * ch.p_p
+        s_p = ch.h_p * ch.h_p * ch.p_p
         a = ch.g * np.sqrt(ch.p)
         return {
             "s_p": s_p,
@@ -150,6 +150,12 @@ class TestDerivedTerms:
         for ch in suite:
             for name, value in self._expected(ch).items():
                 assert self._bits(getattr(ch, name)) == self._bits(value), name
+
+    def test_s_p_is_the_checked_product(self):
+        # h_p**2 rounds to 0x1.54f551a02607ep+5 here, an ulp below h_p * h_p
+        ch = ChannelInstance(h=[1.0], g=[1.0], p=[1.0], h_p=6.528383, p_p=1.0, sigma_p2=1.0, sigma_c2=1.0)
+        assert ch.s_p == ch.h_p * ch.h_p * ch.p_p
+        assert ch.s_p != ch.h_p**2 * ch.p_p
 
     def test_read_only(self, k2_reference):
         for name in self.NAMES:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cogmac import cli, grid_search, instance_suite, region, region_boundary, solver, sweep_trajectory
+from cogmac import channel, cli, grid_search, instance_suite, region, region_boundary, solver, sweep_trajectory
 from cogmac.channel import GRID_CHUNK_ROWS
 from cogmac.region import EmptyGridError, feasible_grid
 from conftest import extreme_fuzz, limit_fuzz
@@ -31,8 +31,7 @@ CHUNKS = (1, 7, 64)
 def _chunk(monkeypatch, rows: int) -> None:
     monkeypatch.setattr(region, "GRID_CHUNK_ROWS", rows)
     monkeypatch.setattr(solver, "GRID_CHUNK_ROWS", rows)
-    monkeypatch.setattr(region, "FLOAT_BATCH_ROWS", rows)
-    monkeypatch.setattr(cli, "FLOAT_BATCH_ROWS", rows)
+    monkeypatch.setattr(channel, "FLOAT_BATCH_ROWS", rows)
 
 
 def _hex(values) -> list[str]:
@@ -116,19 +115,20 @@ def test_blocks_cut_along_the_first_free_axis(monkeypatch, k, rows, sizes):
 
 
 def test_one_chunk_sweep_evaluates_its_grid_at_once(monkeypatch, k2_reference):
-    """A sweep that fits one chunk hands `states` its whole grid, as before
-    chunks: no slice and no second output array.  A longer one takes
-    `GRID_CHUNK_ROWS` path values (multipliers x K) a pass."""
+    """A sweep that fits one chunk hands `_states` a view of its whole grid
+    in one pass.  A longer one takes `GRID_CHUNK_ROWS` path values
+    (multipliers x K) a pass."""
     calls = []
-    states = solver._WaterFill.states
+    states = solver._states
 
-    def spy(path, lam):
+    def spy(ch, lam):
         calls.append(lam)
-        return states(path, lam)
+        return states(ch, lam)
 
-    monkeypatch.setattr(solver._WaterFill, "states", spy)
+    monkeypatch.setattr(solver, "_states", spy)
     traj = sweep_trajectory(k2_reference, None, 201)
-    assert len(calls) == 1 and calls[0] is traj.lam
+    assert [lam.size for lam in calls] == [201]
+    assert np.shares_memory(calls[0], traj.lam)
     calls.clear()
     monkeypatch.setattr(solver, "GRID_CHUNK_ROWS", 64)
     traj = sweep_trajectory(k2_reference, None, 201)

@@ -139,8 +139,8 @@ def _expanded_constraint(node) -> bool:
 
 
 def _primary_power_or_amplitude(node) -> bool:
-    """`h_p**2 * p_p` or `h_p * sqrt(p_p)`, on names or attributes, with
-    any module's sqrt."""
+    """`h_p**2 * p_p`, `h_p * h_p * p_p` or `h_p * sqrt(p_p)`, on names or
+    attributes, with any module's sqrt."""
     if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
         return False
     left, right = node.left, node.right
@@ -152,6 +152,12 @@ def _primary_power_or_amplitude(node) -> bool:
         and left.right.value == 2
         and _name(right) == "p_p"
     )
+    multiplied = (
+        isinstance(left, ast.BinOp)
+        and isinstance(left.op, ast.Mult)
+        and _name(left.left) == _name(left.right) == "h_p"
+        and _name(right) == "p_p"
+    )
     rooted = (
         _name(left) == "h_p"
         and isinstance(right, ast.Call)
@@ -159,7 +165,7 @@ def _primary_power_or_amplitude(node) -> bool:
         and len(right.args) == 1
         and _name(right.args[0]) == "p_p"
     )
-    return squared or rooted
+    return squared or multiplied or rooted
 
 
 def _outside_channel_instance(tree: ast.Module):
@@ -178,7 +184,21 @@ def test_primary_terms_only_in_channel_instance(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     nodes = _outside_channel_instance(tree)
     found = [node.lineno for node in nodes if _primary_power_or_amplitude(node)]
-    assert not found, f"{path.name}: h_p**2 * p_p or h_p * sqrt(p_p) at lines {found}"
+    assert not found, f"{path.name}: h_p^2 * p_p or h_p * sqrt(p_p) at lines {found}"
+
+
+@pytest.mark.parametrize(
+    "code, found",
+    [
+        ("ch.h_p**2 * ch.p_p", True),
+        ("h_p * h_p * p_p", True),
+        ("self.h_p * math.sqrt(self.p_p)", True),
+        ("ch.h_p * ch.p_p", False),
+        ("ch.s_p * ch.p_p", False),
+    ],
+)
+def test_primary_power_or_amplitude_pattern(code, found):
+    assert any(map(_primary_power_or_amplitude, ast.walk(ast.parse(code)))) is found
 
 
 def test_channel_instance_derives_the_primary_terms():

@@ -26,7 +26,7 @@ from cogmac.channel import RESIDUAL_TOL, _phi
 from cogmac import channel, solver
 from cogmac.cli import load_scenario
 from cogmac.oracle import instance_suite, random_instance
-from cogmac.solver import _ArrayFill, _project, _WaterFill
+from cogmac.solver import _ArrayFill, _project, _states, _WaterFill
 from conftest import SUITE_SEED, bisect_root, extreme_fuzz, limit_fuzz, numpy_calls, wide_instances
 from test_channel import make_instance
 from test_golden import GOLDEN, SCENARIOS
@@ -52,7 +52,7 @@ def _saturation_points(ch):
     users = len(path.ids)
 
     def counts(lam):
-        return path.states(lam)[2].sum(axis=1)
+        return _states(ch, lam)[2].sum(axis=1)
 
     k = np.arange(1, users + 1)
     lo = np.zeros(users)
@@ -189,7 +189,7 @@ def _grid_phis(ch, lam):
     """(scalar phi, channel phi at the batch gamma, magnitude of phi's
     terms) at each multiplier of lam."""
     path = _WaterFill(ch)
-    x, gamma, _ = path.states(lam)
+    x, gamma, _ = _states(ch, lam)
     total = ch.h_p**2 * ch.p_p * (ch.sigma_p2 + float(np.sum(ch.g**2 * ch.p)))
     magnitude = ch.sigma_p2 * x**2 + total
     path_phi = [path.phi(t)[0] for t in lam.tolist()]
@@ -221,7 +221,7 @@ class TestPathResidual:
 
 class TestScalarBatchAgreement:
     """The scalar state (`_split`, which `phi` shares) and the batch state
-    (`states`, behind `sweep_trajectory`) saturate the same users and give
+    (`_states`, behind `sweep_trajectory`) saturate the same users and give
     the same X, on an even grid past lambda* and on `_saturation_grid`."""
 
     @staticmethod
@@ -229,7 +229,7 @@ class TestScalarBatchAgreement:
         lam_star = solve_max_sum_rate(ch).lambda_star
         lam = np.concatenate([np.linspace(0.0, 1.5 * lam_star, 16), saturation_grid])
         path = _WaterFill(ch)
-        x, _, saturated = path.states(lam)
+        x, _, saturated = _states(ch, lam)
         for t, x_t, flags in zip(lam.tolist(), x, saturated):
             x_s, _, flags_s = _split(path, t)
             assert flags_s.tolist() == flags.tolist(), t
@@ -271,7 +271,7 @@ FORMS = _WaterFill, _ArrayFill
 class TestLargeKFixedPoint:
     """At K = 1000, where lambda* saturates 26 users, each form's suffix
     sums give the re-summed S and m, and the end game's gamma before its
-    projection and `phi` give the `states` row, bit for bit."""
+    projection and `phi` give the `_states` row, bit for bit."""
 
     @pytest.fixture(scope="class")
     def case(self):
@@ -289,9 +289,9 @@ class TestLargeKFixedPoint:
 
     def test_scalar_matches_states_row(self, case):
         ch, lam_star = case
+        x, gamma, saturated = _states(ch, np.array([lam_star]))
         for form in FORMS:
             path = form(ch)
-            x, gamma, saturated = path.states(np.array([lam_star]))
             x_s, gamma_s, saturated_s = _split(path, lam_star)
             assert saturated_s.sum() >= 20
             assert x_s == x[0]
@@ -300,6 +300,21 @@ class TestLargeKFixedPoint:
             phi = path.phi(lam_star)[0]
             assert phi == form(ch).phi(lam_star)[0]  # from either column order
             assert abs(phi - _phi(ch, gamma[0])) <= 1e-11 * ch.residual_scale
+
+
+def _errstate_entries(monkeypatch) -> list:
+    """A list that records each entry of `np.errstate` from now on: every
+    np.errstate in the package is a `with` item (test_imports.py), so its
+    entries count each time numpy's float state is set."""
+    entries = []
+
+    class Counted(np.errstate):
+        def __enter__(self):
+            entries.append(self)
+            return super().__enter__()
+
+    monkeypatch.setattr(np, "errstate", Counted)
+    return entries
 
 
 class TestArrayForm:
@@ -390,19 +405,10 @@ class TestArrayForm:
         assert np.asarray(arrays.ids).tolist() == lists.ids == [0, 1]
 
     def test_float_state_set_per_solve_not_per_evaluation(self, monkeypatch):
-        # every np.errstate in the package is a `with` item (test_imports.py),
-        # so its entries count each time a solve sets numpy's float state:
         # as often at 5 path evaluations as at 15
-        entries = []
-
-        class Counted(np.errstate):
-            def __enter__(self):
-                entries.append(self)
-                return super().__enter__()
-
         suite = [ch for ch in instance_suite(0, 60, sizes=(10, 20, 50, 100, 200)) if ch.num_users >= 100]
         counts = {}
-        monkeypatch.setattr(np, "errstate", Counted)
+        entries = _errstate_entries(monkeypatch)
         for ch in suite:
             entries.clear()
             evaluations = solve_max_sum_rate(ch).outer_iterations
@@ -1021,12 +1027,16 @@ class TestWholeFloatRange:
         assert str(info.value) == f"the path passes the float range at lambda = {lam_max / 4:.12g}"
 
     def test_huge_primary_noise_states_do_not_warn(self, k2_reference):
-        # r (A + s_j) and r Q_j overflowed in the prefix test
+        # r (A + s_j) and r Q_j overflowed in the prefix test: the rows stay
+        # finite, and only phi, past the float range, stops the sweep
         ch = dataclasses.replace(k2_reference, sigma_p2=1e308)
-        grid = np.linspace(0.0, _sweep_range(ch)[0], 21)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, gamma, _ = _WaterFill(ch).states(grid)
+            with pytest.raises(FloatingPointError, match="passes the float range"):
+                sweep_trajectory(ch, None, 21)
+        grid = np.linspace(0.0, _sweep_range(ch)[0], 21)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, gamma, _ = _states(ch, grid)
         assert np.isfinite(gamma).all()
 
     def test_sweep_pole_past_the_float_range(self):
@@ -1061,8 +1071,9 @@ class TestWholeFloatRange:
             path = form(k2_reference)
             phi = [path.phi(lam)[0] for lam in (5e307, 1e308, sys.float_info.max)]
             assert math.isfinite(phi[0]) and phi == [phi[0]] * 3, form.__name__
-            x, _, saturated = path.states(np.array([5e307, 1e308]))
-            assert saturated.all() and x[0] == x[1] and math.isfinite(x[0]), form.__name__
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, _, saturated = _states(k2_reference, np.array([5e307, 1e308]))
+        assert saturated.all() and x[0] == x[1] and math.isfinite(x[0])
 
     @pytest.mark.parametrize("sigma_p2", [1e-300, 1e-200, 1e200, 1e300])
     def test_sweep_fallback_range_is_finite(self, k2_no_interference, sigma_p2):
@@ -1176,7 +1187,8 @@ class TestSweepTrajectory:
         # multiplier is named, and no RuntimeWarning is raised
         ch = limit_fuzz()[draw]
         grid = np.linspace(0.0, _sweep_range(ch)[0], 201)
-        _, gamma, _ = _WaterFill(ch).states(grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, gamma, _ = _states(ch, grid)
         first = grid[~np.isfinite(gamma).all(axis=1)][0]
         with pytest.raises(FloatingPointError) as info:
             sweep_trajectory(ch, None, 201)
@@ -1194,6 +1206,15 @@ class TestSweepTrajectory:
         monkeypatch.setattr(solver, "_follow", unreachable)
         with pytest.raises(ValueError, match=message):
             sweep_trajectory(k2_reference, None, samples)
+
+    # 201 multipliers of two users: one chunk at the default, 7 at 64 rows
+    @pytest.mark.parametrize("rows", [channel.GRID_CHUNK_ROWS, 64])
+    def test_float_state_set_once_per_sweep(self, monkeypatch, k2_reference, rows):
+        # below K = 60 the root find sets none, so the sweep's own is the one
+        monkeypatch.setattr(solver, "GRID_CHUNK_ROWS", rows)
+        entries = _errstate_entries(monkeypatch)
+        sweep_trajectory(k2_reference, None, 201)
+        assert len(entries) == 1
 
     def test_columns(self, k2_reference):
         traj = sweep_trajectory(k2_reference, 0.1, 5)
