@@ -16,14 +16,15 @@ powers, the interference included, by the same rule, so no sum over the
 users adds pairwise.  Rates are in bits per channel use (log base 2
 throughout).
 
-A scenario or a split is a few floats per user, and the kernels that score
-one split read them as Python floats: an instance holds each vector once,
-as its floats (`h_floats`, ..., `h2_floats`: a tuple, or from the solver's
-array form on an `array('d')`), and a split its ratios as a tuple
-(`gamma_floats`).  The read-only float64 arrays `h`, ..., `gamma` are made
-from them on first read and kept, and numpy is imported only there and in
-the branches that work on columns or grids: scoring one split imports no
-numpy, so neither does a `cogmac solve` process below the array form.
+A scenario or a split is a few floats per user, read and checked as
+Python floats, which the kernels that score one split read as they are:
+an instance holds each vector once (`h_floats`, ..., `h2_floats`: a tuple,
+or from the solver's array form an `array('d')`), and a split, given as a
+list, a tuple or an array, its ratios as a tuple (`gamma_floats`).  The
+read-only float64 arrays `h`, ..., `gamma` are made from them on first
+read and kept; numpy is imported only there and where columns or grids
+are worked, so no split built or scored, and no `cogmac solve` process
+below the array form, imports it.
 """
 
 from __future__ import annotations
@@ -272,34 +273,31 @@ class ChannelInstance:
 
 
 def _splits(gamma) -> tuple:
-    """gamma as a tuple of floats with no -0.  Every entry must be finite
-    and in [0, 1]; a NaN fails both bounds, since min and max propagate it.
-    A list of Python floats in [0, 1], the solver's split, is checked in
-    Python floats; any other input, an invalid one included, takes the
-    array path, which imports numpy."""
-    if type(gamma) is list:
-        # -0 + 0 = 0
-        floats = tuple([v + 0.0 for v in gamma if type(v) is float and 0.0 <= v <= 1.0])
-        if len(floats) == len(gamma):
-            return floats
-    import numpy as np
-
-    arr = np.asarray(gamma, dtype=float) + 0.0  # a copy, where -0 + 0 = 0
-    if arr.ndim != 1:
-        raise ValueError("gamma must be a vector")
-    if not (0.0 <= arr.min(initial=1.0) and arr.max(initial=0.0) <= 1.0):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("gamma must be finite")
-        raise ValueError("gamma entries must lie in [0, 1]")
-    return tuple(arr.tolist())
+    """gamma, a list, a tuple or a 1-D array, as a tuple of Python floats
+    with no -0, read in one pass that imports nothing: an array by
+    `tolist()`, each entry by `float` as numpy reads one, so a bool, a numpy
+    scalar or a numeric string passes.  Each must be finite and in [0, 1]."""
+    if not isinstance(gamma, (list, tuple)):
+        numpy = sys.modules.get("numpy")  # an array given means numpy is loaded
+        if numpy is None or not isinstance(gamma, numpy.ndarray) or gamma.ndim != 1:
+            raise ValueError("gamma must be a vector")
+        gamma = gamma.tolist()
+    try:
+        floats = tuple([v + 0.0 for v in map(float, gamma) if 0.0 <= v <= 1.0])  # -0 + 0 = 0
+    except TypeError:  # an entry that is no number: a list, None
+        raise ValueError("gamma must be a vector") from None
+    if len(floats) < len(gamma):
+        finite = all(map(math.isfinite, map(float, gamma)))
+        raise ValueError("gamma entries must lie in [0, 1]" if finite else "gamma must be finite")
+    return floats
 
 
 @dataclass(frozen=True, eq=False)
 class PowerSplit:
-    """Cooperation ratios gamma_k, each in [0, 1], held as the tuple of
-    floats `gamma_floats`; the read-only float64 array `gamma` is built
-    from it on the first read and kept.  Two splits are equal, and hash
-    alike, where their ratios are."""
+    """Cooperation ratios gamma_k in [0, 1], from a list, a tuple or a 1-D
+    array, held as the tuple of Python floats `gamma_floats` (`_splits`);
+    the read-only float64 array `gamma` is built from it on the first read
+    and kept.  Two splits are equal, and hash alike, where their ratios are."""
 
     gamma: np.ndarray = _Array()
 

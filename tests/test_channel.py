@@ -73,9 +73,9 @@ class TestValidation:
 
 
 class TestSplitOfFloats:
-    """A list of Python floats in [0, 1], the solver's split, is checked in
-    Python; any other input, an invalid float list included, takes the
-    array path, as before."""
+    """Every split, a list, a tuple or an array, is read and checked in
+    Python floats, each entry by `float` as numpy reads a float array: the
+    same ratios or the same error either way."""
 
     @staticmethod
     def _outcome(gamma):
@@ -106,8 +106,12 @@ class TestSplitOfFloats:
         (["0.5"], [0.5]),
         ([2], "gamma entries must lie in [0, 1]"),
         ([[0.5]], "gamma must be a vector"),
+        ((0.5, 0.25), [0.5, 0.25]),
+        ([None], "gamma must be a vector"),
     ])
     def test_other_lists_take_the_array_path(self, values, expected):
+        # entries that are not floats are read by `float`; no array path is
+        # left, and the name keeps the test ids stable
         if isinstance(expected, str):
             assert self._outcome(values) == (ValueError, expected)
         else:

@@ -23,12 +23,14 @@ even `ChannelInstance.__post_init__` for its received powers and residual
 scale.  Every `np.errstate` is entered by a `with`, so numpy's float
 state is set once per block of array work, not on each call of a wrapped
 method.  And a `cogmac solve` process on any bundled or golden scenario,
-all below the solver's array form, imports no numpy at all.
+all below the solver's array form, imports no numpy at all, nor does
+building a `PowerSplit` from a list or tuple.
 """
 
 import ast
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -443,3 +445,19 @@ def test_solve_process_imports_no_numpy(scenario):
     imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if "|" in line]
     assert "cogmac.solver" in imported
     assert not [name for name in imported if name.split(".")[0] == "numpy"]
+
+
+def test_power_split_imports_no_numpy():
+    """A split given as a list or a tuple is read and checked in Python
+    floats, whatever its entries: a fresh interpreter that builds one has
+    still not imported numpy."""
+    code = (
+        "import sys\n"
+        "from cogmac import PowerSplit\n"
+        "for gamma in [(0.5, 0.25), [0, 1], ['0.5']]:\n"
+        "    PowerSplit(gamma)\n"
+        "    assert 'numpy' not in sys.modules, gamma\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

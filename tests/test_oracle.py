@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from decimal import Decimal, getcontext
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from cogmac import (
     solve_max_sum_rate,
     sum_rate,
 )
-from cogmac.channel import _mac_power, _primary_sums
+from cogmac.channel import SATURATED_GAMMA, _mac_power, _primary_sums
 from cogmac.region import EmptyGridError, feasible_grid
 from conftest import limit_fuzz, numpy_calls
 from test_channel import make_instance
@@ -157,6 +158,33 @@ class TestKktCheck:
         assert report.stationarity == {0: -1.0, 1: -1.0}
         assert not report.stationarity_ok
         assert not report.passed
+
+    @pytest.mark.parametrize("case", ["interior", "saturated", "silent", "feasibility"])
+    def test_value_at_tol_passes(self, request, case):
+        """Each bound holds with equality: tol set to the |s| of an interior
+        user, the -s of a saturated one, the gamma_k of a user with g_k = 0
+        or the relative residual that a first call reports passes that
+        test, and the float below it fails."""
+        fixture, gamma, lam, bound, flag = {
+            "interior": ("unit_k1", [0.5], 1.0, lambda r: abs(r.stationarity[0]), "stationarity_ok"),
+            "saturated": ("k2_reference", [1.0, 1.0], 0.0, lambda r: -r.stationarity[0], "stationarity_ok"),
+            "silent": ("k2_no_interference", [0.25, 0.0], 0.0, lambda r: 0.25, "stationarity_ok"),
+            "feasibility": ("unit_k1", [0.5], 1.0, lambda r: r.feasibility_rel, "feasibility_ok"),
+        }[case]
+        ch = request.getfixturevalue(fixture)
+        split = SimpleNamespace(gamma_star=PowerSplit(gamma), lambda_star=lam)
+        tol = bound(kkt_check(ch, split))
+        assert tol > 0.0
+        assert getattr(kkt_check(ch, split, tol), flag)
+        assert not getattr(kkt_check(ch, split, math.nextafter(tol, 0.0)), flag)
+
+    def test_saturated_from_the_threshold(self, k2_reference):
+        """gamma_k exactly at SATURATED_GAMMA counts as saturated, the float
+        below it as interior."""
+        below = math.nextafter(SATURATED_GAMMA, 0.0)
+        split = SimpleNamespace(gamma_star=PowerSplit([SATURATED_GAMMA, below]), lambda_star=1.0)
+        report = kkt_check(k2_reference, split)
+        assert (report.saturated_users, report.interior_users) == ((0,), (1,))
 
     def test_stationarity_matches_per_user_loop(self, extreme_suite):
         """The float pass against a per-user loop over numpy scalars that

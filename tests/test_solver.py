@@ -570,6 +570,40 @@ class TestSolveMaxSumRate:
         assert gaps[-1] == math.inf
         assert (result.outer_iterations, result.lambda_star.hex(), result.status) == (count, lam_star, status)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rule_steps_before_the_bisection(self, monkeypatch, n):
+        # with n halvings counted for the first bracket bounded with lo > 0,
+        # the rules pick its next n - 1 multipliers and the geometric mean
+        # of lo and hi every one after; seeded draw 0's rule steps all miss
+        # that mean, so the step where the bisection starts shows
+        calls = []
+        halvings = solver._halvings
+
+        def counted(lo, hi):
+            calls.append(len(lams))
+            return halvings(lo, hi) if len(calls) == 1 else n
+
+        monkeypatch.setattr(solver, "_halvings", counted)
+        path, lams = _WaterFill(SEEDED["k1-3"][0]), []
+        phi = path.phi
+
+        def recorded(lam, segment=None):
+            f = phi(lam, segment)
+            if segment is None:
+                lams.append((lam, f[0]))
+            return f
+
+        path.phi = recorded
+        solver._follow(path)
+        assert len(calls) == 2  # [tiny, last], then the first bounded bracket
+        lo, hi, geometric = 0.0, path.last, []
+        for i, (lam, f) in enumerate(lams):
+            if i >= calls[1]:  # a step picked once the bracket's count is set
+                geometric.append(lam == math.sqrt(lo) * math.sqrt(hi))
+            lo, hi = (lo, lam) if f > 0.0 else (lam, hi)
+        assert len(geometric) > n
+        assert geometric == [False] * (n - 1) + [True] * (len(geometric) - n + 1)
+
     @pytest.mark.parametrize("name, most", [("k10-200", 10), ("k1-3", 8)])
     def test_median_evaluations(self, name, most):
         # a count, so the same on every machine: one root find per solve.
