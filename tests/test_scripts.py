@@ -176,11 +176,8 @@ def test_process_times_reports_the_cached_variant(tmp_path):
 
 
 def _cost_counts(monkeypatch):
-    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
-    spec = importlib.util.spec_from_file_location("cost_counts", ROOT / "scripts" / "cost_counts.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))  # it imports bench_pairs
+    return importlib.import_module("cost_counts")
 
 
 @pytest.mark.parametrize("k, numpy_calls", [(2, False), (60, True)])
@@ -189,10 +186,10 @@ def test_cost_counts_repeat(monkeypatch, k, numpy_calls):
     counts; the list form makes no numpy call, the array form some."""
     from cogmac import instance_suite, solve_max_sum_rate
 
-    counts = _cost_counts(monkeypatch)
+    script = _cost_counts(monkeypatch)
     (ch,) = instance_suite(0, 1, sizes=(k,))
     solve_max_sum_rate(ch)
-    first, second = (counts.counted(ch) for _ in range(2))
+    first, second = (script.counted(ch) for _ in range(2))
     assert first == second
     assert first["bytecodes"] > 0 and first["other_c_calls"] > 0 and first["evaluations"] > 0
     assert (first["numpy_calls"] > 0) is numpy_calls
@@ -201,19 +198,19 @@ def test_cost_counts_repeat(monkeypatch, k, numpy_calls):
 def test_cost_counts_json_adds_a_counts_section(tmp_path, monkeypatch):
     """`--json PATH` adds one entry to the list in PATH: both trees' counts
     per K, with the host.  The trees' counts are canned."""
-    counts = _cost_counts(monkeypatch)
+    script = _cost_counts(monkeypatch)
 
     def run(checkout):
         value = 10.0 if checkout.name == "parent" else 9.0
-        solves = {"3": dict.fromkeys(counts.COUNTS, value)}
+        solves = {"3": dict.fromkeys(script.COUNTS, value)}
         return {"python": platform.python_version(), "numpy": np.__version__, "solves": solves}
 
-    monkeypatch.setattr(counts, "run", run)
+    monkeypatch.setattr(script, "run", run)
     path = tmp_path / "BENCH.json"
-    assert counts.main(["parent", "change", "--json", str(path)]) == 0
+    assert script.main(["parent", "change", "--json", str(path)]) == 0
     (entry,) = json.loads(path.read_text())
     assert entry["python"] == platform.python_version() and entry["nproc"] >= 1
     section = entry["counts"]
-    assert section["draws"] == counts.DRAWS
+    assert section["draws"] == script.DRAWS
     assert section["parent"]["solves"]["3"]["bytecodes"] == 10.0
     assert section["change"]["solves"]["3"]["numpy_calls"] == 9.0
